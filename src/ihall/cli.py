@@ -46,17 +46,41 @@ def _algebra(args):
     )
 
 
+def _vertex(algebra, name):
+    """A vertex name from the command line, checked against the quiver."""
+    verts = algebra.iq.vertices
+    if name not in verts:
+        raise ValueError(
+            "unknown vertex %r (vertices: %s)" % (name, ", ".join(verts))
+        )
+    return name
+
+
+def _dim_vector(algebra, text):
+    """A comma separated dimension vector, one nonnegative entry per vertex."""
+    dim = tuple(int(x) for x in text.split(","))
+    n = algebra.iq.n
+    if len(dim) != n:
+        raise ValueError(
+            "dimension vector %r has %d entries, the quiver has %d vertices"
+            % (text, len(dim), n)
+        )
+    if any(d < 0 for d in dim):
+        raise ValueError("dimension vector %r has a negative entry" % text)
+    return dim
+
+
 def _parse_elt(algebra, key):
     if key.startswith("simple:"):
-        return algebra.simple(key[len("simple:"):])
+        return algebra.simple(_vertex(algebra, key[len("simple:"):]))
     if key.startswith("k:"):
-        return algebra.torus_k(key[len("k:"):])
+        return algebra.torus_k(_vertex(algebra, key[len("k:"):]))
     if key.startswith("class:"):
         body = key[len("class:"):]
         dim_s, sep, idx_s = body.partition("#")
         if not sep:
             raise ValueError("class key %r lacks '#<index>'" % key)
-        dim = tuple(int(x) for x in dim_s.split(","))
+        dim = _dim_vector(algebra, dim_s)
         idx = int(idx_s)
         classes = algebra.table.classes(dim)
         if not 0 <= idx < len(classes):
@@ -129,7 +153,7 @@ def cmd_product(args):
 
 def cmd_idp(args):
     algebra = _algebra(args)
-    elt = idp_hall(algebra, args.vertex, args.n, args.parity)
+    elt = idp_hall(algebra, _vertex(algebra, args.vertex), args.n, args.parity)
     payload = {
         "command": "idp",
         "quiver": args.quiver,
@@ -168,7 +192,7 @@ def cmd_identities(args):
 
 def cmd_enumerate(args):
     algebra = _algebra(args)
-    dim = tuple(int(x) for x in args.dim.split(","))
+    dim = _dim_vector(algebra, args.dim)
     algebra.table.check_budget(dim)
     classes = algebra.table.classes(dim)
     rows = [
@@ -202,7 +226,6 @@ def _add_algebra_args(sub):
     sub.add_argument("--q", type=int, default=2, help="prime field size (default 2)")
     sub.add_argument("--budget-dim", type=int, default=6, help="max total dimension enumerated (default 6)")
     sub.add_argument("--budget-space", type=int, default=2 ** 28, help="max raw candidate count at one dimension (default 2^28)")
-    sub.add_argument("--threads", type=int, default=1, help="reserved; the computation runs in one process")
 
 
 def build_parser():

@@ -10,13 +10,14 @@ evaluation reuses the defining product formula with genuine Hall products.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
 from .ring import (
+    VMVI,
     LaurentFrac,
     LaurentPoly,
     ONE,
     V,
+    comb2,
     qdfact,
     qfact,
     qint,
@@ -27,14 +28,6 @@ def _lf(x):
     if isinstance(x, LaurentFrac):
         return x
     return LaurentFrac(x)
-
-
-def _comb2(m):
-    return m * (m - 1) // 2
-
-
-_V_INV = LaurentPoly.v_pow(-1)
-_VMVI = V - _V_INV  # v - v^-1
 
 
 class SymRank1:
@@ -125,7 +118,7 @@ def _factor_indices(n, parity):
     return [2 * j - 2 for j in range(1, m + 1)]
 
 
-_KCOEF = _V_INV * (LaurentPoly.v_pow(2) - ONE) ** 2  # v^-1 (v^2-1)^2 = v (v-v^-1)^2
+_KCOEF = V * VMVI ** 2  # v (v - v^-1)^2 = v^-1 (v^2 - 1)^2
 
 
 def idp_product(n, parity):
@@ -170,10 +163,10 @@ def idp_closed(n, parity):
     out = {}
     for k in range(n // 2 + 1):
         if parity == 1:
-            e = k * (k + sign) - _comb2(n - 2 * k)
+            e = k * (k + sign) - comb2(n - 2 * k)
         else:
-            e = k * (k - sign) - _comb2(n - 2 * k)
-        num = LaurentPoly.v_pow(e) * _VMVI ** k
+            e = k * (k - sign) - comb2(n - 2 * k)
+        num = LaurentPoly.v_pow(e) * VMVI ** k
         coeff = LaurentFrac(num, qfact(n - 2 * k) * qdfact(2 * k))
         out[(n - 2 * k, k)] = coeff
     return SymRank1(out)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import linalg
 from .frep import ModuleTable
 from .iquiver import BoundQuiver
-from .ring import LaurentFrac, LaurentPoly, QSqrt, V, qbinom, qfact
+from .ring import VMVI, LaurentFrac, LaurentPoly, QSqrt, qbinom, qfact
 
 
 class HallElt:
@@ -309,7 +309,6 @@ def oracle_sss(algebra, s, t):
     qpos = [table.bq.aindex[ar.name] for ar in iq.arrows]
     s1 = table.simple(v1)
     s2 = table.simple(v2)
-    vm = V - LaurentPoly.v_pow(-1)
     out = algebra.zero()
     for r in range(min(s, t) + 1):
         k = s + t - 2 * r
@@ -326,7 +325,7 @@ def oracle_sss(algebra, s, t):
                 u = len(linalg.nullspace(rows, p))
             num = (
                 LaurentPoly.v_pow(p_exponent(a, u, r, s, t))
-                * vm ** (s + t - r + 1)
+                * VMVI ** (s + t - r + 1)
                 * qfact(s)
                 * qfact(t)
                 * qbinom(u, t - r)

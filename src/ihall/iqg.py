@@ -18,23 +18,18 @@ from typing import NamedTuple, Optional
 
 from .idp import idp_hall
 from .ring import (
+    VMVI,
     LaurentFrac,
     LaurentPoly,
     ONE,
-    V,
+    comb2,
     pochhammer,
     qbinom,
     qdfact,
+    qdfact_ratio,
     qfact,
-    qint,
+    qfact_ratio,
 )
-
-_VMVI = V - LaurentPoly.v_pow(-1)
-
-
-def _c2(m):
-    return m * (m - 1) // 2
-
 
 # ---------------------------------------------------------------------------
 # generators under the Hall-algebra embedding
@@ -209,7 +204,7 @@ def relation_residual(algebra, inst, psi=None):
             term = psi.BDP(i, n) * bt * psi.BDP(i, 1 - c - n)
             lhs = lhs + (term if n % 2 == 0 else -term)
         # multiplied through by (v - v^-1) to stay polynomial
-        res = lhs.scale(algebra.scalar(_VMVI))
+        res = lhs.scale(algebra.scalar(VMVI))
         mid = psi.BDP(i, -c)
         res = res - (mid * psi.K(i)).scale(
             algebra.scalar(LaurentPoly.v_pow(c) * pochhammer(-2, -2, -c))
@@ -240,29 +235,13 @@ def p_exponent(a, u, r, s, t):
         + 2 * r * a
         + (u - t + 2 * s - r) * (t - r)
         + (s - r) ** 2
-        + _c2(s - r)
+        + comb2(s - r)
         + (t - r) ** 2
-        + _c2(t - r)
+        + comb2(t - r)
         + r * (s + t)
-        - _c2(r + 1)
+        - comb2(r + 1)
         + 1
     )
-
-
-def _qfact_range(lo, hi):
-    """[hi]! / [lo]! as a plain product of q-integers."""
-    out = ONE
-    for j in range(lo + 1, hi + 1):
-        out = out * qint(j)
-    return out
-
-
-def _qdfact_range(lo, hi):
-    """[2 hi]!! / [2 lo]!! as a plain product of even q-integers."""
-    out = ONE
-    for j in range(lo + 1, hi + 1):
-        out = out * qint(2 * j)
-    return out
 
 
 def _t_value(a, d, u, swap):
@@ -285,8 +264,8 @@ def _t_value(a, d, u, swap):
                 z = (
                     k * (k - 1)
                     + m * (m + 1)
-                    - _c2(s)
-                    - _c2(t)
+                    - comb2(s)
+                    - comb2(t)
                     + p_exponent(a, u, r, s, t)
                 )
                 even = n % 2 == 0
@@ -295,9 +274,9 @@ def _t_value(a, d, u, swap):
                 coeff = (
                     LaurentPoly.v_pow(e)
                     * qb
-                    * _qfact_range(r, d)
-                    * _qdfact_range(k, kmax)
-                    * _qdfact_range(m, kmax)
+                    * qfact_ratio(r, d)
+                    * qdfact_ratio(2 * k, 2 * kmax)
+                    * qdfact_ratio(2 * m, 2 * kmax)
                 )
                 total = total + coeff if even else total - coeff
     return total
@@ -364,12 +343,12 @@ def kmrd_residual(d):
     for k in range(d + 1):
         for m in range(d - k + 1):
             r = d - k - m
-            e = _c2(r + 1) - 2 * (k - 1) * m
+            e = comb2(r + 1) - 2 * (k - 1) * m
             term = (
                 LaurentPoly.v_pow(e)
-                * _qfact_range(r, d)
-                * _qdfact_range(k, d)
-                * _qdfact_range(m, d)
+                * qfact_ratio(r, d)
+                * qdfact_ratio(2 * k, 2 * d)
+                * qdfact_ratio(2 * m, 2 * d)
             )
             total = total + term if r % 2 == 0 else total - term
     return total

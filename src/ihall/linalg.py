@@ -28,14 +28,6 @@ def mat_mul(A, B, p):
     return tuple(out)
 
 
-def mat_add(A, B, p):
-    return tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_neg(A, p):
-    return tuple(tuple((-x) % p for x in row) for row in A)
-
-
 def mat_vec(A, v, p):
     return tuple(sum(a * b for a, b in zip(row, v)) % p for row in A)
 

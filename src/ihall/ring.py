@@ -1,11 +1,16 @@
 """Exact scalar arithmetic: Laurent polynomials in v, the field Q(v), and Q[sqrt(q)].
 
-All coefficients are fractions.Fraction, equality is structural, and any
-division that has to be exact raises ExactDivisionError on a nonzero
-remainder instead of rounding.  No floats anywhere.
+Coefficients are exact rationals kept in one normal form: an int whenever
+the value is integral, otherwise a fractions.Fraction (see _norm).  Every
+q-identity polynomial lies in Z[v, v^-1], so its arithmetic stays on plain
+ints.  Equality is structural, every scalar division goes through the exact
+helper _div, and a polynomial division that must be exact raises
+ExactDivisionError on a nonzero remainder instead of rounding.  No floats
+anywhere.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 
@@ -13,18 +18,36 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
+def _norm(c):
+    """An exact scalar in normal form: int if integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # bool and other int subclasses
+        return int(c)
+    raise TypeError(f"cannot use {type(c).__name__} as an exact coefficient")
+
+
+def _div(a, b):
+    """a / b for normal-form scalars, exactly; never a float."""
+    if type(a) is int and type(b) is int:
+        quot, rem = divmod(a, b)
+        if not rem:
+            return quot
+    return _norm(Fraction(a, b))
+
+
+def _qpow(q, k):
+    """q^k for an int q and any integer k, exactly."""
+    return q ** k if k >= 0 else Fraction(1, q ** -k)
 
 
 class LaurentPoly:
-    """Laurent polynomial in v with Fraction coefficients.
+    """Laurent polynomial in v with exact rational coefficients.
 
-    Stored as a dict {exponent: coefficient} with all coefficients nonzero,
+    Stored as a dict {exponent: coefficient} with all coefficients nonzero
+    and in the normal form of _norm (int, or Fraction when not integral),
     so equality and hashing are structural.
     """
 
@@ -34,7 +57,7 @@ class LaurentPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
-                c = _frac(c)
+                c = _norm(c)
                 if c:
                     clean[int(e)] = c
         object.__setattr__(self, "terms", clean)
@@ -73,11 +96,7 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     __radd__ = __add__
@@ -97,19 +116,16 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
+            c = _norm(other)
             return LaurentPoly({e: c0 * c for e, c0 in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -143,14 +159,14 @@ class LaurentPoly:
         return max(self.terms) if self.terms else 0
 
     def coeff(self, e):
-        return self.terms.get(e, Fraction(0))
+        return self.terms.get(e, 0)
 
     def _as_coeff_list(self):
         # (lowest exponent, dense coefficient list from that exponent up)
         if not self.terms:
-            return 0, [Fraction(0)]
+            return 0, [0]
         lo, hi = self.min_exp(), self.max_exp()
-        coeffs = [Fraction(0)] * (hi - lo + 1)
+        coeffs = [0] * (hi - lo + 1)
         for e, c in self.terms.items():
             coeffs[e - lo] = c
         return lo, coeffs
@@ -168,24 +184,13 @@ class LaurentPoly:
         quot = _poly_divmod_exact(num, den)
         return LaurentPoly({lo_n - lo_d + i: c for i, c in enumerate(quot) if c})
 
-    def subs_v(self, val):
-        """Evaluate at an exact value (Fraction); negative exponents allowed."""
-        val = _frac(val)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            total += c * val ** e
-        return total
-
     def specialize_sqrtq(self, q):
         """Evaluate at v = sqrt(q), exactly, as a QSqrt."""
-        a = Fraction(0)
-        b = Fraction(0)
+        parts = [0, 0]  # v^(2k) -> q^k, v^(2k+1) -> q^k sqrt(q)
         for e, c in self.terms.items():
-            if e % 2 == 0:
-                a += c * Fraction(q) ** (e // 2)
-            else:
-                b += c * Fraction(q) ** ((e - 1) // 2)
-        return QSqrt(q, a, b)
+            k, odd = divmod(e, 2)
+            parts[odd] += c * _qpow(q, k)
+        return QSqrt(q, *parts)
 
     def __repr__(self):
         if not self.terms:
@@ -211,18 +216,18 @@ class LaurentPoly:
 
 
 def _poly_divmod_exact(num, den):
-    """Divide dense Fraction coefficient lists exactly, low degree first."""
+    """Divide dense coefficient lists exactly, low degree first."""
     num = list(num)
     dd = len(den) - 1
     while dd > 0 and den[dd] == 0:
         dd -= 1
     lead = den[dd]
     nd = len(num) - 1
-    quot = [Fraction(0)] * max(nd - dd + 1, 0)
+    quot = [0] * max(nd - dd + 1, 0)
     for i in range(nd - dd, -1, -1):
         c = num[i + dd]
         if c:
-            f = c / lead
+            f = _div(c, lead)
             quot[i] = f
             for j in range(dd + 1):
                 num[i + j] -= f * den[j]
@@ -237,7 +242,7 @@ V = LaurentPoly({1: 1})
 
 
 def _poly_gcd(a, b):
-    """Monic gcd of dense Fraction coefficient lists (low degree first)."""
+    """Monic gcd of dense coefficient lists (low degree first)."""
 
     def strip(p):
         while len(p) > 1 and p[-1] == 0:
@@ -245,20 +250,20 @@ def _poly_gcd(a, b):
         return p
 
     a, b = strip(list(a)), strip(list(b))
-    while b != [Fraction(0)]:
+    while b != [0]:
         # remainder of a by b
         r = list(a)
         db, lead = len(b) - 1, b[-1]
         for i in range(len(r) - 1 - db, -1, -1):
             c = r[i + db]
             if c:
-                f = c / lead
+                f = _div(c, lead)
                 for j in range(db + 1):
                     r[i + j] -= f * b[j]
         a, b = b, strip(r)
     lead = a[-1]
     if lead != 1:
-        a = [c / lead for c in a]
+        a = [_div(c, lead) for c in a]
     return a
 
 
@@ -291,8 +296,8 @@ class LaurentFrac:
             cd.pop()
         lead = cd[-1]
         if lead != 1:
-            cn = [c / lead for c in cn]
-            cd = [c / lead for c in cd]
+            cn = [_div(c, lead) for c in cn]
+            cd = [_div(c, lead) for c in cd]
         shift = lo_n - lo_d
         object.__setattr__(self, "num", LaurentPoly({shift + i: c for i, c in enumerate(cn) if c}))
         object.__setattr__(self, "den", LaurentPoly({i: c for i, c in enumerate(cd) if c}))
@@ -407,7 +412,7 @@ def _as_frac_or_none(x):
 
 
 class QSqrt:
-    """Exact number a + b*sqrt(q) with a, b rational.
+    """Exact number a + b*sqrt(q) with a, b rational, in the normal form of _norm.
 
     If q happens to be a perfect square s^2 the sqrt part folds into the
     rational part at construction, so equality stays structural.
@@ -418,10 +423,10 @@ class QSqrt:
     def __init__(self, q, a=0, b=0):
         if not isinstance(q, int) or q < 1:
             raise ValueError("q must be a positive integer")
-        a, b = _frac(a), _frac(b)
+        a, b = _norm(a), _norm(b)
         s = isqrt(q)
         if s * s == q and b:
-            a, b = a + b * s, Fraction(0)
+            a, b = _norm(a + b * s), 0
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -432,9 +437,10 @@ class QSqrt:
     @classmethod
     def v_pow(cls, q, e):
         """sqrt(q)^e for any integer exponent e."""
-        if e % 2 == 0:
-            return cls(q, Fraction(q) ** (e // 2))
-        return cls(q, 0, Fraction(q) ** ((e - 1) // 2))
+        k, odd = divmod(e, 2)
+        if odd:
+            return cls(q, 0, _qpow(q, k))
+        return cls(q, _qpow(q, k))
 
     def is_zero(self):
         return not self.a and not self.b
@@ -500,7 +506,7 @@ class QSqrt:
             # a^2 = b^2 q with b != 0 forces q to be a perfect square,
             # which construction folds away; unreachable but kept honest.
             raise ZeroDivisionError("inverse of zero divisor")
-        return QSqrt(self.q, self.a / den, -self.b / den)
+        return QSqrt(self.q, _div(self.a, den), _div(-self.b, den))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -561,8 +567,20 @@ def bar(x):
 
 # ---------------------------------------------------------------------------
 # quantum combinatorics
+#
+# qint, qbinom and the factorial ratios behind qfact and qdfact are
+# memoized: their values are immutable LaurentPoly objects, and the identity
+# suites ask for the same small indices thousands of times.
+
+VMVI = V - LaurentPoly.v_pow(-1)  # v - v^-1
 
 
+def comb2(m):
+    """The binomial coefficient m choose 2, for any integer m."""
+    return m * (m - 1) // 2
+
+
+@lru_cache(maxsize=None)
 def qint(r):
     """Balanced quantum integer [r] = (v^r - v^-r)/(v - v^-1)."""
     if r < 0:
@@ -570,26 +588,41 @@ def qint(r):
     return LaurentPoly({e: 1 for e in range(r - 1, -r, -2)})
 
 
+@lru_cache(maxsize=None)
+def qfact_ratio(lo, hi):
+    """[hi]! / [lo]! = [lo+1][lo+2]...[hi] for 0 <= lo <= hi."""
+    if not 0 <= lo <= hi:
+        raise ValueError("qfact_ratio needs 0 <= lo <= hi")
+    if hi == lo:
+        return ONE
+    return qfact_ratio(lo, hi - 1) * qint(hi)
+
+
+@lru_cache(maxsize=None)
+def qdfact_ratio(lo, hi):
+    """[hi]!! / [lo]!! = [lo+2][lo+4]...[hi] for even 0 <= lo <= hi."""
+    if lo % 2 or hi % 2 or not 0 <= lo <= hi:
+        raise ValueError("qdfact_ratio needs even 0 <= lo <= hi")
+    if hi == lo:
+        return ONE
+    return qdfact_ratio(lo, hi - 2) * qint(hi)
+
+
 def qfact(n):
     """[n]! for n >= 0."""
     if n < 0:
         raise ValueError("qfact needs n >= 0")
-    out = ONE
-    for j in range(2, n + 1):
-        out = out * qint(j)
-    return out
+    return qfact_ratio(0, n)
 
 
 def qdfact(n):
     """Double factorial [n][n-2]...[2] for even n >= 0."""
     if n < 0 or n % 2:
         raise ValueError("qdfact needs an even n >= 0")
-    out = ONE
-    for j in range(2, n + 1, 2):
-        out = out * qint(j)
-    return out
+    return qdfact_ratio(0, n)
 
 
+@lru_cache(maxsize=None)
 def qbinom(m, r):
     """Quantum binomial [m choose r]; m may be any integer, zero for r < 0."""
     if r < 0:

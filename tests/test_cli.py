@@ -171,3 +171,24 @@ def test_unknown_builtin(capsys):
 def test_missing_spec_file(capsys):
     code, _, err = run(capsys, "verify", "/no/such/file.json")
     assert code == 2
+
+
+def test_enumerate_wrong_dimension_length_is_input_error(capsys):
+    code, _, err = run(capsys, "enumerate", "builtin:a2-split", "--dim", "1")
+    assert code == 2
+    assert "2 vertices" in err
+
+
+def test_idp_unknown_vertex_is_input_error(capsys):
+    code, _, err = run(
+        capsys, "idp", "builtin:rank1-split", "--vertex", "9", "--n", "1"
+    )
+    assert code == 2
+    assert "unknown vertex '9'" in err
+
+
+def test_product_bad_element_vertex_or_dimension_is_input_error(capsys):
+    for key in ("simple:9", "k:9", "class:1#0", "class:1,-1#0"):
+        code, _, err = run(capsys, "product", "builtin:a2-split", key, "simple:1")
+        assert code == 2, key
+        assert "error" in err

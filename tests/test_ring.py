@@ -16,7 +16,9 @@ from ihall.ring import (
     pochhammer,
     qbinom,
     qdfact,
+    qdfact_ratio,
     qfact,
+    qfact_ratio,
     qint,
 )
 
@@ -172,3 +174,92 @@ def test_specialization_of_fractions():
     num = qint(2).specialize_sqrtq(q)
     den = qint(3).specialize_sqrtq(q)
     assert f.specialize_sqrtq(q) * den == num
+
+
+def _exact_coeffs(x):
+    if isinstance(x, LaurentPoly):
+        return list(x.terms.values())
+    if isinstance(x, LaurentFrac):
+        return _exact_coeffs(x.num) + _exact_coeffs(x.den)
+    return [x.a, x.b]
+
+
+def test_coefficients_stay_exact_and_integral_ones_are_ints():
+    values = [
+        qbinom(7, 3),
+        qbinom(-4, 3),
+        qfact(6),
+        qdfact(8),
+        (qfact(6) * 3).exact_div(qint(4)),
+        (V + ONE).exact_div(2 * V + 2),
+        LaurentFrac(qint(2) * 6, qint(4) * 4),
+        LaurentFrac(V, 3 * V + 1),
+        QSqrt(2, 1, 1).inverse(),
+        QSqrt(2, 3, 1).inverse(),
+        qint(3).specialize_sqrtq(2).inverse(),
+    ]
+    for x in values:
+        for c in _exact_coeffs(x):
+            assert type(c) in (int, Fraction), (x, c)
+            assert type(c) is int or c.denominator != 1, (x, c)
+    assert all(type(c) is int for c in _exact_coeffs(qbinom(9, 4)))
+    assert QSqrt(2, 3, 1).inverse() == QSqrt(2, Fraction(3, 7), Fraction(-1, 7))
+    assert QSqrt(2, 1, 1).inverse() == QSqrt(2, -1, 1)
+
+
+def test_floats_are_rejected_as_coefficients():
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 0.5})
+    with pytest.raises(TypeError):
+        QSqrt(2, 0.5)
+
+
+def test_integral_fraction_is_stored_as_int():
+    f = LaurentPoly({0: Fraction(2)})
+    assert f == LaurentPoly({0: 2})
+    assert hash(f) == hash(LaurentPoly({0: 2}))
+    assert type(f.coeff(0)) is int
+    assert type((LaurentPoly({1: Fraction(1, 2)}) * 2).coeff(1)) is int
+
+
+def test_exact_division_by_non_monic_divisor():
+    g = 3 * V - 2
+    f = LaurentPoly({2: Fraction(1, 2), 0: -5, -1: Fraction(7, 3)})
+    assert (f * g).exact_div(g) == f
+    assert (V + ONE).exact_div(2 * V + 2) == LaurentPoly.const(Fraction(1, 2))
+    assert ONE.exact_div(3) == LaurentPoly.const(Fraction(1, 3))
+    with pytest.raises(ExactDivisionError):
+        (V * V + ONE).exact_div(2 * V + ONE)
+
+
+def _qint_ref(r):
+    # [r] from its defining quotient, without the memoized helpers
+    return (vp(r) - vp(-r)).exact_div(V - vp(-1))
+
+
+def _prod(factors):
+    out = ONE
+    for f in factors:
+        out = out * f
+    return out
+
+
+def test_memoized_helpers_match_plain_products():
+    for r in range(-5, 8):
+        assert qint(r) == _qint_ref(r)
+    for hi in range(8):
+        assert qfact(hi) == _prod(_qint_ref(j) for j in range(1, hi + 1))
+        assert qdfact(2 * hi) == _prod(_qint_ref(2 * j) for j in range(1, hi + 1))
+        for lo in range(hi + 1):
+            assert qfact_ratio(lo, hi) == _prod(_qint_ref(j) for j in range(lo + 1, hi + 1))
+            assert qdfact_ratio(2 * lo, 2 * hi) == _prod(
+                _qint_ref(2 * j) for j in range(lo + 1, hi + 1)
+            )
+    for m in range(-4, 8):
+        for r in range(6):
+            num = _prod(_qint_ref(m - j) for j in range(r))
+            assert qbinom(m, r) * qfact(r) == num
+    with pytest.raises(ValueError):
+        qfact_ratio(3, 2)
+    with pytest.raises(ValueError):
+        qdfact_ratio(1, 4)
