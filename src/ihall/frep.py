@@ -5,6 +5,15 @@ dimension vector, classifies them up to isomorphism, and provides the
 counting data the Hall algebra layer needs: automorphism orders, Hall
 numbers (filtration counts), hom-space sizes, morphism kernel/cokernel
 tallies, and the reduction of a class to (eps-zero class, torus vector).
+
+The enumeration works on index tuples: entry k of a tuple is the index of
+arrow k's matrix in a candidate list fixed by the matrix shape (the full
+matrix space, or the square-zero matrices for an eps loop at a tau-fixed
+vertex). Every list is in flat order (entries read row by row), so index
+tuples compare as the representations' flat entries do. Relations are
+checked through tables of product codes, and GL acts through one
+permutation of a list's indices per generator. Tuples are decoded back to
+matrix tuples only for the classes and their rep -> class map.
 """
 
 from __future__ import annotations
@@ -22,17 +31,6 @@ FREP_CACHE_VERSION = 2
 
 class BudgetError(RuntimeError):
     """An enumeration request exceeds the configured dimension or space budget."""
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class IsoClass:
@@ -86,10 +84,6 @@ class IsoClass:
         return "IsoClass(%s)" % self.name
 
 
-def _flat(rep):
-    return tuple(x for mat in rep for row in mat for x in row)
-
-
 class ModuleTable:
     """All per-prime representation data for one bound iquiver.
 
@@ -97,10 +91,15 @@ class ModuleTable:
     oracles, reductions) is computed from this single table so that
     submodule counts, hom counts and automorphism orders are mutually
     consistent by construction.
+
+    Candidate lists, product-code tables and GL permutation tables depend
+    only on matrix shapes and generators, so one table shares them across
+    dimension vectors. A class's `rep` is the flat-order minimum of its
+    orbit, and classes are numbered in the flat order of their reps.
     """
 
     def __init__(self, bq, p, budget_dim=6, budget_space=2 ** 28, cache_dir=None):
-        if not _is_prime(p):
+        if not linalg.is_prime(p):
             raise ValueError("p must be prime, got %r" % (p,))
         self.bq = bq
         self.iq = bq.iq
@@ -153,7 +152,9 @@ class ModuleTable:
             ready[max(order[nm] for nm in names)].append((pairs_lhs, pairs_rhs))
         self._ready = tuple(tuple(r) for r in ready)
 
-        self._cand = {}        # (rows, cols) -> tuple of candidate matrices
+        self._cand = {}        # list key -> (candidate matrices, {matrix: index})
+        self._prod = {}        # (list key, list key) -> product codes
+        self._perm = {}        # (list key, d, generator, side) -> index permutation
         self._classes = {}     # dim -> tuple[IsoClass]
         self._by_rep = {}      # dim -> {rep: IsoClass}
         self._decomp = {}      # class key -> {(quot, sub): count}
@@ -193,15 +194,75 @@ class ModuleTable:
                 % (space, dim, self.budget_space)
             )
 
-    def _candidates(self, shape):
-        if shape in self._cand:
-            return self._cand[shape]
-        r, c = shape
-        out = tuple(
-            tuple(flat[i * c : (i + 1) * c] for i in range(r))
-            for flat in cartesian(range(self.p), repeat=r * c)
-        )
-        self._cand[shape] = out
+    def _list_key(self, k, shape):
+        """Which candidate list arrow k draws from at a matrix shape."""
+        return ("sq0", shape[0]) if k in self._loop_pos else shape
+
+    def _candidates(self, key):
+        """(matrices in flat order, {matrix: index}) for one list key.
+
+        The full matrix space comes out of `cartesian` in that order already;
+        `linalg.square_zero_matrices` emits by rank, so that list is sorted.
+        """
+        if key not in self._cand:
+            if key[0] == "sq0":
+                mats = tuple(sorted(linalg.square_zero_matrices(key[1], self.p)))
+            else:
+                r, c = key
+                mats = tuple(
+                    tuple(flat[i * c : (i + 1) * c] for i in range(r))
+                    for flat in cartesian(range(self.p), repeat=r * c)
+                )
+            self._cand[key] = (mats, {m: i for i, m in enumerate(mats)})
+        return self._cand[key]
+
+    def _products(self, key_f, key_s):
+        """Codes of S @ F over every candidate pair, at i_f * len(S) + i_s.
+
+        The code of a matrix is its entries read as base-p digits, so the
+        zero matrix, whatever its shape, has code 0; a product through a
+        0-dimensional vertex is zero like any other.
+        """
+        pair = (key_f, key_s)
+        if pair not in self._prod:
+            p = self.p
+            codes = []
+            for f in self._candidates(key_f)[0]:
+                for s in self._candidates(key_s)[0]:
+                    c = 0
+                    for row in linalg.mat_mul(s, f, p):
+                        for x in row:
+                            c = c * p + x
+                    codes.append(c)
+            self._prod[pair] = codes
+        return self._prod[pair]
+
+    def _permutation(self, key, d, gi, side):
+        """Candidate indices of list `key` moved by generator gi of GL_d.
+
+        side "l" maps M to g M (g at the target), "r" maps M to M g^-1 (g at
+        the source) and "lr" does both (a loop).
+        """
+        tkey = (key, d, gi, side)
+        if tkey not in self._perm:
+            p = self.p
+            mats, index = self._candidates(key)
+            g = linalg.gl_generators(d, p)[gi]
+            ginv = linalg.inverse(g, p)
+            out = []
+            for m in mats:
+                if "l" in side:
+                    m = linalg.mat_mul(g, m, p)
+                if "r" in side:
+                    m = linalg.mat_mul(m, ginv, p)
+                out.append(index[m])
+            self._perm[tkey] = out
+        return self._perm[tkey]
+
+    def _group_order(self, dim):
+        out = 1
+        for d in dim:
+            out *= linalg.gl_order(d, self.p)
         return out
 
     # ---------- enumeration ----------
@@ -229,106 +290,121 @@ class ModuleTable:
             bases = new
             dims_now = ndims
 
-    def _candidates_for(self, k, shape):
-        if k in self._loop_pos:
-            key = ("sq0", shape[0])
-            if key not in self._cand:
-                self._cand[key] = linalg.square_zero_matrices(shape[0], self.p)
-            return self._cand[key]
-        return self._candidates(shape)
-
     def enumerate_reps(self, dim):
-        """All nilpotent representations satisfying the relations, unsorted."""
-        shapes = self._shapes(dim)
-        p = self.p
-        narr = len(shapes)
-        cands = [self._candidates_for(k, s) for k, s in enumerate(shapes)]
-        chosen = [None] * narr
+        """All representations of dim that satisfy the relations, as index
+        tuples in lexicographic order.
+
+        Entry k indexes arrow k's candidate list (`_candidates`). Nilpotency
+        is not tested here: `_classify` tests it once per orbit.
+        """
+        keys = [self._list_key(k, s) for k, s in enumerate(self._shapes(dim))]
+        sizes = [len(self._candidates(key)[0]) for key in keys]
+        narr = len(keys)
+        chosen = [0] * narr
         out = []
 
-        def rel_holds(spec):
-            (f1, s1), rhs = spec
-            lhs = linalg.mat_mul(chosen[s1], chosen[f1], p)
-            if rhs is None:
-                return all(x == 0 for row in lhs for x in row)
-            f2, s2 = rhs
-            rhsm = linalg.mat_mul(chosen[s2], chosen[f2], p)
-            if lhs == rhsm:
-                return True
-            # a product through a 0-dim vertex collapses to zero columns, so
-            # shapes can disagree; either side is then literally zero
-            return all(x == 0 for row in lhs for x in row) and all(
-                x == 0 for row in rhsm for x in row
-            )
+        def product_table(pair):
+            f, s = pair
+            return f, s, sizes[s], self._products(keys[f], keys[s])
+
+        checks = [
+            [
+                (product_table(lhs), None if rhs is None else product_table(rhs))
+                for lhs, rhs in ready
+            ]
+            for ready in self._ready
+        ]
+
+        def codes(prod, k):
+            # product codes as arrow k runs through its candidates, the
+            # other arrows held at their chosen indices
+            if prod is None:
+                return (0,) * sizes[k]
+            f, s, n, table = prod
+            if f == k:
+                return table[chosen[s] :: n]
+            if s == k:
+                return table[chosen[f] * n : (chosen[f] + 1) * n]
+            return (table[chosen[f] * n + chosen[s]],) * sizes[k]
 
         def rec(k):
             if k == narr:
-                rep = tuple(chosen)
-                if self._is_nilpotent(rep, dim):
-                    out.append(rep)
+                out.append(tuple(chosen))
                 return
-            checks = self._ready[k]
-            for mat in cands[k]:
-                chosen[k] = mat
-                if all(rel_holds(rc) for rc in checks):
-                    rec(k + 1)
+            ok = range(sizes[k])
+            for lhs, rhs in checks[k]:
+                a, b = codes(lhs, k), codes(rhs, k)
+                ok = [j for j in ok if a[j] == b[j]]
+            for j in ok:
+                chosen[k] = j
+                rec(k + 1)
 
         rec(0)
         return out
 
     # ---------- classification ----------
 
-    def _act(self, rep, vi, g, ginv):
-        p = self.p
-        new = []
-        for k, (si, ti) in enumerate(self._arrow_ends):
-            mat = rep[k]
-            if ti == vi:
-                mat = linalg.mat_mul(g, mat, p)
-            if si == vi:
-                mat = linalg.mat_mul(mat, ginv, p)
-            new.append(mat)
-        return tuple(new)
-
     def _classify(self, dim):
-        p = self.p
+        """Orbits of GL(dim) on the relation-satisfying tuples; the nilpotent
+        ones are numbered in flat order of their canonical reps.
+
+        Returns ([(canonical rep, orbit size, aut order)], {rep: index}) with
+        reps decoded to matrix tuples.
+        """
         reps = self.enumerate_reps(dim)
-        group = 1
-        for d in dim:
-            group *= linalg.gl_order(d, p)
-        gens = []
+        group = self._group_order(dim)
+        keys = [self._list_key(k, s) for k, s in enumerate(self._shapes(dim))]
+        mats = [self._candidates(key)[0] for key in keys]
+        moves = []
         for vi, d in enumerate(dim):
-            for g in linalg.gl_generators(d, p):
-                gens.append((vi, g, linalg.inverse(g, p)))
-        remaining = set(reps)
+            sides = [
+                (k, ("l" if ti == vi else "") + ("r" if si == vi else ""))
+                for k, (si, ti) in enumerate(self._arrow_ends)
+            ]
+            for gi in range(len(linalg.gl_generators(d, self.p))):
+                moves.append(
+                    tuple((k, self._permutation(keys[k], d, gi, side)) for k, side in sides if side)
+                )
+
+        def decode(t):
+            return tuple(m[i] for m, i in zip(mats, t))
+
+        seen = set()
+        total = 0
         orbits = []
         rep_to_idx = {}
-        for rep in sorted(reps, key=_flat):
-            if rep not in remaining:
+        # reps come in lexicographic order, so the first tuple of an orbit met
+        # is its minimum, and orbits are met in the order of their minima
+        for rep in reps:
+            if rep in seen:
                 continue
             orbit = {rep}
             frontier = [rep]
             while frontier:
                 cur = frontier.pop()
-                for vi, g, ginv in gens:
-                    nxt = self._act(cur, vi, g, ginv)
+                for move in moves:
+                    nxt = list(cur)
+                    for k, perm in move:
+                        nxt[k] = perm[nxt[k]]
+                    nxt = tuple(nxt)
                     if nxt not in orbit:
                         orbit.add(nxt)
                         frontier.append(nxt)
+            seen |= orbit
             osz = len(orbit)
+            total += osz
             if group % osz != 0:
                 raise RuntimeError("orbit size does not divide group order")
+            can = decode(rep)
+            # nilpotency is an isomorphism invariant: one member decides
+            if not self._is_nilpotent(can, dim):
+                continue
             idx = len(orbits)
-            orbits.append((min(orbit, key=_flat), osz, group // osz))
+            orbits.append((can, osz, group // osz))
             for r in orbit:
-                rep_to_idx[r] = idx
-            remaining -= orbit
-        if sum(o[1] for o in orbits) != len(reps):
+                rep_to_idx[decode(r)] = idx
+        if total != len(reps):
             raise RuntimeError("orbit sizes do not add up to the rep count")
-        order = sorted(range(len(orbits)), key=lambda t: _flat(orbits[t][0]))
-        remap = {old: new for new, old in enumerate(order)}
-        orbits = [orbits[t] for t in order]
-        rep_to_idx = {r: remap[i] for r, i in rep_to_idx.items()}
         return orbits, rep_to_idx
 
     def _cache_path(self, dim):
@@ -350,7 +426,17 @@ class ModuleTable:
                 payload = pickle.load(fh)
             if payload.get("version") != FREP_CACHE_VERSION:
                 return None
-            return payload["orbits"], payload["rep_to_idx"]
+            orbits, rep_to_idx = payload["orbits"], payload["rep_to_idx"]
+            # integer checks only, so a warm load stays cheap
+            group = self._group_order(dim)
+            n = len(orbits)
+            if (
+                sum(osz for _, osz, _ in orbits) != len(rep_to_idx)
+                or any(osz * aut != group for _, osz, aut in orbits)
+                or not all(type(i) is int and 0 <= i < n for i in rep_to_idx.values())
+            ):
+                return None
+            return orbits, rep_to_idx
         except Exception:
             return None
 

@@ -6,6 +6,7 @@ on either side, so every routine tolerates empty shapes.
 """
 
 from itertools import combinations, product
+from operator import mul
 
 
 def zeros(rows, cols):
@@ -20,12 +21,8 @@ def mat_mul(A, B, p):
     """A (m x k) times B (k x n) mod p."""
     if not A:
         return ()
-    k = len(B)
-    n = len(B[0]) if B else 0
-    out = []
-    for row in A:
-        out.append(tuple(sum(row[t] * B[t][j] for t in range(k)) % p for j in range(n)))
-    return tuple(out)
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in A)
 
 
 def mat_vec(A, v, p):
@@ -117,7 +114,21 @@ def gl_order(n, p):
     return out
 
 
+def is_prime(n):
+    """Trial division; field sizes here are small."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def primitive_root(p):
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if p == 2:
         return 1
     factors = []
@@ -131,10 +142,9 @@ def primitive_root(p):
         d += 1
     if m > 1:
         factors.append(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
-            return g
-    raise ValueError(f"{p} is not prime")
+    return next(
+        g for g in range(2, p) if all(pow(g, (p - 1) // f, p) != 1 for f in factors)
+    )
 
 
 def gl_generators(n, p):

@@ -1,8 +1,12 @@
 """Module enumeration, isomorphism classification, Hall numbers."""
 
+import pickle
+from itertools import product
+
 import pytest
 
 from ihall import linalg
+from ihall.cli import main
 from ihall.frep import BudgetError, ModuleTable
 from ihall.iquiver import BoundQuiver, builtin_iquiver
 
@@ -11,9 +15,81 @@ def table(name, p, **kw):
     return ModuleTable(BoundQuiver(builtin_iquiver(name)), p, **kw)
 
 
+def _flat(rep):
+    return tuple(x for mat in rep for row in mat for x in row)
+
+
+def _arrow_ends(tab):
+    vi = tab.iq.vindex
+    return [(vi[a.src], vi[a.tgt]) for a in tab.bq.arrows]
+
+
+def _orbit(tab, rep, dim):
+    """GL(dim)-orbit of a matrix tuple, by search over the GL generators."""
+    p = tab.p
+    ends = _arrow_ends(tab)
+    gens = [
+        (vi, g, linalg.inverse(g, p))
+        for vi, d in enumerate(dim)
+        for g in linalg.gl_generators(d, p)
+    ]
+    orbit = {rep}
+    frontier = [rep]
+    while frontier:
+        cur = frontier.pop()
+        for vi, g, ginv in gens:
+            nxt = []
+            for mat, (si, ti) in zip(cur, ends):
+                if ti == vi:
+                    mat = linalg.mat_mul(g, mat, p)
+                if si == vi:
+                    mat = linalg.mat_mul(mat, ginv, p)
+                nxt.append(mat)
+            nxt = tuple(nxt)
+            if nxt not in orbit:
+                orbit.add(nxt)
+                frontier.append(nxt)
+    return orbit
+
+
+def _satisfies_relations(tab, rep):
+    p = tab.p
+    ai = tab.bq.aindex
+    for rel in tab.bq.relations:
+        lhs = linalg.mat_mul(rep[ai[rel.lhs[1]]], rep[ai[rel.lhs[0]]], p)
+        if rel.rhs is None:
+            if any(any(row) for row in lhs):
+                return False
+        elif lhs != linalg.mat_mul(rep[ai[rel.rhs[1]]], rep[ai[rel.rhs[0]]], p):
+            return False
+    return True
+
+
+def _is_nilpotent(tab, rep, dim):
+    """Every path of length sum(dim) acts as zero on the total space."""
+    p = tab.p
+    n = sum(dim)
+    offs = [sum(dim[:vi]) for vi in range(len(dim))]
+    ops = []
+    for mat, (si, ti) in zip(rep, _arrow_ends(tab)):
+        big = [[0] * n for _ in range(n)]
+        for r, row in enumerate(mat):
+            for c, x in enumerate(row):
+                big[offs[ti] + r][offs[si] + c] = x
+        ops.append(tuple(tuple(row) for row in big))
+    words = [linalg.identity(n)]
+    for _ in range(n):
+        words = [linalg.mat_mul(a, w, p) for a in ops for w in words]
+    return all(not any(any(row) for row in w) for w in words)
+
+
 def test_rejects_composite_field_size():
     with pytest.raises(ValueError):
         table("rank1-split", 4)
+    for n in (4, 9):
+        with pytest.raises(ValueError):
+            linalg.primitive_root(n)
+    assert main(["verify", "builtin:a2-split", "--q", "4"]) == 2
 
 
 # frozen class counts from independent hand enumerations
@@ -48,6 +124,75 @@ def test_nilpotency_excludes_invertible_cycles():
         a = tab.bq.aindex["a1"]
         b = tab.bq.aindex["b1"]
         assert not (rep[a] == ((1,),) and rep[b] == ((1,),))
+
+
+def test_nilpotency_at_q3_matches_brute_force():
+    tab = table("kronecker-r1", 3)
+    dim = (1, 1)
+    ai = tab.bq.aindex
+    rep = [((0,),)] * len(tab.bq.arrows)
+    rep[ai["a1"]] = rep[ai["b1"]] = ((1,),)
+    with pytest.raises(ValueError):
+        tab.class_of(tuple(rep), dim)
+    count = sum(
+        1
+        for rep in product([((x,),) for x in range(3)], repeat=len(tab.bq.arrows))
+        if _satisfies_relations(tab, rep) and _is_nilpotent(tab, rep, dim)
+    )
+    assert sum(c.orbit_size for c in tab.classes(dim)) == count
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize(
+    "name,dims",
+    [
+        ("rank1-split", [(3,), (4,)]),
+        ("kronecker-r1", [(1, 1), (2, 1)]),
+        ("a3-quasisplit", [(1, 1, 1)]),
+    ],
+)
+def test_canonical_reps_match_orbit_oracle(name, dims, q):
+    tab = table(name, q)
+    for dim in dims:
+        cls = tab.classes(dim)
+        for c in cls:
+            orbit = _orbit(tab, c.rep, dim)
+            assert c.rep == min(orbit, key=_flat)
+            assert c.orbit_size == len(orbit)
+        reps = [_flat(c.rep) for c in cls]
+        assert reps == sorted(reps)
+
+
+@pytest.mark.parametrize("corruption", ["missing rep", "aut order", "orbit index"])
+def test_corrupt_cache_payload_is_recomputed(tmp_path, corruption):
+    dim = (1, 2)
+    fresh = table("a2-split", 2)
+    writer = table("a2-split", 2, cache_dir=str(tmp_path))
+    writer.classes(dim)
+    path = writer._cache_path(dim)
+    with open(path, "rb") as fh:
+        payload = pickle.load(fh)
+    orbits, rep_to_idx = payload["orbits"], payload["rep_to_idx"]
+    first = next(iter(rep_to_idx))
+    if corruption == "missing rep":
+        del rep_to_idx[first]
+    elif corruption == "aut order":
+        can, osz, aut = orbits[0]
+        orbits[0] = (can, osz, aut + 1)
+    else:
+        rep_to_idx[first] = len(orbits)
+    with open(path, "wb") as fh:
+        pickle.dump(payload, fh)
+
+    reader = table("a2-split", 2, cache_dir=str(tmp_path))
+    assert reader._load_cached(dim) is None
+
+    def summary(tab):
+        cls = tab.classes(dim)
+        by_rep = {rep: c.index for rep, c in tab._by_rep[dim].items()}
+        return [(c.rep, c.orbit_size, c.aut_order) for c in cls], by_rep
+
+    assert summary(reader) == summary(fresh)
 
 
 def test_orbit_accounting():

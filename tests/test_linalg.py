@@ -75,6 +75,13 @@ def test_gl_order():
     assert linalg.gl_order(2, 3) == 48
 
 
+def test_is_prime_and_primitive_root():
+    assert [n for n in range(-1, 30) if linalg.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    for p in (2, 3, 5, 7, 11):
+        g = linalg.primitive_root(p)
+        assert len({pow(g, k, p) for k in range(1, p)}) == p - 1
+
+
 def test_gl_generators_generate():
     # closure of the generators reaches the full group at small size
     p, d = 3, 2
