@@ -221,11 +221,22 @@ def cmd_enumerate(args):
     return 0
 
 
+def _nonnegative(text):
+    """An integer option that must not be negative (argparse exits 2 if it is)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+    return value
+
+
 def _add_algebra_args(sub):
     sub.add_argument("quiver", help="builtin:<name> or path of a JSON spec; builtins: %s" % ", ".join(BUILTIN_NAMES))
     sub.add_argument("--q", type=int, default=2, help="prime field size (default 2)")
-    sub.add_argument("--budget-dim", type=int, default=6, help="max total dimension enumerated (default 6)")
-    sub.add_argument("--budget-space", type=int, default=2 ** 28, help="max raw candidate count at one dimension (default 2^28)")
+    sub.add_argument("--budget-dim", type=_nonnegative, default=6, help="max total dimension enumerated (default 6)")
+    sub.add_argument("--budget-space", type=_nonnegative, default=2 ** 28, help="max raw candidate count at one dimension (default 2^28)")
 
 
 def build_parser():
@@ -255,9 +266,9 @@ def build_parser():
     dp.set_defaults(func=cmd_idp)
 
     idn = sp.add_parser("identities", help="run the q-series identity suites")
-    idn.add_argument("--pmax", type=int, default=12)
-    idn.add_argument("--dmax", type=int, default=12)
-    idn.add_argument("--amax", type=int, default=8)
+    idn.add_argument("--pmax", type=_nonnegative, default=12)
+    idn.add_argument("--dmax", type=_nonnegative, default=12)
+    idn.add_argument("--amax", type=_nonnegative, default=8)
     idn.add_argument("--json", action="store_true")
     idn.set_defaults(func=cmd_identities)
 

@@ -2,9 +2,10 @@
 
 Enumerates all finite-dimensional nilpotent representations of a fixed
 dimension vector, classifies them up to isomorphism, and provides the
-counting data the Hall algebra layer needs: automorphism orders, Hall
-numbers (filtration counts), hom-space sizes, morphism kernel/cokernel
-tallies, and the reduction of a class to (eps-zero class, torus vector).
+counting data the Hall algebra layer needs: automorphism orders, extension
+counts by middle term (the product engine), Hall numbers by filtration
+counts (their oracle), hom-space sizes, morphism kernel/cokernel tallies,
+and the reduction of a class to (eps-zero class, torus vector).
 
 The enumeration works on index tuples: entry k of a tuple is the index of
 arrow k's matrix in a candidate list fixed by the matrix shape (the full
@@ -18,9 +19,7 @@ matrix tuples only for the classes and their rep -> class map.
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 from fractions import Fraction
 from itertools import product as cartesian
 
@@ -137,12 +136,14 @@ class ModuleTable:
         # relation schedule: a relation is checked at the last arrow it uses
         order = {a.name: k for k, a in enumerate(bq.arrows)}
         ready = [[] for _ in bq.arrows]
+        relations = []
         for rel in bq.relations:
             names = [rel.lhs[0], rel.lhs[1]]
             if rel.rhs is not None:
                 names += [rel.rhs[0], rel.rhs[1]]
             pairs_lhs = (order[rel.lhs[0]], order[rel.lhs[1]])
             pairs_rhs = None if rel.rhs is None else (order[rel.rhs[0]], order[rel.rhs[1]])
+            relations.append((pairs_lhs, pairs_rhs))
             if (
                 rel.rhs is None
                 and pairs_lhs[0] == pairs_lhs[1]
@@ -151,6 +152,7 @@ class ModuleTable:
                 continue
             ready[max(order[nm] for nm in names)].append((pairs_lhs, pairs_rhs))
         self._ready = tuple(tuple(r) for r in ready)
+        self._relations = tuple(relations)
 
         self._cand = {}        # list key -> (candidate matrices, {matrix: index})
         self._prod = {}        # (list key, list key) -> product codes
@@ -241,20 +243,43 @@ class ModuleTable:
         """Candidate indices of list `key` moved by generator gi of GL_d.
 
         side "l" maps M to g M (g at the target), "r" maps M to M g^-1 (g at
-        the source) and "lr" does both (a loop).
+        the source) and "lr" does both (a loop). Each is one row or column
+        operation: for g = I + E_ij, g M adds row j to row i and M g^-1
+        subtracts column i from column j; for the scalar generator
+        diag(g0, 1, ...), g M scales row 0 by g0 and M g^-1 scales column 0
+        by 1/g0.
         """
         tkey = (key, d, gi, side)
         if tkey not in self._perm:
             p = self.p
             mats, index = self._candidates(key)
             g = linalg.gl_generators(d, p)[gi]
-            ginv = linalg.inverse(g, p)
+            off = [(a, b) for a in range(d) for b in range(d) if a != b and g[a][b]]
+            if off:
+                ((i, j),) = off
+
+                def left(m):
+                    return m[:i] + (tuple((a + b) % p for a, b in zip(m[i], m[j])),) + m[i + 1 :]
+
+                def right(m):
+                    return tuple(r[:j] + ((r[j] - r[i]) % p,) + r[j + 1 :] for r in m)
+
+            else:
+                c = g[0][0]
+                cinv = pow(c, p - 2, p)
+
+                def left(m):
+                    return (tuple(a * c % p for a in m[0]),) + m[1:]
+
+                def right(m):
+                    return tuple((r[0] * cinv % p,) + r[1:] for r in m)
+
             out = []
             for m in mats:
                 if "l" in side:
-                    m = linalg.mat_mul(g, m, p)
+                    m = left(m)
                 if "r" in side:
-                    m = linalg.mat_mul(m, ginv, p)
+                    m = right(m)
                 out.append(index[m])
             self._perm[tkey] = out
         return self._perm[tkey]
@@ -410,6 +435,9 @@ class ModuleTable:
     def _cache_path(self, dim):
         if not self.cache_dir:
             return None
+        # imported here: runs without a cache directory never load them
+        import hashlib
+
         sig = repr((FREP_CACHE_VERSION, self.iq.signature(), self.p))
         h = hashlib.sha256(sig.encode()).hexdigest()[:16]
         return os.path.join(
@@ -421,6 +449,8 @@ class ModuleTable:
         path = self._cache_path(dim)
         if not path or not os.path.exists(path):
             return None
+        import pickle
+
         try:
             with open(path, "rb") as fh:
                 payload = pickle.load(fh)
@@ -444,6 +474,8 @@ class ModuleTable:
         path = self._cache_path(dim)
         if not path:
             return
+        import pickle
+
         os.makedirs(self.cache_dir, exist_ok=True)
         tmp = "%s.tmp.%d" % (path, os.getpid())
         with open(tmp, "wb") as fh:
@@ -629,6 +661,83 @@ class ModuleTable:
     def _cokernel_class(self, b, f):
         images = [linalg.col_space(f[vi], self.p)[0] for vi in range(self.iq.n)]
         return self._quotient_class(b, images)
+
+    # ---------- extensions by cocycles ----------
+
+    def extension_counts(self, x, y):
+        """Middle classes of the extensions of x by y, counted by cocycles.
+
+        A cocycle is a tuple of blocks C_k (dim y at the target by dim x at
+        the source) such that arrow k acting by [[y_k, C_k], [0, x_k]] on
+        F^dim y + F^dim x satisfies the relations; a relation's off-diagonal
+        block Y_s C_f + C_s X_f is linear in the C_k. Every cocycle gives one
+        middle z, and the cocycles map onto Ext^1(x, y) with fibres of size
+        q^(sum_i dx_i dy_i) / |Hom(x, y)|. Returns ({z: cocycle count},
+        q^(sum_i dx_i dy_i)); a count over that denominator is
+        F^z_{x,y} a_x a_y / a_z (Riedtmann's formula).
+        """
+        p = self.p
+        dx, dy = x.dim, y.dim
+        dz = tuple(a + b for a, b in zip(dx, dy))
+        self.classes(dz)
+        by_rep = self._by_rep[dz]
+        ends = self._arrow_ends
+        offs = []
+        n = 0
+        for si, ti in ends:
+            offs.append(n)
+            n += dy[ti] * dx[si]
+        rows = []
+        for lhs, rhs in self._relations:
+            terms = ((lhs, 1),) if rhs is None else ((lhs, 1), (rhs, -1))
+            # the block's rows sit at the target of `second`, its columns at
+            # the source of `first`; both sides of a relation share them
+            for r in range(dy[ends[lhs[1]][1]]):
+                for c in range(dx[ends[lhs[0]][0]]):
+                    row = [0] * n
+                    for (f, s), sign in terms:
+                        wf, ws = dx[ends[f][0]], dx[ends[s][0]]
+                        for j, a in enumerate(y.rep[s][r]):
+                            row[offs[f] + j * wf + c] += sign * a
+                        for j in range(ws):
+                            row[offs[s] + r * ws + j] += sign * x.rep[f][j][c]
+                    rows.append(tuple(v % p for v in row))
+        basis = linalg.nullspace(rows, p) if rows else linalg.identity(n)
+
+        # the tuples below are built from lists: tuple(generator) allocates
+        # at a guessed length and resizes, so each freed tuple lands on
+        # another free list than the next one is taken from and stays
+        # allocated, and peak memory would grow with the cocycle count
+        def cocycles(k, v):
+            # v plus each vector of the span of basis[k:], one at a time
+            if k == len(basis):
+                yield v
+                return
+            for c in range(p):
+                yield from cocycles(k + 1, tuple([(u + c * w) % p for u, w in zip(v, basis[k])]))
+
+        # arrow k's matrix: rows y_k[r] + (row r of C_k), then (0 | x_k)
+        blocks = []
+        for k, (si, ti) in enumerate(ends):
+            o, w = offs[k], dx[si]
+            upper = tuple(
+                (yrow, slice(o + r * w, o + r * w + w))
+                for r, yrow in enumerate(y.rep[k])
+            )
+            lower = tuple((0,) * dy[si] + row for row in x.rep[k])
+            blocks.append((upper, lower))
+        counts = {}
+        for v in cocycles(0, (0,) * n):
+            rep = tuple(
+                [tuple([yrow + v[cut] for yrow, cut in upper]) + lower for upper, lower in blocks]
+            )
+            z = by_rep.get(rep)
+            if z is None:
+                raise RuntimeError(
+                    "middle of an extension of %r by %r is not a class" % (x, y)
+                )
+            counts[z] = counts.get(z, 0) + 1
+        return counts, p ** sum(a * b for a, b in zip(dx, dy))
 
     # ---------- submodules, quotients, Hall numbers ----------
 

@@ -4,8 +4,11 @@ Elements live in the basis [X] * K_alpha where X runs over eps-zero classes
 (modules pulled back from the underlying quiver) and K_alpha is the torus
 element attached to an integer vector alpha. Coefficients are exact numbers
 in Q(sqrt(q)). The product is computed by brute force from the module table:
-filtration counts give the untwisted structure constants, the Euler-form
+counting the cocycles of each extension of x by y by middle term gives the
+untwisted structure constants |Ext^1(x,y)_z| / |Hom(x,y)|, and the Euler-form
 twist and the torus commutation rule supply the powers of v = sqrt(q).
+Filtration counts (Hall numbers) give the same constants by Riedtmann's
+formula; they serve only the oracles and the tests.
 """
 
 from __future__ import annotations
@@ -186,25 +189,31 @@ class HallAlgebra:
         return total
 
     def _pair(self, x, y):
-        """[x] * [y] for eps-zero classes, as (class, gamma, v-exp, Fraction) rows."""
+        """[x] * [y] for eps-zero classes, as (class, gamma, scalar) rows.
+
+        The structure constant of a middle z is its cocycle count over
+        q^(sum_i dx_i dy_i) (`ModuleTable.extension_counts`); the scalar
+        multiplies it by v to the Euler-form twist plus the exponent of the
+        homology reduction of z.
+        """
         ckey = (x.key, y.key)
         if ckey in self._pair_cache:
             return self._pair_cache[ckey]
         table = self.table
         tw = self.iq.euler(x.dim, y.dim)
         dimsum = tuple(a + b for a, b in zip(x.dim, y.dim))
+        counts, denom = table.extension_counts(x, y)
         rows = []
         for z in table.classes(dimsum):
-            f = table.hall_number(x, y, z)
-            if not f:
+            count = counts.get(z)
+            if not count:
                 continue
-            coeff = Fraction(f * x.aut_order * y.aut_order, z.aut_order)
             e, w, gamma = table.homology_reduce(z)
             if not table.is_eps_zero(w):
                 raise RuntimeError(
                     "product left the eps-zero basis at %r" % (w,)
                 )
-            rows.append((w, gamma, tw + e, coeff))
+            rows.append((w, gamma, self.v_pow(tw + e) * Fraction(count, denom)))
         rows = tuple(rows)
         self._pair_cache[ckey] = rows
         return rows
@@ -215,13 +224,12 @@ class HallAlgebra:
         for (x, a), cx in e1.terms.items():
             for (y, b), cy in e2.terms.items():
                 base = cx * cy * self.v_pow(self._torus_exp(a, y.dim))
-                for w, gamma, exp, coeff in self._pair(x, y):
+                for w, gamma, scal in self._pair(x, y):
                     key = (
                         w,
                         tuple(g + p + r for g, p, r in zip(gamma, a, b)),
                     )
-                    val = base * self.v_pow(exp) * coeff
-                    acc = out.get(key, zero) + val
+                    acc = out.get(key, zero) + base * scal
                     if acc:
                         out[key] = acc
                     elif key in out:
@@ -244,8 +252,9 @@ class HallAlgebra:
             v^<a,b>  q^(<N,b> - <N,a> + <N,N> - <a,b>)
               * |Ext^1(N,L)_M| / |Hom(N,L)|  *  [M] * K_(dim a - dim N)
 
-        with all forms the Euler form of the underlying quiver. Independent
-        of the filtration-count route used by the main product.
+        with all forms the Euler form of the underlying quiver. Shares no
+        counting with the cocycle route of the main product: its extension
+        counts come from filtration counts.
         """
         table = self.table
         if not (table.is_eps_zero(a) and table.is_eps_zero(b)):
@@ -289,7 +298,8 @@ def oracle_sss(algebra, s, t):
 
     One double sum over torus powers r and middle classes M, with M weighted
     by the dimension u_M of the simultaneous kernel of its arrow matrices.
-    Shares nothing with the filtration-count route except the module table.
+    Shares nothing with the cocycle route of the main product except the
+    module table.
     """
     from .iqg import p_exponent
 

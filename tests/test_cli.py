@@ -1,7 +1,13 @@
 """Command line interface: exit codes and payload shapes."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import ihall
 from ihall.cli import main
 
 SPLIT2 = {
@@ -192,3 +198,35 @@ def test_product_bad_element_vertex_or_dimension_is_input_error(capsys):
         code, _, err = run(capsys, "product", "builtin:a2-split", key, "simple:1")
         assert code == 2, key
         assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("identities", "--pmax", "-1"),
+        ("identities", "--dmax", "-1"),
+        ("identities", "--amax", "-1"),
+        ("enumerate", "builtin:a2-split", "--dim", "1,0", "--budget-dim", "-1"),
+        ("enumerate", "builtin:a2-split", "--dim", "1,0", "--budget-space", "-1"),
+    ],
+)
+def test_negative_range_is_input_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
+def test_import_loads_no_cache_modules():
+    # hashlib and pickle serve only the disk cache, so importing the CLI
+    # must not load them; `site` may have loaded them already
+    src = os.path.dirname(os.path.dirname(ihall.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; before = set(sys.modules); import ihall.cli; "
+        "print(sorted({'hashlib', 'pickle'} & (set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """Module enumeration, isomorphism classification, Hall numbers."""
 
+import functools
 import pickle
 from itertools import product
 
@@ -161,6 +162,37 @@ def test_canonical_reps_match_orbit_oracle(name, dims, q):
             assert c.orbit_size == len(orbit)
         reps = [_flat(c.rep) for c in cls]
         assert reps == sorted(reps)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_permutation_tables_match_matrix_products(q):
+    # row and column operations give the same tables as g M and M g^-1;
+    # g M is taken column by column and M g^-1 row by row, each through
+    # mat_mul and memoized per vector
+    tab = table("rank1-split", q)
+    cases = [((r, c), side, d) for r in range(4) for c in range(4) for side, d in (("l", r), ("r", c))]
+    cases += [(("sq0", d), "lr", d) for d in range(5)]
+    for key, side, d in cases:
+        mats, index = tab._candidates(key)
+        for gi, g in enumerate(linalg.gl_generators(d, q)):
+            ginv = linalg.inverse(g, q)
+
+            @functools.cache
+            def left_col(col):
+                return tuple(r[0] for r in linalg.mat_mul(g, tuple((x,) for x in col), q))
+
+            @functools.cache
+            def right_row(row):
+                return linalg.mat_mul((row,), ginv, q)[0]
+
+            want = []
+            for m in mats:
+                if "l" in side and m[0]:
+                    m = tuple(zip(*map(left_col, zip(*m))))
+                if "r" in side:
+                    m = tuple(map(right_row, m))
+                want.append(index[m])
+            assert tab._permutation(key, d, gi, side) == want, (key, side, gi)
 
 
 @pytest.mark.parametrize("corruption", ["missing rep", "aut order", "orbit index"])
