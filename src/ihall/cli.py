@@ -193,7 +193,6 @@ def cmd_identities(args):
 def cmd_enumerate(args):
     algebra = _algebra(args)
     dim = _dim_vector(algebra, args.dim)
-    algebra.table.check_budget(dim)
     classes = algebra.table.classes(dim)
     rows = [
         {

@@ -72,13 +72,6 @@ class IsoClass:
     def __hash__(self):
         return hash((self.dim, self.index))
 
-    def __lt__(self, other):
-        return (self.total_dim, self.dim, self.index) < (
-            other.total_dim,
-            other.dim,
-            other.index,
-        )
-
     def __repr__(self):
         return "IsoClass(%s)" % self.name
 
@@ -114,7 +107,7 @@ class ModuleTable:
             (self._vi[a.src], self._vi[a.tgt]) for a in bq.arrows
         )
         self._eps_pos = tuple(
-            bq.aindex["eps_%s" % v] for v in self.iq.vertices
+            bq.aindex[bq.eps_name[v]] for v in self.iq.vertices
         )
         self._tau_idx = tuple(self._vi[self.iq.tau[v]] for v in self.iq.vertices)
         # arrows grouped by target vertex index, for the radical chain
@@ -628,6 +621,7 @@ class ModuleTable:
     def morphism_tally(self, a, b):
         """Tally of (kernel class, cokernel class) over every map a -> b."""
         p = self.p
+        n = self.iq.n
         total, offs, basis = self.hom_basis(a, b)
         tally = {}
         for coeffs in cartesian(range(p), repeat=len(basis)):
@@ -637,8 +631,12 @@ class ModuleTable:
                     for idx, x in enumerate(bv):
                         vec[idx] = (vec[idx] + coef * x) % p
             f = self._unflatten_hom(vec, offs, a, b)
-            ker = self._kernel_class(a, f)
-            cok = self._cokernel_class(b, f)
+            kers = [self._kernel_rref(f[vi], a.dim[vi]) for vi in range(n)]
+            ker = self._subquotient(a, kers, [()] * n)
+            if ker is None:
+                raise RuntimeError("kernel of a module map must be a submodule")
+            images = [linalg.col_space(f[vi], p)[0] for vi in range(n)]
+            cok = self._subquotient(b, self._whole(b.dim), images)
             key = (ker, cok)
             tally[key] = tally.get(key, 0) + 1
         return tally
@@ -647,20 +645,6 @@ class ModuleTable:
         if not mat:
             return linalg.identity(ncols), tuple(range(ncols))
         return linalg.rref(linalg.nullspace(mat, self.p), self.p)
-
-    def _kernel_class(self, a, f):
-        bases = []
-        for vi in range(self.iq.n):
-            bases.append(self._kernel_rref(f[vi], a.dim[vi]))
-        rep = self._sub_rep(a, bases)
-        if rep is None:
-            raise RuntimeError("kernel of a module map must be a submodule")
-        dim = tuple(len(rows) for rows, _ in bases)
-        return self.class_of(rep, dim)
-
-    def _cokernel_class(self, b, f):
-        images = [linalg.col_space(f[vi], self.p)[0] for vi in range(self.iq.n)]
-        return self._quotient_class(b, images)
 
     # ---------- extensions by cocycles ----------
 
@@ -739,54 +723,38 @@ class ModuleTable:
             counts[z] = counts.get(z, 0) + 1
         return counts, p ** sum(a * b for a, b in zip(dx, dy))
 
-    # ---------- submodules, quotients, Hall numbers ----------
+    # ---------- subquotients, Hall numbers ----------
 
-    def _sub_rep(self, z, bases):
-        """Representation induced on an invariant subspace tuple, or None.
+    @staticmethod
+    def _whole(dim):
+        """(rref rows, pivots) of the whole space at each vertex."""
+        return [(linalg.identity(d), tuple(range(d))) for d in dim]
 
-        `bases` is one (rref rows, pivots) pair per vertex.
+    def _subquotient(self, z, subs, tops):
+        """The class z induces on V/W, or None when an arrow maps V outside V.
+
+        `subs` holds one (rref rows, pivots) basis of V per vertex and `tops`
+        rows spanning W inside V per vertex, W a submodule of z. Submodules
+        are V/0 and quotients z/W; kernels, cokernels and the homology
+        reduction are the same construction.
         """
         p = self.p
+        quots = [
+            linalg.quotient_data(rows, piv, top, p)
+            for (rows, piv), top in zip(subs, tops)
+        ]
         rep = []
         for k, (si, ti) in enumerate(self._arrow_ends):
-            rows_s = bases[si][0]
-            rows_t, piv_t = bases[ti]
+            project = quots[ti][1]
             cols = []
-            for u in rows_s:
-                w = linalg.mat_vec(z.rep[k], u, p)
-                coords = linalg.coords_against_rref(w, rows_t, piv_t, p)
-                if coords is None:
+            for u in quots[si][0]:
+                col = project(linalg.mat_vec(z.rep[k], u, p))
+                if col is None:
                     return None
-                cols.append(coords)
-            rep.append(
-                tuple(
-                    tuple(col[r] for col in cols) for r in range(len(rows_t))
-                )
-            )
-        return tuple(rep)
-
-    def _quotient_class(self, z, sub_rows):
-        """Class of z modulo an invariant subspace (given by spanning rows)."""
-        p = self.p
-        reps = []
-        projs = []
-        for vi in range(self.iq.n):
-            d = z.dim[vi]
-            rep_vecs, project = linalg.quotient_data(
-                linalg.identity(d), tuple(range(d)), sub_rows[vi], p
-            )
-            reps.append(rep_vecs)
-            projs.append(project)
-        rep = []
-        for k, (si, ti) in enumerate(self._arrow_ends):
-            cols = [
-                projs[ti](linalg.mat_vec(z.rep[k], u, p)) for u in reps[si]
-            ]
-            nrows = len(reps[ti])
-            rep.append(
-                tuple(tuple(col[r] for col in cols) for r in range(nrows))
-            )
-        dim = tuple(len(r) for r in reps)
+                cols.append(col)
+            nrows = len(quots[ti][0])
+            rep.append(tuple(tuple(col[r] for col in cols) for r in range(nrows)))
+        dim = tuple(len(reps) for reps, _ in quots)
         return self.class_of(tuple(rep), dim)
 
     def decomposition(self, z):
@@ -804,14 +772,14 @@ class ModuleTable:
                     pivots = tuple(next(i for i, x in enumerate(row) if x) for row in rows)
                     opts.append((rows, pivots))
             per_vertex.append(opts)
+        zero = [()] * self.iq.n
+        whole = self._whole(z.dim)
         tally = {}
         for combo in cartesian(*per_vertex):
-            sub = self._sub_rep(z, combo)
-            if sub is None:
+            sub_cls = self._subquotient(z, combo, zero)
+            if sub_cls is None:
                 continue
-            dim = tuple(len(rows) for rows, _ in combo)
-            sub_cls = self.class_of(sub, dim)
-            quot_cls = self._quotient_class(z, [rows for rows, _ in combo])
+            quot_cls = self._subquotient(z, whole, [rows for rows, _ in combo])
             key = (quot_cls, sub_cls)
             tally[key] = tally.get(key, 0) + 1
         self._decomp[z.key] = tally
@@ -846,41 +814,27 @@ class ModuleTable:
     def homology_reduce(self, cls):
         """Write [cls] as v^e [X] * K_alpha with X an eps-zero class.
 
-        X_v = ker(eps_v) / im(eps_{tau v}), alpha_v = rank(eps_v), and
-        e = <dim X, tau(alpha) - alpha> in the Euler form of the underlying
-        quiver (zero whenever the involution is trivial).
+        X is the module cls induces on X_v = ker(eps_v) / im(eps_{tau v}),
+        with every arrow's action computed there, the eps arrows included;
+        they come out zero for any module that satisfies the relations, and
+        the Hall algebra checks that they do. alpha_v = rank(eps_v) =
+        dim_v - dim ker(eps_v), and e = <dim X, tau(alpha) - alpha> in the
+        Euler form of the underlying quiver (zero whenever the involution is
+        trivial).
         """
         if cls.key in self._reduce:
             return self._reduce[cls.key]
         p = self.p
         n = self.iq.n
-        alpha = []
-        kers = []
-        quots = []
-        for vi in range(n):
-            e_mat = cls.rep[self._eps_pos[vi]]
-            alpha.append(len(linalg.rref(e_mat, p)[0]))
-            k_rows, k_piv = self._kernel_rref(e_mat, cls.dim[vi])
-            w_rows, _ = linalg.col_space(cls.rep[self._eps_pos[self._tau_idx[vi]]], p)
-            kers.append((k_rows, k_piv))
-            quots.append(linalg.quotient_data(k_rows, k_piv, w_rows, p))
-        xdim = tuple(len(reps) for reps, _ in quots)
-        xrep = []
-        for k, (si, ti) in enumerate(self._arrow_ends):
-            if k in self._eps_pos:
-                xrep.append(linalg.zeros(xdim[ti], xdim[si]))
-                continue
-            cols = [
-                quots[ti][1](linalg.mat_vec(cls.rep[k], u, p))
-                for u in quots[si][0]
-            ]
-            xrep.append(
-                tuple(tuple(col[r] for col in cols) for r in range(xdim[ti]))
-            )
-        xcls = self.class_of(tuple(xrep), xdim)
-        alpha = tuple(alpha)
+        eps = [cls.rep[pos] for pos in self._eps_pos]
+        kers = [self._kernel_rref(eps[vi], cls.dim[vi]) for vi in range(n)]
+        ims = [linalg.col_space(eps[self._tau_idx[vi]], p)[0] for vi in range(n)]
+        xcls = self._subquotient(cls, kers, ims)
+        if xcls is None:
+            raise RuntimeError("ker eps of %r is not a submodule" % (cls,))
+        alpha = tuple(d - len(rows) for d, (rows, _) in zip(cls.dim, kers))
         diff = tuple(alpha[self._tau_idx[vi]] - alpha[vi] for vi in range(n))
-        vexp = self.iq.euler(xdim, diff)
+        vexp = self.iq.euler(xcls.dim, diff)
         out = (vexp, xcls, alpha)
         self._reduce[cls.key] = out
         return out

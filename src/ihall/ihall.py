@@ -141,9 +141,6 @@ class HallAlgebra:
     def zero(self):
         return HallElt(self, {})
 
-    def element(self, terms):
-        return HallElt(self, {k: self.scalar(c) for k, c in terms.items()})
-
     def one(self):
         return HallElt(
             self, {(self.table.zero_class(), self._zero_alpha): self.scalar(1)}
@@ -374,8 +371,8 @@ def oracle_kronecker_single(algebra, l, t):
     i1 = iq.vertices.index(v1)
     pos_a = [table.bq.aindex[ar.name] for ar in alphas]
     pos_b = [table.bq.aindex[ar.name] for ar in betas]
-    eps1 = table.bq.aindex["eps_%s" % v1]
-    eps2 = table.bq.aindex["eps_%s" % v2]
+    eps1 = table.bq.aindex[table.bq.eps_name[v1]]
+    eps2 = table.bq.aindex[table.bq.eps_name[v2]]
     dim = tuple(2 * r + 1 if j == i1 else 1 for j in range(2))
     pref = algebra.v_pow(
         -r * (2 * r + 1) + t * l + l * (l - 1) + t * (t - 1)

@@ -158,6 +158,21 @@ def build_relation_suite(iq, parities=(0, 1)):
     return out
 
 
+def _serre_sum(psi, i, j, c, parity=None):
+    """sum_n (-1)^n B_i^(n) B_j B_i^(1-c-n), n = 0 .. 1-c.
+
+    With a parity, the left divided powers take it and the right ones take
+    (parity + c) mod 2.
+    """
+    rpar = None if parity is None else (parity + c) % 2
+    bj = psi.B(j)
+    out = psi.algebra.zero()
+    for n in range(0, 1 - c + 1):
+        term = psi.BDP(i, n, parity) * bj * psi.BDP(i, 1 - c - n, rpar)
+        out = out + (term if n % 2 == 0 else -term)
+    return out
+
+
 def relation_residual(algebra, inst, psi=None):
     """The relation instance evaluated in the Hall algebra; zero iff it holds."""
     psi = psi or Psi(algebra)
@@ -173,36 +188,13 @@ def relation_residual(algebra, inst, psi=None):
     if kind == "commute":
         bi, bj = psi.B(inst.i), psi.B(inst.j)
         return bi * bj - bj * bi
-    if kind == "serre":
+    if kind in ("serre", "fixed-serre"):
         c = iq.cartan_vv(inst.i, inst.j)
-        bj = psi.B(inst.j)
-        out = algebra.zero()
-        for n in range(0, 1 - c + 1):
-            term = psi.BDP(inst.i, n) * bj * psi.BDP(inst.i, 1 - c - n)
-            out = out + (term if n % 2 == 0 else -term)
-        return out
-    if kind == "fixed-serre":
-        c = iq.cartan_vv(inst.i, inst.j)
-        par = inst.parity
-        rpar = (par + c) % 2
-        bj = psi.B(inst.j)
-        out = algebra.zero()
-        for n in range(0, 1 - c + 1):
-            term = (
-                psi.BDP(inst.i, n, par)
-                * bj
-                * psi.BDP(inst.i, 1 - c - n, rpar)
-            )
-            out = out + (term if n % 2 == 0 else -term)
-        return out
+        return _serre_sum(psi, inst.i, inst.j, c, inst.parity)
     if kind == "pair":
         i, ti = inst.i, iq.tau[inst.i]
         c = iq.cartan_vv(i, ti)
-        bt = psi.B(ti)
-        lhs = algebra.zero()
-        for n in range(0, 1 - c + 1):
-            term = psi.BDP(i, n) * bt * psi.BDP(i, 1 - c - n)
-            lhs = lhs + (term if n % 2 == 0 else -term)
+        lhs = _serre_sum(psi, i, ti, c)
         # multiplied through by (v - v^-1) to stay polynomial
         res = lhs.scale(algebra.scalar(VMVI))
         mid = psi.BDP(i, -c)
@@ -354,31 +346,28 @@ def kmrd_residual(d):
     return total
 
 
-def qbinom_alt_residual(p, d):
-    """sum_t (-1)^t v^(-dt) [p choose t]: zero when |d| <= p-1, d = p-1 mod 2."""
+def _alternating_qbinom_sum(p, e):
+    """sum_t (-1)^t v^(et) [p choose t], t = 0 .. p."""
     total = LaurentPoly.const(0)
     for t in range(p + 1):
-        term = LaurentPoly.v_pow(-d * t) * qbinom(p, t)
+        term = LaurentPoly.v_pow(e * t) * qbinom(p, t)
         total = total + term if t % 2 == 0 else total - term
     return total
 
 
+def qbinom_alt_residual(p, d):
+    """sum_t (-1)^t v^(-dt) [p choose t]: zero when |d| <= p-1, d = p-1 mod 2."""
+    return _alternating_qbinom_sum(p, -d)
+
+
 def qbinom_low_residual(p):
     """sum_t (-1)^t v^(-(p+1)t) [p choose t]  minus  (v^-2; v^-2)_p."""
-    total = LaurentPoly.const(0)
-    for t in range(p + 1):
-        term = LaurentPoly.v_pow(-(p + 1) * t) * qbinom(p, t)
-        total = total + term if t % 2 == 0 else total - term
-    return total - pochhammer(-2, -2, p)
+    return _alternating_qbinom_sum(p, -(p + 1)) - pochhammer(-2, -2, p)
 
 
 def qbinom_high_residual(p):
     """sum_t (-1)^t v^((p+1)t) [p choose t]  minus  (v^2; v^2)_p."""
-    total = LaurentPoly.const(0)
-    for t in range(p + 1):
-        term = LaurentPoly.v_pow((p + 1) * t) * qbinom(p, t)
-        total = total + term if t % 2 == 0 else total - term
-    return total - pochhammer(2, 2, p)
+    return _alternating_qbinom_sum(p, p + 1) - pochhammer(2, 2, p)
 
 
 def binomial_product_residual(p, zexp):

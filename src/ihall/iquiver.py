@@ -144,9 +144,6 @@ class IQuiver:
     def cartan_vv(self, u, w):
         return self.cartan[self.vindex[u]][self.vindex[w]]
 
-    def is_tau_fixed(self, v):
-        return self.tau[v] == v
-
     @property
     def i_tau(self):
         """One representative per tau-orbit: the lexicographically least vertex."""
@@ -156,57 +153,27 @@ class IQuiver:
     def is_virtually_acyclic(self):
         """True when the only cycles are 2-cycles between tau-paired vertices.
 
-        Equivalent condition on strongly connected components: every SCC has
-        at most 2 vertices, and each 2-vertex SCC is a pair {i, tau(i)}.
+        Equivalently, every vertex w != v that is mutually reachable with v
+        is tau(v).
         """
-        for comp in self._sccs():
-            if len(comp) > 2:
-                return False
-            if len(comp) == 2:
-                u, w = comp
-                if self.tau[u] != w:
-                    return False
-        return True
-
-    def _sccs(self):
-        fwd = {v: [] for v in self.vertices}
-        rev = {v: [] for v in self.vertices}
+        succ = {v: [] for v in self.vertices}
         for a in self.arrows:
-            fwd[a.src].append(a.tgt)
-            rev[a.tgt].append(a.src)
-        order, seen = [], set()
-        for root in self.vertices:
-            if root in seen:
-                continue
-            stack = [(root, iter(fwd[root]))]
-            seen.add(root)
+            succ[a.src].append(a.tgt)
+        reach = {}
+        for v in self.vertices:
+            seen, stack = set(), [v]
             while stack:
-                v, it = stack[-1]
-                advanced = False
-                for w in it:
+                for w in succ[stack.pop()]:
                     if w not in seen:
                         seen.add(w)
-                        stack.append((w, iter(fwd[w])))
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(v)
-                    stack.pop()
-        comps, assigned = [], set()
-        for root in reversed(order):
-            if root in assigned:
-                continue
-            comp, stack = [], [root]
-            assigned.add(root)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in rev[v]:
-                    if w not in assigned:
-                        assigned.add(w)
                         stack.append(w)
-            comps.append(comp)
-        return comps
+            reach[v] = seen
+        return all(
+            w == self.tau[v]
+            for v in self.vertices
+            for w in reach[v]
+            if w != v and v in reach[w]
+        )
 
     def signature(self):
         """Stable text identity, used for cache keys."""
@@ -244,7 +211,6 @@ class BoundQuiver:
             eps_arrows.append(Arrow(name, v, iq.tau[v]))
         self.arrows = tuple(eps_arrows) + iq.arrows
         self.aindex = {a.name: k for k, a in enumerate(self.arrows)}
-        self.by_name = {a.name: a for a in self.arrows}
 
         rels = []
         for v in iq.vertices:
@@ -301,22 +267,27 @@ def build_iquiver(spec):
     Expected keys: "vertices" (list of ids), "arrows" (list of
     {"name","src","tgt"} objects or [name, src, tgt] / [src, tgt] lists),
     optional "tau" (vertex map, default identity) and "tau_arrows".
+    A spec of any other shape raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError("quiver spec must be a JSON object")
-    try:
-        vertices = list(spec["vertices"])
-    except KeyError:
-        raise ValueError('quiver spec needs a "vertices" list') from None
+    vertices = spec.get("vertices")
+    if not isinstance(vertices, (list, tuple)):
+        raise ValueError('quiver spec needs a "vertices" list')
     raw_arrows = spec.get("arrows", [])
+    if not isinstance(raw_arrows, (list, tuple)):
+        raise ValueError('"arrows" must be a list')
     arrows = []
     for k, item in enumerate(raw_arrows):
-        if isinstance(item, dict):
+        if isinstance(item, dict) and {"name", "src", "tgt"} <= item.keys():
             arrows.append((item["name"], item["src"], item["tgt"]))
-        elif len(item) == 3:
+        elif isinstance(item, (list, tuple)) and len(item) == 3:
             arrows.append((item[0], item[1], item[2]))
-        elif len(item) == 2:
+        elif isinstance(item, (list, tuple)) and len(item) == 2:
             arrows.append((f"a{k + 1}", item[0], item[1]))
         else:
             raise ValueError(f"cannot parse arrow entry {item!r}")
+    for key in ("tau", "tau_arrows"):
+        if spec.get(key) is not None and not isinstance(spec[key], dict):
+            raise ValueError(f'"{key}" must be an object mapping names to names')
     return IQuiver(vertices, arrows, spec.get("tau"), spec.get("tau_arrows"))

@@ -230,7 +230,8 @@ def quotient_data(V, V_pivots, W, p):
     """Data for the quotient V/W of subspaces of F_p^n given by RREF bases.
 
     Returns (reps, project): reps are vectors of F_p^n projecting to the
-    chosen quotient basis, and project(v) maps v in V to quotient coords.
+    chosen quotient basis, and project(v) maps v in V to quotient coords
+    (None for v outside V).
     """
     dimV = len(V)
     W_coords = []
@@ -246,7 +247,7 @@ def quotient_data(V, V_pivots, W, p):
     def project(v):
         c = coords_against_rref(v, V, V_pivots, p)
         if c is None:
-            raise ValueError("vector is not in V")
+            return None
         resid = list(c)
         for row, piv in zip(Wc_rows, Wc_pivots):
             f = resid[piv]

@@ -365,26 +365,8 @@ class LaurentFrac:
             return NotImplemented
         return other / self
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise ValueError("Q(v) powers must be integers")
-        if n < 0:
-            return LaurentFrac(self.den, self.num) ** (-n)
-        out = LaurentFrac(ONE)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def bar(self):
         return LaurentFrac(self.num.bar(), self.den.bar())
-
-    def to_laurent(self):
-        """Convert back to a Laurent polynomial; exact or ExactDivisionError."""
-        return self.num.exact_div(self.den)
 
     def specialize_sqrtq(self, q):
         return self.num.specialize_sqrtq(q) / self.den.specialize_sqrtq(q)
@@ -520,20 +502,6 @@ class QSqrt:
             return NotImplemented
         return other * self.inverse()
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise ValueError("QSqrt powers must be integers")
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QSqrt(self.q, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __repr__(self):
         if not self.b:
             return str(self.a)
@@ -541,28 +509,6 @@ class QSqrt:
             return f"{self.b}*sqrt({self.q})"
         sign = "+" if self.b > 0 else "-"
         return f"{self.a} {sign} {abs(self.b)}*sqrt({self.q})"
-
-
-def specialize_sqrtq(x, q):
-    """Evaluate a scalar at v = sqrt(q) as an exact QSqrt."""
-    if isinstance(x, (LaurentPoly, LaurentFrac)):
-        return x.specialize_sqrtq(q)
-    if isinstance(x, (int, Fraction)):
-        return QSqrt(q, x)
-    if isinstance(x, QSqrt):
-        if x.q != q:
-            raise ValueError("QSqrt already specialized at a different q")
-        return x
-    raise TypeError(f"cannot specialize {type(x).__name__}")
-
-
-def bar(x):
-    """The bar involution v -> v^-1 (identity on rationals)."""
-    if isinstance(x, (LaurentPoly, LaurentFrac)):
-        return x.bar()
-    if isinstance(x, (int, Fraction)):
-        return x
-    raise TypeError(f"no bar involution on {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,23 @@ def test_missing_spec_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"vertices": 5},
+        {"vertices": ["1", "2"], "arrows": [{"src": "1", "tgt": "2"}]},
+        {"vertices": ["1", "2"], "arrows": [7]},
+        {"vertices": ["1"], "tau": ["1"]},
+    ],
+)
+def test_malformed_quiver_spec_is_input_error(tmp_path, capsys, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_enumerate_wrong_dimension_length_is_input_error(capsys):
     code, _, err = run(capsys, "enumerate", "builtin:a2-split", "--dim", "1")
     assert code == 2

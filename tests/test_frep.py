@@ -329,6 +329,26 @@ def test_homology_reduction():
     assert (vexp, xcls, alpha) == (0, s1, (0, 0))
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", ["rank1-split", "a2-split", "a3-quasisplit", "kronecker-r1"])
+def test_homology_reduction_on_all_small_classes(name, q):
+    # X = ker eps / im eps with its eps action computed: it must vanish,
+    # the dimensions must add up to dim M, and alpha must be the eps ranks
+    tab = table(name, q)
+    iq = tab.iq
+    for dim in product(range(4), repeat=iq.n):
+        if sum(dim) > 3:
+            continue
+        for m in tab.classes(dim):
+            vexp, x, alpha = tab.homology_reduce(m)
+            assert tab.is_eps_zero(x), m
+            talpha = iq.tau_vec(alpha)
+            assert tuple(a + b + c for a, b, c in zip(x.dim, alpha, talpha)) == m.dim, m
+            assert alpha == tuple(linalg.rank(m.rep[pos], q) for pos in tab._eps_pos), m
+            if tab.is_eps_zero(m):
+                assert (vexp, x, alpha) == (0, m, (0,) * iq.n), m
+
+
 def test_budget_errors():
     tab = table("a2-split", 2, budget_dim=3)
     with pytest.raises(BudgetError):

@@ -151,6 +151,29 @@ def test_virtual_acyclicity():
     assert not iq.is_virtually_acyclic()
     # the same cycle with the swap involution is the r=1 two-way quiver
     assert builtin_iquiver("kronecker-r1").is_virtually_acyclic()
+    # a 3-cycle with trivial tau
+    iq = build_iquiver(
+        {"vertices": ["1", "2", "3"], "arrows": [["1", "2"], ["2", "3"], ["3", "1"]]}
+    )
+    assert not iq.is_virtually_acyclic()
+    # a 3-vertex strongly connected component that contains a tau pair
+    iq = build_iquiver(
+        {
+            "vertices": ["1", "2", "3"],
+            "arrows": [["1", "3"], ["2", "3"], ["3", "1"], ["3", "2"]],
+            "tau": {"1": "2", "2": "1", "3": "3"},
+        }
+    )
+    assert not iq.is_virtually_acyclic()
+    # two tau-paired 2-cycles joined by arrows 1 -> 3 and 2 -> 4
+    iq = build_iquiver(
+        {
+            "vertices": ["1", "2", "3", "4"],
+            "arrows": [["1", "2"], ["2", "1"], ["3", "4"], ["4", "3"], ["1", "3"], ["2", "4"]],
+            "tau": {"1": "2", "2": "1", "3": "4", "4": "3"},
+        }
+    )
+    assert iq.is_virtually_acyclic()
 
 
 def test_signature_distinguishes_builtins():

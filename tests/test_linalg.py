@@ -147,3 +147,7 @@ def test_quotient_data_dimensions():
     assert len(reps) == 2
     img = project((1, 1, 0))
     assert all(x == 0 for x in img)
+    # a vector outside V has no quotient coordinates
+    _, project = linalg.quotient_data(sub, piv, (), 2)
+    assert project((1, 1, 0)) == (1,)
+    assert project((1, 0, 0)) is None
