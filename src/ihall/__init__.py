@@ -1,60 +1,54 @@
-"""Exact Hall algebra computations for iquivers over small prime fields."""
+"""Exact Hall algebra computations for iquivers over small prime fields.
 
-from .frep import BudgetError, IsoClass, ModuleTable
-from .idp import idp_closed, idp_hall, idp_product, idp_recursive
-from .ihall import HallAlgebra, HallElt, oracle_kronecker_single, oracle_sss
-from .iqg import (
-    Psi,
-    build_relation_suite,
-    relation_residual,
-    run_identity_suites,
-    run_t_suite,
-    t1_value,
-    t_value,
-    verify_presentation,
-)
-from .iquiver import (
-    BUILTIN_NAMES,
-    BoundQuiver,
-    IQuiver,
-    build_iquiver,
-    builtin_iquiver,
-)
-from .ring import LaurentFrac, LaurentPoly, QSqrt, qbinom, qdfact, qfact, qint
+The public names below are loaded on first access (PEP 562), so importing
+the package, or running one CLI command, compiles only the layers in use.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_NAMES",
-    "BoundQuiver",
-    "BudgetError",
-    "HallAlgebra",
-    "HallElt",
-    "IQuiver",
-    "IsoClass",
-    "LaurentFrac",
-    "LaurentPoly",
-    "ModuleTable",
-    "Psi",
-    "QSqrt",
-    "build_iquiver",
-    "build_relation_suite",
-    "builtin_iquiver",
-    "idp_closed",
-    "idp_hall",
-    "idp_product",
-    "idp_recursive",
-    "oracle_kronecker_single",
-    "oracle_sss",
-    "qbinom",
-    "qdfact",
-    "qfact",
-    "qint",
-    "relation_residual",
-    "run_identity_suites",
-    "run_t_suite",
-    "t1_value",
-    "t_value",
-    "verify_presentation",
-    "__version__",
-]
+_HOME = {
+    "BudgetError": "frep",
+    "IsoClass": "frep",
+    "ModuleTable": "frep",
+    "idp_closed": "idp",
+    "idp_hall": "idp",
+    "idp_product": "idp",
+    "idp_recursive": "idp",
+    "HallAlgebra": "ihall",
+    "HallElt": "ihall",
+    "oracle_kronecker_single": "ihall",
+    "oracle_sss": "ihall",
+    "Psi": "iqg",
+    "build_relation_suite": "iqg",
+    "relation_residual": "iqg",
+    "run_identity_suites": "iqg",
+    "run_t_suite": "iqg",
+    "t1_value": "iqg",
+    "t_value": "iqg",
+    "verify_presentation": "iqg",
+    "BUILTIN_NAMES": "iquiver",
+    "BoundQuiver": "iquiver",
+    "IQuiver": "iquiver",
+    "build_iquiver": "iquiver",
+    "builtin_iquiver": "iquiver",
+    "LaurentFrac": "ring",
+    "LaurentPoly": "ring",
+    "QSqrt": "ring",
+    "qbinom": "ring",
+    "qdfact": "ring",
+    "qfact": "ring",
+    "qint": "ring",
+}
+
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + home, __name__), name)
+    globals()[name] = value
+    return value

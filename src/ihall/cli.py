@@ -14,6 +14,9 @@ Elements are named ``simple:<vertex>``, ``k:<vertex>``, or
 ``class:<d1>,...,<dn>#<idx>``.
 
 Exit codes: 0 success, 1 a check failed, 2 bad input, 3 budget exceeded.
+
+Each command imports the layers it uses when it runs, so ``identities``
+never loads the module enumeration or the Hall algebra.
 """
 
 from __future__ import annotations
@@ -23,14 +26,10 @@ import json
 import sys
 import time
 
-from .frep import BudgetError
-from .idp import idp_hall
-from .ihall import HallAlgebra
-from .iqg import run_identity_suites, run_t_suite, verify_presentation
-from .iquiver import BUILTIN_NAMES, build_iquiver, builtin_iquiver
-
 
 def _load_iquiver(name):
+    from .iquiver import build_iquiver, builtin_iquiver
+
     if name.startswith("builtin:"):
         return builtin_iquiver(name[len("builtin:"):])
     with open(name) as fh:
@@ -38,6 +37,8 @@ def _load_iquiver(name):
 
 
 def _algebra(args):
+    from .ihall import HallAlgebra
+
     return HallAlgebra(
         _load_iquiver(args.quiver),
         args.q,
@@ -113,6 +114,8 @@ def _emit(args, payload, text_lines):
 def cmd_verify(args):
     t0 = time.time()
     algebra = _algebra(args)
+    from .iqg import verify_presentation
+
     parities = tuple(int(x) for x in args.parities.split(","))
     results = verify_presentation(algebra, parities)
     rows = [(label, res.is_zero()) for label, res in results]
@@ -153,6 +156,8 @@ def cmd_product(args):
 
 def cmd_idp(args):
     algebra = _algebra(args)
+    from .idp import idp_hall
+
     elt = idp_hall(algebra, _vertex(algebra, args.vertex), args.n, args.parity)
     payload = {
         "command": "idp",
@@ -168,6 +173,8 @@ def cmd_idp(args):
 
 
 def cmd_identities(args):
+    from .iqg import run_identity_suites, run_t_suite
+
     t0 = time.time()
     rows = run_identity_suites(pmax=args.pmax, dmax=args.dmax)
     rows += run_t_suite(amax=args.amax)
@@ -232,7 +239,7 @@ def _nonnegative(text):
 
 
 def _add_algebra_args(sub):
-    sub.add_argument("quiver", help="builtin:<name> or path of a JSON spec; builtins: %s" % ", ".join(BUILTIN_NAMES))
+    sub.add_argument("quiver", help="builtin:<name> or path of a JSON spec (an unknown builtin name lists the builtins)")
     sub.add_argument("--q", type=int, default=2, help="prime field size (default 2)")
     sub.add_argument("--budget-dim", type=_nonnegative, default=6, help="max total dimension enumerated (default 6)")
     sub.add_argument("--budget-space", type=_nonnegative, default=2 ** 28, help="max raw candidate count at one dimension (default 2^28)")
@@ -284,12 +291,17 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetError as exc:
-        print("budget exceeded: %s" % exc, file=sys.stderr)
-        return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # only the commands that load frep can raise its BudgetError
+        from .frep import BudgetError
+
+        if not isinstance(exc, BudgetError):
+            raise
+        print("budget exceeded: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

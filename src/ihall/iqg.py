@@ -19,7 +19,6 @@ from typing import NamedTuple, Optional
 from .idp import idp_hall
 from .ring import (
     VMVI,
-    LaurentFrac,
     LaurentPoly,
     ONE,
     comb2,
@@ -28,6 +27,7 @@ from .ring import (
     qdfact,
     qdfact_ratio,
     qfact,
+    qfact_dfact_cofactor,
     qfact_ratio,
 )
 
@@ -239,15 +239,18 @@ def p_exponent(a, u, r, s, t):
 def _t_value(a, d, u, swap):
     # denominators [r]! [2k]!! [2m]!! are cleared against the fixed
     # multiple [d]! [2K]!! [2K]!! (K the largest k), keeping everything
-    # a Laurent polynomial; the sum vanishes iff the raw sum does
+    # a Laurent polynomial; the sum vanishes iff the raw sum does. The
+    # cleared factor depends on k and m only (r = d - k - m), so the terms
+    # are summed over n first and each (k, m) group takes one product.
     kmax = (a + 1) // 2
     total = LaurentPoly.const(0)
-    for n in range(0, a + 2):
-        for k in range(0, n // 2 + 1):
-            for m in range(0, (a + 1 - n) // 2 + 1):
-                r = d - k - m
-                if r < 0 or r > n - 2 * k:
-                    continue
+    for k in range(0, kmax + 1):
+        for m in range(0, kmax + 1):
+            r = d - k - m
+            if r < 0:
+                continue
+            group = LaurentPoly.const(0)
+            for n in range(r + 2 * k, a + 2 - 2 * m):
                 s = n - 2 * k
                 t = 1 + a - n - 2 * m
                 qb = qbinom(u, t - r)
@@ -263,14 +266,10 @@ def _t_value(a, d, u, swap):
                 even = n % 2 == 0
                 shifted = (even and swap) or (not even and not swap)
                 e = z + (2 * k - 2 * m if shifted else 0)
-                coeff = (
-                    LaurentPoly.v_pow(e)
-                    * qb
-                    * qfact_ratio(r, d)
-                    * qdfact_ratio(2 * k, 2 * kmax)
-                    * qdfact_ratio(2 * m, 2 * kmax)
-                )
-                total = total + coeff if even else total - coeff
+                term = LaurentPoly.v_pow(e) * qb
+                group = group + term if even else group - term
+            if group:
+                total = total + group * qfact_dfact_cofactor(r, d, k, m, kmax)
     return total
 
 
@@ -307,12 +306,16 @@ def km1_residual(p):
 
 
 def km3_residual(p):
-    """sum_k v^(p(p+1)/2 - 2k(p-k+1)) [p choose k]_{v^2}  minus [2p]!!/[p]!."""
-    total = LaurentFrac(0)
+    """sum_k v^(p(p+1)/2 - 2k(p-k+1)) [p choose k]_{v^2}  minus [2p]!!/[p]!.
+
+    The quotient [2p]!!/[p]! is the Laurent polynomial prod_{j=1}^p (v^j + v^-j),
+    so it is taken by exact division.
+    """
+    total = LaurentPoly.const(0)
     for k in range(p + 1):
         e = p * (p + 1) // 2 - 2 * k * (p - k + 1)
-        total = total + LaurentFrac(LaurentPoly.v_pow(e) * qbinom(p, k).inflate(2))
-    return total - LaurentFrac(qdfact(2 * p), qfact(p))
+        total = total + LaurentPoly.v_pow(e) * qbinom(p, k).inflate(2)
+    return total - qdfact(2 * p).exact_div(qfact(p))
 
 
 def km5_residual(p):
@@ -323,7 +326,7 @@ def km5_residual(p):
     prod = ONE
     for j in range(1, p + 1):
         prod = prod * (ONE + LaurentPoly.v_pow(-j))
-    return LaurentFrac(total - prod)
+    return total - prod
 
 
 def kmrd_residual(d):
@@ -336,11 +339,8 @@ def kmrd_residual(d):
         for m in range(d - k + 1):
             r = d - k - m
             e = comb2(r + 1) - 2 * (k - 1) * m
-            term = (
-                LaurentPoly.v_pow(e)
-                * qfact_ratio(r, d)
-                * qdfact_ratio(2 * k, 2 * d)
-                * qdfact_ratio(2 * m, 2 * d)
+            term = LaurentPoly.v_pow(e) * (
+                qfact_ratio(r, d) * qdfact_ratio(2 * k, 2 * d) * qdfact_ratio(2 * m, 2 * d)
             )
             total = total + term if r % 2 == 0 else total - term
     return total

@@ -261,33 +261,57 @@ def builtin_iquiver(name):
     raise ValueError(f"unknown builtin quiver {name!r}; known: {', '.join(BUILTIN_NAMES)}")
 
 
+def _spec_name(x, what):
+    """An id from a JSON spec: a string, or an integer taken as its decimal text."""
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise ValueError(f"{what} must be a string or an integer, got {x!r}")
+    return str(x)
+
+
 def build_iquiver(spec):
     """Build an IQuiver from a JSON-shaped dict.
 
     Expected keys: "vertices" (list of ids), "arrows" (list of
     {"name","src","tgt"} objects or [name, src, tgt] / [src, tgt] lists),
     optional "tau" (vertex map, default identity) and "tau_arrows".
-    A spec of any other shape raises ValueError.
+    Every id (vertex, arrow name, endpoint, tau key or value) must be a
+    string or an integer. A spec of any other shape raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError("quiver spec must be a JSON object")
     vertices = spec.get("vertices")
     if not isinstance(vertices, (list, tuple)):
         raise ValueError('quiver spec needs a "vertices" list')
+    vertices = [_spec_name(v, "a vertex id") for v in vertices]
     raw_arrows = spec.get("arrows", [])
     if not isinstance(raw_arrows, (list, tuple)):
         raise ValueError('"arrows" must be a list')
     arrows = []
     for k, item in enumerate(raw_arrows):
         if isinstance(item, dict) and {"name", "src", "tgt"} <= item.keys():
-            arrows.append((item["name"], item["src"], item["tgt"]))
+            name, src, tgt = item["name"], item["src"], item["tgt"]
         elif isinstance(item, (list, tuple)) and len(item) == 3:
-            arrows.append((item[0], item[1], item[2]))
+            name, src, tgt = item
         elif isinstance(item, (list, tuple)) and len(item) == 2:
-            arrows.append((f"a{k + 1}", item[0], item[1]))
+            name, src, tgt = f"a{k + 1}", item[0], item[1]
         else:
             raise ValueError(f"cannot parse arrow entry {item!r}")
-    for key in ("tau", "tau_arrows"):
-        if spec.get(key) is not None and not isinstance(spec[key], dict):
-            raise ValueError(f'"{key}" must be an object mapping names to names')
-    return IQuiver(vertices, arrows, spec.get("tau"), spec.get("tau_arrows"))
+        arrows.append((
+            _spec_name(name, "an arrow name"),
+            _spec_name(src, "an arrow source"),
+            _spec_name(tgt, "an arrow target"),
+        ))
+    return IQuiver(vertices, arrows, _spec_map(spec, "tau"), _spec_map(spec, "tau_arrows"))
+
+
+def _spec_map(spec, key):
+    """The optional name-to-name object spec[key], or None when absent."""
+    mapping = spec.get(key)
+    if mapping is None:
+        return None
+    if not isinstance(mapping, dict):
+        raise ValueError(f'"{key}" must be an object mapping names to names')
+    return {
+        _spec_name(a, f'a "{key}" key'): _spec_name(b, f'a "{key}" value')
+        for a, b in mapping.items()
+    }

@@ -3,7 +3,10 @@
 Coefficients are exact rationals kept in one normal form: an int whenever
 the value is integral, otherwise a fractions.Fraction (see _norm).  Every
 q-identity polynomial lies in Z[v, v^-1], so its arithmetic stays on plain
-ints.  Equality is structural, every scalar division goes through the exact
+ints.  Laurent polynomials multiply through one kernel, a Kronecker
+substitution into a single big-int product (_kronecker); rational
+coefficients are scaled to integers first and divided back exactly.
+Equality is structural, every scalar division goes through the exact
 helper _div, and a polynomial division that must be exact raises
 ExactDivisionError on a nonzero remainder instead of rounding.  No floats
 anywhere.
@@ -11,7 +14,7 @@ anywhere.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 class ExactDivisionError(ArithmeticError):
@@ -94,15 +97,25 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        get = out.get
+        for e, c in b.items():
+            s = get(e, 0) + c
+            if type(s) is not int:
+                s = _norm(s)
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return _trusted({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -120,13 +133,22 @@ class LaurentPoly:
             return LaurentPoly({e: c0 * c for e, c0 in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = {}
-        get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return ZERO
+        integral = {*map(type, a.values()), *map(type, b.values())} == {int}
+        if len(a) == 1:  # a monomial: shift the exponents
+            ((e0, c0),) = a.items()
+            out = {e + e0: c * c0 for e, c in b.items()}
+            return _trusted(out) if integral else LaurentPoly(out)
+        if integral:
+            return _trusted(_kronecker(a, b))
+        a, da = _cleared(a)
+        b, db = _cleared(b)
+        den = da * db
+        return LaurentPoly({e: _div(c, den) for e, c in _kronecker(a, b).items()})
 
     __rmul__ = __mul__
 
@@ -213,6 +235,58 @@ class LaurentPoly:
             parts.append(mon)
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
+
+
+def _trusted(terms):
+    """A LaurentPoly on a dict that is already clean: nonzero, normal coefficients."""
+    out = object.__new__(LaurentPoly)
+    object.__setattr__(out, "terms", terms)
+    return out
+
+
+def _cleared(terms):
+    """(integer terms, d): the terms times d, the lcm of their denominators."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    return {e: int(c * d) for e, c in terms.items()}, d
+
+
+def _kronecker(a, b):
+    """The product of two integer term dicts, each with at least two terms.
+
+    Kronecker substitution: with g the gcd of the offsets e - lo of both
+    dicts, a is read as v^lo_a A(v^g) and b as v^lo_b B(v^g), and A and B
+    are evaluated at x = 2^w, so one big-int product gives (AB)(2^w). A
+    coefficient of AB is a sum of at most min(len a, len b) products, so its
+    absolute value is at most m = max|a| * max|b| * min(len a, len b). The
+    slot width w is m.bit_length() + 1 rounded up to whole bytes, which makes
+    every coefficient strictly less than 2^(w-1) in absolute value: each slot
+    then holds a balanced digit, and adding 2^(w-1) to every slot turns
+    (AB)(2^w) into plain base-2^w digits, read back from its bytes. No carry
+    crosses a slot, so the unpacking is exact.
+    """
+    lo_a, lo_b = min(a), min(b)
+    g = gcd(*[e - lo_a for e in a], *[e - lo_b for e in b])
+    m = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    nb = (m.bit_length() + 8) >> 3  # bytes per slot: at least bit_length + 1 bits
+    half = 1 << ((nb << 3) - 1)
+    half_slot = half.to_bytes(nb, "little")
+
+    def pack(terms, lo):
+        n = (max(terms) - lo) // g + 1
+        slots = [half] * n  # every slot offset by half, so all are nonnegative
+        for e, c in terms.items():
+            slots[(e - lo) // g] = c + half
+        packed = int.from_bytes(b"".join([c.to_bytes(nb, "little") for c in slots]), "little")
+        return packed - int.from_bytes(half_slot * n, "little"), n
+
+    x, n_a = pack(a, lo_a)
+    y, n_b = pack(b, lo_b)
+    n = n_a + n_b - 1
+    size = n * nb
+    raw = (x * y + int.from_bytes(half_slot * n, "little")).to_bytes(size, "little")
+    lo = lo_a + lo_b
+    digits = [int.from_bytes(raw[i:i + nb], "little") for i in range(0, size, nb)]
+    return {lo + g * i: d - half for i, d in enumerate(digits) if d != half}
 
 
 def _poly_divmod_exact(num, den):
@@ -514,9 +588,10 @@ class QSqrt:
 # ---------------------------------------------------------------------------
 # quantum combinatorics
 #
-# qint, qbinom and the factorial ratios behind qfact and qdfact are
-# memoized: their values are immutable LaurentPoly objects, and the identity
-# suites ask for the same small indices thousands of times.
+# qint, qbinom, the factorial ratios behind qfact and qdfact and the cleared
+# factor of the T sums are memoized: their values are immutable LaurentPoly
+# objects, and the identity suites ask for the same small indices thousands
+# of times.
 
 VMVI = V - LaurentPoly.v_pow(-1)  # v - v^-1
 
@@ -552,6 +627,17 @@ def qdfact_ratio(lo, hi):
     if hi == lo:
         return ONE
     return qdfact_ratio(lo, hi - 2) * qint(hi)
+
+
+@lru_cache(maxsize=None)
+def qfact_dfact_cofactor(r, d, k, m, kk):
+    """[d]!/[r]! * [2kk]!!/[2k]!! * [2kk]!!/[2m]!!.
+
+    The factor that clears the denominators [r]! [2k]!! [2m]!! of one group
+    of terms of the T sums against their common multiple [d]! [2kk]!! [2kk]!!;
+    T and T1 share it, across every u.
+    """
+    return qfact_ratio(r, d) * qdfact_ratio(2 * k, 2 * kk) * qdfact_ratio(2 * m, 2 * kk)
 
 
 def qfact(n):

@@ -186,6 +186,8 @@ def test_missing_spec_file(capsys):
         {"vertices": ["1", "2"], "arrows": [{"src": "1", "tgt": "2"}]},
         {"vertices": ["1", "2"], "arrows": [7]},
         {"vertices": ["1"], "tau": ["1"]},
+        {"vertices": [{"a": 1}]},
+        {"vertices": [None, "None"]},
     ],
 )
 def test_malformed_quiver_spec_is_input_error(tmp_path, capsys, spec):
@@ -247,3 +249,29 @@ def test_import_loads_no_cache_modules():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_identities_loads_only_its_layers():
+    # the package resolves its names lazily and each command imports its own
+    # layers, so the q-identity suites never compile the module side
+    src = os.path.dirname(os.path.dirname(ihall.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """if True:
+        import contextlib, io, sys
+        import ihall, ihall.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = ihall.cli.main(["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"])
+        module_side = ["ihall." + m for m in ("frep", "linalg", "ihall", "iquiver")]
+        print(code, sorted(set(module_side) & set(sys.modules)))
+        missing = [n for n in ihall.__all__ if getattr(ihall, n, None) is None]
+        print(missing, sorted(set(module_side) - set(sys.modules)))
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == ["0 []", "[] []"]
+
+
+def test_unknown_package_attribute_is_attribute_error():
+    with pytest.raises(AttributeError):
+        ihall.no_such_name

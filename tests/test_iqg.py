@@ -24,6 +24,15 @@ from ihall.iqg import (
     verify_presentation,
 )
 from ihall.iquiver import IQuiver, builtin_iquiver
+from ihall.ring import (
+    LaurentPoly,
+    comb2,
+    qbinom,
+    qdfact,
+    qdfact_ratio,
+    qfact,
+    qfact_ratio,
+)
 
 
 def test_suite_shapes():
@@ -108,6 +117,44 @@ def test_t_hand_values():
     assert not t_value(1, 0, 0).is_zero()
 
 
+def _t_reference(a, d, u, swap):
+    # the T sum term by term, each term with its own three factor ratios
+    kmax = (a + 1) // 2
+    total = LaurentPoly.const(0)
+    for n in range(0, a + 2):
+        for k in range(0, n // 2 + 1):
+            for m in range(0, (a + 1 - n) // 2 + 1):
+                r = d - k - m
+                if r < 0 or r > n - 2 * k:
+                    continue
+                s, t = n - 2 * k, 1 + a - n - 2 * m
+                z = k * (k - 1) + m * (m + 1) - comb2(s) - comb2(t) + p_exponent(a, u, r, s, t)
+                shifted = (n % 2 == 0) == swap
+                e = z + (2 * k - 2 * m if shifted else 0)
+                term = (
+                    LaurentPoly.v_pow(e)
+                    * qbinom(u, t - r)
+                    * qfact_ratio(r, d)
+                    * qdfact_ratio(2 * k, 2 * kmax)
+                    * qdfact_ratio(2 * m, 2 * kmax)
+                )
+                total = total + term if n % 2 == 0 else total - term
+    return total
+
+
+def test_t_sums_match_term_by_term_reference():
+    # outside the admissible domain the sums are nonzero, so the grouped
+    # evaluation is compared with the plain one on nonvanishing values too
+    nonzero = 0
+    for a in range(6):
+        for d in range((a + 1) // 2 + 1):
+            for u in range(a + 3):
+                assert t_value(a, d, u) == _t_reference(a, d, u, False), (a, d, u)
+                assert t1_value(a, d, u) == _t_reference(a, d, u, True), (a, d, u)
+                nonzero += not t_value(a, d, u).is_zero()
+    assert nonzero >= 10
+
+
 def test_adu_domain():
     triples = list(adu_triples(2))
     assert len(triples) == 9
@@ -131,6 +178,15 @@ def test_km_identities_small():
         assert km1_residual(p).is_zero()
         assert km3_residual(p).is_zero()
         assert km5_residual(p).is_zero()
+        # every family stays in Z[v, v^-1], no gcd-reduced fractions
+        assert type(km3_residual(p)) is LaurentPoly
+        assert type(km5_residual(p)) is LaurentPoly
+    # [2p]!!/[p]! is the product of the v^j + v^-j
+    for p in range(7):
+        prod = LaurentPoly.const(1)
+        for j in range(1, p + 1):
+            prod = prod * (LaurentPoly.v_pow(j) + LaurentPoly.v_pow(-j))
+        assert qdfact(2 * p).exact_div(qfact(p)) == prod
     for d in range(1, 7):
         assert kmrd_residual(d).is_zero()
 

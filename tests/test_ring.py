@@ -17,7 +17,9 @@ from ihall.ring import (
     qbinom,
     qdfact,
     qdfact_ratio,
+    comb2,
     qfact,
+    qfact_dfact_cofactor,
     qfact_ratio,
     qint,
 )
@@ -259,7 +261,136 @@ def test_memoized_helpers_match_plain_products():
         for r in range(6):
             num = _prod(_qint_ref(m - j) for j in range(r))
             assert qbinom(m, r) * qfact(r) == num
+    for d in range(5):
+        for k in range(d + 1):
+            for m in range(d - k + 1):
+                r = d - k - m
+                assert qfact_dfact_cofactor(r, d, k, m, d) == (
+                    qfact_ratio(r, d) * qdfact_ratio(2 * k, 2 * d) * qdfact_ratio(2 * m, 2 * d)
+                )
     with pytest.raises(ValueError):
         qfact_ratio(3, 2)
     with pytest.raises(ValueError):
         qdfact_ratio(1, 4)
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker product kernel against the defining double sum
+
+
+def _schoolbook(f, g):
+    """f * g by the defining double sum over the terms: the kernel's oracle."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly(out)
+
+
+def _schoolbook_prod(factors):
+    out = ONE
+    for f in factors:
+        out = _schoolbook(out, f)
+    return out
+
+
+def _near_powers_of_two(top):
+    # slot boundaries: +-(2^k - 1) and +-2^k
+    return st.integers(min_value=0, max_value=top).flatmap(
+        lambda k: st.sampled_from([2 ** k - 1, 2 ** k, 1 - 2 ** k, -(2 ** k)])
+    )
+
+
+wide_ints = st.one_of(
+    st.integers(min_value=-(2 ** 80), max_value=2 ** 80),
+    _near_powers_of_two(80),
+    st.integers(min_value=-3, max_value=3),
+)
+wide_coeffs = st.one_of(
+    wide_ints,
+    st.builds(Fraction, wide_ints, st.integers(min_value=1, max_value=2 ** 20)),
+)
+
+
+def _wide_polys(coeffs):
+    return st.builds(
+        LaurentPoly,
+        st.dictionaries(st.integers(min_value=-15, max_value=15), coeffs, max_size=9),
+    )
+
+
+@given(_wide_polys(wide_ints), _wide_polys(wide_ints))
+@settings(max_examples=300)
+def test_product_matches_schoolbook_on_integers(f, g):
+    assert f * g == _schoolbook(f, g)
+    assert all(type(c) is int for c in (f * g).terms.values())
+
+
+@given(_wide_polys(wide_coeffs), _wide_polys(wide_coeffs))
+@settings(max_examples=200)
+def test_product_matches_schoolbook_on_fractions(f, g):
+    assert f * g == _schoolbook(f, g)
+    assert f * g == g * f
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_product_at_the_slot_width_bound(n):
+    # n equal coefficients c times n equal coefficients d: the middle
+    # coefficient n*c*d reaches the kernel's bound max|a| max|b| min(len)
+    # exactly, so every bit length of the bound (every slot boundary) shows up
+    ones = LaurentPoly({2 * i - 3: 1 for i in range(n)})
+    for k in range(0, 84):
+        for c in (2 ** k - 1, 2 ** k, 1 - 2 ** k, -(2 ** k)):
+            for d in (2 ** k - 1, 2 ** k, -(2 ** k), 2 ** (k // 2), -1):
+                f, g = ones * c, ones.bar() * d
+                prod = f * g
+                assert prod == _schoolbook(f, g), (n, c, d)
+                if c and d:
+                    assert prod.coeff(0) == n * c * d
+
+
+def test_product_of_zero_and_monomials():
+    f = LaurentPoly({-4: 3, 1: Fraction(-2, 7), 5: 2 ** 90})
+    assert (f * ZERO).is_zero() and (ZERO * f).is_zero()
+    assert f * vp(-6) == LaurentPoly({-10: 3, -5: Fraction(-2, 7), -1: 2 ** 90})
+    assert f * LaurentPoly({2: Fraction(7, 2)}) == LaurentPoly({-2: Fraction(21, 2), 3: -1, 7: 7 * 2 ** 89})
+    assert type((f * LaurentPoly({0: Fraction(7, 2)})).coeff(1)) is int
+
+
+def test_sums_stay_in_normal_form():
+    half = LaurentPoly({0: Fraction(1, 2), 3: 1})
+    total = half + half
+    assert total == LaurentPoly({0: 1, 3: 2}) and type(total.coeff(0)) is int
+    assert (half - half).terms == {}
+    assert (V + ONE) - V == ONE
+
+
+def test_nonvanishing_products_match_schoolbook():
+    # every identity residual is zero, so a kernel that wrongly returned 0
+    # would pass them; these products are large and nonzero
+    fact12 = _schoolbook_prod(qint(j) for j in range(1, 13))
+    dfact24 = _schoolbook_prod(qint(2 * j) for j in range(1, 13))
+    binom = _schoolbook_prod(qint(12 - j) for j in range(6)).exact_div(
+        _schoolbook_prod(qint(j) for j in range(1, 7))
+    )
+    value = qfact(12) * qdfact(24) * qbinom(12, 6)
+    assert value == _schoolbook(_schoolbook(fact12, dfact24), binom)
+    # at v = 1 each [n] is n
+    f12 = 479001600
+    assert sum(value.terms.values()) == f12 * (2 ** 12 * f12) * 924
+    # the kmrd terms with every sign taken positive
+    for d in range(1, 9):
+        total = ZERO
+        ref = ZERO
+        for k in range(d + 1):
+            for m in range(d - k + 1):
+                r = d - k - m
+                e = comb2(r + 1) - 2 * (k - 1) * m
+                total = total + vp(e) * qfact_dfact_cofactor(r, d, k, m, d)
+                ref = ref + _schoolbook_prod(
+                    [vp(e)]
+                    + [qint(j) for j in range(r + 1, d + 1)]
+                    + [qint(2 * j) for j in range(k + 1, d + 1)]
+                    + [qint(2 * j) for j in range(m + 1, d + 1)]
+                )
+        assert total == ref and not total.is_zero()
