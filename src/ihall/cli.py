@@ -83,6 +83,11 @@ def _parse_elt(algebra, key):
             raise ValueError("class key %r lacks '#<index>'" % key)
         dim = _dim_vector(algebra, dim_s)
         idx = int(idx_s)
+        # the eps-zero classes come first, each at its kQ class's index, so
+        # only a class past them needs the Lambda^i table
+        basis = algebra.kq.classes(dim)
+        if 0 <= idx < len(basis):
+            return algebra.basis_elt(basis[idx])
         classes = algebra.table.classes(dim)
         if not 0 <= idx < len(classes):
             raise ValueError(

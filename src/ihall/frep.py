@@ -1,11 +1,14 @@
-"""Nilpotent representations of a bound iquiver over a prime field.
+"""Nilpotent representations of a bound quiver over a prime field.
 
 Enumerates all finite-dimensional nilpotent representations of a fixed
 dimension vector, classifies them up to isomorphism, and provides the
 counting data the Hall algebra layer needs: automorphism orders, extension
-counts by middle term (the product engine), Hall numbers by filtration
+counts per reduced middle (the product engine), Hall numbers by filtration
 counts (their oracle), hom-space sizes, morphism kernel/cokernel tallies,
-and the reduction of a class to (eps-zero class, torus vector).
+and the reduction of a Lambda^i class to (kQ class, torus vector).
+
+The bound quiver is the doubled quiver of an iquiver (Lambda^i) or Q alone
+(kQ); a Lambda^i table owns the kQ table its reductions land in.
 
 The enumeration works on index tuples: entry k of a tuple is the index of
 arrow k's matrix in a candidate list fixed by the matrix shape (the full
@@ -24,8 +27,37 @@ from fractions import Fraction
 from itertools import product as cartesian
 
 from . import linalg
+from .iquiver import BoundQuiver
 
-FREP_CACHE_VERSION = 2
+FREP_CACHE_VERSION = 3
+
+
+def _span(rows, start, p):
+    """start plus each vector of the span of rows, one at a time.
+
+    An odometer over the coefficients, the last row's turning fastest:
+    sums[i] is start plus the first i rows times their coefficients, so a
+    step adds one row to one partial sum. The tuples are built from lists:
+    tuple(generator) allocates at a guessed length and resizes, so each
+    freed tuple lands on another free list than the next one is taken from
+    and stays allocated, and peak memory would grow with the number of
+    vectors walked.
+    """
+    r = len(rows)
+    coef = [0] * r
+    sums = [start] * (r + 1)
+    while True:
+        yield sums[r]
+        i = r - 1
+        while i >= 0 and coef[i] == p - 1:
+            coef[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        coef[i] += 1
+        v = tuple([(a + b) % p for a, b in zip(sums[i + 1], rows[i])])
+        for j in range(i + 1, r + 1):
+            sums[j] = v
 
 
 class BudgetError(RuntimeError):
@@ -77,12 +109,15 @@ class IsoClass:
 
 
 class ModuleTable:
-    """All per-prime representation data for one bound iquiver.
+    """All per-prime representation data for one bound quiver.
 
-    One table per (iquiver, p). Everything downstream (Hall products,
-    oracles, reductions) is computed from this single table so that
-    submodule counts, hom counts and automorphism orders are mutually
-    consistent by construction.
+    One table per (bound quiver, p). The table of the doubled quiver (the
+    Lambda^i-modules) owns the table of Q alone as `kq` (the kQ-modules,
+    which are the Lambda^i-modules with every eps acting by zero): the
+    homology reduction and the extension counts land in `kq`, whose classes
+    are the Hall algebra's basis keys. A kQ class has the index of its
+    eps-zero Lambda^i class, since eps arrows come first in the arrow order
+    and a zero matrix is the first candidate.
 
     Candidate lists, product-code tables and GL permutation tables depend
     only on matrix shapes and generators, so one table shares them across
@@ -107,8 +142,9 @@ class ModuleTable:
             (self._vi[a.src], self._vi[a.tgt]) for a in bq.arrows
         )
         self._eps_pos = tuple(
-            bq.aindex[bq.eps_name[v]] for v in self.iq.vertices
+            bq.aindex[bq.eps_name[v]] for v in self.iq.vertices if v in bq.eps_name
         )
+        self._q_pos = tuple(k for k in range(len(bq.arrows)) if k not in self._eps_pos)
         self._tau_idx = tuple(self._vi[self.iq.tau[v]] for v in self.iq.vertices)
         # arrows grouped by target vertex index, for the radical chain
         self._into = tuple(
@@ -122,9 +158,7 @@ class ModuleTable:
         # eps loops at tau-fixed vertices draw from the square-zero list, so
         # their self-relation never needs a runtime check
         self._loop_pos = frozenset(
-            self._eps_pos[vi]
-            for vi in range(self.iq.n)
-            if self._tau_idx[vi] == vi
+            pos for vi, pos in enumerate(self._eps_pos) if self._tau_idx[vi] == vi
         )
         # relation schedule: a relation is checked at the last arrow it uses
         order = {a.name: k for k, a in enumerate(bq.arrows)}
@@ -154,7 +188,12 @@ class ModuleTable:
         self._by_rep = {}      # dim -> {rep: IsoClass}
         self._decomp = {}      # class key -> {(quot, sub): count}
         self._hom = {}         # (a key, b key) -> int
-        self._reduce = {}      # class key -> (vexp, eps-zero class, alpha)
+        self._reduce = {}      # class key -> (vexp, kQ class, alpha)
+        self.kq = (
+            ModuleTable(BoundQuiver(self.iq, doubled=False), p, budget_dim, budget_space, cache_dir)
+            if self._eps_pos
+            else None
+        )
 
     # ---------- shapes and budgets ----------
 
@@ -431,7 +470,7 @@ class ModuleTable:
         # imported here: runs without a cache directory never load them
         import hashlib
 
-        sig = repr((FREP_CACHE_VERSION, self.iq.signature(), self.p))
+        sig = repr((FREP_CACHE_VERSION, self.bq.signature(), self.p))
         h = hashlib.sha256(sig.encode()).hexdigest()[:16]
         return os.path.join(
             self.cache_dir,
@@ -648,23 +687,41 @@ class ModuleTable:
 
     # ---------- extensions by cocycles ----------
 
-    def extension_counts(self, x, y):
-        """Middle classes of the extensions of x by y, counted by cocycles.
+    def _lift(self, cls):
+        """The rep of a kQ class as a Lambda^i-module: zero eps blocks first."""
+        if cls.table is not self.kq:
+            raise ValueError("extension counts take classes of the kQ table, got %r" % (cls,))
+        shapes = self._shapes(cls.dim)
+        return tuple(linalg.zeros(*shapes[pos]) for pos in self._eps_pos) + cls.rep
 
-        A cocycle is a tuple of blocks C_k (dim y at the target by dim x at
-        the source) such that arrow k acting by [[y_k, C_k], [0, x_k]] on
+    def extension_counts(self, x, y):
+        """Extensions of x by y counted by cocycles, each middle reduced to
+        v^e [X] * K_alpha with X a kQ class.
+
+        x and y are classes of `kq`, lifted by zero eps blocks. A cocycle is
+        a tuple of blocks C_k (dim y at the target by dim x at the source)
+        such that arrow k acting by [[y_k, C_k], [0, x_k]] on
         F^dim y + F^dim x satisfies the relations; a relation's off-diagonal
         block Y_s C_f + C_s X_f is linear in the C_k. Every cocycle gives one
         middle z, and the cocycles map onto Ext^1(x, y) with fibres of size
-        q^(sum_i dx_i dy_i) / |Hom(x, y)|. Returns ({z: cocycle count},
-        q^(sum_i dx_i dy_i)); a count over that denominator is
-        F^z_{x,y} a_x a_y / a_z (Riedtmann's formula).
+        q^(sum_i dx_i dy_i) / |Hom(x, y)|.
+
+        No middle is looked up in this table. The eps blocks of a cocycle
+        alone fix ker eps / im eps, alpha and e (`_eps_quotients`), so the
+        cocycles are grouped by them; on a group X's matrices are an affine
+        function of the other coordinates, and the group walks the image of
+        that function once, each point standing for p^(dim of its kernel)
+        cocycles. The group with zero eps blocks is the middles themselves.
+
+        Returns ({(X, alpha, e): cocycle count}, q^(sum_i dx_i dy_i)); a
+        count over that denominator is the sum of F^z_{x,y} a_x a_y / a_z
+        over the middles z that reduce to (X, alpha, e) (Riedtmann's
+        formula).
         """
         p = self.p
         dx, dy = x.dim, y.dim
         dz = tuple(a + b for a, b in zip(dx, dy))
-        self.classes(dz)
-        by_rep = self._by_rep[dz]
+        xrep, yrep = self._lift(x), self._lift(y)
         ends = self._arrow_ends
         offs = []
         n = 0
@@ -681,46 +738,64 @@ class ModuleTable:
                     row = [0] * n
                     for (f, s), sign in terms:
                         wf, ws = dx[ends[f][0]], dx[ends[s][0]]
-                        for j, a in enumerate(y.rep[s][r]):
+                        for j, a in enumerate(yrep[s][r]):
                             row[offs[f] + j * wf + c] += sign * a
                         for j in range(ws):
-                            row[offs[s] + r * ws + j] += sign * x.rep[f][j][c]
+                            row[offs[s] + r * ws + j] += sign * xrep[f][j][c]
                     rows.append(tuple(v % p for v in row))
         basis = linalg.nullspace(rows, p) if rows else linalg.identity(n)
+        # eps arrows come first, and so do their coordinates: a reduced
+        # echelon row with its pivot past them has zero eps blocks
+        neps = sum(dy[ends[k][1]] * dx[ends[k][0]] for k in self._eps_pos)
+        ech, pivots = linalg.rref(basis, p)
+        eps_rows = [r for r, c in zip(ech, pivots) if c < neps]
+        free_rows = [r for r, c in zip(ech, pivots) if c >= neps]
 
-        # the tuples below are built from lists: tuple(generator) allocates
-        # at a guessed length and resizes, so each freed tuple lands on
-        # another free list than the next one is taken from and stays
-        # allocated, and peak memory would grow with the cocycle count
-        def cocycles(k, v):
-            # v plus each vector of the span of basis[k:], one at a time
-            if k == len(basis):
-                yield v
-                return
-            for c in range(p):
-                yield from cocycles(k + 1, tuple([(u + c * w) % p for u, w in zip(v, basis[k])]))
+        def middle(v, ym, xm):
+            # arrow k's matrix: rows ym_k[r] + (row r of C_k), then (0 | xm_k)
+            rep = []
+            for k, (si, ti) in enumerate(ends):
+                o, w = offs[k], dx[si]
+                upper = tuple([ym[k][r] + v[o + r * w : o + r * w + w] for r in range(dy[ti])])
+                rep.append(upper + tuple([(0,) * dy[si] + row for row in xm[k]]))
+            return tuple(rep)
 
-        # arrow k's matrix: rows y_k[r] + (row r of C_k), then (0 | x_k)
-        blocks = []
-        for k, (si, ti) in enumerate(ends):
-            o, w = offs[k], dx[si]
-            upper = tuple(
-                (yrow, slice(o + r * w, o + r * w + w))
-                for r, yrow in enumerate(y.rep[k])
-            )
-            lower = tuple((0,) * dy[si] + row for row in x.rep[k])
-            blocks.append((upper, lower))
+        zero_y, zero_x = self.zero_rep(dy), self.zero_rep(dx)
+        kq = self.kq
         counts = {}
-        for v in cocycles(0, (0,) * n):
-            rep = tuple(
-                [tuple([yrow + v[cut] for yrow, cut in upper]) + lower for upper, lower in blocks]
-            )
-            z = by_rep.get(rep)
-            if z is None:
+        for w in _span(eps_rows, (0,) * n, p):
+            mid = middle(w, yrep, xrep)
+            quots, alpha, xdim, e = self._eps_quotients([mid[pos] for pos in self._eps_pos], dz)
+            reps = [self._induced(mid, quots)]
+            reps += [self._induced(middle(z, zero_y, zero_x), quots) for z in free_rows]
+            if any(r is None for r in reps):
                 raise RuntimeError(
-                    "middle of an extension of %r by %r is not a class" % (x, y)
+                    "ker eps of an extension of %r by %r is not a submodule" % (x, y)
                 )
-            counts[z] = counts.get(z, 0) + 1
+            flats = [tuple([a for mat in self._kq_rep(r) for row in mat for a in row]) for r in reps]
+            image, _ = linalg.rref(flats[1:], p)
+            mult = p ** (len(free_rows) - len(image))
+            xclasses = kq.classes(xdim)
+            by_rep = kq._by_rep[xdim]
+            # the slice of each row of each arrow's matrix in a flat X
+            cuts = []
+            o = 0
+            for si, ti in kq._arrow_ends:
+                wd = xdim[si]
+                cuts.append(tuple(slice(o + r * wd, o + r * wd + wd) for r in range(xdim[ti])))
+                o += xdim[ti] * wd
+            hits = [0] * len(xclasses)
+            for flat in _span(image, flats[0], p):
+                cls = by_rep.get(tuple([tuple([flat[c] for c in rows]) for rows in cuts]))
+                if cls is None:
+                    raise RuntimeError(
+                        "an extension of %r by %r reduces to no kQ class" % (x, y)
+                    )
+                hits[cls.index] += 1
+            for cls, hit in zip(xclasses, hits):
+                if hit:
+                    key = (cls, alpha, e)
+                    counts[key] = counts.get(key, 0) + hit * mult
         return counts, p ** sum(a * b for a, b in zip(dx, dy))
 
     # ---------- subquotients, Hall numbers ----------
@@ -735,27 +810,36 @@ class ModuleTable:
 
         `subs` holds one (rref rows, pivots) basis of V per vertex and `tops`
         rows spanning W inside V per vertex, W a submodule of z. Submodules
-        are V/0 and quotients z/W; kernels, cokernels and the homology
-        reduction are the same construction.
+        are V/0 and quotients z/W; kernels and cokernels are the same
+        construction.
         """
         p = self.p
         quots = [
             linalg.quotient_data(rows, piv, top, p)
             for (rows, piv), top in zip(subs, tops)
         ]
-        rep = []
+        rep = self._induced(z.rep, quots)
+        if rep is None:
+            return None
+        return self.class_of(rep, tuple(len(reps) for reps, _ in quots))
+
+    def _induced(self, rep, quots):
+        """The matrices rep induces on the subquotients `quots` (one
+        `linalg.quotient_data` per vertex), or None when an arrow maps a
+        subspace outside the next one. Linear in rep."""
+        p = self.p
+        out = []
         for k, (si, ti) in enumerate(self._arrow_ends):
             project = quots[ti][1]
             cols = []
             for u in quots[si][0]:
-                col = project(linalg.mat_vec(z.rep[k], u, p))
+                col = project(linalg.mat_vec(rep[k], u, p))
                 if col is None:
                     return None
                 cols.append(col)
             nrows = len(quots[ti][0])
-            rep.append(tuple(tuple(col[r] for col in cols) for r in range(nrows)))
-        dim = tuple(len(reps) for reps, _ in quots)
-        return self.class_of(tuple(rep), dim)
+            out.append(tuple(tuple(col[r] for col in cols) for r in range(nrows)))
+        return tuple(out)
 
     def decomposition(self, z):
         """For each (quotient class X, submodule class Y): the number of
@@ -809,39 +893,55 @@ class ModuleTable:
             )
         return int(val)
 
-    # ---------- reduction to (eps-zero class, torus vector) ----------
+    # ---------- reduction to (kQ class, torus vector) ----------
+
+    def _eps_quotients(self, eps, dim):
+        """ker(eps_v) / im(eps_{tau v}) at every vertex v of a module of dim
+        whose eps matrices, in vertex order, are `eps`.
+
+        Returns (quotient data per vertex, alpha, dim X, e) with
+        alpha_v = rank(eps_v) and e = <dim X, tau(alpha) - alpha> in the
+        Euler form of Q (zero whenever the involution is trivial). Checks
+        that dim X + res_K(alpha) = dim.
+        """
+        p = self.p
+        tau = self._tau_idx
+        kers = [self._kernel_rref(eps[vi], d) for vi, d in enumerate(dim)]
+        quots = [
+            linalg.quotient_data(rows, piv, linalg.col_space(eps[tau[vi]], p)[0], p)
+            for vi, (rows, piv) in enumerate(kers)
+        ]
+        alpha = tuple(d - len(rows) for d, (rows, _) in zip(dim, kers))
+        xdim = tuple(len(reps) for reps, _ in quots)
+        if tuple(a + b for a, b in zip(xdim, self.bq.res_K(alpha))) != tuple(dim):
+            raise RuntimeError("ker eps / im eps does not have dimension %r - res_K(%r)" % (dim, alpha))
+        diff = tuple(alpha[tau[vi]] - alpha[vi] for vi in range(len(dim)))
+        return quots, alpha, xdim, self.iq.euler(xdim, diff)
+
+    def _kq_rep(self, rep):
+        """The kQ rep of a Lambda^i rep on which every eps acts by zero."""
+        if any(any(row) for pos in self._eps_pos for row in rep[pos]):
+            raise RuntimeError("product left the eps-zero basis: eps acts on ker eps / im eps")
+        return tuple(rep[k] for k in self._q_pos)
 
     def homology_reduce(self, cls):
-        """Write [cls] as v^e [X] * K_alpha with X an eps-zero class.
+        """Write [cls] as v^e [X] * K_alpha with X a class of `kq`.
 
         X is the module cls induces on X_v = ker(eps_v) / im(eps_{tau v}),
         with every arrow's action computed there, the eps arrows included;
         they come out zero for any module that satisfies the relations, and
-        the Hall algebra checks that they do. alpha_v = rank(eps_v) =
-        dim_v - dim ker(eps_v), and e = <dim X, tau(alpha) - alpha> in the
-        Euler form of the underlying quiver (zero whenever the involution is
-        trivial).
+        `_kq_rep` checks that they do. alpha and e are those of
+        `_eps_quotients`. `extension_counts` reduces its middles the same
+        way.
         """
         if cls.key in self._reduce:
             return self._reduce[cls.key]
-        p = self.p
-        n = self.iq.n
-        eps = [cls.rep[pos] for pos in self._eps_pos]
-        kers = [self._kernel_rref(eps[vi], cls.dim[vi]) for vi in range(n)]
-        ims = [linalg.col_space(eps[self._tau_idx[vi]], p)[0] for vi in range(n)]
-        xcls = self._subquotient(cls, kers, ims)
-        if xcls is None:
+        quots, alpha, xdim, e = self._eps_quotients(
+            [cls.rep[pos] for pos in self._eps_pos], cls.dim
+        )
+        rep = self._induced(cls.rep, quots)
+        if rep is None:
             raise RuntimeError("ker eps of %r is not a submodule" % (cls,))
-        alpha = tuple(d - len(rows) for d, (rows, _) in zip(cls.dim, kers))
-        diff = tuple(alpha[self._tau_idx[vi]] - alpha[vi] for vi in range(n))
-        vexp = self.iq.euler(xcls.dim, diff)
-        out = (vexp, xcls, alpha)
+        out = (e, self.kq.class_of(self._kq_rep(rep), xdim), alpha)
         self._reduce[cls.key] = out
         return out
-
-    # ---------- reporting helpers ----------
-
-    def stats(self, dim):
-        """(number of representations, number of classes) at a dimension vector."""
-        cls = self.classes(dim)
-        return sum(c.orbit_size for c in cls), len(cls)

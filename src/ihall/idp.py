@@ -178,7 +178,7 @@ def sym_to_hall(algebra, vertex, sym):
     if iq.tau[vertex] != vertex:
         raise ValueError("symbolic rank-1 elements live at a tau-fixed vertex")
     vi = iq.vertices.index(vertex)
-    table = algebra.table
+    table = algebra.kq
     simple = table.simple(vertex)
     out = algebra.zero()
     acc = {}

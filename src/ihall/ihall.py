@@ -1,14 +1,17 @@
 """Twisted semi-derived Hall algebra of an iquiver over a prime field F_q.
 
-Elements live in the basis [X] * K_alpha where X runs over eps-zero classes
-(modules pulled back from the underlying quiver) and K_alpha is the torus
-element attached to an integer vector alpha. Coefficients are exact numbers
-in Q(sqrt(q)). The product is computed by brute force from the module table:
-counting the cocycles of each extension of x by y by middle term gives the
-untwisted structure constants |Ext^1(x,y)_z| / |Hom(x,y)|, and the Euler-form
-twist and the torus commutation rule supply the powers of v = sqrt(q).
-Filtration counts (Hall numbers) give the same constants by Riedtmann's
-formula; they serve only the oracles and the tests.
+Elements live in the basis [X] * K_alpha where X runs over the kQ classes
+(the eps-zero modules, pulled back from the underlying quiver) and K_alpha
+is the torus element attached to an integer vector alpha. Coefficients are
+exact numbers in Q(sqrt(q)). The product is computed by brute force: the
+cocycles of the extensions of x by y, counted per reduced middle
+v^e [X] * K_alpha (`ModuleTable.extension_counts`), give the untwisted
+structure constants |Ext^1(x,y)_z| / |Hom(x,y)| summed over the middles z
+of one reduction, and the Euler-form twist and the torus commutation rule
+supply the powers of v = sqrt(q). The Lambda^i module table is classified
+only for explicit module classes (`module_elt`) and the oracles. Filtration
+counts (Hall numbers) give the same constants by Riedtmann's formula; they
+serve only the oracles and the tests.
 """
 
 from __future__ import annotations
@@ -117,6 +120,7 @@ class HallAlgebra:
             self.bq, q, budget_dim=budget_dim, budget_space=budget_space,
             cache_dir=cache_dir,
         )
+        self.kq = self.table.kq
         self._pair_cache = {}
         self._zero_alpha = (0,) * iq.n
 
@@ -143,27 +147,27 @@ class HallAlgebra:
 
     def one(self):
         return HallElt(
-            self, {(self.table.zero_class(), self._zero_alpha): self.scalar(1)}
+            self, {(self.kq.zero_class(), self._zero_alpha): self.scalar(1)}
         )
 
     def basis_elt(self, cls, alpha=None, coeff=1):
-        """[cls] * K_alpha for an eps-zero class, as a single basis key."""
-        if not self.table.is_eps_zero(cls):
-            raise ValueError("basis keys require an eps-zero class")
+        """[cls] * K_alpha for a kQ class, as a single basis key."""
+        if cls.table is not self.kq:
+            raise ValueError("basis keys require a kQ (eps-zero) class, got %r" % (cls,))
         alpha = self._zero_alpha if alpha is None else tuple(int(a) for a in alpha)
         return HallElt(self, {(cls, alpha): self.scalar(coeff)})
 
     def module_elt(self, cls):
-        """[M] for an arbitrary class, rewritten in the standard basis."""
+        """[M] for a Lambda^i class, rewritten in the standard basis."""
         e, x, alpha = self.table.homology_reduce(cls)
         return HallElt(self, {(x, alpha): self.v_pow(e)})
 
     def simple(self, v):
-        return self.basis_elt(self.table.simple(v))
+        return self.basis_elt(self.kq.simple(v))
 
     def torus(self, alpha):
         alpha = tuple(int(a) for a in alpha)
-        return HallElt(self, {(self.table.zero_class(), alpha): self.scalar(1)})
+        return HallElt(self, {(self.kq.zero_class(), alpha): self.scalar(1)})
 
     def torus_k(self, v):
         vi = self.iq.vertices.index(v)
@@ -186,32 +190,21 @@ class HallAlgebra:
         return total
 
     def _pair(self, x, y):
-        """[x] * [y] for eps-zero classes, as (class, gamma, scalar) rows.
+        """[x] * [y] for kQ classes, as (class, gamma, scalar) rows.
 
-        The structure constant of a middle z is its cocycle count over
-        q^(sum_i dx_i dy_i) (`ModuleTable.extension_counts`); the scalar
-        multiplies it by v to the Euler-form twist plus the exponent of the
-        homology reduction of z.
+        Each reduced middle v^e [X] * K_gamma of `ModuleTable.extension_counts`
+        gives one row: its cocycle count over q^(sum_i dx_i dy_i), times v to
+        the Euler-form twist plus e.
         """
         ckey = (x.key, y.key)
         if ckey in self._pair_cache:
             return self._pair_cache[ckey]
-        table = self.table
         tw = self.iq.euler(x.dim, y.dim)
-        dimsum = tuple(a + b for a, b in zip(x.dim, y.dim))
-        counts, denom = table.extension_counts(x, y)
-        rows = []
-        for z in table.classes(dimsum):
-            count = counts.get(z)
-            if not count:
-                continue
-            e, w, gamma = table.homology_reduce(z)
-            if not table.is_eps_zero(w):
-                raise RuntimeError(
-                    "product left the eps-zero basis at %r" % (w,)
-                )
-            rows.append((w, gamma, self.v_pow(tw + e) * Fraction(count, denom)))
-        rows = tuple(rows)
+        counts, denom = self.table.extension_counts(x, y)
+        rows = tuple(
+            (w, gamma, self.v_pow(tw + e) * Fraction(count, denom))
+            for (w, gamma, e), count in counts.items()
+        )
         self._pair_cache[ckey] = rows
         return rows
 
@@ -236,12 +229,11 @@ class HallAlgebra:
     # ---------- independent product checks ----------
 
     def eps_zero_classes(self, dim):
-        return tuple(
-            c for c in self.table.classes(dim) if self.table.is_eps_zero(c)
-        )
+        """The basis classes at dim: the kQ classes."""
+        return self.kq.classes(dim)
 
     def oracle_kq_product(self, a, b):
-        """[a] * [b] for eps-zero classes, via the morphism-sum formula.
+        """[a] * [b] for kQ classes, via the morphism-sum formula.
 
         Sums over module maps s: a -> b with kernel N and cokernel L, then
         over middles M of extensions of N by L:
@@ -251,11 +243,18 @@ class HallAlgebra:
 
         with all forms the Euler form of the underlying quiver. Shares no
         counting with the cocycle route of the main product: its extension
-        counts come from filtration counts.
+        counts come from filtration counts in the kQ table.
+
+        The formula holds for a trivial involution only: its K factor is
+        K_(dim a - dim N), with no tau twist, and summing over maps a -> b
+        misses the K term of [S1] * [S3] when S3 = tau* S1 (a3-quasisplit).
+        Other involutions raise ValueError.
         """
-        table = self.table
-        if not (table.is_eps_zero(a) and table.is_eps_zero(b)):
-            raise ValueError("the morphism-sum formula needs eps-zero classes")
+        table = self.kq
+        if any(self.iq.tau[v] != v for v in self.iq.vertices):
+            raise ValueError("the morphism-sum formula needs the trivial involution")
+        if a.table is not table or b.table is not table:
+            raise ValueError("the morphism-sum formula needs kQ classes")
         euler = self.iq.euler
         out = self.zero()
         tally = table.morphism_tally(a, b)
@@ -296,7 +295,7 @@ def oracle_sss(algebra, s, t):
     One double sum over torus powers r and middle classes M, with M weighted
     by the dimension u_M of the simultaneous kernel of its arrow matrices.
     Shares nothing with the cocycle route of the main product except the
-    module table.
+    kQ module table.
     """
     from .iqg import p_exponent
 
@@ -309,7 +308,7 @@ def oracle_sss(algebra, s, t):
         raise ValueError("arrows must all share one source and one target")
     v1, v2 = srcs.pop(), tgts.pop()
     a = len(iq.arrows)
-    table = algebra.table
+    table = algebra.kq
     p = table.p
     i1 = iq.vertices.index(v1)
     i2 = iq.vertices.index(v2)

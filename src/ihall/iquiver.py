@@ -7,7 +7,9 @@ arrow eps_i : i -> tau(i) per vertex, bound by
     eps_{tau i} . eps_i = 0                 (composites through eps vanish)
     eps_j . a  =  tau(a) . eps_i            for each arrow a : i -> j
 
-where "." is composition of linear maps (right factor acts first).
+where "." is composition of linear maps (right factor acts first). Q alone,
+with no eps arrows and no relations, is the bound quiver of the kQ-modules,
+which are the modules of the doubled quiver on which every eps is zero.
 """
 
 from typing import NamedTuple
@@ -192,33 +194,43 @@ class IQuiver:
 
 
 class BoundQuiver:
-    """Doubled quiver of an iquiver together with its defining relations.
+    """A quiver with relations built from an iquiver.
+
+    The doubled quiver (the default) adds one arrow eps_i : i -> tau(i) per
+    vertex and the relations above; its modules are the Lambda^i-modules.
+    With doubled=False it is Q alone, with no eps arrows and no relations:
+    its modules are the kQ-modules, which are the Lambda^i-modules on which
+    every eps acts by zero.
 
     Arrow order is fixed (eps arrows in vertex order, then the original
     arrows); representations are stored as matrix tuples in this order.
     """
 
-    def __init__(self, iq: IQuiver):
+    def __init__(self, iq: IQuiver, doubled=True):
         self.iq = iq
         self.eps_name = {}
         eps_arrows = []
-        taken = {a.name for a in iq.arrows}
-        for v in iq.vertices:
-            name = f"eps_{v}"
-            if name in taken:
-                raise ValueError(f"arrow name {name} collides with the doubled quiver")
-            self.eps_name[v] = name
-            eps_arrows.append(Arrow(name, v, iq.tau[v]))
+        rels = []
+        if doubled:
+            taken = {a.name for a in iq.arrows}
+            for v in iq.vertices:
+                name = f"eps_{v}"
+                if name in taken:
+                    raise ValueError(f"arrow name {name} collides with the doubled quiver")
+                self.eps_name[v] = name
+                eps_arrows.append(Arrow(name, v, iq.tau[v]))
+            for v in iq.vertices:
+                rels.append(Relation((self.eps_name[v], self.eps_name[iq.tau[v]]), None))
+            for a in iq.arrows:
+                ta = iq.tau_arrows[a.name]
+                rels.append(Relation((a.name, self.eps_name[a.tgt]), (self.eps_name[a.src], ta)))
         self.arrows = tuple(eps_arrows) + iq.arrows
         self.aindex = {a.name: k for k, a in enumerate(self.arrows)}
-
-        rels = []
-        for v in iq.vertices:
-            rels.append(Relation((self.eps_name[v], self.eps_name[iq.tau[v]]), None))
-        for a in iq.arrows:
-            ta = iq.tau_arrows[a.name]
-            rels.append(Relation((a.name, self.eps_name[a.tgt]), (self.eps_name[a.src], ta)))
         self.relations = tuple(rels)
+
+    def signature(self):
+        """Stable text identity of the iquiver, the arrows and the relations."""
+        return repr((self.iq.signature(), self.arrows, self.relations))
 
     @property
     def vertices(self):

@@ -81,7 +81,7 @@ def test_c2_lowest_weight_sandwich_identity():
 
 def test_c3_fixed_vertex_serre_sums():
     failures = []
-    for a, qs in ((1, (2, 3)), (2, (2,))):
+    for a, qs in ((1, (2, 3)), (2, (2, 3)), (3, (2,))):
         for q in qs:
             alg = HallAlgebra(_split2(a), q)
             s2 = alg.simple("2")
@@ -99,7 +99,7 @@ def test_c3_fixed_vertex_serre_sums():
     _report(
         "fixed-vertex serre sums vanish on split rank 2",
         not failures,
-        "a=1 q in {2,3}; a=2 q=2; both parities",
+        "a=1, 2 q in {2,3}; a=3 q=2; both parities",
     )
 
 
@@ -155,7 +155,7 @@ def test_c6_closed_form_oracles():
     # semisimple sandwich closed form
     for a in (1, 2):
         alg = HallAlgebra(_split2(a), 2)
-        tab = alg.table
+        tab = alg.kq
         s1 = tab.simple("1")
         for s in range(4):
             for t in range(4 - s):
@@ -276,5 +276,5 @@ def test_c8_products_close_on_basis():
             for y in pool:
                 out = alg.basis_elt(x) * alg.basis_elt(y)
                 for (cls, alpha) in out.terms:
-                    ok = ok and alg.table.is_eps_zero(cls)
+                    ok = ok and cls.table is alg.kq
     _report("reduced products stay on the distinguished basis", ok)

@@ -1,11 +1,15 @@
 """Command line interface: exit codes and payload shapes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ihall
 from ihall.cli import main
@@ -275,3 +279,105 @@ def test_identities_loads_only_its_layers():
 def test_unknown_package_attribute_is_attribute_error():
     with pytest.raises(AttributeError):
         ihall.no_such_name
+
+
+# ---------- fuzzing the command line ----------
+
+_IDS = st.sampled_from(["1", "2", "3", 1, 7, "", True, None, 2.5, ["1"]])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_ARROW = st.one_of(
+    st.tuples(_IDS, _IDS, _IDS).map(list),
+    st.tuples(_IDS, _IDS).map(list),
+    st.fixed_dictionaries({"name": _IDS, "src": _IDS, "tgt": _IDS}),
+    _JSON,
+)
+_SPECS = st.one_of(
+    st.fixed_dictionaries(
+        {"vertices": st.lists(_IDS, max_size=3), "arrows": st.lists(_ARROW, max_size=3)},
+        optional={
+            "tau": st.dictionaries(_IDS.filter(lambda x: isinstance(x, (str, int))), _IDS, max_size=3),
+            "tau_arrows": _JSON,
+        },
+    ),
+    _JSON,
+)
+_QUIVERS = st.one_of(
+    st.sampled_from(["builtin:" + n for n in ihall.BUILTIN_NAMES] + ["builtin:nope", "builtin:"]),
+    _SPECS.map(json.dumps),
+    st.sampled_from(["{", "[1, 2", "", "null", "\x00"]),
+)
+_DIMS = st.one_of(
+    st.lists(st.integers(-1, 3), max_size=4).map(lambda d: ",".join(map(str, d))),
+    st.text(alphabet="0123,-#x ", max_size=5),
+)
+_KEYS = st.one_of(
+    st.sampled_from(["simple:", "k:", "class:"]).flatmap(
+        lambda kind: st.sampled_from(["1", "2", "3", "x", ""]).map(lambda v: kind + v)
+    ),
+    st.tuples(_DIMS, st.sampled_from(["#0", "#1", "#3", "#-1", "#x", "", "#"])).map(
+        lambda t: "class:" + t[0] + t[1]
+    ),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _argv(draw):
+    """One command line and the JSON spec text it names, if any."""
+    cmd = draw(st.sampled_from(["verify", "product", "idp", "identities", "enumerate"]))
+    if cmd == "identities":
+        argv = [cmd]
+        for opt in ("--pmax", "--dmax", "--amax"):
+            argv += [opt, str(draw(st.integers(-1, 3)))]
+        return argv, None
+    quiver = draw(_QUIVERS)
+    spec = None if quiver.startswith("builtin:") else quiver
+    argv = [cmd, quiver, "--q", str(draw(st.sampled_from([-1, 0, 1, 2, 3, 4])))]
+    # a bounded raw search space keeps every enumeration small
+    argv += ["--budget-space", str(draw(st.sampled_from([-1, 0, 64, 4096])))]
+    budget_dim = draw(st.sampled_from([None, -1, 0, 3, 6]))
+    if budget_dim is not None:
+        argv += ["--budget-dim", str(budget_dim)]
+    if cmd == "verify":
+        argv += ["--parities", draw(st.sampled_from(["0,1", "0", "1", "2", "", "x", "0,,1"]))]
+    elif cmd == "product":
+        argv += [draw(_KEYS), draw(_KEYS)]
+    elif cmd == "idp":
+        argv += ["--vertex", draw(st.sampled_from(["1", "2", "3", "x"]))]
+        argv += ["--n", str(draw(st.integers(-2, 4)))]
+        parity = draw(st.sampled_from([None, "0", "1", "2"]))
+        if parity is not None:
+            argv += ["--parity", parity]
+    else:
+        argv += ["--dim", draw(_DIMS)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, spec
+
+
+@given(_argv())
+@settings(max_examples=100, deadline=None)
+def test_cli_exit_codes_under_fuzzing(case):
+    # every input ends in exit 0, 1, 2 or 3 without a traceback, and exit 1
+    # only reports a relation or identity that failed
+    argv, spec = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if spec is not None:
+            argv[1] = os.path.join(tmp, "spec.json")
+            with open(argv[1], "w") as fh:
+                fh.write(spec)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects an option value
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, spec, code)
+    if code == 1:
+        text = out.getvalue()
+        assert argv[0] in ("verify", "identities"), (argv, spec)
+        assert "FAIL" in text or '"ok": false' in text, (argv, spec)

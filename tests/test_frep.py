@@ -9,7 +9,7 @@ import pytest
 from ihall import linalg
 from ihall.cli import main
 from ihall.frep import BudgetError, ModuleTable
-from ihall.iquiver import BoundQuiver, builtin_iquiver
+from ihall.iquiver import BUILTIN_NAMES, BoundQuiver, IQuiver, builtin_iquiver
 
 
 def table(name, p, **kw):
@@ -218,21 +218,22 @@ def test_corrupt_cache_payload_is_recomputed(tmp_path, corruption):
 
     reader = table("a2-split", 2, cache_dir=str(tmp_path))
     assert reader._load_cached(dim) is None
+    assert _fresh(reader, dim) == _fresh(fresh, dim)
 
-    def summary(tab):
-        cls = tab.classes(dim)
-        by_rep = {rep: c.index for rep, c in tab._by_rep[dim].items()}
-        return [(c.rep, c.orbit_size, c.aut_order) for c in cls], by_rep
 
-    assert summary(reader) == summary(fresh)
+def _fresh(tab, dim):
+    """Classes and full rep map of a table at dim, as plain data."""
+    cls = tab.classes(dim)
+    by_rep = {rep: c.index for rep, c in tab._by_rep[dim].items()}
+    return [(c.rep, c.orbit_size, c.aut_order) for c in cls], by_rep
 
 
 def test_orbit_accounting():
+    # every module of a2-split is nilpotent, so the orbits cover every
+    # relation-satisfying tuple
     tab = table("a2-split", 2)
     for dim in [(1, 1), (2, 1), (1, 2), (2, 2)]:
-        nreps, ncls = tab.stats(dim)
-        assert nreps == sum(c.orbit_size for c in tab.classes(dim))
-        assert ncls == len(tab.classes(dim))
+        assert sum(c.orbit_size for c in tab.classes(dim)) == len(tab.enumerate_reps(dim))
         group = 1
         for d in dim:
             group *= linalg.gl_order(d, 2)
@@ -322,18 +323,18 @@ def test_homology_reduction():
     tab = table("kronecker-r1", 2)
     k1 = tab.k_module("1")
     vexp, xcls, alpha = tab.homology_reduce(k1)
-    assert xcls == tab.zero_class()
+    assert xcls == tab.kq.zero_class()
     assert alpha == (1, 0)
-    s1 = tab.simple("1")
-    vexp, xcls, alpha = tab.homology_reduce(s1)
-    assert (vexp, xcls, alpha) == (0, s1, (0, 0))
+    vexp, xcls, alpha = tab.homology_reduce(tab.simple("1"))
+    assert (vexp, xcls, alpha) == (0, tab.kq.simple("1"), (0, 0))
 
 
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("name", ["rank1-split", "a2-split", "a3-quasisplit", "kronecker-r1"])
 def test_homology_reduction_on_all_small_classes(name, q):
-    # X = ker eps / im eps with its eps action computed: it must vanish,
-    # the dimensions must add up to dim M, and alpha must be the eps ranks
+    # X = ker eps / im eps with its eps action computed: it must vanish (X
+    # is a kQ class), the dimensions must add up to dim M, and alpha must be
+    # the eps ranks; an eps-zero M reduces to its own kQ class
     tab = table(name, q)
     iq = tab.iq
     for dim in product(range(4), repeat=iq.n):
@@ -341,12 +342,75 @@ def test_homology_reduction_on_all_small_classes(name, q):
             continue
         for m in tab.classes(dim):
             vexp, x, alpha = tab.homology_reduce(m)
-            assert tab.is_eps_zero(x), m
+            assert x.table is tab.kq, m
             talpha = iq.tau_vec(alpha)
             assert tuple(a + b + c for a, b, c in zip(x.dim, alpha, talpha)) == m.dim, m
             assert alpha == tuple(linalg.rank(m.rep[pos], q) for pos in tab._eps_pos), m
             if tab.is_eps_zero(m):
-                assert (vexp, x, alpha) == (0, m, (0,) * iq.n), m
+                assert (vexp, x.key, alpha) == (0, m.key, (0,) * iq.n), m
+                assert x.rep == m.rep[iq.n:], m
+
+
+SPLIT2 = IQuiver(["1", "2"], [("a1", "1", "2"), ("a2", "1", "2")])
+
+
+@pytest.mark.parametrize("q,total", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["split-2"])
+def test_kq_classes_are_the_eps_zero_classes(name, q, total):
+    # the eps-zero classes come first, each at its kQ class's index, with
+    # the kQ rep as the tail of the rep (the eps arrows come first)
+    iq = SPLIT2 if name == "split-2" else builtin_iquiver(name)
+    tab = ModuleTable(BoundQuiver(iq), q)
+    for dim in product(range(total + 1), repeat=iq.n):
+        if sum(dim) > total:
+            continue
+        kq = tab.kq.classes(dim)
+        lam = tab.classes(dim)
+        assert [tab.is_eps_zero(c) for c in lam] == [k < len(kq) for k in range(len(lam))], dim
+        assert [(c.index, c.rep, c.orbit_size, c.aut_order) for c in kq] == [
+            (c.index, c.rep[iq.n:], c.orbit_size, c.aut_order) for c in lam[: len(kq)]
+        ], dim
+
+
+def test_kq_and_lambda_tables_share_a_cache_dir(tmp_path, monkeypatch):
+    monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
+    dims = [(1, 1), (2, 1)]
+    writer = ModuleTable(BoundQuiver(builtin_iquiver("a2-split")), 3)
+    for tab in (writer, writer.kq):
+        assert tab.cache_dir == str(tmp_path)
+        for dim in dims:
+            tab.classes(dim)
+    assert writer._cache_path((1, 1)) != writer.kq._cache_path((1, 1))
+    reader = ModuleTable(BoundQuiver(builtin_iquiver("a2-split")), 3)
+    monkeypatch.delenv("IHALL_CACHE_DIR")
+    fresh = ModuleTable(BoundQuiver(builtin_iquiver("a2-split")), 3)
+    for tab, ref in ((reader, fresh), (reader.kq, fresh.kq)):
+        for dim in dims:
+            assert tab._load_cached(dim) is not None
+            assert _fresh(tab, dim) == _fresh(ref, dim)
+    # the kQ reps lack the eps matrices, so each table read its own file
+    assert len(reader.classes((1, 1))[0].rep) == 3
+    assert len(reader.kq.classes((1, 1))[0].rep) == 1
+
+
+def test_cache_file_of_version_2_is_a_miss(tmp_path):
+    # version 2 keyed its files by the iquiver alone, so a kQ table could
+    # have read a Lambda^i file; write one where version 2 put it
+    import hashlib
+
+    iq = builtin_iquiver("kronecker-r1")
+    dim = (1, 1)
+    old = ModuleTable(BoundQuiver(iq), 2)
+    orbits, rep_to_idx = old._classify(dim)
+    h = hashlib.sha256(repr((2, iq.signature(), 2)).encode()).hexdigest()[:16]
+    with open(tmp_path / ("ihall-%s-d1_1.pkl" % h), "wb") as fh:
+        pickle.dump({"version": 2, "orbits": orbits, "rep_to_idx": rep_to_idx}, fh)
+    reader = ModuleTable(BoundQuiver(iq), 2, cache_dir=str(tmp_path))
+    fresh = ModuleTable(BoundQuiver(iq), 2)
+    for tab, ref in ((reader, fresh), (reader.kq, fresh.kq)):
+        data = tab._load_cached(dim)
+        assert data is None or data == ref._classify(dim)
+        assert _fresh(tab, dim) == _fresh(ref, dim)
 
 
 def test_budget_errors():
