@@ -16,8 +16,10 @@ matrix space, or the square-zero matrices for an eps loop at a tau-fixed
 vertex). Every list is in flat order (entries read row by row), so index
 tuples compare as the representations' flat entries do. Relations are
 checked through tables of product codes, and GL acts through one
-permutation of a list's indices per generator. Tuples are decoded back to
-matrix tuples only for the classes and their rep -> class map.
+permutation of a list's indices per generator. A representation is keyed
+by its code, the mixed-radix number whose digits are its index tuple
+(`_radix`); only the canonical reps of the classes are decoded back to
+matrix tuples.
 """
 
 from __future__ import annotations
@@ -25,11 +27,20 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import product as cartesian
+from operator import mul
 
 from . import linalg
 from .iquiver import BoundQuiver
 
-FREP_CACHE_VERSION = 3
+# Bytes per entry of a {code: class index} rep map, the int key included:
+# tracemalloc on 64-bit CPython 3.11, filling such a dict with 6561 to 2^21
+# distinct codes, held 72-92 bytes per entry and peaked at 122 while the
+# dict resized.
+REP_MAP_ENTRY_BYTES = 122
+
+
+def _physical_memory():
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _span(rows, start, p):
@@ -184,8 +195,9 @@ class ModuleTable:
         self._cand = {}        # list key -> (candidate matrices, {matrix: index})
         self._prod = {}        # (list key, list key) -> product codes
         self._perm = {}        # (list key, d, generator, side) -> index permutation
+        self._radices = {}     # dim -> (list keys, list sizes, code weights)
         self._classes = {}     # dim -> tuple[IsoClass]
-        self._by_rep = {}      # dim -> {rep: IsoClass}
+        self._by_rep = {}      # dim -> {rep code: class index}
         self._decomp = {}      # class key -> {(quot, sub): count}
         self._hom = {}         # (a key, b key) -> int
         self._reduce = {}      # class key -> (vexp, kQ class, alpha)
@@ -227,10 +239,16 @@ class ModuleTable:
                 "raw search space %d at dim %r exceeds budget %d"
                 % (space, dim, self.budget_space)
             )
-
-    def _list_key(self, k, shape):
-        """Which candidate list arrow k draws from at a matrix shape."""
-        return ("sq0", shape[0]) if k in self._loop_pos else shape
+        # every raw candidate may be a rep, and each rep takes one entry of
+        # the rep map
+        need = space * REP_MAP_ENTRY_BYTES
+        memory = _physical_memory()
+        if need > memory:
+            raise BudgetError(
+                "raw search space %d at dim %r needs a rep map of up to %d bytes,"
+                " more than the %d bytes of physical memory"
+                % (space, dim, need, memory)
+            )
 
     def _candidates(self, key):
         """(matrices in flat order, {matrix: index}) for one list key.
@@ -249,6 +267,35 @@ class ModuleTable:
                 )
             self._cand[key] = (mats, {m: i for i, m in enumerate(mats)})
         return self._cand[key]
+
+    def _radix(self, dim):
+        """(list key, list size, code weight) per arrow at dim.
+
+        Arrow k draws from the square-zero list ("sq0", d) if it is an eps
+        loop at a tau-fixed vertex, else from the full matrix space of its
+        shape. A rep's code is the sum of its indices times the weights: the
+        mixed-radix number whose digits are the index tuple, the last arrow's
+        digit lowest, so codes order reps as index tuples do. On kQ every
+        list is the full matrix space in flat order, so the code is the rep's
+        flat entries read as base-p digits, as `_products` codes a matrix.
+        """
+        if dim not in self._radices:
+            keys = tuple(
+                ("sq0", s[0]) if k in self._loop_pos else s for k, s in enumerate(self._shapes(dim))
+            )
+            sizes = tuple(len(self._candidates(key)[0]) for key in keys)
+            weights = [1] * len(keys)
+            for k in range(len(keys) - 1, 0, -1):
+                weights[k - 1] = weights[k] * sizes[k]
+            self._radices[dim] = keys, sizes, tuple(weights)
+        return self._radices[dim]
+
+    def _decode(self, code, dim):
+        """The matrix tuple of a code at dim."""
+        keys, sizes, weights = self._radix(dim)
+        return tuple(
+            self._candidates(key)[0][code // w % s] for key, s, w in zip(keys, sizes, weights)
+        )
 
     def _products(self, key_f, key_s):
         """Codes of S @ F over every candidate pair, at i_f * len(S) + i_s.
@@ -348,14 +395,14 @@ class ModuleTable:
             dims_now = ndims
 
     def enumerate_reps(self, dim):
-        """All representations of dim that satisfy the relations, as index
-        tuples in lexicographic order.
+        """All representations of dim that satisfy the relations, as codes
+        (`_radix`) in increasing order.
 
-        Entry k indexes arrow k's candidate list (`_candidates`). Nilpotency
-        is not tested here: `_classify` tests it once per orbit.
+        Entry k of a rep's index tuple indexes arrow k's candidate list
+        (`_candidates`). Nilpotency is not tested here: `_classify` tests it
+        once per orbit.
         """
-        keys = [self._list_key(k, s) for k, s in enumerate(self._shapes(dim))]
-        sizes = [len(self._candidates(key)[0]) for key in keys]
+        keys, sizes, weights = self._radix(dim)
         narr = len(keys)
         chosen = [0] * narr
         out = []
@@ -371,6 +418,10 @@ class ModuleTable:
             ]
             for ready in self._ready
         ]
+        # past the last checked arrow every tuple is a rep, and the codes of
+        # a subtree of the search are consecutive
+        free = max((k + 1 for k in range(narr) if checks[k]), default=0)
+        block = [s * w for s, w in zip(sizes, weights)] + [1]
 
         def codes(prod, k):
             # product codes as arrow k runs through its candidates, the
@@ -384,34 +435,37 @@ class ModuleTable:
                 return table[chosen[f] * n : (chosen[f] + 1) * n]
             return (table[chosen[f] * n + chosen[s]],) * sizes[k]
 
-        def rec(k):
-            if k == narr:
-                out.append(tuple(chosen))
+        def rec(k, code):
+            if k == free:
+                out.extend(range(code, code + block[k]))
                 return
             ok = range(sizes[k])
             for lhs, rhs in checks[k]:
                 a, b = codes(lhs, k), codes(rhs, k)
                 ok = [j for j in ok if a[j] == b[j]]
+            w = weights[k]
             for j in ok:
                 chosen[k] = j
-                rec(k + 1)
+                rec(k + 1, code + j * w)
 
-        rec(0)
+        rec(0, 0)
         return out
 
     # ---------- classification ----------
 
     def _classify(self, dim):
-        """Orbits of GL(dim) on the relation-satisfying tuples; the nilpotent
+        """Orbits of GL(dim) on the relation-satisfying reps; the nilpotent
         ones are numbered in flat order of their canonical reps.
 
-        Returns ([(canonical rep, orbit size, aut order)], {rep: index}) with
-        reps decoded to matrix tuples.
+        Returns ([(canonical code, canonical rep, orbit size, aut order)],
+        {code: index}); the canonical reps are the only ones decoded.
         """
         reps = self.enumerate_reps(dim)
         group = self._group_order(dim)
-        keys = [self._list_key(k, s) for k, s in enumerate(self._shapes(dim))]
-        mats = [self._candidates(key)[0] for key in keys]
+        keys, sizes, weights = self._radix(dim)
+        digits = tuple(zip(weights, sizes))
+        # a move is one GL generator at one vertex: per arrow it touches, the
+        # change of the code as that arrow's index i goes to perm[i]
         moves = []
         for vi, d in enumerate(dim):
             sides = [
@@ -420,102 +474,75 @@ class ModuleTable:
             ]
             for gi in range(len(linalg.gl_generators(d, self.p))):
                 moves.append(
-                    tuple((k, self._permutation(keys[k], d, gi, side)) for k, side in sides if side)
+                    tuple(
+                        (k, [(j - i) * weights[k] for i, j in enumerate(self._permutation(keys[k], d, gi, side))])
+                        for k, side in sides
+                        if side
+                    )
                 )
 
-        def decode(t):
-            return tuple(m[i] for m, i in zip(mats, t))
-
-        seen = set()
         total = 0
         orbits = []
         rep_to_idx = {}
-        # reps come in lexicographic order, so the first tuple of an orbit met
-        # is its minimum, and orbits are met in the order of their minima
+        dead = {}   # members of the orbits that are not nilpotent
+        # reps come in increasing order, so the first code of an orbit met is
+        # its minimum, and orbits are met in the order of their minima
         for rep in reps:
-            if rep in seen:
+            if rep in rep_to_idx or rep in dead:
                 continue
-            orbit = {rep}
+            can = self._decode(rep, dim)
+            # nilpotency is an isomorphism invariant: one member decides, and
+            # the orbit is walked straight into the map it belongs to (orbits
+            # are disjoint, so the map's earlier entries never meet the walk)
+            if self._is_nilpotent(can, dim):
+                members, mark = rep_to_idx, len(orbits)
+            else:
+                members, mark = dead, None
+            before = len(members)
+            members[rep] = mark
             frontier = [rep]
             while frontier:
                 cur = frontier.pop()
+                idx = [cur // w % s for w, s in digits]
                 for move in moves:
-                    nxt = list(cur)
-                    for k, perm in move:
-                        nxt[k] = perm[nxt[k]]
-                    nxt = tuple(nxt)
-                    if nxt not in orbit:
-                        orbit.add(nxt)
+                    nxt = cur
+                    for k, delta in move:
+                        nxt += delta[idx[k]]
+                    if nxt not in members:
+                        members[nxt] = mark
                         frontier.append(nxt)
-            seen |= orbit
-            osz = len(orbit)
+            osz = len(members) - before
             total += osz
             if group % osz != 0:
                 raise RuntimeError("orbit size does not divide group order")
-            can = decode(rep)
-            # nilpotency is an isomorphism invariant: one member decides
-            if not self._is_nilpotent(can, dim):
-                continue
-            idx = len(orbits)
-            orbits.append((can, osz, group // osz))
-            for r in orbit:
-                rep_to_idx[decode(r)] = idx
+            if mark is not None:
+                orbits.append((rep, can, osz, group // osz))
         if total != len(reps):
             raise RuntimeError("orbit sizes do not add up to the rep count")
         return orbits, rep_to_idx
 
+    # the disk cache (`tablecache`) is imported only when a table has a
+    # cache directory, so runs without one never compile it
+
     def _cache_path(self, dim):
         if not self.cache_dir:
             return None
-        # imported here: runs without a cache directory never load them
-        import hashlib
+        from . import tablecache
 
-        sig = repr((FREP_CACHE_VERSION, self.bq.signature(), self.p))
-        h = hashlib.sha256(sig.encode()).hexdigest()[:16]
-        return os.path.join(
-            self.cache_dir,
-            "ihall-%s-d%s.pkl" % (h, "_".join(str(d) for d in dim)),
-        )
+        return tablecache.path(self, dim)
 
     def _load_cached(self, dim):
-        path = self._cache_path(dim)
-        if not path or not os.path.exists(path):
+        if not self.cache_dir:
             return None
-        import pickle
+        from . import tablecache
 
-        try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-            if payload.get("version") != FREP_CACHE_VERSION:
-                return None
-            orbits, rep_to_idx = payload["orbits"], payload["rep_to_idx"]
-            # integer checks only, so a warm load stays cheap
-            group = self._group_order(dim)
-            n = len(orbits)
-            if (
-                sum(osz for _, osz, _ in orbits) != len(rep_to_idx)
-                or any(osz * aut != group for _, osz, aut in orbits)
-                or not all(type(i) is int and 0 <= i < n for i in rep_to_idx.values())
-            ):
-                return None
-            return orbits, rep_to_idx
-        except Exception:
-            return None
+        return tablecache.load(self, dim)
 
     def _store_cached(self, dim, data):
-        path = self._cache_path(dim)
-        if not path:
-            return
-        import pickle
+        if self.cache_dir:
+            from . import tablecache
 
-        os.makedirs(self.cache_dir, exist_ok=True)
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "wb") as fh:
-            pickle.dump(
-                {"version": FREP_CACHE_VERSION, "orbits": data[0], "rep_to_idx": data[1]},
-                fh,
-            )
-        os.replace(tmp, path)
+            tablecache.store(self, dim, data)
 
     def classes(self, dim):
         """Isomorphism classes at a dimension vector, in a stable order."""
@@ -530,19 +557,24 @@ class ModuleTable:
         orbits, rep_to_idx = data
         cls = tuple(
             IsoClass(self, dim, k, can, osz, aut)
-            for k, (can, osz, aut) in enumerate(orbits)
+            for k, (_, can, osz, aut) in enumerate(orbits)
         )
         self._classes[dim] = cls
-        self._by_rep[dim] = {rep: cls[idx] for rep, idx in rep_to_idx.items()}
+        self._by_rep[dim] = rep_to_idx
         return cls
 
     def class_of(self, rep, dim):
         """The class containing an explicit representation."""
         dim = tuple(int(d) for d in dim)
-        self.classes(dim)
+        cls = self.classes(dim)
+        keys, _, weights = self._radix(dim)
         try:
-            return self._by_rep[dim][rep]
-        except KeyError:
+            code = sum(
+                self._candidates(key)[1][mat] * w
+                for key, w, mat in zip(keys, weights, rep, strict=True)
+            )
+            return cls[self._by_rep[dim][code]]
+        except (KeyError, ValueError):
             raise ValueError(
                 "representation is not a nilpotent module of dim %r" % (dim,)
             ) from None
@@ -776,22 +808,17 @@ class ModuleTable:
             image, _ = linalg.rref(flats[1:], p)
             mult = p ** (len(free_rows) - len(image))
             xclasses = kq.classes(xdim)
-            by_rep = kq._by_rep[xdim]
-            # the slice of each row of each arrow's matrix in a flat X
-            cuts = []
-            o = 0
-            for si, ti in kq._arrow_ends:
-                wd = xdim[si]
-                cuts.append(tuple(slice(o + r * wd, o + r * wd + wd) for r in range(xdim[ti])))
-                o += xdim[ti] * wd
+            index_of = kq._by_rep[xdim]
+            # on kQ a rep's code is its flat entries read as base-p digits
+            weights = [p ** e for e in range(len(flats[0]) - 1, -1, -1)]
             hits = [0] * len(xclasses)
             for flat in _span(image, flats[0], p):
-                cls = by_rep.get(tuple([tuple([flat[c] for c in rows]) for rows in cuts]))
-                if cls is None:
+                idx = index_of.get(sum(map(mul, flat, weights)))
+                if idx is None:
                     raise RuntimeError(
                         "an extension of %r by %r reduces to no kQ class" % (x, y)
                     )
-                hits[cls.index] += 1
+                hits[idx] += 1
             for cls, hit in zip(xclasses, hits):
                 if hit:
                     key = (cls, alpha, e)

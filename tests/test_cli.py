@@ -240,9 +240,11 @@ def test_negative_range_is_input_error(capsys, argv):
     assert "must be nonnegative" in capsys.readouterr().err
 
 
-def test_import_loads_no_cache_modules():
-    # hashlib and pickle serve only the disk cache, so importing the CLI
-    # must not load them; `site` may have loaded them already
+def test_import_loads_no_cache_modules(tmp_path):
+    # hashlib and pickle are not used at all (the disk cache is JSON named
+    # by a crc32), so neither importing the CLI nor a verify that reads its
+    # tables from a warm cache may load them; `site` may have loaded them
+    # already
     src = os.path.dirname(os.path.dirname(ihall.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
@@ -253,6 +255,27 @@ def test_import_loads_no_cache_modules():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+    code = """if True:
+        import contextlib, io, sys
+        before = set(sys.modules)
+        import ihall.cli, ihall.frep
+        table = ihall.frep.ModuleTable
+        classified = []
+        classify = table._classify
+        table._classify = lambda self, dim: classified.append(dim) or classify(self, dim)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = ihall.cli.main(["verify", "builtin:a2-split", "--q", "3"])
+        print(code, len(classified) > 0, sorted({'hashlib', 'pickle'} & (set(sys.modules) - before)))
+    """
+    env["IHALL_CACHE_DIR"] = str(tmp_path)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.strip()
+        for _ in range(2)
+    ]
+    # the first run fills the cache, the second classifies nothing
+    assert runs == ["0 True []", "0 False []"]
 
 
 def test_identities_loads_only_its_layers():

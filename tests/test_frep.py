@@ -1,12 +1,14 @@
 """Module enumeration, isomorphism classification, Hall numbers."""
 
 import functools
+import hashlib
+import json
 import pickle
 from itertools import product
 
 import pytest
 
-from ihall import linalg
+from ihall import frep, linalg, tablecache
 from ihall.cli import main
 from ihall.frep import BudgetError, ModuleTable
 from ihall.iquiver import BUILTIN_NAMES, BoundQuiver, IQuiver, builtin_iquiver
@@ -195,26 +197,60 @@ def test_permutation_tables_match_matrix_products(q):
             assert tab._permutation(key, d, gi, side) == want, (key, side, gi)
 
 
-@pytest.mark.parametrize("corruption", ["missing rep", "aut order", "orbit index"])
+CORRUPTIONS = [
+    "missing rep",
+    "aut order",
+    "orbit index",
+    "foreign signature",
+    "non-minimal code",
+    "wrong rep",
+    "truncated",
+    "not JSON",
+]
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
 def test_corrupt_cache_payload_is_recomputed(tmp_path, corruption):
     dim = (1, 2)
     fresh = table("a2-split", 2)
     writer = table("a2-split", 2, cache_dir=str(tmp_path))
     writer.classes(dim)
     path = writer._cache_path(dim)
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    orbits, rep_to_idx = payload["orbits"], payload["rep_to_idx"]
-    first = next(iter(rep_to_idx))
+    with open(path) as fh:
+        text = fh.read()
+    payload = json.loads(text)
+    orbits, codes, index = payload["orbits"], payload["codes"], payload["index"]
     if corruption == "missing rep":
-        del rep_to_idx[first]
+        del codes[0], index[0]
     elif corruption == "aut order":
-        can, osz, aut = orbits[0]
-        orbits[0] = (can, osz, aut + 1)
+        orbits[0][3] += 1
+    elif corruption == "orbit index":
+        index[0] = len(orbits)
+    elif corruption == "foreign signature":
+        # a quiver that differs only in an arrow name has the same tables,
+        # so the payload is consistent and only its signature is foreign
+        other = ModuleTable(BoundQuiver(IQuiver(["1", "2"], [("b1", "1", "2")])), 2)
+        payload["signature"] = tablecache.signature(other, dim)
+    elif corruption == "non-minimal code":
+        # a later member of an orbit as its canonical code, with that
+        # member's rep, keeping the canonical codes increasing
+        n = len(orbits)
+        i, code = next(
+            (i, c)
+            for c, i in zip(codes, index)
+            if c != orbits[i][0] and (i + 1 == n or c < orbits[i + 1][0])
+        )
+        orbits[i][:2] = code, writer._decode(code, dim)
+    elif corruption == "wrong rep":
+        orbits[-1][1] = orbits[0][1]
+    if corruption == "truncated":
+        text = text[: len(text) // 2]
+    elif corruption == "not JSON":
+        text = "\x80\x04 not json"
     else:
-        rep_to_idx[first] = len(orbits)
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh)
+        text = json.dumps(payload)
+    with open(path, "w") as fh:
+        fh.write(text)
 
     reader = table("a2-split", 2, cache_dir=str(tmp_path))
     assert reader._load_cached(dim) is None
@@ -222,10 +258,25 @@ def test_corrupt_cache_payload_is_recomputed(tmp_path, corruption):
 
 
 def _fresh(tab, dim):
-    """Classes and full rep map of a table at dim, as plain data."""
+    """Classes and full rep map (code -> class index) of a table at dim."""
     cls = tab.classes(dim)
-    by_rep = {rep: c.index for rep, c in tab._by_rep[dim].items()}
-    return [(c.rep, c.orbit_size, c.aut_order) for c in cls], by_rep
+    return [(c.rep, c.orbit_size, c.aut_order) for c in cls], dict(tab._by_rep[dim])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["split-2"])
+def test_cache_round_trip(tmp_path, name, q):
+    # a table read from a cache file equals the one that wrote it
+    iq = SPLIT2 if name == "split-2" else builtin_iquiver(name)
+    writer = ModuleTable(BoundQuiver(iq), q, cache_dir=str(tmp_path))
+    reader = ModuleTable(BoundQuiver(iq), q, cache_dir=str(tmp_path))
+    for dim in product(range(4), repeat=iq.n):
+        if sum(dim) > 3:
+            continue
+        for wtab, rtab in ((writer, reader), (writer.kq, reader.kq)):
+            want = _fresh(wtab, dim)
+            assert rtab._load_cached(dim) is not None, dim
+            assert _fresh(rtab, dim) == want, dim
 
 
 def test_orbit_accounting():
@@ -396,12 +447,12 @@ def test_kq_and_lambda_tables_share_a_cache_dir(tmp_path, monkeypatch):
 def test_cache_file_of_version_2_is_a_miss(tmp_path):
     # version 2 keyed its files by the iquiver alone, so a kQ table could
     # have read a Lambda^i file; write one where version 2 put it
-    import hashlib
-
     iq = builtin_iquiver("kronecker-r1")
     dim = (1, 1)
     old = ModuleTable(BoundQuiver(iq), 2)
-    orbits, rep_to_idx = old._classify(dim)
+    orbits, codes = old._classify(dim)
+    orbits = [(rep, osz, aut) for _, rep, osz, aut in orbits]
+    rep_to_idx = {old._decode(c, dim): i for c, i in codes.items()}
     h = hashlib.sha256(repr((2, iq.signature(), 2)).encode()).hexdigest()[:16]
     with open(tmp_path / ("ihall-%s-d1_1.pkl" % h), "wb") as fh:
         pickle.dump({"version": 2, "orbits": orbits, "rep_to_idx": rep_to_idx}, fh)
@@ -413,6 +464,49 @@ def test_cache_file_of_version_2_is_a_miss(tmp_path):
         assert _fresh(tab, dim) == _fresh(ref, dim)
 
 
+UNPICKLED = []
+
+
+def _unpickled():
+    UNPICKLED.append(True)
+
+
+class _Tripwire:
+    """Runs `_unpickled` when unpickled, as a hostile pickle could run anything."""
+
+    def __reduce__(self):
+        return _unpickled, ()
+
+
+def test_pickle_of_version_3_is_never_read(tmp_path):
+    # version 3 pickled the classes into files named by a sha256 of the
+    # bound quiver; write one, with a tripwire, where version 3 put each
+    iq = builtin_iquiver("kronecker-r1")
+    dim = (1, 1)
+    fresh = ModuleTable(BoundQuiver(iq), 2)
+    for ref in (fresh, fresh.kq):
+        orbits, codes = ref._classify(dim)
+        payload = {
+            "version": 3,
+            "orbits": [(rep, osz, aut) for _, rep, osz, aut in orbits],
+            "rep_to_idx": {ref._decode(c, dim): i for c, i in codes.items()},
+            "tripwire": _Tripwire(),
+        }
+        h = hashlib.sha256(repr((3, ref.bq.signature(), 2)).encode()).hexdigest()[:16]
+        with open(tmp_path / ("ihall-%s-d1_1.pkl" % h), "wb") as fh:
+            pickle.dump(payload, fh)
+    reader = ModuleTable(BoundQuiver(iq), 2, cache_dir=str(tmp_path))
+    for tab, ref in ((reader, fresh), (reader.kq, fresh.kq)):
+        assert tab._load_cached(dim) is None
+        assert _fresh(tab, dim) == _fresh(ref, dim)
+    assert UNPICKLED == []
+    # the tripwire works: loading one of those files does fire it
+    with open(next(tmp_path.glob("*.pkl")), "rb") as fh:
+        pickle.load(fh)
+    assert UNPICKLED == [True]
+    UNPICKLED.clear()
+
+
 def test_budget_errors():
     tab = table("a2-split", 2, budget_dim=3)
     with pytest.raises(BudgetError):
@@ -420,6 +514,19 @@ def test_budget_errors():
     tab2 = table("a2-split", 2, budget_space=10)
     with pytest.raises(BudgetError):
         tab2.check_budget((2, 2))
+
+
+def test_budget_counts_rep_map_memory(monkeypatch):
+    # split rank 2 with 3 arrows at q = 5: the kQ table at (4, 1) has 5^12
+    # raw candidates, inside the space budget but not in 8 GiB of memory
+    monkeypatch.setattr(frep, "_physical_memory", lambda: 8 << 30)
+    split3 = IQuiver(["1", "2"], [("a1", "1", "2"), ("a2", "1", "2"), ("a3", "1", "2")])
+    big = ModuleTable(BoundQuiver(split3), 5).kq
+    with pytest.raises(BudgetError) as err:
+        big.check_budget((4, 1))
+    assert "244140625" in str(err.value) and str(8 << 30) in str(err.value)
+    assert big._cand == {}, "the budget check enumerated candidates"
+    ModuleTable(BoundQuiver(split3), 3).kq.check_budget((4, 1))
 
 
 def test_mixed_dims_with_zero_component():
