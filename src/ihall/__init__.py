@@ -12,14 +12,9 @@ _HOME = {
     "BudgetError": "frep",
     "IsoClass": "frep",
     "ModuleTable": "frep",
-    "idp_closed": "idp",
     "idp_hall": "idp",
-    "idp_product": "idp",
-    "idp_recursive": "idp",
     "HallAlgebra": "ihall",
     "HallElt": "ihall",
-    "oracle_kronecker_single": "ihall",
-    "oracle_sss": "ihall",
     "Psi": "iqg",
     "build_relation_suite": "iqg",
     "relation_residual": "iqg",
@@ -33,7 +28,12 @@ _HOME = {
     "IQuiver": "iquiver",
     "build_iquiver": "iquiver",
     "builtin_iquiver": "iquiver",
-    "LaurentFrac": "ring",
+    "LaurentFrac": "oracle",
+    "idp_closed": "oracle",
+    "idp_product": "oracle",
+    "idp_recursive": "oracle",
+    "oracle_kronecker_single": "oracle",
+    "oracle_sss": "oracle",
     "LaurentPoly": "ring",
     "QSqrt": "ring",
     "qbinom": "ring",

@@ -3,9 +3,9 @@
 Enumerates all finite-dimensional nilpotent representations of a fixed
 dimension vector, classifies them up to isomorphism, and provides the
 counting data the Hall algebra layer needs: automorphism orders, extension
-counts per reduced middle (the product engine), Hall numbers by filtration
-counts (their oracle), hom-space sizes, morphism kernel/cokernel tallies,
-and the reduction of a Lambda^i class to (kQ class, torus vector).
+counts per reduced middle (the product engine), and the reduction of a
+Lambda^i class to (kQ class, torus vector). The filtration and Hom routes
+that the tests compare the engine against live in `oracle`.
 
 The bound quiver is the doubled quiver of an iquiver (Lambda^i) or Q alone
 (kQ); a Lambda^i table owns the kQ table its reductions land in.
@@ -25,7 +25,6 @@ matrix tuples.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from itertools import product as cartesian
 from operator import mul
 
@@ -198,8 +197,6 @@ class ModuleTable:
         self._radices = {}     # dim -> (list keys, list sizes, code weights)
         self._classes = {}     # dim -> tuple[IsoClass]
         self._by_rep = {}      # dim -> {rep code: class index}
-        self._decomp = {}      # class key -> {(quot, sub): count}
-        self._hom = {}         # (a key, b key) -> int
         self._reduce = {}      # class key -> (vexp, kQ class, alpha)
         self.kq = (
             ModuleTable(BoundQuiver(self.iq, doubled=False), p, budget_dim, budget_space, cache_dir)
@@ -637,86 +634,6 @@ class ModuleTable:
             for pos in self._eps_pos
         )
 
-    # ---------- hom spaces and morphisms ----------
-
-    def _hom_system(self, a, b):
-        """Coefficient rows of the intertwiner equations f_j A = B f_i."""
-        p = self.p
-        offs = []
-        total = 0
-        for vi in range(self.iq.n):
-            offs.append(total)
-            total += b.dim[vi] * a.dim[vi]
-        rows = []
-        for k, (si, ti) in enumerate(self._arrow_ends):
-            ma, mb = a.rep[k], b.rep[k]
-            for r in range(b.dim[ti]):
-                for c in range(a.dim[si]):
-                    row = [0] * total
-                    for s in range(a.dim[ti]):
-                        row[offs[ti] + r * a.dim[ti] + s] += ma[s][c]
-                    for t in range(b.dim[si]):
-                        row[offs[si] + t * a.dim[si] + c] -= mb[r][t]
-                    rows.append(tuple(x % p for x in row))
-        return total, offs, rows
-
-    def hom_count(self, a, b):
-        key = (a.key, b.key)
-        if key in self._hom:
-            return self._hom[key]
-        total, _, rows = self._hom_system(a, b)
-        nullity = total - (len(linalg.rref(rows, self.p)[0]) if rows else 0)
-        count = self.p ** nullity
-        self._hom[key] = count
-        return count
-
-    def hom_basis(self, a, b):
-        """Basis of Hom(a, b), each element as one flat coefficient vector."""
-        total, offs, rows = self._hom_system(a, b)
-        if rows:
-            return total, offs, linalg.nullspace(rows, self.p)
-        if total == 0:
-            return total, offs, ()
-        return total, offs, linalg.identity(total)
-
-    def _unflatten_hom(self, vec, offs, a, b):
-        mats = []
-        for vi in range(self.iq.n):
-            r, c = b.dim[vi], a.dim[vi]
-            base = offs[vi]
-            mats.append(
-                tuple(tuple(vec[base + i * c + j] for j in range(c)) for i in range(r))
-            )
-        return tuple(mats)
-
-    def morphism_tally(self, a, b):
-        """Tally of (kernel class, cokernel class) over every map a -> b."""
-        p = self.p
-        n = self.iq.n
-        total, offs, basis = self.hom_basis(a, b)
-        tally = {}
-        for coeffs in cartesian(range(p), repeat=len(basis)):
-            vec = [0] * total
-            for coef, bv in zip(coeffs, basis):
-                if coef:
-                    for idx, x in enumerate(bv):
-                        vec[idx] = (vec[idx] + coef * x) % p
-            f = self._unflatten_hom(vec, offs, a, b)
-            kers = [self._kernel_rref(f[vi], a.dim[vi]) for vi in range(n)]
-            ker = self._subquotient(a, kers, [()] * n)
-            if ker is None:
-                raise RuntimeError("kernel of a module map must be a submodule")
-            images = [linalg.col_space(f[vi], p)[0] for vi in range(n)]
-            cok = self._subquotient(b, self._whole(b.dim), images)
-            key = (ker, cok)
-            tally[key] = tally.get(key, 0) + 1
-        return tally
-
-    def _kernel_rref(self, mat, ncols):
-        if not mat:
-            return linalg.identity(ncols), tuple(range(ncols))
-        return linalg.rref(linalg.nullspace(mat, self.p), self.p)
-
     # ---------- extensions by cocycles ----------
 
     def _lift(self, cls):
@@ -825,31 +742,6 @@ class ModuleTable:
                     counts[key] = counts.get(key, 0) + hit * mult
         return counts, p ** sum(a * b for a, b in zip(dx, dy))
 
-    # ---------- subquotients, Hall numbers ----------
-
-    @staticmethod
-    def _whole(dim):
-        """(rref rows, pivots) of the whole space at each vertex."""
-        return [(linalg.identity(d), tuple(range(d))) for d in dim]
-
-    def _subquotient(self, z, subs, tops):
-        """The class z induces on V/W, or None when an arrow maps V outside V.
-
-        `subs` holds one (rref rows, pivots) basis of V per vertex and `tops`
-        rows spanning W inside V per vertex, W a submodule of z. Submodules
-        are V/0 and quotients z/W; kernels and cokernels are the same
-        construction.
-        """
-        p = self.p
-        quots = [
-            linalg.quotient_data(rows, piv, top, p)
-            for (rows, piv), top in zip(subs, tops)
-        ]
-        rep = self._induced(z.rep, quots)
-        if rep is None:
-            return None
-        return self.class_of(rep, tuple(len(reps) for reps, _ in quots))
-
     def _induced(self, rep, quots):
         """The matrices rep induces on the subquotients `quots` (one
         `linalg.quotient_data` per vertex), or None when an arrow maps a
@@ -868,59 +760,12 @@ class ModuleTable:
             out.append(tuple(tuple(col[r] for col in cols) for r in range(nrows)))
         return tuple(out)
 
-    def decomposition(self, z):
-        """For each (quotient class X, submodule class Y): the number of
-        submodules L of z with L isomorphic to Y and z/L isomorphic to X."""
-        if z.key in self._decomp:
-            return self._decomp[z.key]
-        p = self.p
-        per_vertex = []
-        for vi in range(self.iq.n):
-            d = z.dim[vi]
-            opts = []
-            for k in range(d + 1):
-                for rows in linalg.enumerate_rref_bases(d, k, p):
-                    pivots = tuple(next(i for i, x in enumerate(row) if x) for row in rows)
-                    opts.append((rows, pivots))
-            per_vertex.append(opts)
-        zero = [()] * self.iq.n
-        whole = self._whole(z.dim)
-        tally = {}
-        for combo in cartesian(*per_vertex):
-            sub_cls = self._subquotient(z, combo, zero)
-            if sub_cls is None:
-                continue
-            quot_cls = self._subquotient(z, whole, [rows for rows, _ in combo])
-            key = (quot_cls, sub_cls)
-            tally[key] = tally.get(key, 0) + 1
-        self._decomp[z.key] = tally
-        return tally
-
-    def hall_number(self, x, y, z):
-        """Count of submodules L of z with L iso to y and z/L iso to x."""
-        return self.decomposition(z).get((x, y), 0)
-
-    def ext_count_with_middle(self, x, y, z):
-        """|Ext^1(x, y) with middle z|, recovered from the filtration count.
-
-        Riedtmann-Peng: F^z_{x,y} = (|Ext^1(x,y)_z| / |Hom(x,y)|) *
-        |Aut z| / (|Aut x| |Aut y|). The result must be a nonnegative integer.
-        """
-        f = self.hall_number(x, y, z)
-        val = (
-            Fraction(f)
-            * self.hom_count(x, y)
-            * x.aut_order
-            * y.aut_order
-            / z.aut_order
-        )
-        if val.denominator != 1:
-            raise RuntimeError(
-                "extension count is not an integer for %r, %r, %r" % (x, y, z)
-            )
-        return int(val)
-
     # ---------- reduction to (kQ class, torus vector) ----------
+
+    def _kernel_rref(self, mat, ncols):
+        if not mat:
+            return linalg.identity(ncols), tuple(range(ncols))
+        return linalg.rref(linalg.nullspace(mat, self.p), self.p)
 
     def _eps_quotients(self, eps, dim):
         """ker(eps_v) / im(eps_{tau v}) at every vertex v of a module of dim

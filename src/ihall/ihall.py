@@ -9,19 +9,18 @@ v^e [X] * K_alpha (`ModuleTable.extension_counts`), give the untwisted
 structure constants |Ext^1(x,y)_z| / |Hom(x,y)| summed over the middles z
 of one reduction, and the Euler-form twist and the torus commutation rule
 supply the powers of v = sqrt(q). The Lambda^i module table is classified
-only for explicit module classes (`module_elt`) and the oracles. Filtration
-counts (Hall numbers) give the same constants by Riedtmann's formula; they
-serve only the oracles and the tests.
+only for explicit module classes (`module_elt`) and the oracles. The
+product oracles, and the filtration counts (Hall numbers) that give the
+same constants by Riedtmann's formula, live in `oracle`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
 from .frep import ModuleTable
 from .iquiver import BoundQuiver
-from .ring import VMVI, LaurentFrac, LaurentPoly, QSqrt, qbinom, qfact
+from .ring import QSqrt
 
 
 class HallElt:
@@ -226,60 +225,9 @@ class HallAlgebra:
                         del out[key]
         return HallElt(self, out)
 
-    # ---------- independent product checks ----------
-
     def eps_zero_classes(self, dim):
         """The basis classes at dim: the kQ classes."""
         return self.kq.classes(dim)
-
-    def oracle_kq_product(self, a, b):
-        """[a] * [b] for kQ classes, via the morphism-sum formula.
-
-        Sums over module maps s: a -> b with kernel N and cokernel L, then
-        over middles M of extensions of N by L:
-
-            v^<a,b>  q^(<N,b> - <N,a> + <N,N> - <a,b>)
-              * |Ext^1(N,L)_M| / |Hom(N,L)|  *  [M] * K_(dim a - dim N)
-
-        with all forms the Euler form of the underlying quiver. Shares no
-        counting with the cocycle route of the main product: its extension
-        counts come from filtration counts in the kQ table.
-
-        The formula holds for a trivial involution only: its K factor is
-        K_(dim a - dim N), with no tau twist, and summing over maps a -> b
-        misses the K term of [S1] * [S3] when S3 = tau* S1 (a3-quasisplit).
-        Other involutions raise ValueError.
-        """
-        table = self.kq
-        if any(self.iq.tau[v] != v for v in self.iq.vertices):
-            raise ValueError("the morphism-sum formula needs the trivial involution")
-        if a.table is not table or b.table is not table:
-            raise ValueError("the morphism-sum formula needs kQ classes")
-        euler = self.iq.euler
-        out = self.zero()
-        tally = table.morphism_tally(a, b)
-        for (n_cls, l_cls), count in tally.items():
-            qexp = (
-                euler(n_cls.dim, b.dim)
-                - euler(n_cls.dim, a.dim)
-                + euler(n_cls.dim, n_cls.dim)
-                - euler(a.dim, b.dim)
-            )
-            scal = (
-                self.v_pow(euler(a.dim, b.dim) + 2 * qexp)
-                * count
-            )
-            alpha = tuple(x - y for x, y in zip(a.dim, n_cls.dim))
-            mdim = tuple(x + y for x, y in zip(n_cls.dim, l_cls.dim))
-            hom_nl = table.hom_count(n_cls, l_cls)
-            acc = {}
-            for m in self.eps_zero_classes(mdim):
-                ext = table.ext_count_with_middle(n_cls, l_cls, m)
-                if not ext:
-                    continue
-                acc[(m, alpha)] = self.scalar(Fraction(ext, hom_nl)) * scal
-            out = out + HallElt(self, acc)
-        return out
 
     def power(self, elt, m):
         out = self.one()
@@ -287,114 +235,3 @@ class HallAlgebra:
             out = out * elt
         return out
 
-
-def oracle_sss(algebra, s, t):
-    """Closed form for [sS1]*[S2]*[tS1] on a two-vertex quiver with trivial
-    involution and all arrows pointing from the first vertex to the second.
-
-    One double sum over torus powers r and middle classes M, with M weighted
-    by the dimension u_M of the simultaneous kernel of its arrow matrices.
-    Shares nothing with the cocycle route of the main product except the
-    kQ module table.
-    """
-    from .iqg import p_exponent
-
-    iq = algebra.iq
-    if iq.n != 2 or any(iq.tau[w] != w for w in iq.vertices):
-        raise ValueError("this closed form needs two vertices and trivial tau")
-    srcs = {ar.src for ar in iq.arrows}
-    tgts = {ar.tgt for ar in iq.arrows}
-    if len(srcs) != 1 or len(tgts) != 1 or srcs == tgts:
-        raise ValueError("arrows must all share one source and one target")
-    v1, v2 = srcs.pop(), tgts.pop()
-    a = len(iq.arrows)
-    table = algebra.kq
-    p = table.p
-    i1 = iq.vertices.index(v1)
-    i2 = iq.vertices.index(v2)
-    qpos = [table.bq.aindex[ar.name] for ar in iq.arrows]
-    s1 = table.simple(v1)
-    s2 = table.simple(v2)
-    out = algebra.zero()
-    for r in range(min(s, t) + 1):
-        k = s + t - 2 * r
-        ks1 = table.multiple(s1, k)
-        dim = tuple(k if j == i1 else 1 for j in range(2))
-        alpha = tuple(r if j == i1 else 0 for j in range(2))
-        for m_cls in table.classes(dim):
-            if table.hall_number(ks1, s2, m_cls) == 0:
-                continue
-            if k == 0:
-                u = 0
-            else:
-                rows = [row for pos in qpos for row in m_cls.rep[pos]]
-                u = len(linalg.nullspace(rows, p))
-            num = (
-                LaurentPoly.v_pow(p_exponent(a, u, r, s, t))
-                * VMVI ** (s + t - r + 1)
-                * qfact(s)
-                * qfact(t)
-                * qbinom(u, t - r)
-            )
-            if num.is_zero():
-                continue
-            scal = algebra.scalar(LaurentFrac(num, qfact(r))) * Fraction(
-                1, m_cls.aut_order
-            )
-            out = out + HallElt(algebra, {(m_cls, alpha): scal})
-    return out
-
-
-def oracle_kronecker_single(algebra, l, t):
-    """Closed form for [S1]^(l) * [S2] * [S1]^(t), l + t = 2r + 1, on the
-    two-vertex quiver with r arrows each way and the swap involution.
-
-    Each class M at dimension (2r+1, 1) contributes through two subspaces of
-    its big vertex: U (common kernel of the forward maps) and W (sum of the
-    backward images). Only classes with W inside U survive, each weighted by
-    one Gaussian binomial in dim U and dim W.
-    """
-    iq = algebra.iq
-    table = algebra.table
-    p = table.p
-    v1, v2 = iq.vertices
-    if iq.tau[v1] != v2:
-        raise ValueError("this closed form needs the swap involution")
-    alphas = [ar for ar in iq.arrows if ar.src == v1]
-    betas = [ar for ar in iq.arrows if ar.src == v2]
-    r = len(alphas)
-    if len(betas) != r or r == 0:
-        raise ValueError("need the same number of arrows in each direction")
-    if l + t != 2 * r + 1:
-        raise ValueError("the exponents must add up to 2r + 1")
-    i1 = iq.vertices.index(v1)
-    pos_a = [table.bq.aindex[ar.name] for ar in alphas]
-    pos_b = [table.bq.aindex[ar.name] for ar in betas]
-    eps1 = table.bq.aindex[table.bq.eps_name[v1]]
-    eps2 = table.bq.aindex[table.bq.eps_name[v2]]
-    dim = tuple(2 * r + 1 if j == i1 else 1 for j in range(2))
-    pref = algebra.v_pow(
-        -r * (2 * r + 1) + t * l + l * (l - 1) + t * (t - 1)
-    ) * Fraction((algebra.q - 1) ** (2 * r + 2), 1)
-    out = algebra.zero()
-    for m_cls in table.classes(dim):
-        rep = m_cls.rep
-        u_rows = [row for pos in pos_a + [eps1] for row in rep[pos]]
-        u_basis = linalg.nullspace(u_rows, p)
-        w_rows = []
-        for pos in pos_b + [eps2]:
-            w_rows.extend(linalg.transpose(rep[pos]))
-        w_rref, _ = linalg.rref(w_rows, p)
-        u_rref, u_piv = linalg.rref(list(u_basis), p)
-        um, wm = len(u_basis), len(w_rref)
-        if any(
-            linalg.coords_against_rref(row, u_rref, u_piv, p) is None
-            for row in w_rref
-        ):
-            continue
-        weight = LaurentPoly.v_pow((um - t) * (t - wm)) * qbinom(um - wm, t - wm)
-        if weight.is_zero():
-            continue
-        scal = algebra.scalar(weight) * pref * Fraction(1, m_cls.aut_order)
-        out = out + algebra.module_elt(m_cls).scale(scal)
-    return out

@@ -148,16 +148,22 @@ def primitive_root(p):
 
 
 def gl_generators(n, p):
-    """Generators of GL_n(F_p): unit transvections plus one primitive scalar."""
+    """Generators of GL_n(F_p): the 2(n-1) adjacent unit transvections
+    I + E_(i,i+1) and I + E_(i+1,i), plus one primitive scalar.
+
+    The commutator of I + E_ij and I + E_jk is I + E_ik (i != k), so the
+    adjacent ones reach every unit transvection. Over F_p the powers of
+    I + E_ij are the I + c E_ij, which generate SL_n, and the scalar
+    diag(g0, 1, ...) reaches every determinant.
+    """
     if n == 0:
         return ()
     gens = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                g = [list(row) for row in identity(n)]
-                g[i][j] = 1
-                gens.append(tuple(tuple(row) for row in g))
+    for i in range(n - 1):
+        for a, b in ((i, i + 1), (i + 1, i)):
+            g = [list(row) for row in identity(n)]
+            g[a][b] = 1
+            gens.append(tuple(tuple(row) for row in g))
     g0 = primitive_root(p)
     if g0 != 1:
         g = [list(row) for row in identity(n)]

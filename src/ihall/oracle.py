@@ -1,0 +1,689 @@
+"""The reference routes that the tests compare the product engine against.
+
+No command imports this module: `ihall verify` and the other commands run
+the engine alone (`ModuleTable.extension_counts`, `HallAlgebra._pair`,
+`idp.idp_hall`). Each route here reaches the same numbers another way:
+
+* the field Q(v) (`LaurentFrac`), in which the symbolic forms live;
+* the symbolic idivided powers at a tau-fixed vertex: the defining product
+  form, the two-step recursion and the closed sum (`idp_product`,
+  `idp_recursive`, `idp_closed`), and their image in a Hall algebra
+  (`sym_to_hall`);
+* filtration counts on a module table: Hall numbers from every submodule of
+  a middle (`decomposition`, `hall_number`), extension counts from them by
+  Riedtmann's formula (`ext_count_with_middle`), hom spaces and the
+  (kernel, cokernel) tally of every module map (`hom_count`, `hom_basis`,
+  `morphism_tally`);
+* three product oracles: the morphism-sum formula (`oracle_kq_product`) and
+  two closed forms (`oracle_sss`, `oracle_kronecker_single`).
+
+The table routes are free functions of the table. Their memos are keyed by
+the table weakly and hold class keys, not classes, so nothing in them keeps
+a table alive: they die with it.
+"""
+
+from __future__ import annotations
+
+import weakref
+from fractions import Fraction
+from itertools import product as cartesian
+
+from . import linalg
+from .idp import _KCOEF, _factor_indices
+from .ihall import HallElt
+from .iqg import p_exponent
+from .ring import (
+    VMVI,
+    LaurentPoly,
+    ONE,
+    ZERO,
+    _div,
+    _poly_divmod_exact,
+    comb2,
+    qbinom,
+    qdfact,
+    qfact,
+    qint,
+)
+
+# ---------------------------------------------------------------------------
+# the field Q(v)
+# ---------------------------------------------------------------------------
+
+
+def _poly_gcd(a, b):
+    """Monic gcd of dense coefficient lists (low degree first)."""
+
+    def strip(p):
+        while len(p) > 1 and p[-1] == 0:
+            p = p[:-1]
+        return p
+
+    a, b = strip(list(a)), strip(list(b))
+    while b != [0]:
+        # remainder of a by b
+        r = list(a)
+        db, lead = len(b) - 1, b[-1]
+        for i in range(len(r) - 1 - db, -1, -1):
+            c = r[i + db]
+            if c:
+                f = _div(c, lead)
+                for j in range(db + 1):
+                    r[i + j] -= f * b[j]
+        a, b = b, strip(r)
+    lead = a[-1]
+    if lead != 1:
+        a = [_div(c, lead) for c in a]
+    return a
+
+
+class LaurentFrac:
+    """Element of Q(v) as a reduced fraction of Laurent polynomials.
+
+    Normal form: denominator is an ordinary polynomial in v with nonzero
+    constant term, leading coefficient 1, and gcd(num, den) = 1; the zero
+    element is 0/1.  Equality is therefore structural.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=ONE):
+        num = _as_poly(num)
+        den = _as_poly(den)
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator in Q(v)")
+        if num.is_zero():
+            object.__setattr__(self, "num", ZERO)
+            object.__setattr__(self, "den", ONE)
+            return
+        lo_n, cn = num._as_coeff_list()
+        lo_d, cd = den._as_coeff_list()
+        g = _poly_gcd(cn, cd)
+        if len(g) > 1 or g[0] != 1:
+            cn = _poly_divmod_exact(cn, g)
+            cd = _poly_divmod_exact(cd, g)
+        while len(cd) > 1 and cd[-1] == 0:
+            cd.pop()
+        lead = cd[-1]
+        if lead != 1:
+            cn = [_div(c, lead) for c in cn]
+            cd = [_div(c, lead) for c in cd]
+        shift = lo_n - lo_d
+        object.__setattr__(self, "num", LaurentPoly({shift + i: c for i, c in enumerate(cn) if c}))
+        object.__setattr__(self, "den", LaurentPoly({i: c for i, c in enumerate(cd) if c}))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LaurentFrac is immutable")
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        other = _as_frac_or_none(other)
+        if other is None:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __add__(self, other):
+        other = _as_frac_or_none(other)
+        if other is None:
+            return NotImplemented
+        return LaurentFrac(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        out = object.__new__(LaurentFrac)
+        object.__setattr__(out, "num", -self.num)
+        object.__setattr__(out, "den", self.den)
+        return out
+
+    def __sub__(self, other):
+        other = _as_frac_or_none(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = _as_frac_or_none(other)
+        if other is None:
+            return NotImplemented
+        return LaurentFrac(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _as_frac_or_none(other)
+        if other is None:
+            return NotImplemented
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero in Q(v)")
+        return LaurentFrac(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        other = _as_frac_or_none(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def bar(self):
+        return LaurentFrac(self.num.bar(), self.den.bar())
+
+    def specialize_sqrtq(self, q):
+        return self.num.specialize_sqrtq(q) / self.den.specialize_sqrtq(q)
+
+    def __repr__(self):
+        if self.den == ONE:
+            return repr(self.num)
+        return f"({self.num!r})/({self.den!r})"
+
+
+def _as_poly(x):
+    if isinstance(x, LaurentPoly):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return LaurentPoly.const(x)
+    raise TypeError(f"cannot interpret {type(x).__name__} as a Laurent polynomial")
+
+
+def _as_frac_or_none(x):
+    if isinstance(x, LaurentFrac):
+        return x
+    if isinstance(x, (int, Fraction, LaurentPoly)):
+        return LaurentFrac(_as_poly(x))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# symbolic idivided powers
+# ---------------------------------------------------------------------------
+
+
+def _lf(x):
+    if isinstance(x, LaurentFrac):
+        return x
+    return LaurentFrac(x)
+
+
+class SymRank1:
+    """Laurent-rational combinations of [nS] * K^k at one tau-fixed vertex.
+
+    Only the operations the idivided-power constructions need are defined:
+    left multiplication by [S] (one folding rule) and multiplication by the
+    central torus element K.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = {k: _lf(c) for k, c in terms.items() if _lf(c)}
+
+    @classmethod
+    def zero(cls):
+        return cls({})
+
+    @classmethod
+    def one(cls):
+        return cls({(0, 0): ONE})
+
+    @classmethod
+    def gen_S(cls):
+        return cls({(1, 0): ONE})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, LaurentFrac(0)) + c
+        return SymRank1(out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, LaurentFrac(0)) - c
+        return SymRank1(out)
+
+    def __eq__(self, other):
+        return isinstance(other, SymRank1) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def is_zero(self):
+        return not self.terms
+
+    def scale(self, c):
+        c = _lf(c)
+        return SymRank1({k: x * c for k, x in self.terms.items()})
+
+    def mul_S(self):
+        """Left product by [S]: [S]*[nS] = v^-n [(n+1)S] + (v^n - v^-n)[(n-1)S]K."""
+        out = {}
+
+        def add(key, val):
+            out[key] = out.get(key, LaurentFrac(0)) + val
+
+        for (n, k), c in self.terms.items():
+            add((n + 1, k), c * LaurentPoly.v_pow(-n))
+            if n >= 1:
+                add((n - 1, k + 1), c * (LaurentPoly.v_pow(n) - LaurentPoly.v_pow(-n)))
+        return SymRank1(out)
+
+    def mul_K(self, m=1):
+        return SymRank1({(n, k + m): c for (n, k), c in self.terms.items()})
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for (n, k), c in sorted(self.terms.items()):
+            s = "(%r)[%dS]" % (c, n)
+            if k:
+                s += "*K^%d" % k
+            bits.append(s)
+        return " + ".join(bits)
+
+
+def idp_product(n, parity):
+    """The defining product form of [S]^(n) in the given parity.
+
+    Odd n carries one bare [S] in front; every other factor is
+    [S]^2 + v^-1 (v^2-1)^2 [s]^2 K, divided by [n]! at the end.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    out = SymRank1.one()
+    for s in _factor_indices(n, parity):
+        out = out.mul_S().mul_S() + out.mul_K().scale(_KCOEF * qint(s) ** 2)
+    if n % 2 == 1:
+        out = out.mul_S()
+    return out.scale(LaurentFrac(ONE, qfact(n)))
+
+
+def idp_recursive(n, parity):
+    """[S]^(n) built from the two-step recursion seeded at n = 0, 1."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    prev, cur = SymRank1.one(), SymRank1.gen_S()
+    if n == 0:
+        return prev
+    for m in range(1, n):
+        # [S]*[S]^(m) = [m+1][S]^(m+1) + (correction) with the correction
+        # present only on the step whose parity matches
+        correction_step = (m % 2 == 1) if parity == 1 else (m % 2 == 0)
+        rhs = cur.mul_S()
+        if correction_step and m >= 1:
+            rhs = rhs + prev.mul_K().scale(_KCOEF * qint(m))
+        prev, cur = cur, rhs.scale(LaurentFrac(ONE, qint(m + 1)))
+    return cur
+
+
+def idp_closed(n, parity):
+    """The closed sum for [S]^(n): one term per number k of K factors."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    sign = -1 if n % 2 else 1  # (-1)^n
+    out = {}
+    for k in range(n // 2 + 1):
+        if parity == 1:
+            e = k * (k + sign) - comb2(n - 2 * k)
+        else:
+            e = k * (k - sign) - comb2(n - 2 * k)
+        num = LaurentPoly.v_pow(e) * VMVI ** k
+        coeff = LaurentFrac(num, qfact(n - 2 * k) * qdfact(2 * k))
+        out[(n - 2 * k, k)] = coeff
+    return SymRank1(out)
+
+
+def sym_to_hall(algebra, vertex, sym):
+    """Specialize a symbolic rank-1 element into a Hall algebra at a vertex."""
+    iq = algebra.iq
+    if iq.tau[vertex] != vertex:
+        raise ValueError("symbolic rank-1 elements live at a tau-fixed vertex")
+    vi = iq.vertices.index(vertex)
+    table = algebra.kq
+    simple = table.simple(vertex)
+    acc = {}
+    for (n, k), c in sym.terms.items():
+        cls = table.multiple(simple, n)
+        alpha = tuple(k if t == vi else 0 for t in range(iq.n))
+        key = (cls, alpha)
+        acc[key] = acc.get(key, algebra.scalar(0)) + algebra.scalar(c)
+    return HallElt(algebra, acc)
+
+
+# ---------------------------------------------------------------------------
+# filtration counts and hom spaces on a module table
+# ---------------------------------------------------------------------------
+
+_DECOMP = weakref.WeakKeyDictionary()  # table -> {class key: {(quot key, sub key): count}}
+_HOM = weakref.WeakKeyDictionary()     # table -> {(a key, b key): int}
+
+
+def _whole(dim):
+    """(rref rows, pivots) of the whole space at each vertex."""
+    return [(linalg.identity(d), tuple(range(d))) for d in dim]
+
+
+def _subquotient(table, z, subs, tops):
+    """The class z induces on V/W, or None when an arrow maps V outside V.
+
+    `subs` holds one (rref rows, pivots) basis of V per vertex and `tops`
+    rows spanning W inside V per vertex, W a submodule of z. Submodules
+    are V/0 and quotients z/W; kernels and cokernels are the same
+    construction.
+    """
+    quots = [
+        linalg.quotient_data(rows, piv, top, table.p)
+        for (rows, piv), top in zip(subs, tops)
+    ]
+    rep = table._induced(z.rep, quots)
+    if rep is None:
+        return None
+    return table.class_of(rep, tuple(len(reps) for reps, _ in quots))
+
+
+def decomposition(table, z):
+    """For each pair (key of quotient class X, key of submodule class Y):
+    the number of submodules L of z with L isomorphic to Y and z/L
+    isomorphic to X."""
+    memo = _DECOMP.setdefault(table, {})
+    if z.key in memo:
+        return memo[z.key]
+    p = table.p
+    n = table.iq.n
+    per_vertex = []
+    for d in z.dim:
+        opts = []
+        for k in range(d + 1):
+            for rows in linalg.enumerate_rref_bases(d, k, p):
+                pivots = tuple(next(i for i, x in enumerate(row) if x) for row in rows)
+                opts.append((rows, pivots))
+        per_vertex.append(opts)
+    zero = [()] * n
+    whole = _whole(z.dim)
+    tally = {}
+    for combo in cartesian(*per_vertex):
+        sub_cls = _subquotient(table, z, combo, zero)
+        if sub_cls is None:
+            continue
+        quot_cls = _subquotient(table, z, whole, [rows for rows, _ in combo])
+        key = (quot_cls.key, sub_cls.key)
+        tally[key] = tally.get(key, 0) + 1
+    memo[z.key] = tally
+    return tally
+
+
+def hall_number(table, x, y, z):
+    """Count of submodules L of z with L iso to y and z/L iso to x."""
+    return decomposition(table, z).get((x.key, y.key), 0)
+
+
+def ext_count_with_middle(table, x, y, z):
+    """|Ext^1(x, y) with middle z|, recovered from the filtration count.
+
+    Riedtmann-Peng: F^z_{x,y} = (|Ext^1(x,y)_z| / |Hom(x,y)|) *
+    |Aut z| / (|Aut x| |Aut y|). The result must be a nonnegative integer.
+    """
+    f = hall_number(table, x, y, z)
+    val = (
+        Fraction(f)
+        * hom_count(table, x, y)
+        * x.aut_order
+        * y.aut_order
+        / z.aut_order
+    )
+    if val.denominator != 1:
+        raise RuntimeError(
+            "extension count is not an integer for %r, %r, %r" % (x, y, z)
+        )
+    return int(val)
+
+
+def _hom_system(table, a, b):
+    """Coefficient rows of the intertwiner equations f_j A = B f_i."""
+    p = table.p
+    offs = []
+    total = 0
+    for vi in range(table.iq.n):
+        offs.append(total)
+        total += b.dim[vi] * a.dim[vi]
+    rows = []
+    for k, (si, ti) in enumerate(table._arrow_ends):
+        ma, mb = a.rep[k], b.rep[k]
+        for r in range(b.dim[ti]):
+            for c in range(a.dim[si]):
+                row = [0] * total
+                for s in range(a.dim[ti]):
+                    row[offs[ti] + r * a.dim[ti] + s] += ma[s][c]
+                for t in range(b.dim[si]):
+                    row[offs[si] + t * a.dim[si] + c] -= mb[r][t]
+                rows.append(tuple(x % p for x in row))
+    return total, offs, rows
+
+
+def hom_count(table, a, b):
+    """|Hom(a, b)|."""
+    memo = _HOM.setdefault(table, {})
+    key = (a.key, b.key)
+    if key in memo:
+        return memo[key]
+    total, _, rows = _hom_system(table, a, b)
+    nullity = total - (len(linalg.rref(rows, table.p)[0]) if rows else 0)
+    count = table.p ** nullity
+    memo[key] = count
+    return count
+
+
+def hom_basis(table, a, b):
+    """Basis of Hom(a, b), each element as one flat coefficient vector."""
+    total, offs, rows = _hom_system(table, a, b)
+    if rows:
+        return total, offs, linalg.nullspace(rows, table.p)
+    if total == 0:
+        return total, offs, ()
+    return total, offs, linalg.identity(total)
+
+
+def _unflatten_hom(vec, offs, a, b):
+    mats = []
+    for vi in range(len(a.dim)):
+        r, c = b.dim[vi], a.dim[vi]
+        base = offs[vi]
+        mats.append(
+            tuple(tuple(vec[base + i * c + j] for j in range(c)) for i in range(r))
+        )
+    return tuple(mats)
+
+
+def morphism_tally(table, a, b):
+    """Tally of (kernel class, cokernel class) over every map a -> b."""
+    p = table.p
+    n = table.iq.n
+    total, offs, basis = hom_basis(table, a, b)
+    tally = {}
+    for coeffs in cartesian(range(p), repeat=len(basis)):
+        vec = [0] * total
+        for coef, bv in zip(coeffs, basis):
+            if coef:
+                for idx, x in enumerate(bv):
+                    vec[idx] = (vec[idx] + coef * x) % p
+        f = _unflatten_hom(vec, offs, a, b)
+        kers = [table._kernel_rref(f[vi], a.dim[vi]) for vi in range(n)]
+        ker = _subquotient(table, a, kers, [()] * n)
+        if ker is None:
+            raise RuntimeError("kernel of a module map must be a submodule")
+        images = [linalg.col_space(f[vi], p)[0] for vi in range(n)]
+        cok = _subquotient(table, b, _whole(b.dim), images)
+        key = (ker, cok)
+        tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+# ---------------------------------------------------------------------------
+# product oracles
+# ---------------------------------------------------------------------------
+
+
+def oracle_kq_product(algebra, a, b):
+    """[a] * [b] for kQ classes, via the morphism-sum formula.
+
+    Sums over module maps s: a -> b with kernel N and cokernel L, then
+    over middles M of extensions of N by L:
+
+        v^<a,b>  q^(<N,b> - <N,a> + <N,N> - <a,b>)
+          * |Ext^1(N,L)_M| / |Hom(N,L)|  *  [M] * K_(dim a - dim N)
+
+    with all forms the Euler form of the underlying quiver. Shares no
+    counting with the cocycle route of the main product: its extension
+    counts come from filtration counts in the kQ table.
+
+    The formula holds for a trivial involution only: its K factor is
+    K_(dim a - dim N), with no tau twist, and summing over maps a -> b
+    misses the K term of [S1] * [S3] when S3 = tau* S1 (a3-quasisplit).
+    Other involutions raise ValueError.
+    """
+    iq = algebra.iq
+    table = algebra.kq
+    if any(iq.tau[v] != v for v in iq.vertices):
+        raise ValueError("the morphism-sum formula needs the trivial involution")
+    if a.table is not table or b.table is not table:
+        raise ValueError("the morphism-sum formula needs kQ classes")
+    euler = iq.euler
+    out = algebra.zero()
+    for (n_cls, l_cls), count in morphism_tally(table, a, b).items():
+        qexp = (
+            euler(n_cls.dim, b.dim)
+            - euler(n_cls.dim, a.dim)
+            + euler(n_cls.dim, n_cls.dim)
+            - euler(a.dim, b.dim)
+        )
+        scal = algebra.v_pow(euler(a.dim, b.dim) + 2 * qexp) * count
+        alpha = tuple(x - y for x, y in zip(a.dim, n_cls.dim))
+        mdim = tuple(x + y for x, y in zip(n_cls.dim, l_cls.dim))
+        hom_nl = hom_count(table, n_cls, l_cls)
+        acc = {}
+        for m in algebra.eps_zero_classes(mdim):
+            ext = ext_count_with_middle(table, n_cls, l_cls, m)
+            if not ext:
+                continue
+            acc[(m, alpha)] = algebra.scalar(Fraction(ext, hom_nl)) * scal
+        out = out + HallElt(algebra, acc)
+    return out
+
+
+def oracle_sss(algebra, s, t):
+    """Closed form for [sS1]*[S2]*[tS1] on a two-vertex quiver with trivial
+    involution and all arrows pointing from the first vertex to the second.
+
+    One double sum over torus powers r and middle classes M, with M weighted
+    by the dimension u_M of the simultaneous kernel of its arrow matrices.
+    Shares nothing with the cocycle route of the main product except the
+    kQ module table.
+    """
+    iq = algebra.iq
+    if iq.n != 2 or any(iq.tau[w] != w for w in iq.vertices):
+        raise ValueError("this closed form needs two vertices and trivial tau")
+    srcs = {ar.src for ar in iq.arrows}
+    tgts = {ar.tgt for ar in iq.arrows}
+    if len(srcs) != 1 or len(tgts) != 1 or srcs == tgts:
+        raise ValueError("arrows must all share one source and one target")
+    v1, v2 = srcs.pop(), tgts.pop()
+    a = len(iq.arrows)
+    table = algebra.kq
+    p = table.p
+    i1 = iq.vertices.index(v1)
+    qpos = [table.bq.aindex[ar.name] for ar in iq.arrows]
+    s1 = table.simple(v1)
+    s2 = table.simple(v2)
+    out = algebra.zero()
+    for r in range(min(s, t) + 1):
+        k = s + t - 2 * r
+        ks1 = table.multiple(s1, k)
+        dim = tuple(k if j == i1 else 1 for j in range(2))
+        alpha = tuple(r if j == i1 else 0 for j in range(2))
+        for m_cls in table.classes(dim):
+            if hall_number(table, ks1, s2, m_cls) == 0:
+                continue
+            if k == 0:
+                u = 0
+            else:
+                rows = [row for pos in qpos for row in m_cls.rep[pos]]
+                u = len(linalg.nullspace(rows, p))
+            num = (
+                LaurentPoly.v_pow(p_exponent(a, u, r, s, t))
+                * VMVI ** (s + t - r + 1)
+                * qfact(s)
+                * qfact(t)
+                * qbinom(u, t - r)
+            )
+            if num.is_zero():
+                continue
+            scal = algebra.scalar(LaurentFrac(num, qfact(r))) * Fraction(
+                1, m_cls.aut_order
+            )
+            out = out + HallElt(algebra, {(m_cls, alpha): scal})
+    return out
+
+
+def oracle_kronecker_single(algebra, l, t):
+    """Closed form for [S1]^(l) * [S2] * [S1]^(t), l + t = 2r + 1, on the
+    two-vertex quiver with r arrows each way and the swap involution.
+
+    Each class M at dimension (2r+1, 1) contributes through two subspaces of
+    its big vertex: U (common kernel of the forward maps) and W (sum of the
+    backward images). Only classes with W inside U survive, each weighted by
+    one Gaussian binomial in dim U and dim W.
+    """
+    iq = algebra.iq
+    table = algebra.table
+    p = table.p
+    v1, v2 = iq.vertices
+    if iq.tau[v1] != v2:
+        raise ValueError("this closed form needs the swap involution")
+    alphas = [ar for ar in iq.arrows if ar.src == v1]
+    betas = [ar for ar in iq.arrows if ar.src == v2]
+    r = len(alphas)
+    if len(betas) != r or r == 0:
+        raise ValueError("need the same number of arrows in each direction")
+    if l + t != 2 * r + 1:
+        raise ValueError("the exponents must add up to 2r + 1")
+    i1 = iq.vertices.index(v1)
+    pos_a = [table.bq.aindex[ar.name] for ar in alphas]
+    pos_b = [table.bq.aindex[ar.name] for ar in betas]
+    eps1 = table.bq.aindex[table.bq.eps_name[v1]]
+    eps2 = table.bq.aindex[table.bq.eps_name[v2]]
+    dim = tuple(2 * r + 1 if j == i1 else 1 for j in range(2))
+    pref = algebra.v_pow(
+        -r * (2 * r + 1) + t * l + l * (l - 1) + t * (t - 1)
+    ) * Fraction((algebra.q - 1) ** (2 * r + 2), 1)
+    out = algebra.zero()
+    for m_cls in table.classes(dim):
+        rep = m_cls.rep
+        u_rows = [row for pos in pos_a + [eps1] for row in rep[pos]]
+        u_basis = linalg.nullspace(u_rows, p)
+        w_rows = []
+        for pos in pos_b + [eps2]:
+            w_rows.extend(linalg.transpose(rep[pos]))
+        w_rref, _ = linalg.rref(w_rows, p)
+        u_rref, u_piv = linalg.rref(list(u_basis), p)
+        um, wm = len(u_basis), len(w_rref)
+        if any(
+            linalg.coords_against_rref(row, u_rref, u_piv, p) is None
+            for row in w_rref
+        ):
+            continue
+        weight = LaurentPoly.v_pow((um - t) * (t - wm)) * qbinom(um - wm, t - wm)
+        if weight.is_zero():
+            continue
+        scal = algebra.scalar(weight) * pref * Fraction(1, m_cls.aut_order)
+        out = out + algebra.module_elt(m_cls).scale(scal)
+    return out

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: Laurent polynomials in v, the field Q(v), and Q[sqrt(q)].
+"""Exact scalar arithmetic: Laurent polynomials in v and Q[sqrt(q)].
 
 Coefficients are exact rationals kept in one normal form: an int whenever
 the value is integral, otherwise a fractions.Fraction (see _norm).  Every
@@ -313,158 +313,6 @@ def _poly_divmod_exact(num, den):
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 V = LaurentPoly({1: 1})
-
-
-def _poly_gcd(a, b):
-    """Monic gcd of dense coefficient lists (low degree first)."""
-
-    def strip(p):
-        while len(p) > 1 and p[-1] == 0:
-            p = p[:-1]
-        return p
-
-    a, b = strip(list(a)), strip(list(b))
-    while b != [0]:
-        # remainder of a by b
-        r = list(a)
-        db, lead = len(b) - 1, b[-1]
-        for i in range(len(r) - 1 - db, -1, -1):
-            c = r[i + db]
-            if c:
-                f = _div(c, lead)
-                for j in range(db + 1):
-                    r[i + j] -= f * b[j]
-        a, b = b, strip(r)
-    lead = a[-1]
-    if lead != 1:
-        a = [_div(c, lead) for c in a]
-    return a
-
-
-class LaurentFrac:
-    """Element of Q(v) as a reduced fraction of Laurent polynomials.
-
-    Normal form: denominator is an ordinary polynomial in v with nonzero
-    constant term, leading coefficient 1, and gcd(num, den) = 1; the zero
-    element is 0/1.  Equality is therefore structural.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=ONE):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in Q(v)")
-        if num.is_zero():
-            object.__setattr__(self, "num", ZERO)
-            object.__setattr__(self, "den", ONE)
-            return
-        lo_n, cn = num._as_coeff_list()
-        lo_d, cd = den._as_coeff_list()
-        g = _poly_gcd(cn, cd)
-        if len(g) > 1 or g[0] != 1:
-            cn = _poly_divmod_exact(cn, g)
-            cd = _poly_divmod_exact(cd, g)
-        while len(cd) > 1 and cd[-1] == 0:
-            cd.pop()
-        lead = cd[-1]
-        if lead != 1:
-            cn = [_div(c, lead) for c in cn]
-            cd = [_div(c, lead) for c in cd]
-        shift = lo_n - lo_d
-        object.__setattr__(self, "num", LaurentPoly({shift + i: c for i, c in enumerate(cn) if c}))
-        object.__setattr__(self, "den", LaurentPoly({i: c for i, c in enumerate(cd) if c}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentFrac is immutable")
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        other = _as_frac_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = _as_frac_or_none(other)
-        if other is None:
-            return NotImplemented
-        return LaurentFrac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = object.__new__(LaurentFrac)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
-
-    def __sub__(self, other):
-        other = _as_frac_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_frac_or_none(other)
-        if other is None:
-            return NotImplemented
-        return LaurentFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_frac_or_none(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero in Q(v)")
-        return LaurentFrac(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_frac_or_none(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def bar(self):
-        return LaurentFrac(self.num.bar(), self.den.bar())
-
-    def specialize_sqrtq(self, q):
-        return self.num.specialize_sqrtq(q) / self.den.specialize_sqrtq(q)
-
-    def __repr__(self):
-        if self.den == ONE:
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
-
-
-def _as_poly(x):
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentPoly.const(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a Laurent polynomial")
-
-
-def _as_frac_or_none(x):
-    if isinstance(x, LaurentFrac):
-        return x
-    if isinstance(x, (int, Fraction, LaurentPoly)):
-        return LaurentFrac(_as_poly(x))
-    return None
 
 
 class QSqrt:

@@ -299,6 +299,36 @@ def test_identities_loads_only_its_layers():
     assert out.stdout.splitlines() == ["0 []", "[] []"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "builtin:a2-split", "--q", "3"],
+        ["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"],
+    ],
+)
+def test_commands_leave_the_oracles_out(argv):
+    # the reference routes live in ihall.oracle, which no command imports;
+    # the package still resolves their public names there
+    src = os.path.dirname(os.path.dirname(ihall.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """if True:
+        import contextlib, io, sys
+        import ihall, ihall.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = ihall.cli.main(sys.argv[1:])
+        print(code, "ihall.oracle" in sys.modules)
+        missing = [n for n in ihall.__all__ if getattr(ihall, n, None) is None]
+        homed = [n for n in ihall.__all__ if getattr(getattr(ihall, n), "__module__", None) == "ihall.oracle"]
+        print(missing, homed)
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    homed = ["LaurentFrac", "idp_closed", "idp_product", "idp_recursive",
+             "oracle_kronecker_single", "oracle_sss"]
+    assert out.stdout.splitlines() == ["0 False", "[] %s" % homed]
+
+
 def test_unknown_package_attribute_is_attribute_error():
     with pytest.raises(AttributeError):
         ihall.no_such_name

@@ -1,17 +1,20 @@
 """Module enumeration, isomorphism classification, Hall numbers."""
 
 import functools
+import gc
 import hashlib
 import json
 import pickle
+import weakref
 from itertools import product
 
 import pytest
 
-from ihall import frep, linalg, tablecache
+from ihall import frep, linalg, oracle, tablecache
 from ihall.cli import main
 from ihall.frep import BudgetError, ModuleTable
 from ihall.iquiver import BUILTIN_NAMES, BoundQuiver, IQuiver, builtin_iquiver
+from ihall.oracle import ext_count_with_middle, hall_number, hom_count, morphism_tally
 
 
 def table(name, p, **kw):
@@ -315,8 +318,8 @@ def test_k_module_shapes():
 def test_hom_counts():
     tab = table("a2-split", 2)
     s1, s2 = tab.simple("1"), tab.simple("2")
-    assert tab.hom_count(s1, s1) == 2
-    assert tab.hom_count(s1, s2) == 1  # only the zero map
+    assert hom_count(tab, s1, s1) == 2
+    assert hom_count(tab, s1, s2) == 1  # only the zero map
     # P = the indecomposable with the arrow acting as identity;
     # top P = S1 and soc P = S2
     p_cls = next(
@@ -324,10 +327,10 @@ def test_hom_counts():
         for c in tab.classes((1, 1))
         if any(any(row) for row in c.rep[tab.bq.aindex["a1"]])
     )
-    assert tab.hom_count(p_cls, s1) == 2
-    assert tab.hom_count(s1, p_cls) == 1
-    assert tab.hom_count(p_cls, s2) == 1
-    assert tab.hom_count(s2, p_cls) == 2
+    assert hom_count(tab, p_cls, s1) == 2
+    assert hom_count(tab, s1, p_cls) == 1
+    assert hom_count(tab, p_cls, s2) == 1
+    assert hom_count(tab, s2, p_cls) == 2
 
 
 def test_hall_numbers_split_pair():
@@ -340,10 +343,24 @@ def test_hall_numbers_split_pair():
         if any(any(row) for row in c.rep[tab.bq.aindex["a1"]])
     )
     # the nonsplit extension has sub S2 and quotient S1, not the reverse
-    assert tab.hall_number(s1, s2, p_cls) == 1
-    assert tab.hall_number(s2, s1, p_cls) == 0
-    assert tab.hall_number(s1, s2, ds) == 1
-    assert tab.hall_number(s2, s1, ds) == 1
+    assert hall_number(tab, s1, s2, p_cls) == 1
+    assert hall_number(tab, s2, s1, p_cls) == 0
+    assert hall_number(tab, s1, s2, ds) == 1
+    assert hall_number(tab, s2, s1, ds) == 1
+
+
+def test_oracle_memos_die_with_their_table():
+    # the filtration and Hom memos are keyed by the table weakly and hold
+    # no class, so they keep no table alive
+    tab = table("a2-split", 2)
+    s1, s2 = tab.simple("1"), tab.simple("2")
+    z = tab.direct_sum(s1, s2)
+    assert hall_number(tab, s1, s2, z) == 1 and hom_count(tab, s1, z) == 2
+    assert tab in oracle._DECOMP and tab in oracle._HOM
+    ref = weakref.ref(tab)
+    del tab, s1, s2, z
+    gc.collect()
+    assert ref() is None
 
 
 def test_riedtmann_peng_integrality():
@@ -357,7 +374,7 @@ def test_riedtmann_peng_integrality():
                 if sum(zdim) > 4:
                     continue
                 for z in tab.classes(zdim):
-                    n = tab.ext_count_with_middle(x, y, z)
+                    n = ext_count_with_middle(tab, x, y, z)
                     assert isinstance(n, int) and n >= 0
 
 
@@ -366,8 +383,8 @@ def test_morphism_tally_total_is_hom_count():
     pool = [c for d in [(1, 0), (0, 1), (1, 1)] for c in tab.classes(d)]
     for x in pool:
         for y in pool:
-            tally = tab.morphism_tally(x, y)
-            assert sum(tally.values()) == tab.hom_count(x, y)
+            tally = morphism_tally(tab, x, y)
+            assert sum(tally.values()) == hom_count(tab, x, y)
 
 
 def test_homology_reduction():

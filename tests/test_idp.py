@@ -2,17 +2,18 @@
 
 import pytest
 
-from ihall.idp import (
+from ihall.idp import idp_hall
+from ihall.ihall import HallAlgebra
+from ihall.iquiver import builtin_iquiver
+from ihall.oracle import (
+    LaurentFrac,
     SymRank1,
     idp_closed,
-    idp_hall,
     idp_product,
     idp_recursive,
     sym_to_hall,
 )
-from ihall.ihall import HallAlgebra
-from ihall.iquiver import builtin_iquiver
-from ihall.ring import LaurentFrac, LaurentPoly, ONE, V, qdfact, qfact
+from ihall.ring import LaurentPoly, V, qdfact, qfact
 
 
 def test_base_cases():

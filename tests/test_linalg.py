@@ -83,19 +83,21 @@ def test_is_prime_and_primitive_root():
 
 
 def test_gl_generators_generate():
-    # closure of the generators reaches the full group at small size
-    p, d = 3, 2
-    gens = linalg.gl_generators(d, p)
-    seen = {linalg.identity(d)}
-    frontier = [linalg.identity(d)]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = linalg.mat_mul(g, cur, p)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    assert len(seen) == linalg.gl_order(d, p)
+    # closure of the 2(d-1) adjacent transvections and the scalar reaches the
+    # full group at small size
+    for p, d in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (2, 4)]:
+        gens = linalg.gl_generators(d, p)
+        assert len(gens) == 2 * (d - 1) + (p > 2)
+        seen = {linalg.identity(d)}
+        frontier = [linalg.identity(d)]
+        while frontier:
+            cur = frontier.pop()
+            for g in gens:
+                nxt = linalg.mat_mul(g, cur, p)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        assert len(seen) == linalg.gl_order(d, p), (p, d)
 
 
 def test_subspace_count_matches_enumeration():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from ihall.ring import (
     ExactDivisionError,
-    LaurentFrac,
     LaurentPoly,
     ONE,
     QSqrt,
@@ -23,6 +22,7 @@ from ihall.ring import (
     qfact_ratio,
     qint,
 )
+from ihall.oracle import LaurentFrac
 
 fractions = st.builds(
     Fraction,
