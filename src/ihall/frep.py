@@ -147,15 +147,13 @@ class ModuleTable:
             cache_dir = os.environ.get("IHALL_CACHE_DIR")
         self.cache_dir = cache_dir
 
-        self._vi = {v: k for k, v in enumerate(self.iq.vertices)}
-        self._arrow_ends = tuple(
-            (self._vi[a.src], self._vi[a.tgt]) for a in bq.arrows
-        )
+        index = self.iq.vindex
+        self._arrow_ends = tuple((index[a.src], index[a.tgt]) for a in bq.arrows)
         self._eps_pos = tuple(
             bq.aindex[bq.eps_name[v]] for v in self.iq.vertices if v in bq.eps_name
         )
         self._q_pos = tuple(k for k in range(len(bq.arrows)) if k not in self._eps_pos)
-        self._tau_idx = tuple(self._vi[self.iq.tau[v]] for v in self.iq.vertices)
+        self._tau_idx = tuple(index[self.iq.tau[v]] for v in self.iq.vertices)
         # arrows grouped by target vertex index, for the radical chain
         self._into = tuple(
             tuple(
@@ -171,15 +169,12 @@ class ModuleTable:
             pos for vi, pos in enumerate(self._eps_pos) if self._tau_idx[vi] == vi
         )
         # relation schedule: a relation is checked at the last arrow it uses
-        order = {a.name: k for k, a in enumerate(bq.arrows)}
+        ai = bq.aindex
         ready = [[] for _ in bq.arrows]
         relations = []
         for rel in bq.relations:
-            names = [rel.lhs[0], rel.lhs[1]]
-            if rel.rhs is not None:
-                names += [rel.rhs[0], rel.rhs[1]]
-            pairs_lhs = (order[rel.lhs[0]], order[rel.lhs[1]])
-            pairs_rhs = None if rel.rhs is None else (order[rel.rhs[0]], order[rel.rhs[1]])
+            pairs_lhs = (ai[rel.lhs[0]], ai[rel.lhs[1]])
+            pairs_rhs = None if rel.rhs is None else (ai[rel.rhs[0]], ai[rel.rhs[1]])
             relations.append((pairs_lhs, pairs_rhs))
             if (
                 rel.rhs is None
@@ -187,7 +182,7 @@ class ModuleTable:
                 and pairs_lhs[0] in self._loop_pos
             ):
                 continue
-            ready[max(order[nm] for nm in names)].append((pairs_lhs, pairs_rhs))
+            ready[max(pairs_lhs + (pairs_rhs or ()))].append((pairs_lhs, pairs_rhs))
         self._ready = tuple(tuple(r) for r in ready)
         self._relations = tuple(relations)
 
@@ -587,13 +582,13 @@ class ModuleTable:
 
     def simple(self, v):
         """The vertex simple S_v (all arrows act as zero)."""
-        vi = self._vi[v]
+        vi = self.iq.vindex[v]
         dim = tuple(1 if k == vi else 0 for k in range(self.iq.n))
         return self.class_of(self.zero_rep(dim), dim)
 
     def k_module(self, v):
         """The generalized simple at v: eps_v acts with rank one, arrows by zero."""
-        vi = self._vi[v]
+        vi = self.iq.vindex[v]
         ti = self._tau_idx[vi]
         dim = [0] * self.iq.n
         if ti == vi:
@@ -692,7 +687,7 @@ class ModuleTable:
                         for j in range(ws):
                             row[offs[s] + r * ws + j] += sign * xrep[f][j][c]
                     rows.append(tuple(v % p for v in row))
-        basis = linalg.nullspace(rows, p) if rows else linalg.identity(n)
+        basis = linalg.nullspace(rows, n, p)
         # eps arrows come first, and so do their coordinates: a reduced
         # echelon row with its pivot past them has zero eps blocks
         neps = sum(dy[ends[k][1]] * dx[ends[k][0]] for k in self._eps_pos)
@@ -763,9 +758,7 @@ class ModuleTable:
     # ---------- reduction to (kQ class, torus vector) ----------
 
     def _kernel_rref(self, mat, ncols):
-        if not mat:
-            return linalg.identity(ncols), tuple(range(ncols))
-        return linalg.rref(linalg.nullspace(mat, self.p), self.p)
+        return linalg.rref(linalg.nullspace(mat, ncols, self.p), self.p)
 
     def _eps_quotients(self, eps, dim):
         """ker(eps_v) / im(eps_{tau v}) at every vertex v of a module of dim

@@ -111,14 +111,11 @@ class HallElt:
 class HallAlgebra:
     """The twisted semi-derived Hall algebra of (iquiver, q)."""
 
-    def __init__(self, iq, q, budget_dim=6, budget_space=2 ** 28, cache_dir=None):
+    def __init__(self, iq, q, budget_dim=6, budget_space=2 ** 28):
         self.iq = iq
         self.q = q
         self.bq = BoundQuiver(iq)
-        self.table = ModuleTable(
-            self.bq, q, budget_dim=budget_dim, budget_space=budget_space,
-            cache_dir=cache_dir,
-        )
+        self.table = ModuleTable(self.bq, q, budget_dim=budget_dim, budget_space=budget_space)
         self.kq = self.table.kq
         self._pair_cache = {}
         self._zero_alpha = (0,) * iq.n

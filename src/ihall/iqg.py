@@ -21,6 +21,7 @@ from .ring import (
     VMVI,
     LaurentPoly,
     ONE,
+    ZERO,
     comb2,
     pochhammer,
     qbinom,
@@ -292,16 +293,27 @@ def adu_triples(amax):
                     yield (a, d, u)
 
 
+def _qbinom_sum(p, exponent, step=1, alternating=False):
+    """sum_t (+-1)^t v^exponent(t) [p choose t] at v^step, t = 0 .. p.
+
+    The sign (-1)^t is taken when `alternating`, else every sign is +.
+    """
+    total = ZERO
+    for t in range(p + 1):
+        qb = qbinom(p, t)
+        if step != 1:
+            qb = qb.inflate(step)
+        term = LaurentPoly.v_pow(exponent(t)) * qb
+        total = total - term if alternating and t % 2 else total + term
+    return total
+
+
 def km1_residual(p):
     """[p]! sum_{k+m=p} v^(-2(k-1)m - p(3-p)/2) / ([2k]!! [2m]!!)  minus 1.
 
     Cleared by [2p]!!, using [2p]!!/([2k]!![2m]!!) = [p choose k] at v^2.
     """
-    total = LaurentPoly.const(0)
-    for k in range(p + 1):
-        m = p - k
-        e = -2 * (k - 1) * m - p * (3 - p) // 2
-        total = total + LaurentPoly.v_pow(e) * qbinom(p, k).inflate(2)
+    total = _qbinom_sum(p, lambda k: -2 * (k - 1) * (p - k) - p * (3 - p) // 2, step=2)
     return total * qfact(p) - qdfact(2 * p)
 
 
@@ -311,18 +323,13 @@ def km3_residual(p):
     The quotient [2p]!!/[p]! is the Laurent polynomial prod_{j=1}^p (v^j + v^-j),
     so it is taken by exact division.
     """
-    total = LaurentPoly.const(0)
-    for k in range(p + 1):
-        e = p * (p + 1) // 2 - 2 * k * (p - k + 1)
-        total = total + LaurentPoly.v_pow(e) * qbinom(p, k).inflate(2)
+    total = _qbinom_sum(p, lambda k: p * (p + 1) // 2 - 2 * k * (p - k + 1), step=2)
     return total - qdfact(2 * p).exact_div(qfact(p))
 
 
 def km5_residual(p):
     """sum_k v^(-k(p-k+1)) [p choose k]  minus  prod_{j=1}^p (1 + v^-j)."""
-    total = LaurentPoly.const(0)
-    for k in range(p + 1):
-        total = total + LaurentPoly.v_pow(-k * (p - k + 1)) * qbinom(p, k)
+    total = _qbinom_sum(p, lambda k: -k * (p - k + 1))
     prod = ONE
     for j in range(1, p + 1):
         prod = prod * (ONE + LaurentPoly.v_pow(-j))
@@ -346,44 +353,31 @@ def kmrd_residual(d):
     return total
 
 
-def _alternating_qbinom_sum(p, e):
-    """sum_t (-1)^t v^(et) [p choose t], t = 0 .. p."""
-    total = LaurentPoly.const(0)
-    for t in range(p + 1):
-        term = LaurentPoly.v_pow(e * t) * qbinom(p, t)
-        total = total + term if t % 2 == 0 else total - term
-    return total
-
-
 def qbinom_alt_residual(p, d):
     """sum_t (-1)^t v^(-dt) [p choose t]: zero when |d| <= p-1, d = p-1 mod 2."""
-    return _alternating_qbinom_sum(p, -d)
+    return _qbinom_sum(p, lambda t: -d * t, alternating=True)
 
 
 def qbinom_low_residual(p):
     """sum_t (-1)^t v^(-(p+1)t) [p choose t]  minus  (v^-2; v^-2)_p."""
-    return _alternating_qbinom_sum(p, -(p + 1)) - pochhammer(-2, -2, p)
+    return _qbinom_sum(p, lambda t: -(p + 1) * t, alternating=True) - pochhammer(-2, -2, p)
 
 
 def qbinom_high_residual(p):
     """sum_t (-1)^t v^((p+1)t) [p choose t]  minus  (v^2; v^2)_p."""
-    return _alternating_qbinom_sum(p, p + 1) - pochhammer(2, 2, p)
+    return _qbinom_sum(p, lambda t: (p + 1) * t, alternating=True) - pochhammer(2, 2, p)
 
 
 def binomial_product_residual(p, zexp):
     """Finite q-binomial theorem at z = v^zexp, as an exact difference."""
-    total = LaurentPoly.const(0)
-    for t in range(p + 1):
-        total = total + (
-            LaurentPoly.v_pow(t * (1 - p)) * qbinom(p, t) * LaurentPoly.v_pow(zexp * t)
-        )
+    total = _qbinom_sum(p, lambda t: t * (1 - p + zexp))
     prod = ONE
     for j in range(p):
         prod = prod * (ONE + LaurentPoly.v_pow(-2 * j + zexp))
     return total - prod
 
 
-def run_identity_suites(pmax=12, dmax=12, amax=8):
+def run_identity_suites(pmax=12, dmax=12):
     """Every named identity over its whole advertised range.
 
     Returns a list of (name, ok) pairs, one per identity family, each ok

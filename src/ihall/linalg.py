@@ -75,11 +75,9 @@ def coords_against_rref(v, rows, pivots, p):
     return coeffs
 
 
-def nullspace(A, p):
-    """Basis of {v : A v = 0} as row vectors."""
-    if not A:
-        return ()
-    ncols = len(A[0])
+def nullspace(A, ncols, p):
+    """Basis of {v in F_p^ncols : A v = 0} as row vectors; every unit vector
+    when A has no rows."""
     rows, pivots = rref(A, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -183,7 +181,7 @@ def square_zero_matrices(d, p):
     for r in range(1, d // 2 + 1):
         for v_rows in enumerate_rref_bases(d, r, p):
             b_cols = transpose(v_rows)
-            null_rows = nullspace(v_rows, p)
+            null_rows = nullspace(v_rows, d, p)
             m = len(null_rows)
             for flat in product(range(p), repeat=r * m):
                 coef = tuple(flat[i * m : (i + 1) * m] for i in range(r))

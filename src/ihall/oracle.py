@@ -4,7 +4,9 @@ No command imports this module: `ihall verify` and the other commands run
 the engine alone (`ModuleTable.extension_counts`, `HallAlgebra._pair`,
 `idp.idp_hall`). Each route here reaches the same numbers another way:
 
-* the field Q(v) (`LaurentFrac`), in which the symbolic forms live;
+* the field Q(v) (`LaurentFrac`), in which the symbolic forms live, kept
+  as reduced fractions of Laurent polynomials over Z; its gcd takes
+  pseudo-remainders through `ring._poly_divmod`, the one long division;
 * the symbolic idivided powers at a tau-fixed vertex: the defining product
   form, the two-step recursion and the closed sum (`idp_product`,
   `idp_recursive`, `idp_closed`), and their image in a Hall algebra
@@ -27,6 +29,7 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from itertools import product as cartesian
+from math import gcd
 
 from . import linalg
 from .idp import _KCOEF, _factor_indices
@@ -37,8 +40,7 @@ from .ring import (
     LaurentPoly,
     ONE,
     ZERO,
-    _div,
-    _poly_divmod_exact,
+    _poly_divmod,
     comb2,
     qbinom,
     qdfact,
@@ -51,66 +53,64 @@ from .ring import (
 # ---------------------------------------------------------------------------
 
 
+def _primitive(a):
+    """A nonzero int list divided by its content, leading coefficient positive."""
+    c = gcd(*a)
+    return [x // c for x in a] if a[-1] > 0 else [-x // c for x in a]
+
+
 def _poly_gcd(a, b):
-    """Monic gcd of dense coefficient lists (low degree first)."""
+    """Primitive gcd over Z of nonzero dense int lists (low degree first,
+    last coefficient nonzero), with a positive leading coefficient.
 
-    def strip(p):
-        while len(p) > 1 and p[-1] == 0:
-            p = p[:-1]
-        return p
-
-    a, b = strip(list(a)), strip(list(b))
-    while b != [0]:
-        # remainder of a by b
-        r = list(a)
-        db, lead = len(b) - 1, b[-1]
-        for i in range(len(r) - 1 - db, -1, -1):
-            c = r[i + db]
-            if c:
-                f = _div(c, lead)
-                for j in range(db + 1):
-                    r[i + j] -= f * b[j]
-        a, b = b, strip(r)
-    lead = a[-1]
-    if lead != 1:
-        a = [_div(c, lead) for c in a]
-    return a
+    Euclid on primitive parts with pseudo-remainders: b's leading coefficient
+    to the power deg a - deg b + 1, times a, divides by b exactly at every
+    step of `_poly_divmod`.
+    """
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        _, r = _poly_divmod([x * b[-1] ** (len(a) - len(b) + 1) for x in a], b)
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return b
+        a, b = b, _primitive(r)
 
 
 class LaurentFrac:
-    """Element of Q(v) as a reduced fraction of Laurent polynomials.
+    """Element of Q(v) as a reduced fraction of Laurent polynomials over Z.
 
-    Normal form: denominator is an ordinary polynomial in v with nonzero
-    constant term, leading coefficient 1, and gcd(num, den) = 1; the zero
-    element is 0/1.  Equality is therefore structural.
+    Normal form: the denominator is an ordinary polynomial in v with nonzero
+    constant term and positive leading coefficient; numerator and
+    denominator are coprime in Q[v] and the gcd of all their coefficients
+    is 1; the zero element is 0/1.  Equality is therefore structural.  A
+    Fraction argument becomes its numerator over its denominator.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=ONE):
-        num = _as_poly(num)
-        den = _as_poly(den)
+        num, den_n = _split(num)
+        den, num_d = _split(den)
+        num, den = num * num_d, den * den_n
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in Q(v)")
         if num.is_zero():
-            object.__setattr__(self, "num", ZERO)
-            object.__setattr__(self, "den", ONE)
-            return
-        lo_n, cn = num._as_coeff_list()
-        lo_d, cd = den._as_coeff_list()
-        g = _poly_gcd(cn, cd)
-        if len(g) > 1 or g[0] != 1:
-            cn = _poly_divmod_exact(cn, g)
-            cd = _poly_divmod_exact(cd, g)
-        while len(cd) > 1 and cd[-1] == 0:
-            cd.pop()
-        lead = cd[-1]
-        if lead != 1:
-            cn = [_div(c, lead) for c in cn]
-            cd = [_div(c, lead) for c in cd]
-        shift = lo_n - lo_d
-        object.__setattr__(self, "num", LaurentPoly({shift + i: c for i, c in enumerate(cn) if c}))
-        object.__setattr__(self, "den", LaurentPoly({i: c for i, c in enumerate(cd) if c}))
+            num, den = ZERO, ONE
+        else:
+            g = _poly_gcd(num._as_coeff_list()[1], den._as_coeff_list()[1])
+            g = LaurentPoly(dict(enumerate(g)))
+            num, den = num.exact_div(g), den.exact_div(g)
+            lo = den.min_exp()
+            c = gcd(*num.terms.values(), *den.terms.values())
+            if den.coeff(den.max_exp()) < 0:
+                c = -c
+            num = LaurentPoly({e - lo: x // c for e, x in num.terms.items()})
+            den = LaurentPoly({e - lo: x // c for e, x in den.terms.items()})
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentFrac is immutable")
@@ -187,11 +187,12 @@ class LaurentFrac:
         return f"({self.num!r})/({self.den!r})"
 
 
-def _as_poly(x):
+def _split(x):
+    """(Laurent polynomial, int) whose quotient is x, for x in Z[v, v^-1] or Q."""
     if isinstance(x, LaurentPoly):
-        return x
+        return x, 1
     if isinstance(x, (int, Fraction)):
-        return LaurentPoly.const(x)
+        return LaurentPoly.const(x.numerator), x.denominator
     raise TypeError(f"cannot interpret {type(x).__name__} as a Laurent polynomial")
 
 
@@ -199,7 +200,7 @@ def _as_frac_or_none(x):
     if isinstance(x, LaurentFrac):
         return x
     if isinstance(x, (int, Fraction, LaurentPoly)):
-        return LaurentFrac(_as_poly(x))
+        return LaurentFrac(x)
     return None
 
 
@@ -477,7 +478,7 @@ def hom_count(table, a, b):
     if key in memo:
         return memo[key]
     total, _, rows = _hom_system(table, a, b)
-    nullity = total - (len(linalg.rref(rows, table.p)[0]) if rows else 0)
+    nullity = total - len(linalg.rref(rows, table.p)[0])
     count = table.p ** nullity
     memo[key] = count
     return count
@@ -486,11 +487,7 @@ def hom_count(table, a, b):
 def hom_basis(table, a, b):
     """Basis of Hom(a, b), each element as one flat coefficient vector."""
     total, offs, rows = _hom_system(table, a, b)
-    if rows:
-        return total, offs, linalg.nullspace(rows, table.p)
-    if total == 0:
-        return total, offs, ()
-    return total, offs, linalg.identity(total)
+    return total, offs, linalg.nullspace(rows, total, table.p)
 
 
 def _unflatten_hom(vec, offs, a, b):
@@ -613,11 +610,8 @@ def oracle_sss(algebra, s, t):
         for m_cls in table.classes(dim):
             if hall_number(table, ks1, s2, m_cls) == 0:
                 continue
-            if k == 0:
-                u = 0
-            else:
-                rows = [row for pos in qpos for row in m_cls.rep[pos]]
-                u = len(linalg.nullspace(rows, p))
+            rows = [row for pos in qpos for row in m_cls.rep[pos]]
+            u = len(linalg.nullspace(rows, k, p))
             num = (
                 LaurentPoly.v_pow(p_exponent(a, u, r, s, t))
                 * VMVI ** (s + t - r + 1)
@@ -669,7 +663,7 @@ def oracle_kronecker_single(algebra, l, t):
     for m_cls in table.classes(dim):
         rep = m_cls.rep
         u_rows = [row for pos in pos_a + [eps1] for row in rep[pos]]
-        u_basis = linalg.nullspace(u_rows, p)
+        u_basis = linalg.nullspace(u_rows, 2 * r + 1, p)
         w_rows = []
         for pos in pos_b + [eps2]:
             w_rows.extend(linalg.transpose(rep[pos]))

@@ -1,20 +1,19 @@
-"""Exact scalar arithmetic: Laurent polynomials in v and Q[sqrt(q)].
+"""Exact scalar arithmetic: Laurent polynomials over Z and Q(sqrt(q)).
 
-Coefficients are exact rationals kept in one normal form: an int whenever
-the value is integral, otherwise a fractions.Fraction (see _norm).  Every
-q-identity polynomial lies in Z[v, v^-1], so its arithmetic stays on plain
-ints.  Laurent polynomials multiply through one kernel, a Kronecker
-substitution into a single big-int product (_kronecker); rational
-coefficients are scaled to integers first and divided back exactly.
-Equality is structural, every scalar division goes through the exact
-helper _div, and a polynomial division that must be exact raises
-ExactDivisionError on a nonzero remainder instead of rounding.  No floats
-anywhere.
+Every q-coefficient lies in Z[v, v^-1], so a LaurentPoly holds int
+coefficients only: an integral Fraction is stored as its int, and a
+non-integral Fraction raises TypeError, as a float does.  Laurent polynomials
+multiply through one kernel, a Kronecker substitution into a single big-int
+product (_kronecker).  One long division over Z (_poly_divmod) serves
+exact_div and the gcd of the Q(v) oracle; each of its steps must divide
+exactly, else it raises ExactDivisionError.  QSqrt keeps rational parts,
+since Q(sqrt(q)) needs them, in the normal form of _norm, and divides them
+through the exact helper _div.  Equality is structural.  No floats anywhere.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 
 class ExactDivisionError(ArithmeticError):
@@ -47,11 +46,10 @@ def _qpow(q, k):
 
 
 class LaurentPoly:
-    """Laurent polynomial in v with exact rational coefficients.
+    """Laurent polynomial in v with integer coefficients.
 
     Stored as a dict {exponent: coefficient} with all coefficients nonzero
-    and in the normal form of _norm (int, or Fraction when not integral),
-    so equality and hashing are structural.
+    ints, so equality and hashing are structural.
     """
 
     __slots__ = ("terms",)
@@ -61,6 +59,8 @@ class LaurentPoly:
         if terms:
             for e, c in terms.items():
                 c = _norm(c)
+                if type(c) is not int:
+                    raise TypeError(f"{c!r} is not an integer coefficient")
                 if c:
                     clean[int(e)] = c
         object.__setattr__(self, "terms", clean)
@@ -84,7 +84,7 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
+            return self.terms == ({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.terms == other.terms
@@ -104,8 +104,6 @@ class LaurentPoly:
         get = out.get
         for e, c in b.items():
             s = get(e, 0) + c
-            if type(s) is not int:
-                s = _norm(s)
             if s:
                 out[e] = s
             else:
@@ -129,8 +127,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _norm(other)
-            return LaurentPoly({e: c0 * c for e, c0 in self.terms.items()})
+            other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self.terms, other.terms
@@ -138,17 +135,10 @@ class LaurentPoly:
             a, b = b, a
         if not a:
             return ZERO
-        integral = {*map(type, a.values()), *map(type, b.values())} == {int}
         if len(a) == 1:  # a monomial: shift the exponents
             ((e0, c0),) = a.items()
-            out = {e + e0: c * c0 for e, c in b.items()}
-            return _trusted(out) if integral else LaurentPoly(out)
-        if integral:
-            return _trusted(_kronecker(a, b))
-        a, da = _cleared(a)
-        b, db = _cleared(b)
-        den = da * db
-        return LaurentPoly({e: _div(c, den) for e, c in _kronecker(a, b).items()})
+            return _trusted({e + e0: c * c0 for e, c in b.items()})
+        return _trusted(_kronecker(a, b))
 
     __rmul__ = __mul__
 
@@ -166,13 +156,13 @@ class LaurentPoly:
 
     def bar(self):
         """The bar involution v -> v^-1."""
-        return LaurentPoly({-e: c for e, c in self.terms.items()})
+        return _trusted({-e: c for e, c in self.terms.items()})
 
     def inflate(self, k):
         """Substitute v -> v^k (k a positive integer)."""
         if not isinstance(k, int) or k <= 0:
             raise ValueError("inflate expects a positive integer")
-        return LaurentPoly({e * k: c for e, c in self.terms.items()})
+        return _trusted({e * k: c for e, c in self.terms.items()})
 
     def min_exp(self):
         return min(self.terms) if self.terms else 0
@@ -203,8 +193,10 @@ class LaurentPoly:
             return ZERO
         lo_n, num = self._as_coeff_list()
         lo_d, den = other._as_coeff_list()
-        quot = _poly_divmod_exact(num, den)
-        return LaurentPoly({lo_n - lo_d + i: c for i, c in enumerate(quot) if c})
+        quot, rem = _poly_divmod(num, den)
+        if any(rem):
+            raise ExactDivisionError("nonzero remainder in exact polynomial division")
+        return _trusted({lo_n - lo_d + i: c for i, c in enumerate(quot) if c})
 
     def specialize_sqrtq(self, q):
         """Evaluate at v = sqrt(q), exactly, as a QSqrt."""
@@ -228,26 +220,18 @@ class LaurentPoly:
                     mon = vs
                 elif c == -1:
                     mon = f"-{vs}"
-                elif c.denominator == 1:
-                    mon = f"{c}*{vs}"
                 else:
-                    mon = f"({c})*{vs}"
+                    mon = f"{c}*{vs}"
             parts.append(mon)
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
 
 
 def _trusted(terms):
-    """A LaurentPoly on a dict that is already clean: nonzero, normal coefficients."""
+    """A LaurentPoly on a dict that is already clean: nonzero int coefficients."""
     out = object.__new__(LaurentPoly)
     object.__setattr__(out, "terms", terms)
     return out
-
-
-def _cleared(terms):
-    """(integer terms, d): the terms times d, the lcm of their denominators."""
-    d = lcm(*[c.denominator for c in terms.values()])
-    return {e: int(c * d) for e, c in terms.items()}, d
 
 
 def _kronecker(a, b):
@@ -289,25 +273,27 @@ def _kronecker(a, b):
     return {lo + g * i: d - half for i, d in enumerate(digits) if d != half}
 
 
-def _poly_divmod_exact(num, den):
-    """Divide dense coefficient lists exactly, low degree first."""
-    num = list(num)
+def _poly_divmod(num, den):
+    """(quotient, remainder) of dense int coefficient lists, low degree first.
+
+    Long division over Z by den, whose last coefficient is nonzero: each step
+    divides a leading coefficient by den's and raises ExactDivisionError when
+    that leaves a remainder. The remainder has at most len(den) - 1 entries.
+    """
+    rem = list(num)
     dd = len(den) - 1
-    while dd > 0 and den[dd] == 0:
-        dd -= 1
     lead = den[dd]
-    nd = len(num) - 1
-    quot = [0] * max(nd - dd + 1, 0)
-    for i in range(nd - dd, -1, -1):
-        c = num[i + dd]
+    quot = [0] * max(len(rem) - dd, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + dd]
         if c:
-            f = _div(c, lead)
+            f, r = divmod(c, lead)
+            if r:
+                raise ExactDivisionError(f"{c} is not divisible by {lead}")
             quot[i] = f
             for j in range(dd + 1):
-                num[i + j] -= f * den[j]
-    if any(num):
-        raise ExactDivisionError("nonzero remainder in exact polynomial division")
-    return quot
+                rem[i + j] -= f * den[j]
+    return quot, rem[:dd]
 
 
 ZERO = LaurentPoly()

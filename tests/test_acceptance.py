@@ -138,7 +138,7 @@ def test_c4_idivided_power_forms_agree():
 
 def test_c5_q_identity_suites():
     t0 = time.time()
-    rows = run_identity_suites(pmax=12, dmax=12, amax=8)
+    rows = run_identity_suites(pmax=12, dmax=12)
     rows += run_t_suite(amax=8)
     elapsed = time.time() - t0
     bad = [name for name, flag in rows if not flag]
@@ -197,7 +197,7 @@ def _uw_data(table, cls):
     ai = table.bq.aindex
     rep = cls.rep
     rows = tuple(rep[ai["a1"]]) + tuple(rep[ai["eps_1"]])
-    u_basis = linalg.nullspace(rows, p)
+    u_basis = linalg.nullspace(rows, cls.dim[0], p)
     w_rows = tuple(linalg.transpose(rep[ai["b1"]])) + tuple(
         linalg.transpose(rep[ai["eps_2"]])
     )

@@ -54,12 +54,19 @@ def test_rref_is_idempotent(pm):
 @settings(max_examples=80)
 def test_nullspace_annihilates(pm):
     p, mat = pm
-    ns = linalg.nullspace(mat, p)
     cols = len(mat[0]) if mat else 0
-    assert len(ns) == cols - linalg.rank(mat, p) if mat else ns == ()
+    ns = linalg.nullspace(mat, cols, p)
+    assert len(ns) == cols - linalg.rank(mat, p)
     for v in ns:
         out = linalg.mat_vec(mat, v, p)
         assert all(x == 0 for x in out)
+
+
+def test_nullspace_of_no_rows_is_the_whole_space():
+    for n in range(4):
+        assert linalg.nullspace((), n, 5) == linalg.identity(n)
+    assert linalg.nullspace(((), ()), 0, 2) == ()
+    assert linalg.nullspace(((0, 0),), 2, 3) == linalg.identity(2)
 
 
 def test_inverse_roundtrip():
