@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 
 def _load_iquiver(name):
@@ -116,30 +117,31 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
+def _emit_checks(args, payload, rows, nouns, t0):
+    """Emit the (name, holds) rows of a check suite; exit code 1 if one fails."""
+    ok = all(flag for _, flag in rows)
+    payload.update(
+        results=[{nouns[0]: name, "ok": flag} for name, flag in rows],
+        ok=ok,
+        elapsed_s=round(time.time() - t0, 3),
+    )
+    lines = ["%s %s" % ("ok  " if flag else "FAIL", name) for name, flag in rows]
+    lines.append(
+        "%d/%d %s hold (%.2fs)" % (sum(f for _, f in rows), len(rows), nouns[1], time.time() - t0)
+    )
+    _emit(args, payload, lines)
+    return 0 if ok else 1
+
+
 def cmd_verify(args):
     t0 = time.time()
     algebra = _algebra(args)
     from .iqg import verify_presentation
 
     parities = tuple(int(x) for x in args.parities.split(","))
-    results = verify_presentation(algebra, parities)
-    rows = [(label, res.is_zero()) for label, res in results]
-    ok = all(flag for _, flag in rows)
-    payload = {
-        "command": "verify",
-        "quiver": args.quiver,
-        "q": args.q,
-        "results": [{"relation": lab, "ok": flag} for lab, flag in rows],
-        "ok": ok,
-        "elapsed_s": round(time.time() - t0, 3),
-    }
-    lines = ["%s %s" % ("ok  " if flag else "FAIL", lab) for lab, flag in rows]
-    lines.append(
-        "%d/%d relations hold (%.2fs)"
-        % (sum(f for _, f in rows), len(rows), time.time() - t0)
-    )
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    rows = [(label, res.is_zero()) for label, res in verify_presentation(algebra, parities)]
+    payload = {"command": "verify", "quiver": args.quiver, "q": args.q}
+    return _emit_checks(args, payload, rows, ("relation", "relations"), t0)
 
 
 def cmd_product(args):
@@ -163,7 +165,12 @@ def cmd_idp(args):
     algebra = _algebra(args)
     from .idp import idp_hall
 
-    elt = idp_hall(algebra, _vertex(algebra, args.vertex), args.n, args.parity)
+    # a warning of idp_hall is one plain line, without Python's source location
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        elt = idp_hall(algebra, _vertex(algebra, args.vertex), args.n, args.parity)
+    for w in caught:
+        print("warning: %s" % w.message, file=sys.stderr)
     payload = {
         "command": "idp",
         "quiver": args.quiver,
@@ -183,23 +190,8 @@ def cmd_identities(args):
     t0 = time.time()
     rows = run_identity_suites(pmax=args.pmax, dmax=args.dmax)
     rows += run_t_suite(amax=args.amax)
-    ok = all(flag for _, flag in rows)
-    payload = {
-        "command": "identities",
-        "pmax": args.pmax,
-        "dmax": args.dmax,
-        "amax": args.amax,
-        "results": [{"identity": name, "ok": flag} for name, flag in rows],
-        "ok": ok,
-        "elapsed_s": round(time.time() - t0, 3),
-    }
-    lines = ["%s %s" % ("ok  " if flag else "FAIL", name) for name, flag in rows]
-    lines.append(
-        "%d/%d identities hold (%.2fs)"
-        % (sum(f for _, f in rows), len(rows), time.time() - t0)
-    )
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    payload = {"command": "identities", "pmax": args.pmax, "dmax": args.dmax, "amax": args.amax}
+    return _emit_checks(args, payload, rows, ("identity", "identities"), t0)
 
 
 def cmd_enumerate(args):

@@ -1,25 +1,32 @@
 """Nilpotent representations of a bound quiver over a prime field.
 
-Enumerates all finite-dimensional nilpotent representations of a fixed
-dimension vector, classifies them up to isomorphism, and provides the
-counting data the Hall algebra layer needs: automorphism orders, extension
-counts per reduced middle (the product engine), and the reduction of a
-Lambda^i class to (kQ class, torus vector). The filtration and Hom routes
-that the tests compare the engine against live in `oracle`.
+Classifies the finite-dimensional nilpotent representations of a fixed
+dimension vector up to isomorphism, and provides the counting data the Hall
+algebra layer needs: automorphism orders, extension counts per reduced
+middle (the product engine), and the reduction of a Lambda^i class to
+(kQ class, torus vector). The filtration and Hom routes, and the raw
+enumeration of every relation-satisfying tuple, that the tests compare the
+engine against live in `oracle`.
 
 The bound quiver is the doubled quiver of an iquiver (Lambda^i) or Q alone
 (kQ); a Lambda^i table owns the kQ table its reductions land in.
 
-The enumeration works on index tuples: entry k of a tuple is the index of
-arrow k's matrix in a candidate list fixed by the matrix shape (the full
-matrix space, or the square-zero matrices for an eps loop at a tau-fixed
-vertex). Every list is in flat order (entries read row by row), so index
-tuples compare as the representations' flat entries do. Relations are
-checked through tables of product codes, and GL acts through one
-permutation of a list's indices per generator. A representation is keyed
-by its code, the mixed-radix number whose digits are its index tuple
-(`_radix`); only the canonical reps of the classes are decoded back to
-matrix tuples.
+One cocycle system (`_cocycles`) serves both the classification and the
+product engine: the blocks C for which [[y, C], [0, x]] satisfies the
+relations. A nilpotent module has a simple submodule and a simple quotient,
+so the middles of the extensions of the classes one dimension lower by a
+simple (or of a simple by them) meet every nilpotent orbit; `_classify`
+walks the GL orbit of each such middle it has not met yet.
+
+A representation is a tuple of matrices, one per arrow, and is keyed by its
+code: entry k of its index tuple is the index of arrow k's matrix in a
+candidate list fixed by the matrix shape (the full matrix space, or the
+square-zero matrices for an eps loop at a tau-fixed vertex), and the code is
+the mixed-radix number whose digits are that index tuple (`_radix`). Every
+list is in flat order (entries read row by row), so codes compare as the
+representations' flat entries do. GL acts through one permutation of a
+list's indices per generator; only the canonical reps of the classes are
+decoded back to matrix tuples.
 """
 
 from __future__ import annotations
@@ -68,6 +75,17 @@ def _span(rows, start, p):
         v = tuple([(a + b) % p for a, b in zip(sums[i + 1], rows[i])])
         for j in range(i + 1, r + 1):
             sums[j] = v
+
+
+def _acyclic(ends, n):
+    """True when the arrows, as (source, target) pairs on n vertices, close no
+    oriented cycle: stripping sinks empties the quiver."""
+    left = set(range(n))
+    while True:
+        sinks = {v for v in left if not any(s == v and t in left for s, t in ends)}
+        if not sinks:
+            return not left
+        left -= sinks
 
 
 class BudgetError(RuntimeError):
@@ -129,10 +147,10 @@ class ModuleTable:
     eps-zero Lambda^i class, since eps arrows come first in the arrow order
     and a zero matrix is the first candidate.
 
-    Candidate lists, product-code tables and GL permutation tables depend
-    only on matrix shapes and generators, so one table shares them across
-    dimension vectors. A class's `rep` is the flat-order minimum of its
-    orbit, and classes are numbered in the flat order of their reps.
+    Candidate lists and GL permutation tables depend only on matrix shapes
+    and generators, so one table shares them across dimension vectors. A
+    class's `rep` is the flat-order minimum of its orbit, and classes are
+    numbered in the flat order of their reps.
     """
 
     def __init__(self, bq, p, budget_dim=6, budget_space=2 ** 28, cache_dir=None):
@@ -154,40 +172,19 @@ class ModuleTable:
         )
         self._q_pos = tuple(k for k in range(len(bq.arrows)) if k not in self._eps_pos)
         self._tau_idx = tuple(index[self.iq.tau[v]] for v in self.iq.vertices)
-        # arrows grouped by target vertex index, for the radical chain
-        self._into = tuple(
-            tuple(
-                (k, si)
-                for k, (si, ti) in enumerate(self._arrow_ends)
-                if ti == j
-            )
-            for j in range(self.iq.n)
-        )
-        # eps loops at tau-fixed vertices draw from the square-zero list, so
-        # their self-relation never needs a runtime check
+        # eps loops at tau-fixed vertices draw from the square-zero list
         self._loop_pos = frozenset(
             pos for vi, pos in enumerate(self._eps_pos) if self._tau_idx[vi] == vi
         )
-        # relation schedule: a relation is checked at the last arrow it uses
+        # each relation as ((first, second), (first, second) or None), by arrow position
         ai = bq.aindex
-        ready = [[] for _ in bq.arrows]
-        relations = []
-        for rel in bq.relations:
-            pairs_lhs = (ai[rel.lhs[0]], ai[rel.lhs[1]])
-            pairs_rhs = None if rel.rhs is None else (ai[rel.rhs[0]], ai[rel.rhs[1]])
-            relations.append((pairs_lhs, pairs_rhs))
-            if (
-                rel.rhs is None
-                and pairs_lhs[0] == pairs_lhs[1]
-                and pairs_lhs[0] in self._loop_pos
-            ):
-                continue
-            ready[max(pairs_lhs + (pairs_rhs or ()))].append((pairs_lhs, pairs_rhs))
-        self._ready = tuple(tuple(r) for r in ready)
-        self._relations = tuple(relations)
+        self._relations = tuple(
+            ((ai[r.lhs[0]], ai[r.lhs[1]]), None if r.rhs is None else (ai[r.rhs[0]], ai[r.rhs[1]]))
+            for r in bq.relations
+        )
+        self._acyclic = _acyclic(self._arrow_ends, self.iq.n)
 
         self._cand = {}        # list key -> (candidate matrices, {matrix: index})
-        self._prod = {}        # (list key, list key) -> product codes
         self._perm = {}        # (list key, d, generator, side) -> index permutation
         self._radices = {}     # dim -> (list keys, list sizes, code weights)
         self._classes = {}     # dim -> tuple[IsoClass]
@@ -269,7 +266,7 @@ class ModuleTable:
         mixed-radix number whose digits are the index tuple, the last arrow's
         digit lowest, so codes order reps as index tuples do. On kQ every
         list is the full matrix space in flat order, so the code is the rep's
-        flat entries read as base-p digits, as `_products` codes a matrix.
+        flat entries read as base-p digits.
         """
         if dim not in self._radices:
             keys = tuple(
@@ -288,27 +285,6 @@ class ModuleTable:
         return tuple(
             self._candidates(key)[0][code // w % s] for key, s, w in zip(keys, sizes, weights)
         )
-
-    def _products(self, key_f, key_s):
-        """Codes of S @ F over every candidate pair, at i_f * len(S) + i_s.
-
-        The code of a matrix is its entries read as base-p digits, so the
-        zero matrix, whatever its shape, has code 0; a product through a
-        0-dimensional vertex is zero like any other.
-        """
-        pair = (key_f, key_s)
-        if pair not in self._prod:
-            p = self.p
-            codes = []
-            for f in self._candidates(key_f)[0]:
-                for s in self._candidates(key_s)[0]:
-                    c = 0
-                    for row in linalg.mat_mul(s, f, p):
-                        for x in row:
-                            c = c * p + x
-                    codes.append(c)
-            self._prod[pair] = codes
-        return self._prod[pair]
 
     def _permutation(self, key, d, gi, side):
         """Candidate indices of list `key` moved by generator gi of GL_d.
@@ -361,101 +337,56 @@ class ModuleTable:
             out *= linalg.gl_order(d, self.p)
         return out
 
-    # ---------- enumeration ----------
-
-    def _is_nilpotent(self, rep, dim):
-        p = self.p
-        n = len(dim)
-        bases = [linalg.identity(d) for d in dim]
-        dims_now = list(dim)
-        while True:
-            new = []
-            for j in range(n):
-                span = []
-                for apos, i in self._into[j]:
-                    mat = rep[apos]
-                    for b in bases[i]:
-                        span.append(linalg.mat_vec(mat, b, p))
-                rows, _ = linalg.rref(span, p)
-                new.append(rows)
-            ndims = [len(rows) for rows in new]
-            if all(d == 0 for d in ndims):
-                return True
-            if ndims == dims_now:
-                return False
-            bases = new
-            dims_now = ndims
-
-    def enumerate_reps(self, dim):
-        """All representations of dim that satisfy the relations, as codes
-        (`_radix`) in increasing order.
-
-        Entry k of a rep's index tuple indexes arrow k's candidate list
-        (`_candidates`). Nilpotency is not tested here: `_classify` tests it
-        once per orbit.
-        """
-        keys, sizes, weights = self._radix(dim)
-        narr = len(keys)
-        chosen = [0] * narr
-        out = []
-
-        def product_table(pair):
-            f, s = pair
-            return f, s, sizes[s], self._products(keys[f], keys[s])
-
-        checks = [
-            [
-                (product_table(lhs), None if rhs is None else product_table(rhs))
-                for lhs, rhs in ready
-            ]
-            for ready in self._ready
-        ]
-        # past the last checked arrow every tuple is a rep, and the codes of
-        # a subtree of the search are consecutive
-        free = max((k + 1 for k in range(narr) if checks[k]), default=0)
-        block = [s * w for s, w in zip(sizes, weights)] + [1]
-
-        def codes(prod, k):
-            # product codes as arrow k runs through its candidates, the
-            # other arrows held at their chosen indices
-            if prod is None:
-                return (0,) * sizes[k]
-            f, s, n, table = prod
-            if f == k:
-                return table[chosen[s] :: n]
-            if s == k:
-                return table[chosen[f] * n : (chosen[f] + 1) * n]
-            return (table[chosen[f] * n + chosen[s]],) * sizes[k]
-
-        def rec(k, code):
-            if k == free:
-                out.extend(range(code, code + block[k]))
-                return
-            ok = range(sizes[k])
-            for lhs, rhs in checks[k]:
-                a, b = codes(lhs, k), codes(rhs, k)
-                ok = [j for j in ok if a[j] == b[j]]
-            w = weights[k]
-            for j in ok:
-                chosen[k] = j
-                rec(k + 1, code + j * w)
-
-        rec(0, 0)
-        return out
-
     # ---------- classification ----------
 
-    def _classify(self, dim):
-        """Orbits of GL(dim) on the relation-satisfying reps; the nilpotent
-        ones are numbered in flat order of their canonical reps.
+    def _seeds(self, dim):
+        """Reps that meet every nilpotent orbit at dim.
 
-        Returns ([(canonical code, canonical rep, orbit size, aut order)],
+        A nilpotent module at dim != 0 has a simple submodule S_v, with a
+        nilpotent quotient at dim - e_v, and a simple quotient S_v, with a
+        nilpotent kernel there. So either family of middles meets every
+        orbit: the extensions of each class at dim - e_v by S_v, or those of
+        S_v by each class, over every v with dim_v > 0. The family with the
+        smaller sum of p^(cocycle coordinates) over v is walked, a choice
+        made from the dimension vectors alone.
+        """
+        if not any(dim):
+            yield self.zero_rep(dim)
+            return
+        steps = []  # (e_v, dim - e_v) for each v with dim_v > 0
+        for v, dv in enumerate(dim):
+            if dv:
+                e = tuple(int(i == v) for i in range(len(dim)))
+                steps.append((e, tuple(d - u for d, u in zip(dim, e))))
+
+        def cost(pairs):
+            # p to the number of cocycle coordinates of x (dim dx) by y (dim dy)
+            return sum(
+                self.p ** sum(dy[ti] * dx[si] for si, ti in self._arrow_ends) for dx, dy in pairs
+            )
+
+        as_sub = cost((low, e) for e, low in steps) <= cost(steps)
+        for e, low in steps:
+            simple = self.zero_rep(e)
+            for m in self.classes(low):
+                x, dx, y, dy = (m.rep, low, simple, e) if as_sub else (simple, e, m.rep, low)
+                basis, offs, width = self._cocycles(x, y, dx, dy)
+                for c in _span(basis, (0,) * width, self.p):
+                    yield self._middle(c, y, x, offs, dx, dy)
+
+    def _classify(self, dim):
+        """Orbits of GL(dim) on the nilpotent reps, numbered in flat order of
+        their canonical reps.
+
+        Walks the orbit of every seed (`_seeds`) not met yet, keeping its
+        smallest code, then numbers the orbits by that code. Returns
+        ([(canonical code, canonical rep, orbit size, aut order)],
         {code: index}); the canonical reps are the only ones decoded.
         """
-        reps = self.enumerate_reps(dim)
         group = self._group_order(dim)
         keys, sizes, weights = self._radix(dim)
         digits = tuple(zip(weights, sizes))
+        index = [self._candidates(key)[1] for key in keys]
         # a move is one GL generator at one vertex: per arrow it touches, the
         # change of the code as that arrow's index i goes to perm[i]
         moves = []
@@ -473,26 +404,16 @@ class ModuleTable:
                     )
                 )
 
-        total = 0
-        orbits = []
-        rep_to_idx = {}
-        dead = {}   # members of the orbits that are not nilpotent
-        # reps come in increasing order, so the first code of an orbit met is
-        # its minimum, and orbits are met in the order of their minima
-        for rep in reps:
-            if rep in rep_to_idx or rep in dead:
+        found = []        # (smallest code, orbit size) per orbit, in the order met
+        rep_to_idx = {}   # code -> position in `found`, renumbered at the end
+        for seed in self._seeds(dim):
+            low = sum(ix[mat] * w for ix, mat, w in zip(index, seed, weights))
+            if low in rep_to_idx:
                 continue
-            can = self._decode(rep, dim)
-            # nilpotency is an isomorphism invariant: one member decides, and
-            # the orbit is walked straight into the map it belongs to (orbits
-            # are disjoint, so the map's earlier entries never meet the walk)
-            if self._is_nilpotent(can, dim):
-                members, mark = rep_to_idx, len(orbits)
-            else:
-                members, mark = dead, None
-            before = len(members)
-            members[rep] = mark
-            frontier = [rep]
+            mark = len(found)
+            before = len(rep_to_idx)
+            rep_to_idx[low] = mark
+            frontier = [low]
             while frontier:
                 cur = frontier.pop()
                 idx = [cur // w % s for w, s in digits]
@@ -500,17 +421,28 @@ class ModuleTable:
                     nxt = cur
                     for k, delta in move:
                         nxt += delta[idx[k]]
-                    if nxt not in members:
-                        members[nxt] = mark
+                    if nxt not in rep_to_idx:
+                        rep_to_idx[nxt] = mark
                         frontier.append(nxt)
-            osz = len(members) - before
-            total += osz
+                        if nxt < low:
+                            low = nxt
+            osz = len(rep_to_idx) - before
             if group % osz != 0:
                 raise RuntimeError("orbit size does not divide group order")
-            if mark is not None:
-                orbits.append((rep, can, osz, group // osz))
-        if total != len(reps):
+            found.append((low, osz))
+        # without oriented cycles every rep is nilpotent, and such a bound
+        # quiver is a kQ with no relations: the orbits cover all p^N reps
+        if self._acyclic and sum(osz for _, osz in found) != self.p ** sum(
+            r * c for r, c in self._shapes(dim)
+        ):
             raise RuntimeError("orbit sizes do not add up to the rep count")
+        rank = [0] * len(found)
+        for r, i in enumerate(sorted(range(len(found)), key=found.__getitem__)):
+            rank[i] = r
+        # renumbered in place: a second map would double the peak memory
+        for code, i in rep_to_idx.items():
+            rep_to_idx[code] = rank[i]
+        orbits = [(low, self._decode(low, dim), osz, group // osz) for low, osz in sorted(found)]
         return orbits, rep_to_idx
 
     # the disk cache (`tablecache`) is imported only when a table has a
@@ -586,43 +518,6 @@ class ModuleTable:
         dim = tuple(1 if k == vi else 0 for k in range(self.iq.n))
         return self.class_of(self.zero_rep(dim), dim)
 
-    def k_module(self, v):
-        """The generalized simple at v: eps_v acts with rank one, arrows by zero."""
-        vi = self.iq.vindex[v]
-        ti = self._tau_idx[vi]
-        dim = [0] * self.iq.n
-        if ti == vi:
-            dim[vi] = 2
-        else:
-            dim[vi] = 1
-            dim[ti] = 1
-        dim = tuple(dim)
-        rep = list(self.zero_rep(dim))
-        pos = self._eps_pos[vi]
-        if ti == vi:
-            rep[pos] = ((0, 0), (1, 0))
-        else:
-            rep[pos] = ((1,),)
-        return self.class_of(tuple(rep), dim)
-
-    def direct_sum(self, a, b):
-        dim = tuple(x + y for x, y in zip(a.dim, b.dim))
-        rep = []
-        for k, (si, ti) in enumerate(self._arrow_ends):
-            ma, mb = a.rep[k], b.rep[k]
-            ca, cb = a.dim[si], b.dim[si]
-            rows = [row + (0,) * cb for row in ma]
-            rows += [(0,) * ca + row for row in mb]
-            rep.append(tuple(rows))
-        return self.class_of(tuple(rep), dim)
-
-    def multiple(self, a, m):
-        """Direct sum of m copies of a."""
-        out = self.zero_class()
-        for _ in range(m):
-            out = self.direct_sum(out, a)
-        return out
-
     def is_eps_zero(self, cls):
         return all(
             all(x == 0 for row in cls.rep[pos] for x in row)
@@ -638,34 +533,17 @@ class ModuleTable:
         shapes = self._shapes(cls.dim)
         return tuple(linalg.zeros(*shapes[pos]) for pos in self._eps_pos) + cls.rep
 
-    def extension_counts(self, x, y):
-        """Extensions of x by y counted by cocycles, each middle reduced to
-        v^e [X] * K_alpha with X a kQ class.
+    def _cocycles(self, xrep, yrep, dx, dy):
+        """The cocycles of the extensions of xrep (dim dx) by yrep (dim dy).
 
-        x and y are classes of `kq`, lifted by zero eps blocks. A cocycle is
-        a tuple of blocks C_k (dim y at the target by dim x at the source)
-        such that arrow k acting by [[y_k, C_k], [0, x_k]] on
-        F^dim y + F^dim x satisfies the relations; a relation's off-diagonal
-        block Y_s C_f + C_s X_f is linear in the C_k. Every cocycle gives one
-        middle z, and the cocycles map onto Ext^1(x, y) with fibres of size
-        q^(sum_i dx_i dy_i) / |Hom(x, y)|.
-
-        No middle is looked up in this table. The eps blocks of a cocycle
-        alone fix ker eps / im eps, alpha and e (`_eps_quotients`), so the
-        cocycles are grouped by them; on a group X's matrices are an affine
-        function of the other coordinates, and the group walks the image of
-        that function once, each point standing for p^(dim of its kernel)
-        cocycles. The group with zero eps blocks is the middles themselves.
-
-        Returns ({(X, alpha, e): cocycle count}, q^(sum_i dx_i dy_i)); a
-        count over that denominator is the sum of F^z_{x,y} a_x a_y / a_z
-        over the middles z that reduce to (X, alpha, e) (Riedtmann's
-        formula).
+        A cocycle is a tuple of blocks C_k (dim y at the target by dim x at
+        the source) such that arrow k acting by [[y_k, C_k], [0, x_k]] on
+        F^dy + F^dx satisfies the relations; a relation's off-diagonal block
+        Y_s C_f + C_s X_f is linear in the C_k. Returns (a basis of the
+        cocycles as flat vectors, the offset of each block C_k, the number n
+        of coordinates).
         """
         p = self.p
-        dx, dy = x.dim, y.dim
-        dz = tuple(a + b for a, b in zip(dx, dy))
-        xrep, yrep = self._lift(x), self._lift(y)
         ends = self._arrow_ends
         offs = []
         n = 0
@@ -687,31 +565,63 @@ class ModuleTable:
                         for j in range(ws):
                             row[offs[s] + r * ws + j] += sign * xrep[f][j][c]
                     rows.append(tuple(v % p for v in row))
-        basis = linalg.nullspace(rows, n, p)
+        return linalg.nullspace(rows, n, p), offs, n
+
+    def _middle(self, c, yrep, xrep, offs, dx, dy):
+        """The middle of cocycle c: arrow k's matrix has rows yrep_k[r] +
+        (row r of C_k), then (0 | xrep_k)."""
+        rep = []
+        for k, (si, ti) in enumerate(self._arrow_ends):
+            o, w = offs[k], dx[si]
+            upper = tuple([yrep[k][r] + c[o + r * w : o + r * w + w] for r in range(dy[ti])])
+            rep.append(upper + tuple([(0,) * dy[si] + row for row in xrep[k]]))
+        return tuple(rep)
+
+    def extension_counts(self, x, y):
+        """Extensions of x by y counted by cocycles, each middle reduced to
+        v^e [X] * K_alpha with X a kQ class.
+
+        x and y are classes of `kq`, lifted by zero eps blocks, and the
+        cocycles are those of the Lambda^i relations (`_cocycles`). Every
+        cocycle gives one middle z, and the cocycles map onto Ext^1(x, y)
+        with fibres of size q^(sum_i dx_i dy_i) / |Hom(x, y)|.
+
+        No middle is looked up in this table. The eps blocks of a cocycle
+        alone fix ker eps / im eps, alpha and e (`_eps_quotients`), so the
+        cocycles are grouped by them; on a group X's matrices are an affine
+        function of the other coordinates, and the group walks the image of
+        that function once, each point standing for p^(dim of its kernel)
+        cocycles. The group with zero eps blocks is the middles themselves.
+
+        Returns ({(X, alpha, e): cocycle count}, q^(sum_i dx_i dy_i)); a
+        count over that denominator is the sum of F^z_{x,y} a_x a_y / a_z
+        over the middles z that reduce to (X, alpha, e) (Riedtmann's
+        formula).
+        """
+        p = self.p
+        dx, dy = x.dim, y.dim
+        dz = tuple(a + b for a, b in zip(dx, dy))
+        xrep, yrep = self._lift(x), self._lift(y)
+        basis, offs, n = self._cocycles(xrep, yrep, dx, dy)
         # eps arrows come first, and so do their coordinates: a reduced
         # echelon row with its pivot past them has zero eps blocks
+        ends = self._arrow_ends
         neps = sum(dy[ends[k][1]] * dx[ends[k][0]] for k in self._eps_pos)
         ech, pivots = linalg.rref(basis, p)
         eps_rows = [r for r, c in zip(ech, pivots) if c < neps]
         free_rows = [r for r, c in zip(ech, pivots) if c >= neps]
 
-        def middle(v, ym, xm):
-            # arrow k's matrix: rows ym_k[r] + (row r of C_k), then (0 | xm_k)
-            rep = []
-            for k, (si, ti) in enumerate(ends):
-                o, w = offs[k], dx[si]
-                upper = tuple([ym[k][r] + v[o + r * w : o + r * w + w] for r in range(dy[ti])])
-                rep.append(upper + tuple([(0,) * dy[si] + row for row in xm[k]]))
-            return tuple(rep)
-
         zero_y, zero_x = self.zero_rep(dy), self.zero_rep(dx)
         kq = self.kq
         counts = {}
         for w in _span(eps_rows, (0,) * n, p):
-            mid = middle(w, yrep, xrep)
+            mid = self._middle(w, yrep, xrep, offs, dx, dy)
             quots, alpha, xdim, e = self._eps_quotients([mid[pos] for pos in self._eps_pos], dz)
             reps = [self._induced(mid, quots)]
-            reps += [self._induced(middle(z, zero_y, zero_x), quots) for z in free_rows]
+            reps += [
+                self._induced(self._middle(z, zero_y, zero_x, offs, dx, dy), quots)
+                for z in free_rows
+            ]
             if any(r is None for r in reps):
                 raise RuntimeError(
                     "ker eps of an extension of %r by %r is not a submodule" % (x, y)

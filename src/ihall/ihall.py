@@ -222,10 +222,6 @@ class HallAlgebra:
                         del out[key]
         return HallElt(self, out)
 
-    def eps_zero_classes(self, dim):
-        """The basis classes at dim: the kQ classes."""
-        return self.kq.classes(dim)
-
     def power(self, elt, m):
         out = self.one()
         for _ in range(m):

@@ -11,6 +11,9 @@ the engine alone (`ModuleTable.extension_counts`, `HallAlgebra._pair`,
   form, the two-step recursion and the closed sum (`idp_product`,
   `idp_recursive`, `idp_closed`), and their image in a Hall algebra
   (`sym_to_hall`);
+* the raw enumeration of every relation-satisfying tuple, nilpotent or
+  not (`enumerate_reps`), and the module constructions the tests build
+  classes with (`k_module`, `direct_sum`, `multiple`);
 * filtration counts on a module table: Hall numbers from every submodule of
   a middle (`decomposition`, `hall_number`), extension counts from them by
   Riedtmann's formula (`ext_count_with_middle`), hom spaces and the
@@ -354,11 +357,140 @@ def sym_to_hall(algebra, vertex, sym):
     simple = table.simple(vertex)
     acc = {}
     for (n, k), c in sym.terms.items():
-        cls = table.multiple(simple, n)
+        cls = multiple(table, simple, n)
         alpha = tuple(k if t == vi else 0 for t in range(iq.n))
         key = (cls, alpha)
         acc[key] = acc.get(key, algebra.scalar(0)) + algebra.scalar(c)
     return HallElt(algebra, acc)
+
+
+# ---------------------------------------------------------------------------
+# raw enumeration and direct sums on a module table
+# ---------------------------------------------------------------------------
+
+
+def _schedule(table):
+    """Per arrow, the relations to check once its matrix is chosen: those
+    whose last arrow it is. eps^2 = 0 at a tau-fixed vertex holds for every
+    square-zero candidate, so it is left out."""
+    ready = [[] for _ in table.bq.arrows]
+    for lhs, rhs in table._relations:
+        if rhs is None and lhs[0] == lhs[1] and lhs[0] in table._loop_pos:
+            continue
+        ready[max(lhs + (rhs or ()))].append((lhs, rhs))
+    return ready
+
+
+def _products(table, key_f, key_s):
+    """Codes of S @ F over every candidate pair, at i_f * len(S) + i_s.
+
+    The code of a matrix is its entries read as base-p digits, so the zero
+    matrix, whatever its shape, has code 0; a product through a
+    0-dimensional vertex is zero like any other.
+    """
+    p = table.p
+    codes = []
+    for f in table._candidates(key_f)[0]:
+        for s in table._candidates(key_s)[0]:
+            c = 0
+            for row in linalg.mat_mul(s, f, p):
+                for x in row:
+                    c = c * p + x
+            codes.append(c)
+    return codes
+
+
+def enumerate_reps(table, dim):
+    """All representations of dim that satisfy the relations, nilpotent or
+    not, as codes (`ModuleTable._radix`) in increasing order.
+
+    Entry k of a rep's index tuple indexes arrow k's candidate list, and
+    each relation is checked by lookup in a table of product codes once its
+    last arrow is chosen (`_schedule`). The engine classifies from the
+    extensions of simples instead (`ModuleTable._classify`); the tests check
+    that its orbits cover exactly the nilpotent reps listed here.
+    """
+    keys, sizes, weights = table._radix(dim)
+    narr = len(keys)
+    chosen = [0] * narr
+    out = []
+
+    def product_table(pair):
+        f, s = pair
+        return f, s, sizes[s], _products(table, keys[f], keys[s])
+
+    checks = [
+        [
+            (product_table(lhs), None if rhs is None else product_table(rhs))
+            for lhs, rhs in ready
+        ]
+        for ready in _schedule(table)
+    ]
+    # past the last checked arrow every tuple is a rep, and the codes of
+    # a subtree of the search are consecutive
+    free = max((k + 1 for k in range(narr) if checks[k]), default=0)
+    block = [s * w for s, w in zip(sizes, weights)] + [1]
+
+    def codes(prod, k):
+        # product codes as arrow k runs through its candidates, the
+        # other arrows held at their chosen indices
+        if prod is None:
+            return (0,) * sizes[k]
+        f, s, n, tab = prod
+        if f == k:
+            return tab[chosen[s] :: n]
+        if s == k:
+            return tab[chosen[f] * n : (chosen[f] + 1) * n]
+        return (tab[chosen[f] * n + chosen[s]],) * sizes[k]
+
+    def rec(k, code):
+        if k == free:
+            out.extend(range(code, code + block[k]))
+            return
+        ok = range(sizes[k])
+        for lhs, rhs in checks[k]:
+            a, b = codes(lhs, k), codes(rhs, k)
+            ok = [j for j in ok if a[j] == b[j]]
+        w = weights[k]
+        for j in ok:
+            chosen[k] = j
+            rec(k + 1, code + j * w)
+
+    rec(0, 0)
+    return out
+
+
+def k_module(table, v):
+    """The generalized simple at v: eps_v acts with rank one, the arrows of
+    Q by zero."""
+    vi = table.iq.vindex[v]
+    ti = table._tau_idx[vi]
+    dim = [0] * table.iq.n
+    dim[vi] += 1
+    dim[ti] += 1
+    dim = tuple(dim)
+    rep = list(table.zero_rep(dim))
+    rep[table._eps_pos[vi]] = ((0, 0), (1, 0)) if ti == vi else ((1,),)
+    return table.class_of(tuple(rep), dim)
+
+
+def direct_sum(table, a, b):
+    dim = tuple(x + y for x, y in zip(a.dim, b.dim))
+    rep = []
+    for k, (si, ti) in enumerate(table._arrow_ends):
+        ca, cb = a.dim[si], b.dim[si]
+        rows = [row + (0,) * cb for row in a.rep[k]]
+        rows += [(0,) * ca + row for row in b.rep[k]]
+        rep.append(tuple(rows))
+    return table.class_of(tuple(rep), dim)
+
+
+def multiple(table, a, m):
+    """Direct sum of m copies of a."""
+    out = table.zero_class()
+    for _ in range(m):
+        out = direct_sum(table, out, a)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +700,7 @@ def oracle_kq_product(algebra, a, b):
         mdim = tuple(x + y for x, y in zip(n_cls.dim, l_cls.dim))
         hom_nl = hom_count(table, n_cls, l_cls)
         acc = {}
-        for m in algebra.eps_zero_classes(mdim):
+        for m in table.classes(mdim):
             ext = ext_count_with_middle(table, n_cls, l_cls, m)
             if not ext:
                 continue
@@ -604,7 +736,7 @@ def oracle_sss(algebra, s, t):
     out = algebra.zero()
     for r in range(min(s, t) + 1):
         k = s + t - 2 * r
-        ks1 = table.multiple(s1, k)
+        ks1 = multiple(table, s1, k)
         dim = tuple(k if j == i1 else 1 for j in range(2))
         alpha = tuple(r if j == i1 else 0 for j in range(2))
         for m_cls in table.classes(dim):

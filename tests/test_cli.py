@@ -116,6 +116,20 @@ def test_idp_command(capsys):
     assert len(payload["terms"]) == 2
 
 
+def test_idp_parity_at_a_moved_vertex_warns_in_one_line():
+    # the warning reaches stderr as one plain line, not in Python's format
+    # with the path and source line of the code that raised it
+    src = os.path.dirname(os.path.dirname(ihall.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["idp", "builtin:kronecker-r1", "--vertex", "1", "--n", "2", "--parity", "0", "--json"]
+    out = subprocess.run(
+        [sys.executable, "-m", "ihall.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["parity"] == 0
+    assert out.stderr == "warning: parity has no effect at a vertex not fixed by the involution\n"
+
+
 def test_idp_missing_parity_is_input_error(capsys):
     code, _, err = run(
         capsys, "idp", "builtin:rank1-split", "--vertex", "1", "--n", "2"
