@@ -11,12 +11,13 @@ engine against live in `oracle`.
 The bound quiver is the doubled quiver of an iquiver (Lambda^i) or Q alone
 (kQ); a Lambda^i table owns the kQ table its reductions land in.
 
-One cocycle system (`_cocycles`) serves both the classification and the
-product engine: the blocks C for which [[y, C], [0, x]] satisfies the
-relations. A nilpotent module has a simple submodule and a simple quotient,
-so the middles of the extensions of the classes one dimension lower by a
-simple (or of a simple by them) meet every nilpotent orbit; `_classify`
-walks the GL orbit of each such middle it has not met yet.
+One cocycle system (`_cocycles`) serves the classification, the product
+engine and the kQ extension counts it sums (`_ext_dist`): the blocks C for
+which [[y, C], [0, x]] satisfies the relations. A nilpotent module has a
+simple submodule and a simple quotient, so the middles of the extensions of
+the classes one dimension lower by a simple (or of a simple by them) meet
+every nilpotent orbit; `_classify` walks the GL orbit of each such middle it
+has not met yet.
 
 A representation is a tuple of matrices, one per arrow, and is keyed by its
 code: entry k of its index tuple is the index of arrow k's matrix in a
@@ -32,8 +33,8 @@ decoded back to matrix tuples.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from itertools import product as cartesian
-from operator import mul
 
 from . import linalg
 from .iquiver import BoundQuiver
@@ -43,6 +44,11 @@ from .iquiver import BoundQuiver
 # distinct codes, held 72-92 bytes per entry and peaked at 122 while the
 # dict resized.
 REP_MAP_ENTRY_BYTES = 122
+
+
+def _size(n):
+    """n in decimal, or as a power of two once it passes 30 digits."""
+    return "%d" % n if n < 10 ** 30 else "at least 2^%d" % (n.bit_length() - 1)
 
 
 def _physical_memory():
@@ -170,7 +176,6 @@ class ModuleTable:
         self._eps_pos = tuple(
             bq.aindex[bq.eps_name[v]] for v in self.iq.vertices if v in bq.eps_name
         )
-        self._q_pos = tuple(k for k in range(len(bq.arrows)) if k not in self._eps_pos)
         self._tau_idx = tuple(index[self.iq.tau[v]] for v in self.iq.vertices)
         # eps loops at tau-fixed vertices draw from the square-zero list
         self._loop_pos = frozenset(
@@ -189,7 +194,7 @@ class ModuleTable:
         self._radices = {}     # dim -> (list keys, list sizes, code weights)
         self._classes = {}     # dim -> tuple[IsoClass]
         self._by_rep = {}      # dim -> {rep code: class index}
-        self._reduce = {}      # class key -> (vexp, kQ class, alpha)
+        self._ext = {}         # (class key, class key) -> kQ extension counts
         self.kq = (
             ModuleTable(BoundQuiver(self.iq, doubled=False), p, budget_dim, budget_space, cache_dir)
             if self._eps_pos
@@ -225,8 +230,8 @@ class ModuleTable:
             space *= self._arrow_space(k, shape)
         if space > self.budget_space:
             raise BudgetError(
-                "raw search space %d at dim %r exceeds budget %d"
-                % (space, dim, self.budget_space)
+                "raw search space %s at dim %r exceeds budget %d"
+                % (_size(space), dim, self.budget_space)
             )
         # every raw candidate may be a rep, and each rep takes one entry of
         # the rep map
@@ -234,9 +239,9 @@ class ModuleTable:
         memory = _physical_memory()
         if need > memory:
             raise BudgetError(
-                "raw search space %d at dim %r needs a rep map of up to %d bytes,"
+                "raw search space %s at dim %r needs a rep map of up to %s bytes,"
                 " more than the %d bytes of physical memory"
-                % (space, dim, need, memory)
+                % (_size(space), dim, _size(need), memory)
             )
 
     def _candidates(self, key):
@@ -386,7 +391,6 @@ class ModuleTable:
         group = self._group_order(dim)
         keys, sizes, weights = self._radix(dim)
         digits = tuple(zip(weights, sizes))
-        index = [self._candidates(key)[1] for key in keys]
         # a move is one GL generator at one vertex: per arrow it touches, the
         # change of the code as that arrow's index i goes to perm[i]
         moves = []
@@ -407,7 +411,7 @@ class ModuleTable:
         found = []        # (smallest code, orbit size) per orbit, in the order met
         rep_to_idx = {}   # code -> position in `found`, renumbered at the end
         for seed in self._seeds(dim):
-            low = sum(ix[mat] * w for ix, mat, w in zip(index, seed, weights))
+            low = self._code(seed, dim)
             if low in rep_to_idx:
                 continue
             mark = len(found)
@@ -487,17 +491,19 @@ class ModuleTable:
         self._by_rep[dim] = rep_to_idx
         return cls
 
+    def _code(self, rep, dim):
+        """The code of a matrix tuple at dim (KeyError or ValueError if none)."""
+        keys, _, weights = self._radix(dim)
+        return sum(
+            self._candidates(key)[1][mat] * w for key, w, mat in zip(keys, weights, rep, strict=True)
+        )
+
     def class_of(self, rep, dim):
         """The class containing an explicit representation."""
         dim = tuple(int(d) for d in dim)
         cls = self.classes(dim)
-        keys, _, weights = self._radix(dim)
         try:
-            code = sum(
-                self._candidates(key)[1][mat] * w
-                for key, w, mat in zip(keys, weights, rep, strict=True)
-            )
-            return cls[self._by_rep[dim][code]]
+            return cls[self._by_rep[dim][self._code(rep, dim)]]
         except (KeyError, ValueError):
             raise ValueError(
                 "representation is not a nilpotent module of dim %r" % (dim,)
@@ -514,15 +520,11 @@ class ModuleTable:
 
     def simple(self, v):
         """The vertex simple S_v (all arrows act as zero)."""
-        vi = self.iq.vindex[v]
-        dim = tuple(1 if k == vi else 0 for k in range(self.iq.n))
+        dim = self.iq.unit(v)
         return self.class_of(self.zero_rep(dim), dim)
 
     def is_eps_zero(self, cls):
-        return all(
-            all(x == 0 for row in cls.rep[pos] for x in row)
-            for pos in self._eps_pos
-        )
+        return not any(any(row) for pos in self._eps_pos for row in cls.rep[pos])
 
     # ---------- extensions by cocycles ----------
 
@@ -587,65 +589,69 @@ class ModuleTable:
         with fibres of size q^(sum_i dx_i dy_i) / |Hom(x, y)|.
 
         No middle is looked up in this table. The eps blocks of a cocycle
-        alone fix ker eps / im eps, alpha and e (`_eps_quotients`), so the
-        cocycles are grouped by them; on a group X's matrices are an affine
-        function of the other coordinates, and the group walks the image of
-        that function once, each point standing for p^(dim of its kernel)
-        cocycles. The group with zero eps blocks is the middles themselves.
+        form a morphism w from x to the tau-twist of y and alone fix alpha,
+        e and X = ker eps / im eps (`_homology`), an extension of
+        K = ker w by L = y / im(tau* w). The cocycles of one w reach each
+        block from K to L p^(free - dim Hom(K, L)) times, so the group adds
+        the memoised kQ extension counts of K by L (`_ext_dist`).
 
-        Returns ({(X, alpha, e): cocycle count}, q^(sum_i dx_i dy_i)); a
-        count over that denominator is the sum of F^z_{x,y} a_x a_y / a_z
-        over the middles z that reduce to (X, alpha, e) (Riedtmann's
-        formula).
+        Returns ({(X, alpha, e): cocycle count}, q^(sum_i dx_i dy_i)); a count
+        over that denominator is the sum of F^z_{x,y} a_x a_y / a_z over the
+        middles z that reduce to (X, alpha, e) (Riedtmann's formula).
         """
         p = self.p
         dx, dy = x.dim, y.dim
         dz = tuple(a + b for a, b in zip(dx, dy))
         xrep, yrep = self._lift(x), self._lift(y)
         basis, offs, n = self._cocycles(xrep, yrep, dx, dy)
-        # eps arrows come first, and so do their coordinates: a reduced
-        # echelon row with its pivot past them has zero eps blocks
-        ends = self._arrow_ends
-        neps = sum(dy[ends[k][1]] * dx[ends[k][0]] for k in self._eps_pos)
-        ech, pivots = linalg.rref(basis, p)
-        eps_rows = [r for r, c in zip(ech, pivots) if c < neps]
-        free_rows = [r for r, c in zip(ech, pivots) if c >= neps]
-
-        zero_y, zero_x = self.zero_rep(dy), self.zero_rep(dx)
-        kq = self.kq
-        counts = {}
+        # the relations bind only the eps blocks, as x and y have none, so
+        # the cocycles are spanned by the unit vectors of the free Q
+        # coordinates, which come last, and by rows with zero Q blocks
+        kq, counts = self.kq, {}
+        free = sum(dy[t] * dx[s] for s, t in kq._arrow_ends)
+        eps_rows, _ = linalg.rref([r for r in basis if any(r[: n - free])], p)
         for w in _span(eps_rows, (0,) * n, p):
-            mid = self._middle(w, yrep, xrep, offs, dx, dy)
-            quots, alpha, xdim, e = self._eps_quotients([mid[pos] for pos in self._eps_pos], dz)
-            reps = [self._induced(mid, quots)]
-            reps += [
-                self._induced(self._middle(z, zero_y, zero_x, offs, dx, dy), quots)
-                for z in free_rows
-            ]
-            if any(r is None for r in reps):
-                raise RuntimeError(
-                    "ker eps of an extension of %r by %r is not a submodule" % (x, y)
-                )
-            flats = [tuple([a for mat in self._kq_rep(r) for row in mat for a in row]) for r in reps]
-            image, _ = linalg.rref(flats[1:], p)
-            mult = p ** (len(free_rows) - len(image))
-            xclasses = kq.classes(xdim)
-            index_of = kq._by_rep[xdim]
-            # on kQ a rep's code is its flat entries read as base-p digits
-            weights = [p ** e for e in range(len(flats[0]) - 1, -1, -1)]
-            hits = [0] * len(xclasses)
-            for flat in _span(image, flats[0], p):
-                idx = index_of.get(sum(map(mul, flat, weights)))
-                if idx is None:
-                    raise RuntimeError(
-                        "an extension of %r by %r reduces to no kQ class" % (x, y)
-                    )
-                hits[idx] += 1
-            for cls, hit in zip(xclasses, hits):
-                if hit:
-                    key = (cls, alpha, e)
-                    counts[key] = counts.get(key, 0) + hit * mult
+            x0, alpha, xdim, e = self._homology(self._middle(w, yrep, xrep, offs, dx, dy), dz)
+            # the quotient basis at each vertex has L's vectors first (the
+            # rref of ker eps pivots on y's coordinates first), then K's
+            dk = tuple(a - b for a, b in zip(dx, alpha))
+            dl = tuple(a - b for a, b in zip(xdim, dk))
+            kmats, lmats = [], []
+            for (si, ti), m in zip(kq._arrow_ends, x0):
+                s, t = dl[si], dl[ti]
+                if any(any(r[s:] if i < t else r[:s]) for i, r in enumerate(m)):
+                    raise RuntimeError("ker eps / im eps of %r by %r is not L + K" % (x, y))
+                kmats.append(tuple(r[s:] for r in m[t:]))
+                lmats.append(tuple(r[:s] for r in m[:t]))
+            mult = p ** (free - sum(dl[t] * dk[s] for s, t in kq._arrow_ends))
+            kcls, lcls = kq.class_of(tuple(kmats), dk), kq.class_of(tuple(lmats), dl)
+            for cls, hit in kq._ext_dist(kcls, lcls):
+                counts[cls, alpha, e] = counts.get((cls, alpha, e), 0) + hit * mult
         return counts, p ** sum(a * b for a, b in zip(dx, dy))
+
+    def _ext_dist(self, k, l):
+        """[(X, cocycle count)] over the extensions of k by l, classes of
+        this kQ table, in class order; memoised on the two class keys. kQ
+        has no relations, so each cocycle coordinate is one entry of the
+        middle, one base-p digit of its code, and that digit is 0 in the
+        middle of the zero cocycle: every middle's code is that middle's
+        plus sum c_i (code of the i-th unit middle).
+        """
+        mkey = (k.key, l.key)
+        if mkey not in self._ext:
+            dz = tuple(a + b for a, b in zip(k.dim, l.dim))
+            basis, offs, n = self._cocycles(k.rep, l.rep, k.dim, l.dim)
+            start, *units = [
+                self._code(self._middle(c, l.rep, k.rep, offs, k.dim, l.dim), dz)
+                for c in [(0,) * n, *basis]
+            ]
+            classes = self.classes(dz)
+            codes = cartesian((start,), *(range(0, self.p * (u - start), u - start) for u in units))
+            hits = Counter(map(self._by_rep[dz].get, map(sum, codes)))
+            if None in hits:
+                raise RuntimeError("an extension of %r by %r is no kQ class" % (k, l))
+            self._ext[mkey] = [(c, hits[c.index]) for c in classes if c.index in hits]
+        return self._ext[mkey]
 
     def _induced(self, rep, quots):
         """The matrices rep induces on the subquotients `quots` (one
@@ -667,21 +673,20 @@ class ModuleTable:
 
     # ---------- reduction to (kQ class, torus vector) ----------
 
-    def _kernel_rref(self, mat, ncols):
-        return linalg.rref(linalg.nullspace(mat, ncols, self.p), self.p)
+    def _homology(self, rep, dim):
+        """(X, alpha, dim X, e) for a Lambda^i rep at dim, X as a kQ rep.
 
-    def _eps_quotients(self, eps, dim):
-        """ker(eps_v) / im(eps_{tau v}) at every vertex v of a module of dim
-        whose eps matrices, in vertex order, are `eps`.
-
-        Returns (quotient data per vertex, alpha, dim X, e) with
+        X is the module rep induces on X_v = ker(eps_v) / im(eps_{tau v}),
+        with every arrow's action computed there, the eps arrows included;
+        they come out zero for any module that satisfies the relations.
         alpha_v = rank(eps_v) and e = <dim X, tau(alpha) - alpha> in the
         Euler form of Q (zero whenever the involution is trivial). Checks
-        that dim X + res_K(alpha) = dim.
+        that the eps arrows act by zero and that dim X + res_K(alpha) = dim.
         """
         p = self.p
         tau = self._tau_idx
-        kers = [self._kernel_rref(eps[vi], d) for vi, d in enumerate(dim)]
+        eps = [rep[pos] for pos in self._eps_pos]
+        kers = [linalg.rref(linalg.nullspace(eps[vi], d, p), p) for vi, d in enumerate(dim)]
         quots = [
             linalg.quotient_data(rows, piv, linalg.col_space(eps[tau[vi]], p)[0], p)
             for vi, (rows, piv) in enumerate(kers)
@@ -690,33 +695,16 @@ class ModuleTable:
         xdim = tuple(len(reps) for reps, _ in quots)
         if tuple(a + b for a, b in zip(xdim, self.bq.res_K(alpha))) != tuple(dim):
             raise RuntimeError("ker eps / im eps does not have dimension %r - res_K(%r)" % (dim, alpha))
-        diff = tuple(alpha[tau[vi]] - alpha[vi] for vi in range(len(dim)))
-        return quots, alpha, xdim, self.iq.euler(xdim, diff)
-
-    def _kq_rep(self, rep):
-        """The kQ rep of a Lambda^i rep on which every eps acts by zero."""
-        if any(any(row) for pos in self._eps_pos for row in rep[pos]):
+        x = self._induced(rep, quots)
+        if x is None:
+            raise RuntimeError("ker eps is not a submodule")
+        if any(any(row) for pos in self._eps_pos for row in x[pos]):
             raise RuntimeError("product left the eps-zero basis: eps acts on ker eps / im eps")
-        return tuple(rep[k] for k in self._q_pos)
+        diff = tuple(alpha[tau[vi]] - alpha[vi] for vi in range(len(dim)))
+        # the eps arrows come first
+        return x[len(self._eps_pos) :], alpha, xdim, self.iq.euler(xdim, diff)
 
     def homology_reduce(self, cls):
-        """Write [cls] as v^e [X] * K_alpha with X a class of `kq`.
-
-        X is the module cls induces on X_v = ker(eps_v) / im(eps_{tau v}),
-        with every arrow's action computed there, the eps arrows included;
-        they come out zero for any module that satisfies the relations, and
-        `_kq_rep` checks that they do. alpha and e are those of
-        `_eps_quotients`. `extension_counts` reduces its middles the same
-        way.
-        """
-        if cls.key in self._reduce:
-            return self._reduce[cls.key]
-        quots, alpha, xdim, e = self._eps_quotients(
-            [cls.rep[pos] for pos in self._eps_pos], cls.dim
-        )
-        rep = self._induced(cls.rep, quots)
-        if rep is None:
-            raise RuntimeError("ker eps of %r is not a submodule" % (cls,))
-        out = (e, self.kq.class_of(self._kq_rep(rep), xdim), alpha)
-        self._reduce[cls.key] = out
-        return out
+        """Write [cls] as v^e [X] * K_alpha with X a class of `kq` (`_homology`)."""
+        x, alpha, xdim, e = self._homology(cls.rep, cls.dim)
+        return e, self.kq.class_of(x, xdim), alpha

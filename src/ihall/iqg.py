@@ -368,15 +368,6 @@ def qbinom_high_residual(p):
     return _qbinom_sum(p, lambda t: (p + 1) * t, alternating=True) - pochhammer(2, 2, p)
 
 
-def binomial_product_residual(p, zexp):
-    """Finite q-binomial theorem at z = v^zexp, as an exact difference."""
-    total = _qbinom_sum(p, lambda t: t * (1 - p + zexp))
-    prod = ONE
-    for j in range(p):
-        prod = prod * (ONE + LaurentPoly.v_pow(-2 * j + zexp))
-    return total - prod
-
-
 def run_identity_suites(pmax=12, dmax=12):
     """Every named identity over its whole advertised range.
 

@@ -236,13 +236,6 @@ class BoundQuiver:
     def vertices(self):
         return self.iq.vertices
 
-    def dim_K(self, v):
-        """Dimension vector of the generalized simple attached to vertex v."""
-        e = list(self.iq.unit(v))
-        tv = self.iq.tau[v]
-        e[self.iq.vindex[tv]] += 1
-        return tuple(e)
-
     def res_K(self, alpha):
         """Restriction to kQ of K_alpha: the vector alpha + tau(alpha)."""
         ta = self.iq.tau_vec(alpha)

@@ -95,15 +95,6 @@ def col_space(A, p):
     return rref(transpose(A), p)
 
 
-def inverse(A, p):
-    n = len(A)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(A)]
-    rows, pivots = rref(aug, p)
-    if list(pivots) != list(range(n)):
-        raise ValueError("matrix is not invertible")
-    return tuple(tuple(row[n:]) for row in rows)
-
-
 def gl_order(n, p):
     out = 1
     pn = p ** n

@@ -646,7 +646,7 @@ def morphism_tally(table, a, b):
                 for idx, x in enumerate(bv):
                     vec[idx] = (vec[idx] + coef * x) % p
         f = _unflatten_hom(vec, offs, a, b)
-        kers = [table._kernel_rref(f[vi], a.dim[vi]) for vi in range(n)]
+        kers = [linalg.rref(linalg.nullspace(f[vi], a.dim[vi], p), p) for vi in range(n)]
         ker = _subquotient(table, a, kers, [()] * n)
         if ker is None:
             raise RuntimeError("kernel of a module map must be a submodule")

@@ -178,6 +178,21 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "builtin:rank1-split", "--dim", "300", "--budget-dim", "1000"),
+        ("enumerate", "builtin:a2-split", "--dim", "0,400", "--budget-dim", "1000"),
+        ("enumerate", "builtin:a2-split", "--dim", "70,70", "--budget-dim", "1000"),
+    ],
+)
+def test_huge_raw_space_exits_3(capsys, argv):
+    # the refusal words a space of thousands of digits as a power of two
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "at least 2^" in err and len(err) < 200
+
+
 def test_bad_element_key(capsys):
     code, _, err = run(
         capsys, "product", "builtin:a2-split", "simple:1", "bogus"

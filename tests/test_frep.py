@@ -34,6 +34,15 @@ def _flat(rep):
     return tuple(x for mat in rep for row in mat for x in row)
 
 
+def _inverse(g, p):
+    """The inverse of a GL generator (`linalg.gl_generators`): I + E_ij
+    becomes I - E_ij, and diag(c, 1, ...) becomes diag(1/c, 1, ...)."""
+    return tuple(
+        tuple(pow(a, p - 2, p) if i == j else -a % p for j, a in enumerate(row))
+        for i, row in enumerate(g)
+    )
+
+
 def _arrow_ends(tab):
     vi = tab.iq.vindex
     return [(vi[a.src], vi[a.tgt]) for a in tab.bq.arrows]
@@ -44,7 +53,7 @@ def _orbit(tab, rep, dim):
     p = tab.p
     ends = _arrow_ends(tab)
     gens = [
-        (vi, g, linalg.inverse(g, p))
+        (vi, g, _inverse(g, p))
         for vi, d in enumerate(dim)
         for g in linalg.gl_generators(d, p)
     ]
@@ -196,7 +205,7 @@ def test_permutation_tables_match_matrix_products(q):
     for key, side, d in cases:
         mats, index = tab._candidates(key)
         for gi, g in enumerate(linalg.gl_generators(d, q)):
-            ginv = linalg.inverse(g, q)
+            ginv = _inverse(g, q)
 
             @functools.cache
             def left_col(col):
@@ -645,6 +654,37 @@ def test_budget_counts_rep_map_memory(monkeypatch):
     assert "244140625" in str(err.value) and str(8 << 30) in str(err.value)
     assert big._cand == {}, "the budget check enumerated candidates"
     ModuleTable(BoundQuiver(split3), 3).kq.check_budget((4, 1))
+
+
+@pytest.mark.parametrize("p,dmax", [(2, 4), (3, 3), (5, 3)])
+def test_arrow_space_counts_square_zero_matrices(p, dmax):
+    # the budget bounds an eps loop at a tau-fixed vertex by a formula; it
+    # must be the length of the list the loop draws from
+    tab = table("rank1-split", p)
+    (k,) = tab._loop_pos
+    for d in range(dmax + 1):
+        assert tab._arrow_space(k, (d, d)) == len(linalg.square_zero_matrices(d, p)), d
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["split-2"])
+def test_ext_dist_matches_cocycle_walk(name):
+    # the kQ extension counts that the product engine sums, against a walk
+    # of every cocycle with each middle looked up by `class_of`
+    iq = SPLIT2 if name == "split-2" else builtin_iquiver(name)
+    kq = ModuleTable(BoundQuiver(iq), 2).kq
+    pool = [c for d in product(range(5), repeat=iq.n) if sum(d) <= 4 for c in kq.classes(d)]
+    pairs = [(k, l) for k in pool for l in pool if k.total_dim + l.total_dim <= 4]
+    for k, l in pairs:
+        dz = tuple(a + b for a, b in zip(k.dim, l.dim))
+        basis, offs, n = kq._cocycles(k.rep, l.rep, k.dim, l.dim)
+        walk = {}
+        for c in frep._span(basis, (0,) * n, 2):
+            z = kq.class_of(kq._middle(c, l.rep, k.rep, offs, k.dim, l.dim), dz)
+            walk[z] = walk.get(z, 0) + 1
+        assert kq._ext_dist(k, l) == sorted(walk.items(), key=lambda t: t[0].index), (k, l)
+    # each pair is computed once and then served from the memo
+    assert len(kq._ext) == len(pairs)
+    assert all(kq._ext_dist(k, l) is kq._ext[k.key, l.key] for k, l in pairs)
 
 
 def test_mixed_dims_with_zero_component():

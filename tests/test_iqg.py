@@ -7,7 +7,6 @@ from ihall.iqg import (
     Psi,
     _qbinom_sum,
     adu_triples,
-    binomial_product_residual,
     build_relation_suite,
     km1_residual,
     km3_residual,
@@ -26,6 +25,7 @@ from ihall.iqg import (
 )
 from ihall.iquiver import IQuiver, builtin_iquiver
 from ihall.ring import (
+    ONE,
     LaurentPoly,
     comb2,
     qbinom,
@@ -190,6 +190,15 @@ def test_km_identities_small():
         assert qdfact(2 * p).exact_div(qfact(p)) == prod
     for d in range(1, 7):
         assert kmrd_residual(d).is_zero()
+
+
+def binomial_product_residual(p, zexp):
+    """Finite q-binomial theorem at z = v^zexp, as an exact difference."""
+    total = _qbinom_sum(p, lambda t: t * (1 - p + zexp))
+    prod = ONE
+    for j in range(p):
+        prod = prod * (ONE + LaurentPoly.v_pow(-2 * j + zexp))
+    return total - prod
 
 
 def test_qbinom_identities_small():
