@@ -19,6 +19,11 @@ the classes one dimension lower by a simple (or of a simple by them) meet
 every nilpotent orbit; `_classify` walks the GL orbit of each such middle it
 has not met yet.
 
+One routine (`_subquotient`) gives the module a rep induces on V/W: the
+product engine reads K = ker w and L = y / im(tau* w) off the kQ classes x
+and y with it, `homology_reduce` reads ker eps / im eps off a Lambda^i
+class, and the oracles their kernels, cokernels, submodules and quotients.
+
 A representation is a tuple of matrices, one per arrow, and is keyed by its
 code: entry k of its index tuple is the index of arrow k's matrix in a
 candidate list fixed by the matrix shape (the full matrix space, or the
@@ -46,41 +51,28 @@ from .iquiver import BoundQuiver
 REP_MAP_ENTRY_BYTES = 122
 
 
-def _size(n):
-    """n in decimal, or as a power of two once it passes 30 digits."""
-    return "%d" % n if n < 10 ** 30 else "at least 2^%d" % (n.bit_length() - 1)
+def _size(n, bound=False):
+    """n in decimal, or as a power of two once it passes 30 digits; a lower
+    bound reads "at least"."""
+    if n >= 10 ** 30:
+        return "at least 2^%d" % (n.bit_length() - 1)
+    return ("at least %d" if bound else "%d") % n
 
 
 def _physical_memory():
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _span(rows, start, p):
-    """start plus each vector of the span of rows, one at a time.
+def _span(rows, n, p):
+    """Each vector of the span of rows in F_p^n once, the last row's
+    coefficient turning fastest."""
+    cols = linalg.transpose(rows) or ((),) * n
+    return (linalg.mat_vec(cols, c, p) for c in cartesian(range(p), repeat=len(rows)))
 
-    An odometer over the coefficients, the last row's turning fastest:
-    sums[i] is start plus the first i rows times their coefficients, so a
-    step adds one row to one partial sum. The tuples are built from lists:
-    tuple(generator) allocates at a guessed length and resizes, so each
-    freed tuple lands on another free list than the next one is taken from
-    and stays allocated, and peak memory would grow with the number of
-    vectors walked.
-    """
-    r = len(rows)
-    coef = [0] * r
-    sums = [start] * (r + 1)
-    while True:
-        yield sums[r]
-        i = r - 1
-        while i >= 0 and coef[i] == p - 1:
-            coef[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        coef[i] += 1
-        v = tuple([(a + b) % p for a, b in zip(sums[i + 1], rows[i])])
-        for j in range(i + 1, r + 1):
-            sums[j] = v
+
+def _whole(dim):
+    """(rref rows, pivots) of the whole space at each vertex."""
+    return [(linalg.identity(d), tuple(range(d))) for d in dim]
 
 
 def _acyclic(ends, n):
@@ -206,12 +198,16 @@ class ModuleTable:
     def _shapes(self, dim):
         return tuple((dim[ti], dim[si]) for si, ti in self._arrow_ends)
 
-    def _arrow_space(self, k, shape):
-        """Number of candidate matrices the search tries at one arrow."""
+    def _arrow_space(self, k, shape, cap=float("inf")):
+        """Number of candidate matrices the search tries at one arrow. The
+        sum over the ranks of a square-zero loop stops once it passes cap,
+        so a count above cap is a lower bound."""
         if k in self._loop_pos:
             d = shape[0]
-            total = 0
-            for r in range(d // 2 + 1):
+            total = 1  # the zero matrix
+            for r in range(1, d // 2 + 1):
+                if total > cap:
+                    break
                 cnt = linalg.subspace_count(d, r, self.p)
                 for i in range(r):
                     cnt *= self.p ** (d - r) - self.p ** i
@@ -225,14 +221,15 @@ class ModuleTable:
                 "dimension vector %r has total %d > budget %d"
                 % (dim, sum(dim), self.budget_dim)
             )
+        # the count stops at the first arrow that takes it past the budget
         space = 1
         for k, shape in enumerate(self._shapes(dim)):
-            space *= self._arrow_space(k, shape)
-        if space > self.budget_space:
-            raise BudgetError(
-                "raw search space %s at dim %r exceeds budget %d"
-                % (_size(space), dim, self.budget_space)
-            )
+            space *= self._arrow_space(k, shape, self.budget_space // space)
+            if space > self.budget_space:
+                raise BudgetError(
+                    "raw search space %s at dim %r exceeds budget %d"
+                    % (_size(space, bound=True), dim, self.budget_space)
+                )
         # every raw candidate may be a rep, and each rep takes one entry of
         # the rep map
         need = space * REP_MAP_ENTRY_BYTES
@@ -376,7 +373,7 @@ class ModuleTable:
             for m in self.classes(low):
                 x, dx, y, dy = (m.rep, low, simple, e) if as_sub else (simple, e, m.rep, low)
                 basis, offs, width = self._cocycles(x, y, dx, dy)
-                for c in _span(basis, (0,) * width, self.p):
+                for c in _span(basis, width, self.p):
                     yield self._middle(c, y, x, offs, dx, dy)
 
     def _classify(self, dim):
@@ -588,12 +585,14 @@ class ModuleTable:
         cocycle gives one middle z, and the cocycles map onto Ext^1(x, y)
         with fibres of size q^(sum_i dx_i dy_i) / |Hom(x, y)|.
 
-        No middle is looked up in this table. The eps blocks of a cocycle
-        form a morphism w from x to the tau-twist of y and alone fix alpha,
-        e and X = ker eps / im eps (`_homology`), an extension of
-        K = ker w by L = y / im(tau* w). The cocycles of one w reach each
-        block from K to L p^(free - dim Hom(K, L)) times, so the group adds
-        the memoised kQ extension counts of K by L (`_ext_dist`).
+        No middle is built. The eps blocks of a cocycle form a morphism w
+        from x to the tau-twist of y, w_v: x_v -> y_(tau v), and alone fix
+        alpha_v = rank w_v, X = ker eps / im eps and
+        e = <dim X, tau(alpha) - alpha>: X is an extension of K = ker w by
+        L = y / im(tau* w), read off x and y (`_subquotient`). The cocycles
+        of one w reach each block from K to L p^(free - dim Hom(K, L))
+        times, so the group adds the memoised kQ extension counts of K by L
+        (`_ext_dist`).
 
         Returns ({(X, alpha, e): cocycle count}, q^(sum_i dx_i dy_i)); a count
         over that denominator is the sum of F^z_{x,y} a_x a_y / a_z over the
@@ -601,31 +600,28 @@ class ModuleTable:
         """
         p = self.p
         dx, dy = x.dim, y.dim
-        dz = tuple(a + b for a, b in zip(dx, dy))
-        xrep, yrep = self._lift(x), self._lift(y)
-        basis, offs, n = self._cocycles(xrep, yrep, dx, dy)
+        basis, offs, n = self._cocycles(self._lift(x), self._lift(y), dx, dy)
         # the relations bind only the eps blocks, as x and y have none, so
-        # the cocycles are spanned by the unit vectors of the free Q
-        # coordinates, which come last, and by rows with zero Q blocks
-        kq, counts = self.kq, {}
+        # the last `free` basis rows are the unit vectors of the Q
+        # coordinates, which come last, and the rows before them have zero
+        # Q blocks
+        kq, tau, counts = self.kq, self._tau_idx, {}
         free = sum(dy[t] * dx[s] for s, t in kq._arrow_ends)
-        eps_rows, _ = linalg.rref([r for r in basis if any(r[: n - free])], p)
-        for w in _span(eps_rows, (0,) * n, p):
-            x0, alpha, xdim, e = self._homology(self._middle(w, yrep, xrep, offs, dx, dy), dz)
-            # the quotient basis at each vertex has L's vectors first (the
-            # rref of ker eps pivots on y's coordinates first), then K's
-            dk = tuple(a - b for a, b in zip(dx, alpha))
-            dl = tuple(a - b for a, b in zip(xdim, dk))
-            kmats, lmats = [], []
-            for (si, ti), m in zip(kq._arrow_ends, x0):
-                s, t = dl[si], dl[ti]
-                if any(any(r[s:] if i < t else r[:s]) for i, r in enumerate(m)):
-                    raise RuntimeError("ker eps / im eps of %r by %r is not L + K" % (x, y))
-                kmats.append(tuple(r[s:] for r in m[t:]))
-                lmats.append(tuple(r[:s] for r in m[:t]))
+        for c in _span(basis[: len(basis) - free], n, p):
+            # w_v: x_v -> y_(tau v) is the block of eps_v; the eps arrows come first
+            w = [
+                [c[o + r * d : o + r * d + d] for r in range(dy[t])]
+                for o, d, t in zip(offs, dx, tau)
+            ]
+            kers = [linalg.rref(linalg.nullspace(m, d, p), p) for m, d in zip(w, dx)]
+            kmats, dk = kq._subquotient(x.rep, kers, [()] * len(dx))
+            ims = [linalg.col_space(w[t], p)[0] for t in tau]
+            lmats, dl = kq._subquotient(y.rep, _whole(dy), ims)
+            alpha = tuple(a - b for a, b in zip(dx, dk))
+            diff = tuple(alpha[t] - a for t, a in zip(tau, alpha))
+            e = self.iq.euler(dk, diff) + self.iq.euler(dl, diff)
             mult = p ** (free - sum(dl[t] * dk[s] for s, t in kq._arrow_ends))
-            kcls, lcls = kq.class_of(tuple(kmats), dk), kq.class_of(tuple(lmats), dl)
-            for cls, hit in kq._ext_dist(kcls, lcls):
+            for cls, hit in kq._ext_dist(kq.class_of(kmats, dk), kq.class_of(lmats, dl)):
                 counts[cls, alpha, e] = counts.get((cls, alpha, e), 0) + hit * mult
         return counts, p ** sum(a * b for a, b in zip(dx, dy))
 
@@ -653,58 +649,49 @@ class ModuleTable:
             self._ext[mkey] = [(c, hits[c.index]) for c in classes if c.index in hits]
         return self._ext[mkey]
 
-    def _induced(self, rep, quots):
-        """The matrices rep induces on the subquotients `quots` (one
-        `linalg.quotient_data` per vertex), or None when an arrow maps a
-        subspace outside the next one. Linear in rep."""
+    def _subquotient(self, rep, subs, tops):
+        """(matrices, dimension vector) of the module rep induces on V/W, or
+        None when an arrow maps V outside V.
+
+        `subs` holds one (rref rows, pivots) basis of V per vertex and `tops`
+        rows spanning W inside V per vertex, W a submodule. Submodules are
+        V/0 and quotients are the whole space (`_whole`) over W; kernels,
+        cokernels and ker eps / im eps are the same construction.
+        """
         p = self.p
+        quots = [linalg.quotient_data(rows, piv, top, p) for (rows, piv), top in zip(subs, tops)]
         out = []
-        for k, (si, ti) in enumerate(self._arrow_ends):
-            project = quots[ti][1]
-            cols = []
-            for u in quots[si][0]:
-                col = project(linalg.mat_vec(rep[k], u, p))
-                if col is None:
-                    return None
-                cols.append(col)
-            nrows = len(quots[ti][0])
-            out.append(tuple(tuple(col[r] for col in cols) for r in range(nrows)))
-        return tuple(out)
+        for (si, ti), mat in zip(self._arrow_ends, rep):
+            cols = [quots[ti][1](linalg.mat_vec(mat, u, p)) for u in quots[si][0]]
+            if None in cols:
+                return None
+            out.append(linalg.transpose(cols) or ((),) * len(quots[ti][0]))
+        return tuple(out), tuple(len(reps) for reps, _ in quots)
 
     # ---------- reduction to (kQ class, torus vector) ----------
 
-    def _homology(self, rep, dim):
-        """(X, alpha, dim X, e) for a Lambda^i rep at dim, X as a kQ rep.
+    def homology_reduce(self, cls):
+        """Write [cls] as v^e [X] * K_alpha with X a class of `kq`.
 
-        X is the module rep induces on X_v = ker(eps_v) / im(eps_{tau v}),
+        X is the module cls induces on X_v = ker(eps_v) / im(eps_{tau v}),
         with every arrow's action computed there, the eps arrows included;
         they come out zero for any module that satisfies the relations.
         alpha_v = rank(eps_v) and e = <dim X, tau(alpha) - alpha> in the
         Euler form of Q (zero whenever the involution is trivial). Checks
-        that the eps arrows act by zero and that dim X + res_K(alpha) = dim.
+        that ker eps is a submodule, that the eps arrows act by zero on X
+        and that dim X + res_K(alpha) = dim.
         """
-        p = self.p
-        tau = self._tau_idx
-        eps = [rep[pos] for pos in self._eps_pos]
+        p, dim, tau = self.p, cls.dim, self._tau_idx
+        eps = cls.rep[: len(self._eps_pos)]  # the eps arrows come first
         kers = [linalg.rref(linalg.nullspace(eps[vi], d, p), p) for vi, d in enumerate(dim)]
-        quots = [
-            linalg.quotient_data(rows, piv, linalg.col_space(eps[tau[vi]], p)[0], p)
-            for vi, (rows, piv) in enumerate(kers)
-        ]
-        alpha = tuple(d - len(rows) for d, (rows, _) in zip(dim, kers))
-        xdim = tuple(len(reps) for reps, _ in quots)
-        if tuple(a + b for a, b in zip(xdim, self.bq.res_K(alpha))) != tuple(dim):
-            raise RuntimeError("ker eps / im eps does not have dimension %r - res_K(%r)" % (dim, alpha))
-        x = self._induced(rep, quots)
-        if x is None:
+        sq = self._subquotient(cls.rep, kers, [linalg.col_space(eps[t], p)[0] for t in tau])
+        if sq is None:
             raise RuntimeError("ker eps is not a submodule")
+        x, xdim = sq
+        alpha = tuple(d - len(rows) for d, (rows, _) in zip(dim, kers))
+        if tuple(a + b for a, b in zip(xdim, self.bq.res_K(alpha))) != dim:
+            raise RuntimeError("ker eps / im eps does not have dimension %r - res_K(%r)" % (dim, alpha))
         if any(any(row) for pos in self._eps_pos for row in x[pos]):
             raise RuntimeError("product left the eps-zero basis: eps acts on ker eps / im eps")
-        diff = tuple(alpha[tau[vi]] - alpha[vi] for vi in range(len(dim)))
-        # the eps arrows come first
-        return x[len(self._eps_pos) :], alpha, xdim, self.iq.euler(xdim, diff)
-
-    def homology_reduce(self, cls):
-        """Write [cls] as v^e [X] * K_alpha with X a class of `kq` (`_homology`)."""
-        x, alpha, xdim, e = self._homology(cls.rep, cls.dim)
-        return e, self.kq.class_of(x, xdim), alpha
+        diff = tuple(alpha[t] - a for t, a in zip(tau, alpha))
+        return self.iq.euler(xdim, diff), self.kq.class_of(x[len(eps) :], xdim), alpha

@@ -17,7 +17,7 @@ the engine alone (`ModuleTable.extension_counts`, `HallAlgebra._pair`,
 * filtration counts on a module table: Hall numbers from every submodule of
   a middle (`decomposition`, `hall_number`), extension counts from them by
   Riedtmann's formula (`ext_count_with_middle`), hom spaces and the
-  (kernel, cokernel) tally of every module map (`hom_count`, `hom_basis`,
+  (kernel, cokernel) tally of every module map (`hom_count`,
   `morphism_tally`);
 * three product oracles: the morphism-sum formula (`oracle_kq_product`) and
   two closed forms (`oracle_sss`, `oracle_kronecker_single`).
@@ -35,6 +35,7 @@ from itertools import product as cartesian
 from math import gcd
 
 from . import linalg
+from .frep import _span, _whole
 from .idp import _KCOEF, _factor_indices
 from .ihall import HallElt
 from .iqg import p_exponent
@@ -501,27 +502,11 @@ _DECOMP = weakref.WeakKeyDictionary()  # table -> {class key: {(quot key, sub ke
 _HOM = weakref.WeakKeyDictionary()     # table -> {(a key, b key): int}
 
 
-def _whole(dim):
-    """(rref rows, pivots) of the whole space at each vertex."""
-    return [(linalg.identity(d), tuple(range(d))) for d in dim]
-
-
 def _subquotient(table, z, subs, tops):
-    """The class z induces on V/W, or None when an arrow maps V outside V.
-
-    `subs` holds one (rref rows, pivots) basis of V per vertex and `tops`
-    rows spanning W inside V per vertex, W a submodule of z. Submodules
-    are V/0 and quotients z/W; kernels and cokernels are the same
-    construction.
-    """
-    quots = [
-        linalg.quotient_data(rows, piv, top, table.p)
-        for (rows, piv), top in zip(subs, tops)
-    ]
-    rep = table._induced(z.rep, quots)
-    if rep is None:
-        return None
-    return table.class_of(rep, tuple(len(reps) for reps, _ in quots))
+    """The class z induces on V/W, or None when an arrow maps V outside V
+    (`ModuleTable._subquotient`)."""
+    sq = table._subquotient(z.rep, subs, tops)
+    return None if sq is None else table.class_of(*sq)
 
 
 def decomposition(table, z):
@@ -616,44 +601,22 @@ def hom_count(table, a, b):
     return count
 
 
-def hom_basis(table, a, b):
-    """Basis of Hom(a, b), each element as one flat coefficient vector."""
-    total, offs, rows = _hom_system(table, a, b)
-    return total, offs, linalg.nullspace(rows, total, table.p)
-
-
-def _unflatten_hom(vec, offs, a, b):
-    mats = []
-    for vi in range(len(a.dim)):
-        r, c = b.dim[vi], a.dim[vi]
-        base = offs[vi]
-        mats.append(
-            tuple(tuple(vec[base + i * c + j] for j in range(c)) for i in range(r))
-        )
-    return tuple(mats)
-
-
 def morphism_tally(table, a, b):
     """Tally of (kernel class, cokernel class) over every map a -> b."""
     p = table.p
-    n = table.iq.n
-    total, offs, basis = hom_basis(table, a, b)
+    total, offs, rows = _hom_system(table, a, b)
     tally = {}
-    for coeffs in cartesian(range(p), repeat=len(basis)):
-        vec = [0] * total
-        for coef, bv in zip(coeffs, basis):
-            if coef:
-                for idx, x in enumerate(bv):
-                    vec[idx] = (vec[idx] + coef * x) % p
-        f = _unflatten_hom(vec, offs, a, b)
-        kers = [linalg.rref(linalg.nullspace(f[vi], a.dim[vi], p), p) for vi in range(n)]
-        ker = _subquotient(table, a, kers, [()] * n)
+    for vec in _span(linalg.nullspace(rows, total, p), total, p):
+        f = [
+            [vec[o + i * c : o + i * c + c] for i in range(r)]
+            for o, r, c in zip(offs, b.dim, a.dim)
+        ]
+        kers = [linalg.rref(linalg.nullspace(m, d, p), p) for m, d in zip(f, a.dim)]
+        ker = _subquotient(table, a, kers, [()] * len(f))
         if ker is None:
             raise RuntimeError("kernel of a module map must be a submodule")
-        images = [linalg.col_space(f[vi], p)[0] for vi in range(n)]
-        cok = _subquotient(table, b, _whole(b.dim), images)
-        key = (ker, cok)
-        tally[key] = tally.get(key, 0) + 1
+        cok = _subquotient(table, b, _whole(b.dim), [linalg.col_space(m, p)[0] for m in f])
+        tally[ker, cok] = tally.get((ker, cok), 0) + 1
     return tally
 
 

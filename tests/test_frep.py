@@ -666,6 +666,33 @@ def test_arrow_space_counts_square_zero_matrices(p, dmax):
         assert tab._arrow_space(k, (d, d)) == len(linalg.square_zero_matrices(d, p)), d
 
 
+def test_budget_refusal_stops_counting(monkeypatch):
+    # the refusal stops summing the square-zero count of the 400-dim loop
+    # at the first rank that takes it past the budget
+    calls = []
+    count = linalg.subspace_count
+    monkeypatch.setattr(linalg, "subspace_count", lambda *a: calls.append(a) or count(*a))
+    tab = table("a2-split", 2, budget_dim=1000)
+    with pytest.raises(BudgetError, match="at least 2\\^"):
+        tab.check_budget((0, 400))
+    assert len(calls) <= 2, calls
+
+
+def test_span_walks_each_vector_once():
+    # no rows span the zero vector alone
+    assert list(frep._span([], 3, 5)) == [(0, 0, 0)]
+    assert list(frep._span([], 0, 2)) == [()]
+    for p, rows in (
+        (2, [(1, 0, 1, 1), (0, 1, 1, 0), (0, 0, 0, 1)]),
+        (3, [(1, 2, 0), (0, 1, 2)]),
+        (5, [(0, 3, 1, 4, 2)]),
+    ):
+        vecs = list(frep._span(rows, len(rows[0]), p))
+        assert len(set(vecs)) == len(vecs) == p ** len(rows)
+        basis, pivots = linalg.rref(rows, p)
+        assert all(linalg.coords_against_rref(v, basis, pivots, p) is not None for v in vecs)
+
+
 @pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["split-2"])
 def test_ext_dist_matches_cocycle_walk(name):
     # the kQ extension counts that the product engine sums, against a walk
@@ -678,7 +705,7 @@ def test_ext_dist_matches_cocycle_walk(name):
         dz = tuple(a + b for a, b in zip(k.dim, l.dim))
         basis, offs, n = kq._cocycles(k.rep, l.rep, k.dim, l.dim)
         walk = {}
-        for c in frep._span(basis, (0,) * n, 2):
+        for c in frep._span(basis, n, 2):
             z = kq.class_of(kq._middle(c, l.rep, k.rep, offs, k.dim, l.dim), dz)
             walk[z] = walk.get(z, 0) + 1
         assert kq._ext_dist(k, l) == sorted(walk.items(), key=lambda t: t[0].index), (k, l)
