@@ -263,7 +263,7 @@ def build_parser():
     dp = sp.add_parser("idp", help="print a Hall-side divided power")
     _add_algebra_args(dp)
     dp.add_argument("--vertex", required=True)
-    dp.add_argument("--n", type=int, required=True)
+    dp.add_argument("--n", type=_nonnegative, required=True)
     dp.add_argument("--parity", type=int, choices=(0, 1), default=None)
     dp.add_argument("--json", action="store_true")
     dp.set_defaults(func=cmd_idp)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .idp import idp_hall
 from .ring import (
     VMVI,
     LaurentPoly,
@@ -68,6 +67,8 @@ class Psi:
         key = (i, n, parity)
         if key in self._bdp_cache:
             return self._bdp_cache[key]
+        from .idp import idp_hall
+
         h = self.algebra
         fixed = self.iq.tau[i] == i
         base = idp_hall(h, i, n, parity if fixed else None)

@@ -64,7 +64,7 @@ def _primitive(a):
 
 
 def _poly_gcd(a, b):
-    """Primitive gcd over Z of nonzero dense int lists (low degree first,
+    """Primitive gcd over Z of nonzero dense int sequences (low degree first,
     last coefficient nonzero), with a positive leading coefficient.
 
     Euclid on primitive parts with pseudo-remainders: b's leading coefficient
@@ -104,11 +104,11 @@ class LaurentFrac:
         if num.is_zero():
             num, den = ZERO, ONE
         else:
-            g = _poly_gcd(num._as_coeff_list()[1], den._as_coeff_list()[1])
+            g = _poly_gcd(num.coeffs, den.coeffs)
             g = LaurentPoly(dict(enumerate(g)))
             num, den = num.exact_div(g), den.exact_div(g)
             lo = den.min_exp()
-            c = gcd(*num.terms.values(), *den.terms.values())
+            c = gcd(*num.coeffs, *den.coeffs)
             if den.coeff(den.max_exp()) < 0:
                 c = -c
             num = LaurentPoly({e - lo: x // c for e, x in num.terms.items()})

@@ -1,19 +1,22 @@
 """Exact scalar arithmetic: Laurent polynomials over Z and Q(sqrt(q)).
 
 Every q-coefficient lies in Z[v, v^-1], so a LaurentPoly holds int
-coefficients only: an integral Fraction is stored as its int, and a
-non-integral Fraction raises TypeError, as a float does.  Laurent polynomials
-multiply through one kernel, a Kronecker substitution into a single big-int
-product (_kronecker).  One long division over Z (_poly_divmod) serves
-exact_div and the gcd of the Q(v) oracle; each of its steps must divide
-exactly, else it raises ExactDivisionError.  QSqrt keeps rational parts,
-since Q(sqrt(q)) needs them, in the normal form of _norm, and divides them
-through the exact helper _div.  Equality is structural.  No floats anywhere.
+coefficients only, as a dense tuple from its lowest exponent: an integral
+Fraction is stored as its int, and a non-integral Fraction raises TypeError,
+as a float does.  Laurent polynomials multiply through one kernel, a
+Kronecker substitution into a single big-int product (_kronecker).  One long
+division over Z (_poly_divmod) serves exact_div and the gcd of the Q(v)
+oracle; each of its steps must divide exactly, else it raises
+ExactDivisionError.  QSqrt keeps rational parts, since Q(sqrt(q)) needs them,
+in the normal form of _norm, and divides them through the exact helper _div.
+Equality is structural.  No floats anywhere.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
+from operator import add, neg, sub
+from struct import pack, unpack
 
 
 class ExactDivisionError(ArithmeticError):
@@ -48,22 +51,22 @@ def _qpow(q, k):
 class LaurentPoly:
     """Laurent polynomial in v with integer coefficients.
 
-    Stored as a dict {exponent: coefficient} with all coefficients nonzero
-    ints, so equality and hashing are structural.
+    Dense: `lo` is the lowest exponent and `coeffs` the tuple of int
+    coefficients of v^lo, v^(lo+1), ..., whose first and last entries are
+    nonzero; zero is (0, ()).  Equality and hashing are structural.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("lo", "coeffs")
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                c = _norm(c)
-                if type(c) is not int:
-                    raise TypeError(f"{c!r} is not an integer coefficient")
-                if c:
-                    clean[int(e)] = c
-        object.__setattr__(self, "terms", clean)
+    def __new__(cls, terms=None):
+        terms = terms or {}
+        lo = min(terms, default=0)
+        out = [0] * (max(terms, default=lo - 1) + 1 - lo)
+        for e, c in terms.items():
+            out[e - lo] = c = _norm(c)
+            if type(c) is not int:
+                raise TypeError(f"{c!r} is not an integer coefficient")
+        return _trim(lo, out)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -74,79 +77,65 @@ class LaurentPoly:
 
     @classmethod
     def v_pow(cls, e):
-        return cls({e: 1})
+        return _poly(e, (1,))
+
+    @property
+    def terms(self):
+        """{exponent: coefficient} over the nonzero coefficients."""
+        return {self.lo + i: c for i, c in enumerate(self.coeffs) if c}
 
     def is_zero(self):
-        return not self.terms
+        return not self.coeffs
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.terms == ({0: other} if other else {})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
+        if type(other) is not LaurentPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self.lo == 0 and self.coeffs == ((other,) if other else ())
+        return self.lo == other.lo and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.lo, self.coeffs))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        get = out.get
-        for e, c in b.items():
-            s = get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return _trusted(out)
+        return _sum(self, other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _trusted({e: -c for e, c in self.terms.items()})
+        return _poly(self.lo, tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return _sum(self, other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        a, b = self.terms, other.terms
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return ZERO
         if len(a) > len(b):
             a, b = b, a
-        if not a:
-            return ZERO
-        if len(a) == 1:  # a monomial: shift the exponents
-            ((e0, c0),) = a.items()
-            return _trusted({e + e0: c * c0 for e, c in b.items()})
-        return _trusted(_kronecker(a, b))
+        lo = self.lo + other.lo
+        if len(a) > 1:
+            return _poly(lo, _kronecker(a, b))
+        c = a[0]  # a monomial: shift the exponents
+        return _poly(lo, b if c == 1 else tuple(map(c.__mul__, b)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("LaurentPoly powers must be nonnegative integers")
-        out = ONE
-        base = self
+        out, base = ONE, self
         while n:
             if n & 1:
                 out = out * base
@@ -156,125 +145,136 @@ class LaurentPoly:
 
     def bar(self):
         """The bar involution v -> v^-1."""
-        return _trusted({-e: c for e, c in self.terms.items()})
+        return _poly(-self.max_exp(), self.coeffs[::-1])
 
     def inflate(self, k):
         """Substitute v -> v^k (k a positive integer)."""
         if not isinstance(k, int) or k <= 0:
             raise ValueError("inflate expects a positive integer")
-        return _trusted({e * k: c for e, c in self.terms.items()})
+        out = [0] * (k * len(self.coeffs) - k + 1)  # [] for zero
+        out[::k] = self.coeffs
+        return _poly(k * self.lo, tuple(out))
 
     def min_exp(self):
-        return min(self.terms) if self.terms else 0
+        return self.lo
 
     def max_exp(self):
-        return max(self.terms) if self.terms else 0
+        return self.lo + len(self.coeffs) - 1 if self.coeffs else 0
 
     def coeff(self, e):
-        return self.terms.get(e, 0)
-
-    def _as_coeff_list(self):
-        # (lowest exponent, dense coefficient list from that exponent up)
-        if not self.terms:
-            return 0, [0]
-        lo, hi = self.min_exp(), self.max_exp()
-        coeffs = [0] * (hi - lo + 1)
-        for e, c in self.terms.items():
-            coeffs[e - lo] = c
-        return lo, coeffs
+        i = e - self.lo
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def exact_div(self, other):
         """Exact division; raises ExactDivisionError on a nonzero remainder."""
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPoly:
             other = LaurentPoly.const(other)
-        if other.is_zero():
+        if not other.coeffs:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
-        if self.is_zero():
+        if not self.coeffs:
             return ZERO
-        lo_n, num = self._as_coeff_list()
-        lo_d, den = other._as_coeff_list()
-        quot, rem = _poly_divmod(num, den)
+        quot, rem = _poly_divmod(self.coeffs, other.coeffs)
         if any(rem):
             raise ExactDivisionError("nonzero remainder in exact polynomial division")
-        return _trusted({lo_n - lo_d + i: c for i, c in enumerate(quot) if c})
+        # an exact quotient's ends are the ratios of the ends: both nonzero
+        return _poly(self.lo - other.lo, tuple(quot))
 
     def specialize_sqrtq(self, q):
         """Evaluate at v = sqrt(q), exactly, as a QSqrt."""
-        parts = [0, 0]  # v^(2k) -> q^k, v^(2k+1) -> q^k sqrt(q)
-        for e, c in self.terms.items():
-            k, odd = divmod(e, 2)
-            parts[odd] += c * _qpow(q, k)
-        return QSqrt(q, *parts)
+        k, odd = divmod(self.lo, 2)  # v^lo = q^k v^odd
+        a = b = 0  # Horner over ints: (a + b v) v + c = (b q + c) + a v
+        for c in reversed((0,) * odd + self.coeffs):
+            a, b = b * q + c, a
+        return QSqrt(q, a * _qpow(q, k), b * _qpow(q, k))
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            if e == 0:
-                mon = str(c)
-            else:
-                vs = "v" if e == 1 else f"v^{e}"
-                if c == 1:
-                    mon = vs
-                elif c == -1:
-                    mon = f"-{vs}"
-                else:
-                    mon = f"{c}*{vs}"
-            parts.append(mon)
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        for e, c in sorted(self.terms.items(), reverse=True):
+            vs = "v" if e == 1 else f"v^{e}"
+            parts.append(str(c) if e == 0 else vs if c == 1 else f"-{vs}" if c == -1 else f"{c}*{vs}")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
-def _trusted(terms):
-    """A LaurentPoly on a dict that is already clean: nonzero int coefficients."""
+_set_lo = LaurentPoly.lo.__set__
+_set_coeffs = LaurentPoly.coeffs.__set__
+
+
+def _poly(lo, coeffs):
+    """A LaurentPoly on a coefficient tuple whose ends are nonzero."""
     out = object.__new__(LaurentPoly)
-    object.__setattr__(out, "terms", terms)
+    _set_lo(out, lo)
+    _set_coeffs(out, coeffs)
     return out
 
 
+def _sum(f, g, op):
+    """f + g or f - g, for op add or sub: g's coefficients enter by slices."""
+    if type(g) is not LaurentPoly:
+        if not isinstance(g, (int, Fraction)):
+            return NotImplemented
+        g = LaurentPoly.const(g)
+    a, b = f.coeffs, g.coeffs
+    if not b:
+        return f
+    if not a:
+        return g if op is add else -g
+    lo = min(f.lo, g.lo)
+    out = [0] * (max(f.lo + len(a), g.lo + len(b)) - lo)
+    out[f.lo - lo:f.lo - lo + len(a)] = a
+    i = g.lo - lo
+    out[i:i + len(b)] = map(op, out[i:i + len(b)], b)
+    return _trim(lo, out)
+
+
+def _trim(lo, out):
+    """The LaurentPoly sum of out[i] v^(lo + i), its zero ends cut off."""
+    i, j = 0, len(out)
+    while i < j and not out[i]:
+        i += 1
+    while i < j and not out[j - 1]:
+        j -= 1
+    return _poly(lo + i, tuple(out[i:j])) if i < j else ZERO
+
+
 def _kronecker(a, b):
-    """The product of two integer term dicts, each with at least two terms.
+    """The coefficient tuple of the product of two coefficient tuples.
 
-    Kronecker substitution: with g the gcd of the offsets e - lo of both
-    dicts, a is read as v^lo_a A(v^g) and b as v^lo_b B(v^g), and A and B
-    are evaluated at x = 2^w, so one big-int product gives (AB)(2^w). A
-    coefficient of AB is a sum of at most min(len a, len b) products, so its
-    absolute value is at most m = max|a| * max|b| * min(len a, len b). The
-    slot width w is m.bit_length() + 1 rounded up to whole bytes, which makes
-    every coefficient strictly less than 2^(w-1) in absolute value: each slot
-    then holds a balanced digit, and adding 2^(w-1) to every slot turns
-    (AB)(2^w) into plain base-2^w digits, read back from its bytes. No carry
-    crosses a slot, so the unpacking is exact.
+    Two tuples that are zero at every odd index (polynomials in v^2)
+    multiply as their even entries. Otherwise a Kronecker substitution
+    (Harvey 2009) in slots of w = 8 * nb bits: a product coefficient sums at
+    most min(len a, len b) products, so its size is at most
+    m = max|a| max|b| min(len a, len b), and w is 64 if m < 2^63, else the
+    whole bytes that hold m and a sign bit. H has 2^(w-1) in every slot:
+    packed two's complement slots XOR H, minus H, give A(2^w), and
+    (AB)(2^w) + H has the digit c + 2^(w-1) in [0, 2^w) in every slot, so no
+    carry crosses a slot; XOR H gives back the two's complement slots.
     """
-    lo_a, lo_b = min(a), min(b)
-    g = gcd(*[e - lo_a for e in a], *[e - lo_b for e in b])
-    m = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
-    nb = (m.bit_length() + 8) >> 3  # bytes per slot: at least bit_length + 1 bits
-    half = 1 << ((nb << 3) - 1)
-    half_slot = half.to_bytes(nb, "little")
+    if not any(a[1::2]) and not any(b[1::2]):
+        out = [0] * (len(a) + len(b) - 1)
+        out[::2] = _kronecker(a[::2], b[::2])
+        return tuple(out)
+    m = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    nb = 8 if m < 1 << 63 else (m.bit_length() + 8) >> 3
+    n = len(a) + len(b) - 1
+    h = int.from_bytes((b"\0" * (nb - 1) + b"\x80") * n, "little")
+    ha, hb = h >> 8 * nb * (len(b) - 1), h >> 8 * nb * (len(a) - 1)
+    raw = ((_packed(a, nb, ha) * _packed(b, nb, hb) + h) ^ h).to_bytes(n * nb, "little")
+    if nb == 8:
+        return unpack("<%dq" % n, raw)
+    return tuple([int.from_bytes(raw[i:i + nb], "little", signed=True) for i in range(0, n * nb, nb)])
 
-    def pack(terms, lo):
-        n = (max(terms) - lo) // g + 1
-        slots = [half] * n  # every slot offset by half, so all are nonnegative
-        for e, c in terms.items():
-            slots[(e - lo) // g] = c + half
-        packed = int.from_bytes(b"".join([c.to_bytes(nb, "little") for c in slots]), "little")
-        return packed - int.from_bytes(half_slot * n, "little"), n
 
-    x, n_a = pack(a, lo_a)
-    y, n_b = pack(b, lo_b)
-    n = n_a + n_b - 1
-    size = n * nb
-    raw = (x * y + int.from_bytes(half_slot * n, "little")).to_bytes(size, "little")
-    lo = lo_a + lo_b
-    digits = [int.from_bytes(raw[i:i + nb], "little") for i in range(0, size, nb)]
-    return {lo + g * i: d - half for i, d in enumerate(digits) if d != half}
+def _packed(t, nb, h):
+    """sum t[i] 2^(8 nb i): t's two's complement nb-byte slots XOR h, minus h."""
+    if nb == 8:
+        s = pack("<%dq" % len(t), *t)
+    else:
+        s = b"".join([c.to_bytes(nb, "little", signed=True) for c in t])
+    return (int.from_bytes(s, "little") ^ h) - h
 
 
 def _poly_divmod(num, den):
-    """(quotient, remainder) of dense int coefficient lists, low degree first.
+    """(quotient, remainder) of dense int coefficient sequences, low degree first.
 
     Long division over Z by den, whose last coefficient is nonzero: each step
     divides a leading coefficient by den's and raises ExactDivisionError when
@@ -296,9 +296,9 @@ def _poly_divmod(num, den):
     return quot, rem[:dd]
 
 
-ZERO = LaurentPoly()
-ONE = LaurentPoly({0: 1})
-V = LaurentPoly({1: 1})
+ZERO = _poly(0, ())
+ONE = _poly(0, (1,))
+V = _poly(1, (1,))
 
 
 class QSqrt:

@@ -134,17 +134,19 @@ def test_c4_idivided_power_forms_agree():
             c = idp_closed(n, parity)
             ok = ok and idp_product(n, parity) == c
             ok = ok and idp_recursive(n, parity) == c
+    # the Hall side at both fixed vertices of split rank 2 with two arrows too
+    sites = [(builtin_iquiver("rank1-split"), ("1",)), (_split2(2), ("1", "2"))]
     for q in (2, 3):
-        alg = HallAlgebra(builtin_iquiver("rank1-split"), q)
-        for parity in (0, 1):
-            for n in range(5):
+        for iq, vertices in sites:
+            alg = HallAlgebra(iq, q, budget_dim=10)
+            for vertex, parity, n in itertools.product(vertices, (0, 1), range(9)):
                 ok = ok and sym_to_hall(
-                    alg, "1", idp_closed(n, parity)
-                ) == idp_hall(alg, "1", n, parity)
+                    alg, vertex, idp_closed(n, parity)
+                ) == idp_hall(alg, vertex, n, parity)
     _report(
         "idivided powers: product = recursion = closed sum",
         ok,
-        "symbolic n<=8; Hall n<=4, q in {2,3}",
+        "symbolic n<=8; Hall n<=8, q in {2,3}, rank1-split and split-2",
     )
 
 

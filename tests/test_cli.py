@@ -260,13 +260,18 @@ def test_product_bad_element_vertex_or_dimension_is_input_error(capsys):
         ("identities", "--amax", "-1"),
         ("enumerate", "builtin:a2-split", "--dim", "1,0", "--budget-dim", "-1"),
         ("enumerate", "builtin:a2-split", "--dim", "1,0", "--budget-space", "-1"),
+        # argparse names --n, before the parity or the ring sees a negative n
+        ("idp", "builtin:rank1-split", "--vertex", "1", "--n", "-1", "--parity", "0"),
+        ("idp", "builtin:rank1-split", "--vertex", "1", "--n", "-1"),
     ],
 )
 def test_negative_range_is_input_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert "must be nonnegative" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be nonnegative" in err
+    assert "argument %s:" % argv[argv.index("-1") - 1] in err
 
 
 def test_import_loads_no_cache_modules(tmp_path):
@@ -317,7 +322,7 @@ def test_identities_loads_only_its_layers():
         import ihall, ihall.cli
         with contextlib.redirect_stdout(io.StringIO()):
             code = ihall.cli.main(["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"])
-        module_side = ["ihall." + m for m in ("frep", "linalg", "ihall", "iquiver")]
+        module_side = ["ihall." + m for m in ("frep", "linalg", "ihall", "iquiver", "idp")]
         print(code, sorted(set(module_side) & set(sys.modules)))
         missing = [n for n in ihall.__all__ if getattr(ihall, n, None) is None]
         print(missing, sorted(set(module_side) - set(sys.modules)))

@@ -263,7 +263,7 @@ def test_exact_division_by_non_monic_divisor():
 
 
 def _dense(f):
-    return f._as_coeff_list()[1]
+    return list(f.coeffs)
 
 
 @pytest.mark.parametrize(
@@ -424,6 +424,83 @@ def test_product_at_the_slot_width_bound(n):
                 assert prod == _schoolbook(f, g), (n, c, d)
                 if c and d:
                     assert prod.coeff(0) == n * c * d
+
+
+# ---------------------------------------------------------------------------
+# the dense coefficient tuples against {exponent: coefficient} dicts
+
+
+def _dict_sum(x, y, sign=1):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _dict_product(x, y):
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _matches(f, d):
+    """f is the normal form of the nonzero terms d: nonzero ends, int entries."""
+    assert f.terms == d
+    assert f == LaurentPoly(d) and hash(f) == hash(LaurentPoly(d))
+    assert (f.min_exp(), f.max_exp()) == (min(d, default=0), max(d, default=0))
+    assert f.coeffs == () or (f.coeffs[0] and f.coeffs[-1])
+    assert all(type(c) is int for c in f.coeffs)
+    for e in range(f.min_exp() - 2, f.max_exp() + 3):
+        assert f.coeff(e) == d.get(e, 0)
+
+
+# two coefficients past 2^32 take the bound past 2^63, out of the word slots
+slot_ints = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-(2 ** 34), max_value=2 ** 34),
+    _near_powers_of_two(34),
+)
+
+
+@st.composite
+def inflated_polys(draw):
+    """(f, terms of f): a polynomial with spread exponents, inflated by 1, 2 or 3."""
+    d = draw(st.dictionaries(st.integers(min_value=-30, max_value=30), slot_ints, max_size=8))
+    k = draw(st.integers(min_value=1, max_value=3))
+    return LaurentPoly(d).inflate(k), {e * k: c for e, c in d.items() if c}
+
+
+@given(inflated_polys(), inflated_polys())
+@settings(max_examples=300)
+def test_dense_arithmetic_matches_term_dicts(fx, gy):
+    (f, x), (g, y) = fx, gy
+    _matches(f, x)
+    _matches(f * g, _dict_product(x, y))
+    _matches(f + g, _dict_sum(x, y))
+    _matches(f - g, _dict_sum(x, y, -1))
+    _matches(-f, {e: -c for e, c in x.items()})
+    _matches(f.bar(), {-e: c for e, c in x.items()})
+
+
+@pytest.mark.parametrize(
+    "n, c, d",
+    [
+        (7, 92737 * 649657, 7 * 73 * 127 * 337),  # n c d = 2^63 - 1: the last word-slot bound
+        (8, 2 ** 30, 2 ** 30),  # n c d = 2^63: the first bound past the word slots
+    ],
+)
+def test_product_at_the_word_slot_bound(n, c, d):
+    # n equal coefficients times n equal coefficients: the bound
+    # max|a| max|b| min(len a, len b) is n c d, which the coefficient of
+    # v^(n+1), a sum over all n pairs, reaches
+    assert n * c * d - 2 ** 63 in (-1, 0)
+    for sc, sd in ((1, 1), (1, -1), (-1, -1)):
+        f = LaurentPoly({e: sc * c for e in range(-3, n - 3)})
+        g = LaurentPoly({e: sd * d for e in range(5, n + 5)})
+        _matches(f * g, _dict_product(f.terms, g.terms))
+        assert (f * g).coeff(n + 1) == sc * sd * n * c * d
 
 
 def test_product_of_zero_and_monomials():
