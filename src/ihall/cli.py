@@ -138,8 +138,7 @@ def cmd_verify(args):
     algebra = _algebra(args)
     from .iqg import verify_presentation
 
-    parities = tuple(int(x) for x in args.parities.split(","))
-    rows = [(label, res.is_zero()) for label, res in verify_presentation(algebra, parities)]
+    rows = [(label, res.is_zero()) for label, res in verify_presentation(algebra, args.parities)]
     payload = {"command": "verify", "quiver": args.quiver, "q": args.q}
     return _emit_checks(args, payload, rows, ("relation", "relations"), t0)
 
@@ -235,6 +234,14 @@ def _nonnegative(text):
     return value
 
 
+def _parities(text):
+    """A nonempty comma list of distinct parities 0 and 1 (argparse exits 2 otherwise)."""
+    parts = text.split(",")
+    if not set(parts) <= {"0", "1"} or len(set(parts)) < len(parts):
+        raise argparse.ArgumentTypeError("want distinct parities 0 and 1, comma separated, got %r" % text)
+    return tuple(map(int, parts))
+
+
 def _add_algebra_args(sub):
     sub.add_argument("quiver", help="builtin:<name> or path of a JSON spec (an unknown builtin name lists the builtins)")
     sub.add_argument("--q", type=int, default=2, help="prime field size (default 2)")
@@ -249,7 +256,7 @@ def build_parser():
 
     v = sp.add_parser("verify", help="run the presentation relation suite")
     _add_algebra_args(v)
-    v.add_argument("--parities", default="0,1", help="comma list of parities for the fixed-vertex relations (default 0,1)")
+    v.add_argument("--parities", type=_parities, default="0,1", help="comma list of parities for the fixed-vertex relations (default 0,1)")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 

@@ -16,8 +16,6 @@ same constants by Riedtmann's formula, live in `oracle`.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .frep import ModuleTable
 from .iquiver import BoundQuiver
 from .ring import QSqrt
@@ -127,11 +125,9 @@ class HallAlgebra:
             if x.q != self.q:
                 raise ValueError("scalar belongs to a different q")
             return x
-        if isinstance(x, (int, Fraction)):
-            return QSqrt(self.q, x)
         if hasattr(x, "specialize_sqrtq"):
             return x.specialize_sqrtq(self.q)
-        raise TypeError("cannot coerce %r to a Hall algebra scalar" % (x,))
+        return QSqrt(self.q, x)
 
     def v_pow(self, e):
         return QSqrt.v_pow(self.q, e)
@@ -198,7 +194,7 @@ class HallAlgebra:
         tw = self.iq.euler(x.dim, y.dim)
         counts, denom = self.table.extension_counts(x, y)
         rows = tuple(
-            (w, gamma, self.v_pow(tw + e) * Fraction(count, denom))
+            (w, gamma, self.v_pow(tw + e) * QSqrt(self.q, count, 0, denom))
             for (w, gamma, e), count in counts.items()
         )
         self._pair_cache[ckey] = rows
@@ -215,11 +211,7 @@ class HallAlgebra:
                         w,
                         tuple(g + p + r for g, p, r in zip(gamma, a, b)),
                     )
-                    acc = out.get(key, zero) + base * scal
-                    if acc:
-                        out[key] = acc
-                    elif key in out:
-                        del out[key]
+                    out[key] = out.get(key, zero) + base * scal
         return HallElt(self, out)
 
     def power(self, elt, m):

@@ -13,13 +13,13 @@ Laurent polynomials.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .ring import (
     VMVI,
     LaurentPoly,
     ONE,
+    QSqrt,
     ZERO,
     comb2,
     pochhammer,
@@ -49,14 +49,14 @@ class Psi:
         h = self.algebra
         s = h.simple(j)
         if j in self.reps:
-            return s.scale(Fraction(-1, h.q - 1))
-        return s.scale(h.v_pow(1) * Fraction(1, h.q - 1))
+            return s.scale(QSqrt(h.q, -1, 0, h.q - 1))
+        return s.scale(h.v_pow(1) * QSqrt(h.q, 1, 0, h.q - 1))
 
     def K(self, i):
         h = self.algebra
         k = h.torus_k(i)
         if self.iq.tau[i] == i:
-            return k.scale(Fraction(-1, h.q))
+            return k.scale(QSqrt(h.q, -1, 0, h.q))
         c = self.iq.cartan_vv(i, self.iq.tau[i])
         if c % 2:
             raise ValueError("odd Cartan pairing between a swapped pair")
@@ -73,9 +73,9 @@ class Psi:
         fixed = self.iq.tau[i] == i
         base = idp_hall(h, i, n, parity if fixed else None)
         if fixed or i in self.reps:
-            scal = h.scalar(Fraction(1, (1 - h.q) ** n))
+            scal = QSqrt(h.q, 1, 0, (1 - h.q) ** n)
         else:
-            scal = h.v_pow(n) * Fraction(1, (h.q - 1) ** n)
+            scal = h.v_pow(n) * QSqrt(h.q, 1, 0, (h.q - 1) ** n)
         out = base.scale(scal)
         self._bdp_cache[key] = out
         return out

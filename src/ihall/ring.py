@@ -1,51 +1,25 @@
-"""Exact scalar arithmetic: Laurent polynomials over Z and Q(sqrt(q)).
+"""Exact scalar arithmetic over Z: Laurent polynomials in v and (a + b*sqrt(q))/d.
 
 Every q-coefficient lies in Z[v, v^-1], so a LaurentPoly holds int
-coefficients only, as a dense tuple from its lowest exponent: an integral
-Fraction is stored as its int, and a non-integral Fraction raises TypeError,
-as a float does.  Laurent polynomials multiply through one kernel, a
-Kronecker substitution into a single big-int product (_kronecker).  One long
-division over Z (_poly_divmod) serves exact_div and the gcd of the Q(v)
-oracle; each of its steps must divide exactly, else it raises
-ExactDivisionError.  QSqrt keeps rational parts, since Q(sqrt(q)) needs them,
-in the normal form of _norm, and divides them through the exact helper _div.
-Equality is structural.  No floats anywhere.
+coefficients only, as a dense tuple from its lowest exponent; any other
+coefficient (a Fraction, a float) raises TypeError.  Laurent polynomials
+multiply through one kernel, a Kronecker substitution into a single big-int
+product (_kronecker).  One long division over Z (_poly_divmod) serves
+exact_div and the gcd of the Q(v) oracle; each of its steps must divide
+exactly, else it raises ExactDivisionError.  A QSqrt holds three ints a, b
+and d in lowest terms, so every scalar operation is int arithmetic and one
+gcd; only its repr prints fractions.  Equality is structural.  No floats
+anywhere.
 """
 
-from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
-from operator import add, neg, sub
+from math import gcd, isqrt
+from operator import add, index, neg, sub
 from struct import pack, unpack
 
 
 class ExactDivisionError(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
-
-
-def _norm(c):
-    """An exact scalar in normal form: int if integral, else a Fraction."""
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):  # bool and other int subclasses
-        return int(c)
-    raise TypeError(f"cannot use {type(c).__name__} as an exact coefficient")
-
-
-def _div(a, b):
-    """a / b for normal-form scalars, exactly; never a float."""
-    if type(a) is int and type(b) is int:
-        quot, rem = divmod(a, b)
-        if not rem:
-            return quot
-    return _norm(Fraction(a, b))
-
-
-def _qpow(q, k):
-    """q^k for an int q and any integer k, exactly."""
-    return q ** k if k >= 0 else Fraction(1, q ** -k)
 
 
 class LaurentPoly:
@@ -63,9 +37,7 @@ class LaurentPoly:
         lo = min(terms, default=0)
         out = [0] * (max(terms, default=lo - 1) + 1 - lo)
         for e, c in terms.items():
-            out[e - lo] = c = _norm(c)
-            if type(c) is not int:
-                raise TypeError(f"{c!r} is not an integer coefficient")
+            out[e - lo] = index(c)
         return _trim(lo, out)
 
     def __setattr__(self, name, value):
@@ -92,7 +64,7 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if type(other) is not LaurentPoly:
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, int):
                 return NotImplemented
             return self.lo == 0 and self.coeffs == ((other,) if other else ())
         return self.lo == other.lo and self.coeffs == other.coeffs
@@ -116,7 +88,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if type(other) is not LaurentPoly:
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, int):
                 return NotImplemented
             other = LaurentPoly.const(other)
         a, b = self.coeffs, other.coeffs
@@ -185,7 +157,8 @@ class LaurentPoly:
         a = b = 0  # Horner over ints: (a + b v) v + c = (b q + c) + a v
         for c in reversed((0,) * odd + self.coeffs):
             a, b = b * q + c, a
-        return QSqrt(q, a * _qpow(q, k), b * _qpow(q, k))
+        n = q ** abs(k)
+        return QSqrt(q, a * n, b * n) if k >= 0 else QSqrt(q, a, b, n)
 
     def __repr__(self):
         parts = []
@@ -210,7 +183,7 @@ def _poly(lo, coeffs):
 def _sum(f, g, op):
     """f + g or f - g, for op add or sub: g's coefficients enter by slices."""
     if type(g) is not LaurentPoly:
-        if not isinstance(g, (int, Fraction)):
+        if not isinstance(g, int):
             return NotImplemented
         g = LaurentPoly.const(g)
     a, b = f.coeffs, g.coeffs
@@ -302,24 +275,30 @@ V = _poly(1, (1,))
 
 
 class QSqrt:
-    """Exact number a + b*sqrt(q) with a, b rational, in the normal form of _norm.
+    """Exact number (a + b*sqrt(q)) / d with ints a, b and d.
 
-    If q happens to be a perfect square s^2 the sqrt part folds into the
-    rational part at construction, so equality stays structural.
+    d > 0 and gcd(a, b, d) = 1, and if q is a perfect square s^2 the sqrt
+    part folds into a at construction, so equality and hashing stay
+    structural. The parts a and b may be given as any rationals with a
+    numerator and a denominator (ints, Fractions); a float raises TypeError.
     """
 
-    __slots__ = ("q", "a", "b")
+    __slots__ = ("q", "a", "b", "d")
 
-    def __init__(self, q, a=0, b=0):
+    def __new__(cls, q, a=0, b=0, d=1):
         if not isinstance(q, int) or q < 1:
             raise ValueError("q must be a positive integer")
-        a, b = _norm(a), _norm(b)
+        try:
+            a, b, d = (a.numerator * b.denominator, b.numerator * a.denominator,
+                       d * a.denominator * b.denominator)
+        except AttributeError:
+            raise TypeError("QSqrt parts must be rationals") from None
         s = isqrt(q)
-        if s * s == q and b:
-            a, b = _norm(a + b * s), 0
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        if s * s == q:
+            a, b = a + b * s, 0
+        if not d:
+            raise ZeroDivisionError("QSqrt with denominator zero")
+        return _qsqrt(q, a, b, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QSqrt is immutable")
@@ -327,10 +306,7 @@ class QSqrt:
     @classmethod
     def v_pow(cls, q, e):
         """sqrt(q)^e for any integer exponent e."""
-        k, odd = divmod(e, 2)
-        if odd:
-            return cls(q, 0, _qpow(q, k))
-        return cls(q, _qpow(q, k))
+        return LaurentPoly.v_pow(e).specialize_sqrtq(q)
 
     def is_zero(self):
         return not self.a and not self.b
@@ -339,64 +315,57 @@ class QSqrt:
         return bool(self.a) or bool(self.b)
 
     def _coerce(self, other):
-        if isinstance(other, QSqrt):
-            if other.q != self.q:
-                raise ValueError(f"mixing sqrt({self.q}) with sqrt({other.q})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QSqrt(self.q, other)
-        return None
+        if type(other) is not QSqrt:
+            try:
+                return QSqrt(self.q, other)
+            except TypeError:
+                return None
+        if other.q != self.q:
+            raise ValueError(f"mixing sqrt({self.q}) with sqrt({other.q})")
+        return other
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.q, self.a, self.b))
+        return hash((self.q, self.a, self.b, self.d))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return QSqrt(self.q, self.a + other.a, self.b + other.b)
+        d, e = self.d, o.d
+        return _qsqrt(self.q, self.a * e + o.a * d, self.b * e + o.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSqrt(self.q, -self.a, -self.b)
+        return _qsqrt(self.q, -self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return QSqrt(
-            self.q,
-            self.a * other.a + self.b * other.b * self.q,
-            self.a * other.b + self.b * other.a,
-        )
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return _qsqrt(self.q, a * c + b * e * self.q, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        den = self.a * self.a - self.b * self.b * self.q
+        a, b = self.a, self.b
+        den = a * a - b * b * self.q  # nonzero unless self is: a square q is folded
         if not den:
-            if self.is_zero():
-                raise ZeroDivisionError("inverse of zero")
-            # a^2 = b^2 q with b != 0 forces q to be a perfect square,
-            # which construction folds away; unreachable but kept honest.
-            raise ZeroDivisionError("inverse of zero divisor")
-        return QSqrt(self.q, _div(self.a, den), _div(-self.b, den))
+            raise ZeroDivisionError("inverse of zero")
+        return _qsqrt(self.q, a * self.d, -b * self.d, den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -405,18 +374,37 @@ class QSqrt:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
+        return self.inverse() * other
 
     def __repr__(self):
+        a, b = _frac(self.a, self.d), _frac(self.b, self.d)
         if not self.b:
-            return str(self.a)
+            return a
         if not self.a:
-            return f"{self.b}*sqrt({self.q})"
-        sign = "+" if self.b > 0 else "-"
-        return f"{self.a} {sign} {abs(self.b)}*sqrt({self.q})"
+            return f"{b}*sqrt({self.q})"
+        return f"{a} {'+' if self.b > 0 else '-'} {b.lstrip('-')}*sqrt({self.q})"
+
+
+_set_q, _set_a, _set_b, _set_d = (getattr(QSqrt, k).__set__ for k in QSqrt.__slots__)
+
+
+def _qsqrt(q, a, b, d):
+    """The QSqrt (a + b*sqrt(q)) / d for ints with d != 0, in lowest terms."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    out = object.__new__(QSqrt)
+    _set_q(out, q)
+    _set_a(out, a // g)
+    _set_b(out, b // g)
+    _set_d(out, d // g)
+    return out
+
+
+def _frac(n, d):
+    """n/d in lowest terms as a Fraction prints it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,21 @@ def test_negative_range_is_input_error(capsys, argv):
     assert "argument %s:" % argv[argv.index("-1") - 1] in err
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["5", "7,-3", "0,0", "1,1,0", "x", "", "0,", "+1"],
+)
+def test_bad_parities_is_input_error(capsys, value):
+    # a nonempty comma list of distinct parities 0 and 1, else argparse
+    # names --parities before any relation runs
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "builtin:a2-split", "--parities", value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --parities:" in out.err and repr(value) in out.err
+
+
 def test_import_loads_no_cache_modules(tmp_path):
     # hashlib and pickle are not used at all (the disk cache is JSON named
     # by a crc32), so neither importing the CLI nor a verify that reads its
@@ -361,6 +376,35 @@ def test_commands_leave_the_oracles_out(argv):
     homed = ["LaurentFrac", "idp_closed", "idp_product", "idp_recursive",
              "oracle_kronecker_single", "oracle_sss"]
     assert out.stdout.splitlines() == ["0 False", "[] %s" % homed]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "builtin:a2-split", "--q", "3"],
+        ["product", "builtin:a2-split", "simple:1", "simple:2", "--q", "3"],
+        ["idp", "builtin:rank1-split", "--vertex", "1", "--n", "3", "--parity", "1"],
+        ["enumerate", "builtin:a2-split", "--dim", "1,1"],
+        ["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"],
+    ],
+)
+def test_commands_load_no_fractions(argv):
+    # every scalar is a LaurentPoly or a QSqrt over ints, so no command
+    # loads fractions (nor decimal and numbers, which it imports)
+    src = os.path.dirname(os.path.dirname(ihall.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """if True:
+        import contextlib, io, sys
+        before = set(sys.modules)
+        import ihall.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = ihall.cli.main(sys.argv[1:])
+        print(code, sorted({"fractions", "decimal", "numbers"} & (set(sys.modules) - before)))
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 []"
 
 
 def test_unknown_package_attribute_is_attribute_error():

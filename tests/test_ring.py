@@ -1,7 +1,7 @@
 """Exact coefficient arithmetic: Laurent polynomials over Z, Q(v), Q(sqrt q)."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,7 +187,7 @@ def _exact_coeffs(x):
         return list(x.terms.values())
     if isinstance(x, LaurentFrac):
         return _exact_coeffs(x.num) + _exact_coeffs(x.den)
-    return [x.a, x.b]
+    return [x.a, x.b, x.d]
 
 
 def test_coefficients_stay_exact_and_integral_ones_are_ints():
@@ -204,15 +204,23 @@ def test_coefficients_stay_exact_and_integral_ones_are_ints():
     ]
     for x in polynomial:
         assert all(type(c) is int for c in _exact_coeffs(x)), x
-    # Q(sqrt q) keeps rational parts, each in normal form
+    # Q(sqrt q) holds ints (a, b, d) for (a + b sqrt q)/d, in lowest terms
     for x in [
         QSqrt(2, 1, 1).inverse(),
         QSqrt(2, 3, 1).inverse(),
         qint(3).specialize_sqrtq(2).inverse(),
+        vp(-3).specialize_sqrtq(3),
+        QSqrt(2, Fraction(1, 2), Fraction(3, 4)),
+        QSqrt(3, 4, -6, -10),
     ]:
-        for c in _exact_coeffs(x):
-            assert type(c) in (int, Fraction), (x, c)
-            assert type(c) is int or c.denominator != 1, (x, c)
+        coeffs = _exact_coeffs(x)
+        assert all(type(c) is int for c in coeffs), (x, coeffs)
+        assert gcd(*coeffs) == 1 and x.d > 0, (x, coeffs)
+    assert _exact_coeffs(QSqrt(2, 3, 1).inverse()) == [3, -1, 7]
+    assert _exact_coeffs(qint(3).specialize_sqrtq(2).inverse()) == [2, 0, 7]
+    assert _exact_coeffs(vp(-3).specialize_sqrtq(3)) == [0, 1, 9]
+    assert _exact_coeffs(QSqrt(2, Fraction(1, 2), Fraction(3, 4))) == [2, 3, 4]
+    assert _exact_coeffs(QSqrt(3, 4, -6, -10)) == [-2, 3, 5]
     assert QSqrt(2, 3, 1).inverse() == QSqrt(2, Fraction(3, 7), Fraction(-1, 7))
     assert QSqrt(2, 1, 1).inverse() == QSqrt(2, -1, 1)
 
@@ -224,14 +232,26 @@ def test_floats_are_rejected_as_coefficients():
         QSqrt(2, 0.5)
 
 
-def test_integral_fraction_is_stored_as_int():
-    f = LaurentPoly({0: Fraction(2)})
-    assert f == LaurentPoly({0: 2})
-    assert hash(f) == hash(LaurentPoly({0: 2}))
-    assert type(f.coeff(0)) is int
-    assert type((V * Fraction(4, 2)).coeff(1)) is int
-    assert type((V + Fraction(-3, 3)).coeff(0)) is int
-    assert f == Fraction(2) and f == 2
+def test_integral_fraction_coefficients_are_rejected():
+    # a LaurentPoly holds ints only; an integral Fraction is no exception
+    for c in (Fraction(2), Fraction(4, 2), Fraction(-3, 3), Fraction(0)):
+        with pytest.raises(TypeError):
+            LaurentPoly({0: c})
+        with pytest.raises(TypeError):
+            LaurentPoly.const(c)
+        with pytest.raises(TypeError):
+            V * c
+        with pytest.raises(TypeError):
+            c * V
+        with pytest.raises(TypeError):
+            V + c
+        with pytest.raises(TypeError):
+            V - c
+        with pytest.raises(TypeError):
+            V.exact_div(c)
+        assert (LaurentPoly.const(c.numerator) == c) is False
+        assert (c == LaurentPoly.const(c.numerator)) is False
+    assert LaurentPoly.const(2) == 2 and ZERO == 0
 
 
 def test_non_integral_coefficients_are_rejected():
@@ -516,7 +536,7 @@ def test_sums_stay_in_normal_form():
     total = f + f
     assert total == LaurentPoly({0: 2, 3: 2}) and type(total.coeff(0)) is int
     assert (f - f).terms == {}
-    assert (f + Fraction(-2, 2)).terms == {3: 1}
+    assert (f + -1).terms == {3: 1}
     assert (V + ONE) - V == ONE
 
 
@@ -549,3 +569,113 @@ def test_nonvanishing_products_match_schoolbook():
                     + [qint(2 * j) for j in range(m + 1, d + 1)]
                 )
         assert total == ref and not total.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# QSqrt against a pair of Fractions
+
+
+class _Pair:
+    """a + b sqrt(q) with Fraction parts, a square q folded: the oracle of QSqrt."""
+
+    def __init__(self, q, a, b=0):
+        s = isqrt(q)
+        if s * s == q:
+            a, b = a + b * s, 0
+        self.q, self.a, self.b = q, Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return _Pair(self.q, self.a + o.a, self.b + o.b)
+
+    def __neg__(self):
+        return _Pair(self.q, -self.a, -self.b)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __mul__(self, o):
+        return _Pair(self.q, self.a * o.a + self.b * o.b * self.q, self.a * o.b + self.b * o.a)
+
+    def inverse(self):
+        n = self.a ** 2 - self.b ** 2 * self.q
+        return _Pair(self.q, self.a / n, -self.b / n)
+
+    def __repr__(self):
+        # each part prints as its Fraction does
+        if not self.b:
+            return str(self.a)
+        if not self.a:
+            return f"{self.b}*sqrt({self.q})"
+        return f"{self.a} {'+' if self.b > 0 else '-'} {abs(self.b)}*sqrt({self.q})"
+
+
+def _pair_v_pow(q, e):
+    h = Fraction(q) ** (e // 2)
+    return _Pair(q, 0, h) if e % 2 else _Pair(q, h)
+
+
+def _agrees(x, p):
+    """x is the normal form of the oracle value p, and prints as p does."""
+    assert (Fraction(x.a, x.d), Fraction(x.b, x.d)) == (p.a, p.b)
+    assert all(type(c) is int for c in (x.q, x.a, x.b, x.d))
+    assert x.d > 0 and gcd(x.a, x.b, x.d) == 1
+    assert isqrt(x.q) ** 2 != x.q or x.b == 0
+    assert repr(x) == repr(p)
+    same = QSqrt(p.q, p.a, p.b)
+    assert x == same and hash(x) == hash(same)
+    assert x == p.a if not p.b else x != p.a
+
+
+qsqrt_parts = st.one_of(
+    st.integers(min_value=-60, max_value=60),
+    st.fractions(min_value=-60, max_value=60, max_denominator=30),
+)
+
+
+@given(
+    st.sampled_from([2, 3, 4, 5, 9]),
+    qsqrt_parts, qsqrt_parts, qsqrt_parts, qsqrt_parts,
+    st.integers(min_value=-9, max_value=9),
+)
+@settings(max_examples=400)
+def test_qsqrt_matches_fraction_pairs(q, a, b, c, e, k):
+    x, y = QSqrt(q, a, b), QSqrt(q, c, e)
+    px, py = _Pair(q, a, b), _Pair(q, c, e)
+    _agrees(x, px)
+    _agrees(x + y, px + py)
+    _agrees(x - y, px - py)
+    _agrees(x * y, px * py)
+    _agrees(-x, -px)
+    # ints and Fractions enter on either side
+    _agrees(x + c, px + _Pair(q, c))
+    _agrees(c - x, _Pair(q, c) - px)
+    _agrees(x * c, px * _Pair(q, c))
+    _agrees(c * x, px * _Pair(q, c))
+    if py.a or py.b:
+        _agrees(y.inverse(), py.inverse())
+        _agrees(x / y, px * py.inverse())
+        _agrees(a / y, _Pair(q, a) * py.inverse())
+    if c:
+        _agrees(x / c, px * _Pair(q, 1 / Fraction(c)))
+    _agrees(QSqrt.v_pow(q, k), _pair_v_pow(q, k))
+    _agrees(x * QSqrt.v_pow(q, k), px * _pair_v_pow(q, k))
+    assert (x == y) is ((px.a, px.b) == (py.a, py.b))
+    assert (x == x / 2) is (x == x * 2) is (not x)
+
+
+def test_qsqrt_rejects_floats_and_zero_denominators():
+    x = QSqrt(2, 1, 1)
+    for args in ((0.5,), (1, 0.5), (1, 1, 2.0)):
+        with pytest.raises(TypeError):
+            QSqrt(2, *args)
+    with pytest.raises(TypeError):
+        x + 0.5
+    with pytest.raises(TypeError):
+        x * 0.5
+    assert (x == 0.5) is False
+    with pytest.raises(ZeroDivisionError):
+        QSqrt(2, 1, 1, 0)
+    with pytest.raises(ZeroDivisionError):
+        QSqrt(2).inverse()
+    with pytest.raises(ZeroDivisionError):
+        x / 0
