@@ -187,6 +187,7 @@ class ModuleTable:
         self._classes = {}     # dim -> tuple[IsoClass]
         self._by_rep = {}      # dim -> {rep code: class index}
         self._ext = {}         # (class key, class key) -> kQ extension counts
+        self._counts = {}      # (dim x, dim y) -> {(x index, y index): extension counts}, with a cache dir
         self.kq = (
             ModuleTable(BoundQuiver(self.iq, doubled=False), p, budget_dim, budget_space, cache_dir)
             if self._eps_pos
@@ -577,6 +578,28 @@ class ModuleTable:
         return tuple(rep)
 
     def extension_counts(self, x, y):
+        """({(X, alpha, e): cocycle count}, q^(sum_i dx_i dy_i)) for kQ
+        classes x and y, as `_extension_counts` computes them.
+
+        With a cache directory the counts of all pairs at one (dim x, dim y)
+        are kept in one `tablecache` file, read at most once; a pair not in
+        it is computed and the file rewritten with it.
+        """
+        if not self.cache_dir or x.table is not self.kq or y.table is not self.kq:
+            return self._extension_counts(x, y)
+        from . import tablecache
+
+        dims = (x.dim, y.dim)
+        if dims not in self._counts:
+            self._counts[dims] = tablecache.load_counts(self, *dims) or {}
+        group = self._counts[dims]
+        pair = (x.index, y.index)
+        if pair not in group:
+            group[pair] = self._extension_counts(x, y)
+            tablecache.store_counts(self, *dims, group)
+        return group[pair]
+
+    def _extension_counts(self, x, y):
         """Extensions of x by y counted by cocycles, each middle reduced to
         v^e [X] * K_alpha with X a kQ class.
 

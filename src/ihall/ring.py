@@ -8,14 +8,15 @@ product (_kronecker).  One long division over Z (_poly_divmod) serves
 exact_div and the gcd of the Q(v) oracle; each of its steps must divide
 exactly, else it raises ExactDivisionError.  A QSqrt holds three ints a, b
 and d in lowest terms, so every scalar operation is int arithmetic and one
-gcd; only its repr prints fractions.  Equality is structural.  No floats
-anywhere.
+gcd; only its repr prints fractions.  Equality is structural, and a
+constant hashes as the int or Fraction it equals.  No floats anywhere.
 """
 
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import add, index, neg, sub
 from struct import pack, unpack
+from sys import hash_info
 
 
 class ExactDivisionError(ArithmeticError):
@@ -27,7 +28,8 @@ class LaurentPoly:
 
     Dense: `lo` is the lowest exponent and `coeffs` the tuple of int
     coefficients of v^lo, v^(lo+1), ..., whose first and last entries are
-    nonzero; zero is (0, ()).  Equality and hashing are structural.
+    nonzero; zero is (0, ()).  Equality and hashing are structural, but a
+    constant hashes as the int it equals.
     """
 
     __slots__ = ("lo", "coeffs")
@@ -70,6 +72,8 @@ class LaurentPoly:
         return self.lo == other.lo and self.coeffs == other.coeffs
 
     def __hash__(self):
+        if not self.lo and len(self.coeffs) < 2:
+            return hash(sum(self.coeffs))  # a constant hashes as the int it equals
         return hash((self.lo, self.coeffs))
 
     def __add__(self, other):
@@ -278,8 +282,9 @@ class QSqrt:
     """Exact number (a + b*sqrt(q)) / d with ints a, b and d.
 
     d > 0 and gcd(a, b, d) = 1, and if q is a perfect square s^2 the sqrt
-    part folds into a at construction, so equality and hashing stay
-    structural. The parts a and b may be given as any rationals with a
+    part folds into a at construction, so equality stays structural; it
+    is False across different q, and a value with b = 0 hashes as the
+    rational a/d. The parts a and b may be given as any rationals with a
     numerator and a denominator (ints, Fractions); a float raises TypeError.
     """
 
@@ -325,13 +330,21 @@ class QSqrt:
         return other
 
     def __eq__(self, other):
+        if type(other) is QSqrt and other.q != self.q:
+            return False
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.q, self.a, self.b, self.d))
+        if self.b:
+            return hash((self.q, self.a, self.b, self.d))
+        # as the int or Fraction a/d hashes: a times 1/d modulo the hash prime
+        try:
+            return hash(self.a * pow(self.d, -1, hash_info.modulus))
+        except ValueError:  # d is a multiple of the prime
+            return hash_info.inf if self.a > 0 else -hash_info.inf
 
     def __add__(self, other):
         o = self._coerce(other)

@@ -292,8 +292,8 @@ def test_bad_parities_is_input_error(capsys, value):
 def test_import_loads_no_cache_modules(tmp_path):
     # hashlib and pickle are not used at all (the disk cache is JSON named
     # by a crc32), so neither importing the CLI nor a verify that reads its
-    # tables from a warm cache may load them; `site` may have loaded them
-    # already
+    # tables and extension counts from a warm cache may load them; `site`
+    # may have loaded them already
     src = os.path.dirname(os.path.dirname(ihall.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
@@ -309,13 +309,24 @@ def test_import_loads_no_cache_modules(tmp_path):
         before = set(sys.modules)
         import ihall.cli, ihall.frep
         table = ihall.frep.ModuleTable
-        classified = []
-        classify = table._classify
-        table._classify = lambda self, dim: classified.append(dim) or classify(self, dim)
+        called = {"_classify": 0, "_cocycles": 0}
+        for name in called:
+            def counted(*args, name=name, orig=getattr(table, name)):
+                called[name] += 1
+                return orig(*args)
+            setattr(table, name, counted)
         with contextlib.redirect_stdout(io.StringIO()):
             code = ihall.cli.main(["verify", "builtin:a2-split", "--q", "3"])
-        print(code, len(classified) > 0, sorted({'hashlib', 'pickle'} & (set(sys.modules) - before)))
+        new = set(sys.modules) - before
+        print(code, called["_classify"] > 0, called["_cocycles"] > 0,
+              sorted({'hashlib', 'pickle', 'ihall.tablecache'} & new))
     """
+    # without a cache directory the cache module is never compiled
+    env.pop("IHALL_CACHE_DIR", None)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 True True []"
     env["IHALL_CACHE_DIR"] = str(tmp_path)
     runs = [
         subprocess.run(
@@ -323,8 +334,9 @@ def test_import_loads_no_cache_modules(tmp_path):
         ).stdout.strip()
         for _ in range(2)
     ]
-    # the first run fills the cache, the second classifies nothing
-    assert runs == ["0 True []", "0 False []"]
+    # the first run fills the cache; the second classifies nothing and
+    # reads every extension count from it, so it solves no cocycle system
+    assert runs == ["0 True True ['ihall.tablecache']", "0 False False ['ihall.tablecache']"]
 
 
 def test_identities_loads_only_its_layers():

@@ -4,7 +4,9 @@ import functools
 import gc
 import hashlib
 import json
+import os
 import pickle
+import shutil
 import weakref
 from itertools import product
 
@@ -234,6 +236,12 @@ CORRUPTIONS = [
     "wrong rep",
     "truncated",
     "not JSON",
+    "non-int code",
+    "code out of range",
+    "negative index",
+    "repeated code",
+    "missing member",
+    "canonical code moved",
 ]
 
 
@@ -271,6 +279,35 @@ def test_corrupt_cache_payload_is_recomputed(tmp_path, corruption):
         orbits[i][:2] = code, writer._decode(code, dim)
     elif corruption == "wrong rep":
         orbits[-1][1] = orbits[0][1]
+    else:
+        # each of these breaks exactly one check: the orbit sizes, the
+        # smallest codes and the rest of the payload stay consistent
+        canon = [o[0] for o in orbits]
+        members = [k for k, c in enumerate(codes) if c not in canon]
+        k = members[0]
+        _, sizes, weights = writer._radix(dim)
+        space = sizes[0] * weights[0]
+        if corruption == "non-int code":
+            codes[k] += 0.5
+        elif corruption == "code out of range":
+            codes[k] = space
+        elif corruption == "negative index":
+            codes.append(max(set(range(space)) - set(codes)))
+            index.append(-1)
+            assert codes[-1] > canon[-1]
+        elif corruption == "repeated code":
+            codes[k] = canon[index[k]]
+        elif corruption == "missing member":
+            del codes[k], index[k]
+        elif corruption == "canonical code moved":
+            # the canonical code of orbit j and a larger member of an
+            # earlier orbit i trade class indices
+            j, m = next(
+                (j, m) for j in range(1, len(canon)) for m in members
+                if index[m] < j and codes[m] > canon[j]
+            )
+            c = codes.index(canon[j])
+            index[c], index[m] = index[m], j
     if corruption == "truncated":
         text = text[: len(text) // 2]
     elif corruption == "not JSON":
@@ -305,6 +342,158 @@ def test_cache_round_trip(tmp_path, name, q):
             want = _fresh(wtab, dim)
             assert rtab._load_cached(dim) is not None, dim
             assert _fresh(rtab, dim) == want, dim
+
+
+def _plain(counts):
+    """Extension counts with each class X as (dim X, index X), in their order."""
+    by_middle, denom = counts
+    return [(x.key, alpha, e, c) for (x, alpha, e), c in by_middle.items()], denom
+
+
+def _pairs(tab, total):
+    """Every pair (x, y) of nonzero kQ classes with dim x + dim y of total
+    dimension at most `total`."""
+    dims = [d for d in product(range(total + 1), repeat=tab.iq.n) if 0 < sum(d) < total]
+    return [
+        (x, y)
+        for dx in dims
+        for dy in dims
+        if sum(dx) + sum(dy) <= total
+        for x in tab.kq.classes(dx)
+        for y in tab.kq.classes(dy)
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["split-2"])
+def test_count_cache_round_trip(tmp_path, name, q):
+    # extension counts read from a count file equal the ones computed, the
+    # denominator included, and a warm table solves no cocycle system
+    iq = SPLIT2 if name == "split-2" else builtin_iquiver(name)
+    writer = ModuleTable(BoundQuiver(iq), q, cache_dir=str(tmp_path))
+    pairs = _pairs(writer, 3)
+    want = [_plain(writer.extension_counts(x, y)) for x, y in pairs]
+    reader = ModuleTable(BoundQuiver(iq), q, cache_dir=str(tmp_path))
+    reader._cocycles = None
+    got = [
+        _plain(reader.extension_counts(reader.kq.classes(x.dim)[x.index], reader.kq.classes(y.dim)[y.index]))
+        for x, y in pairs
+    ]
+    assert got == want
+    fresh = ModuleTable(BoundQuiver(iq), q)
+    assert [_plain(fresh.extension_counts(x, y)) for x, y in _pairs(fresh, 3)] == want
+    assert len({(x.dim, y.dim) for x, y in pairs}) == len(list(tmp_path.glob("ihall-*-d*-d*.json")))
+
+
+COUNT_CORRUPTIONS = [
+    "foreign signature",
+    "version",
+    "i out of range",
+    "j out of range",
+    "X index out of range",
+    "negative X index",
+    "dimension identity",
+    "zero count",
+    "non-int count",
+    "non-int e",
+    "not a power of p",
+    "duplicate pair",
+    "duplicate middle",
+    "truncated",
+    "not JSON",
+]
+
+
+@pytest.mark.parametrize("corruption", COUNT_CORRUPTIONS)
+def test_corrupt_count_payload_is_recomputed(tmp_path, corruption):
+    dx, dy = (1, 1), (1, 0)
+    fresh = table("a2-split", 2)
+    writer = table("a2-split", 2, cache_dir=str(tmp_path))
+    pairs = [(x, y) for x in writer.kq.classes(dx) for y in writer.kq.classes(dy)]
+    assert len(pairs) > 1
+    for x, y in pairs:
+        writer.extension_counts(x, y)
+    path = tablecache.path(writer, dx, dy)
+    with open(path) as fh:
+        text = fh.read()
+    payload = json.loads(text)
+    pair = payload["pairs"][0]
+    row = pair[2][0]
+    if corruption == "foreign signature":
+        # an arrow name differs, the counts do not
+        other = ModuleTable(BoundQuiver(IQuiver(["1", "2"], [("b1", "1", "2")])), 2)
+        payload["signature"] = tablecache.signature(other, dx, dy)
+    elif corruption == "version":
+        payload["version"] -= 1
+    elif corruption == "i out of range":
+        pair[0] = len(writer.kq.classes(dx))
+    elif corruption == "j out of range":
+        pair[1] = -1
+    elif corruption == "X index out of range":
+        row[1] = len(writer.kq.classes(tuple(row[0])))
+    elif corruption == "negative X index":
+        row[1] = -1
+    elif corruption == "dimension identity":
+        row[2][0] += 1
+    elif corruption == "zero count":
+        row[4] = 0
+    elif corruption == "non-int count":
+        row[4] = float(row[4])
+    elif corruption == "non-int e":
+        row[3] = str(row[3])
+    elif corruption == "not a power of p":
+        # p^k + 1 is no power of p once p^k >= 2
+        assert sum(r[4] for r in pair[2]) >= 2
+        row[4] += 1
+    elif corruption == "duplicate pair":
+        payload["pairs"].append(json.loads(json.dumps(pair)))
+    elif corruption == "duplicate middle":
+        pair[2].append(list(row))
+    if corruption == "truncated":
+        text = text[: len(text) // 2]
+    elif corruption == "not JSON":
+        text = "\x80\x04 not json"
+    else:
+        text = json.dumps(payload)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+    reader = table("a2-split", 2, cache_dir=str(tmp_path))
+    assert tablecache.load_counts(reader, dx, dy) is None
+    got = [
+        _plain(reader.extension_counts(reader.kq.classes(dx)[x.index], reader.kq.classes(dy)[y.index]))
+        for x, y in pairs
+    ]
+    assert got == [
+        _plain(fresh.extension_counts(fresh.kq.classes(dx)[x.index], fresh.kq.classes(dy)[y.index]))
+        for x, y in pairs
+    ]
+    # the miss rewrote the file, and the next table reads it
+    assert tablecache.load_counts(table("a2-split", 2, cache_dir=str(tmp_path)), dx, dy) is not None
+
+
+def test_signature_covers_every_module_the_cache_stores(tmp_path, monkeypatch):
+    # orbits come from frep and linalg and the twist e from iquiver.euler,
+    # so a change to any of them, or to the cache itself, makes old files
+    # a miss
+    names = ("frep.py", "linalg.py", "iquiver.py", "tablecache.py")
+    src = os.path.dirname(tablecache.__file__)
+    for name in names:
+        shutil.copy(os.path.join(src, name), tmp_path / name)
+    monkeypatch.setattr(tablecache, "__file__", str(tmp_path / "tablecache.py"))
+    tab = table("a2-split", 2)
+    try:
+        tablecache._source_crc.cache_clear()
+        seen = {tablecache.signature(tab, (1, 1)), tablecache.signature(tab, (1, 1), (1, 0))}
+        for name in names:
+            with open(tmp_path / name, "a") as fh:
+                fh.write("\n")
+            tablecache._source_crc.cache_clear()
+            new = {tablecache.signature(tab, (1, 1)), tablecache.signature(tab, (1, 1), (1, 0))}
+            assert not new & seen, name
+            seen |= new
+    finally:
+        tablecache._source_crc.cache_clear()
 
 
 def _raw_orbits(tab, dim):

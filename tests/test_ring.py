@@ -166,6 +166,40 @@ def test_qsqrt_vpow_matches_poly_specialization():
 def test_qsqrt_mixing_bases_rejected():
     with pytest.raises(ValueError):
         QSqrt(2, 1) + QSqrt(3, 1)
+    with pytest.raises(ValueError):
+        QSqrt(2, 1) * QSqrt(3, 1)
+    # comparing is not arithmetic: scalars over different bases are unequal
+    assert QSqrt(2, 3) != QSqrt(3, 3)
+    assert not QSqrt(2, 0, 1) == QSqrt(3, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "const, value",
+    [
+        (QSqrt(2, 3), 3),
+        (QSqrt(3, -1), -1),
+        (QSqrt(5), 0),
+        (QSqrt(4, 0, 1), 2),
+        (QSqrt(2, 1, 0, 2), Fraction(1, 2)),
+        (QSqrt(3, -7, 0, 6), Fraction(-7, 6)),
+        (QSqrt(2, 5, 0, 2 ** 61 - 1), Fraction(5, 2 ** 61 - 1)),
+        (LaurentPoly.const(3), 3),
+        (LaurentPoly.const(-1), -1),
+        (LaurentPoly(), 0),
+        (ONE, 1),
+    ],
+)
+def test_constants_hash_as_the_numbers_they_equal(const, value):
+    # a set or dict that mixes ints (or Fractions) with equal constants
+    # keeps one of each
+    assert const == value and hash(const) == hash(value)
+    assert len({const, value}) == 1
+    assert {value: "x"}[const] == "x"
+
+
+def test_nonconstant_scalars_stay_apart_from_numbers():
+    assert len({QSqrt(2, 0, 1), QSqrt(2, 1, 1), 0, 1}) == 4
+    assert len({V, LaurentPoly.v_pow(-1), 1, 0}) == 4
 
 
 def test_qsqrt_fraction_coercion():
