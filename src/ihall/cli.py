@@ -119,22 +119,23 @@ def _emit(args, payload, text_lines):
 
 def _emit_checks(args, payload, rows, nouns, t0):
     """Emit the (name, holds) rows of a check suite; exit code 1 if one fails."""
+    elapsed = time.perf_counter() - t0
     ok = all(flag for _, flag in rows)
     payload.update(
         results=[{nouns[0]: name, "ok": flag} for name, flag in rows],
         ok=ok,
-        elapsed_s=round(time.time() - t0, 3),
+        elapsed_s=round(elapsed, 3),
     )
     lines = ["%s %s" % ("ok  " if flag else "FAIL", name) for name, flag in rows]
     lines.append(
-        "%d/%d %s hold (%.2fs)" % (sum(f for _, f in rows), len(rows), nouns[1], time.time() - t0)
+        "%d/%d %s hold (%.2fs)" % (sum(f for _, f in rows), len(rows), nouns[1], elapsed)
     )
     _emit(args, payload, lines)
     return 0 if ok else 1
 
 
 def cmd_verify(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     algebra = _algebra(args)
     from .iqg import verify_presentation
 
@@ -186,7 +187,7 @@ def cmd_idp(args):
 def cmd_identities(args):
     from .iqg import run_identity_suites, run_t_suite
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = run_identity_suites(pmax=args.pmax, dmax=args.dmax)
     rows += run_t_suite(amax=args.amax)
     payload = {"command": "identities", "pmax": args.pmax, "dmax": args.dmax, "amax": args.amax}

@@ -8,11 +8,16 @@ each check is a plain zero test.
 
 The second half holds the pure q-series side: the triple-sum values T and
 T1 and the factorial/binomial identities they reduce to, all over exact
-Laurent polynomials.
+Laurent polynomials. Each sum is taken in one pass: its terms v^e f go
+into one buffer (ring.shifted_sum), T and T1 come out of one shared
+evaluation per triple (each (k, m) group's terms of even and odd n are
+summed once and multiplied by the group's cofactor once), and kmrd sums
+its terms over m before it multiplies each k group by [2d]!!/[2k]!!.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .ring import (
@@ -20,7 +25,6 @@ from .ring import (
     LaurentPoly,
     ONE,
     QSqrt,
-    ZERO,
     comb2,
     pochhammer,
     qbinom,
@@ -29,6 +33,7 @@ from .ring import (
     qfact,
     qfact_dfact_cofactor,
     qfact_ratio,
+    shifted_sum,
 )
 
 # ---------------------------------------------------------------------------
@@ -238,51 +243,48 @@ def p_exponent(a, u, r, s, t):
     )
 
 
-def _t_value(a, d, u, swap):
-    # denominators [r]! [2k]!! [2m]!! are cleared against the fixed
-    # multiple [d]! [2K]!! [2K]!! (K the largest k), keeping everything
-    # a Laurent polynomial; the sum vanishes iff the raw sum does. The
-    # cleared factor depends on k and m only (r = d - k - m), so the terms
-    # are summed over n first and each (k, m) group takes one product.
+@lru_cache(maxsize=None)
+def _t_pair(a, d, u):
+    """(T(a, d, u), T1(a, d, u)) in one pass.
+
+    Denominators [r]! [2k]!! [2m]!! are cleared against the fixed multiple
+    [d]! [2K]!! [2K]!! (K the largest k), keeping everything a Laurent
+    polynomial; the sums vanish iff the raw sums do. The cleared factor C
+    depends on k and m only (r = d - k - m), so each (k, m) group sums its
+    terms of even n (E) and of odd n (O) first, and T and T1 share the two
+    products E C and O C: T = sum E C - v^(2k-2m) O C and
+    T1 = sum v^(2k-2m) E C - O C.
+    """
     kmax = (a + 1) // 2
-    total = LaurentPoly.const(0)
-    for k in range(0, kmax + 1):
-        for m in range(0, kmax + 1):
+    even, odd = [], []
+    for k in range(kmax + 1):
+        for m in range(kmax + 1):
             r = d - k - m
             if r < 0:
                 continue
-            group = LaurentPoly.const(0)
+            parts = ([], [])
             for n in range(r + 2 * k, a + 2 - 2 * m):
                 s = n - 2 * k
                 t = 1 + a - n - 2 * m
                 qb = qbinom(u, t - r)
-                if qb.is_zero():
-                    continue
-                z = (
-                    k * (k - 1)
-                    + m * (m + 1)
-                    - comb2(s)
-                    - comb2(t)
-                    + p_exponent(a, u, r, s, t)
-                )
-                even = n % 2 == 0
-                shifted = (even and swap) or (not even and not swap)
-                e = z + (2 * k - 2 * m if shifted else 0)
-                term = LaurentPoly.v_pow(e) * qb
-                group = group + term if even else group - term
-            if group:
-                total = total + group * qfact_dfact_cofactor(r, d, k, m, kmax)
-    return total
+                if qb:
+                    z = k * (k - 1) + m * (m + 1) - comb2(s) - comb2(t) + p_exponent(a, u, r, s, t)
+                    parts[n % 2].append((z, qb))
+            c = qfact_dfact_cofactor(r, d, k, m, kmax)
+            even.append((2 * k - 2 * m, shifted_sum(parts[0]) * c))
+            odd.append((2 * k - 2 * m, shifted_sum(parts[1]) * c))
+    return (shifted_sum([(0, f) for _, f in even], odd),
+            shifted_sum(even, [(0, f) for _, f in odd]))
 
 
 def t_value(a, d, u):
     """T(a, d, u): must vanish on every admissible triple."""
-    return _t_value(a, d, u, swap=False)
+    return _t_pair(a, d, u)[0]
 
 
 def t1_value(a, d, u):
     """T1(a, d, u): the companion sum with the shifted exponent convention."""
-    return _t_value(a, d, u, swap=True)
+    return _t_pair(a, d, u)[1]
 
 
 def adu_triples(amax):
@@ -299,14 +301,11 @@ def _qbinom_sum(p, exponent, step=1, alternating=False):
 
     The sign (-1)^t is taken when `alternating`, else every sign is +.
     """
-    total = ZERO
+    terms = ([], [])
     for t in range(p + 1):
         qb = qbinom(p, t)
-        if step != 1:
-            qb = qb.inflate(step)
-        term = LaurentPoly.v_pow(exponent(t)) * qb
-        total = total - term if alternating and t % 2 else total + term
-    return total
+        terms[alternating and t % 2].append((exponent(t), qb.inflate(step) if step != 1 else qb))
+    return shifted_sum(*terms)
 
 
 def km1_residual(p):
@@ -337,21 +336,24 @@ def km5_residual(p):
     return total - prod
 
 
+def _kmrd_group(d, k):
+    """The terms of kmrd_residual(d) with one k, as [2d]!!/[2k]!! times
+    sum_m (-1)^r v^(C(r+1,2) - 2(k-1)m) [d]!/[r]! [2d]!!/[2m]!!, r = d - k - m."""
+    terms = ([], [])
+    for m in range(d - k + 1):
+        r = d - k - m
+        terms[r % 2].append((comb2(r + 1) - 2 * (k - 1) * m,
+                             qfact_ratio(r, d) * qdfact_ratio(2 * m, 2 * d)))
+    return qdfact_ratio(2 * k, 2 * d) * shifted_sum(*terms)
+
+
 def kmrd_residual(d):
     """sum_{k+m+r=d} (-1)^r v^(C(r+1,2) - 2(k-1)m) / ([r]! [2k]!! [2m]!!).
 
-    Cleared by [d]! [2d]!! [2d]!! so the sum stays polynomial.
+    Cleared by [d]! [2d]!! [2d]!! so the sum stays polynomial; the terms
+    are summed over m first and each k group takes its [2d]!!/[2k]!! once.
     """
-    total = LaurentPoly.const(0)
-    for k in range(d + 1):
-        for m in range(d - k + 1):
-            r = d - k - m
-            e = comb2(r + 1) - 2 * (k - 1) * m
-            term = LaurentPoly.v_pow(e) * (
-                qfact_ratio(r, d) * qdfact_ratio(2 * k, 2 * d) * qdfact_ratio(2 * m, 2 * d)
-            )
-            total = total + term if r % 2 == 0 else total - term
-    return total
+    return shifted_sum([(0, _kmrd_group(d, k)) for k in range(d + 1)])
 
 
 def qbinom_alt_residual(p, d):

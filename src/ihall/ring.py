@@ -6,10 +6,12 @@ coefficient (a Fraction, a float) raises TypeError.  Laurent polynomials
 multiply through one kernel, a Kronecker substitution into a single big-int
 product (_kronecker).  One long division over Z (_poly_divmod) serves
 exact_div and the gcd of the Q(v) oracle; each of its steps must divide
-exactly, else it raises ExactDivisionError.  A QSqrt holds three ints a, b
-and d in lowest terms, so every scalar operation is int arithmetic and one
-gcd; only its repr prints fractions.  Equality is structural, and a
-constant hashes as the int or Fraction it equals.  No floats anywhere.
+exactly, else it raises ExactDivisionError.  A sum of many shifted terms
+v^e f goes into one buffer (shifted_sum); + and - take two terms.  A QSqrt
+holds three ints a, b and d in lowest terms, so every scalar operation is
+int arithmetic and one gcd; only its repr prints fractions.  Equality is
+structural, and a constant hashes as the int or Fraction it equals.  No
+floats anywhere.
 """
 
 from functools import lru_cache
@@ -200,6 +202,21 @@ def _sum(f, g, op):
     out[f.lo - lo:f.lo - lo + len(a)] = a
     i = g.lo - lo
     out[i:i + len(b)] = map(op, out[i:i + len(b)], b)
+    return _trim(lo, out)
+
+
+def shifted_sum(plus, minus=()):
+    """sum v^e f over the pairs (e, f) of plus, minus the same sum over minus.
+
+    Every term enters one buffer by slices, and the buffer is trimmed once.
+    """
+    terms = [(e + f.lo, f.coeffs, op) for op, pairs in ((add, plus), (sub, minus))
+             for e, f in pairs if f.coeffs]
+    lo = min([t[0] for t in terms], default=0)
+    out = [0] * (max([i + len(c) for i, c, _ in terms], default=lo) - lo)
+    for i, c, op in terms:
+        i -= lo
+        out[i:i + len(c)] = map(op, out[i:i + len(c)], c)
     return _trim(lo, out)
 
 

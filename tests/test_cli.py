@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ihall
+import ihall.cli
 from ihall.cli import main
 
 SPLIT2 = {
@@ -151,6 +153,33 @@ def test_identities_command(capsys):
     )
     assert code == 0
     assert "identities hold" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("identities", "--pmax", "2", "--dmax", "2", "--amax", "2"),
+        ("verify", "builtin:rank1-split"),
+    ],
+)
+def test_elapsed_is_one_monotonic_reading(capsys, monkeypatch, argv):
+    # the run is timed by perf_counter alone, read once at each end: a third
+    # reading or a look at the wall clock (which can jump) fails the test
+    for extra in ((), ("--json",)):
+        readings = iter([100.0, 102.5])
+
+        def wall_clock():
+            raise AssertionError("read the wall clock")
+
+        monkeypatch.setattr(
+            ihall.cli, "time", SimpleNamespace(perf_counter=lambda: next(readings), time=wall_clock)
+        )
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        if extra:
+            assert json.loads(out)["elapsed_s"] == 2.5
+        else:
+            assert out.rstrip().endswith("hold (2.50s)")
 
 
 def test_enumerate_command(capsys):

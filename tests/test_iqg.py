@@ -5,7 +5,9 @@ import pytest
 from ihall.ihall import HallAlgebra
 from ihall.iqg import (
     Psi,
+    _kmrd_group,
     _qbinom_sum,
+    _t_pair,
     adu_triples,
     build_relation_suite,
     km1_residual,
@@ -145,15 +147,26 @@ def _t_reference(a, d, u, swap):
 
 def test_t_sums_match_term_by_term_reference():
     # outside the admissible domain the sums are nonzero, so the grouped
-    # evaluation is compared with the plain one on nonvanishing values too
-    nonzero = 0
-    for a in range(6):
+    # evaluation is compared with the plain one on nonvanishing values too,
+    # up to the bench's amax
+    nonzero = [0, 0]
+    for a in range(8):
         for d in range((a + 1) // 2 + 1):
             for u in range(a + 3):
                 assert t_value(a, d, u) == _t_reference(a, d, u, False), (a, d, u)
                 assert t1_value(a, d, u) == _t_reference(a, d, u, True), (a, d, u)
-                nonzero += not t_value(a, d, u).is_zero()
-    assert nonzero >= 10
+                nonzero[0] += not t_value(a, d, u).is_zero()
+                nonzero[1] += not t1_value(a, d, u).is_zero()
+    assert nonzero == [16, 16]
+
+
+def test_t_pair_is_computed_once_per_triple():
+    _t_pair.cache_clear()
+    t_value(7, 2, 3)
+    t1_value(7, 2, 3)
+    t_value(7, 2, 3)
+    info = _t_pair.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_adu_domain():
@@ -189,6 +202,27 @@ def test_km_identities_small():
             prod = prod * (LaurentPoly.v_pow(j) + LaurentPoly.v_pow(-j))
         assert qdfact(2 * p).exact_div(qfact(p)) == prod
     for d in range(1, 7):
+        assert kmrd_residual(d).is_zero()
+
+
+def test_kmrd_groups_match_term_by_term_partial_sums():
+    # kmrd_residual is zero, so a grouping that dropped or mis-shifted terms
+    # could pass it by returning zero; each k group is nonzero and must equal
+    # the plain sum of its terms
+    for d in range(1, 9):
+        for k in range(d + 1):
+            ref = LaurentPoly.const(0)
+            for m in range(d - k + 1):
+                r = d - k - m
+                term = (
+                    LaurentPoly.v_pow(comb2(r + 1) - 2 * (k - 1) * m)
+                    * qfact_ratio(r, d)
+                    * qdfact_ratio(2 * k, 2 * d)
+                    * qdfact_ratio(2 * m, 2 * d)
+                )
+                ref = ref + term if r % 2 == 0 else ref - term
+            assert not ref.is_zero(), (d, k)
+            assert _kmrd_group(d, k) == ref, (d, k)
         assert kmrd_residual(d).is_zero()
 
 

@@ -22,6 +22,7 @@ from ihall.ring import (
     qfact_dfact_cofactor,
     qfact_ratio,
     qint,
+    shifted_sum,
 )
 from ihall.oracle import LaurentFrac, _poly_gcd
 
@@ -536,6 +537,45 @@ def test_dense_arithmetic_matches_term_dicts(fx, gy):
     _matches(f - g, _dict_sum(x, y, -1))
     _matches(-f, {e: -c for e, c in x.items()})
     _matches(f.bar(), {-e: c for e, c in x.items()})
+
+
+# (e, f) pairs for shifted_sum: negative shifts and exponents, zero f included
+shift_pairs = st.lists(
+    st.tuples(
+        st.integers(min_value=-20, max_value=20),
+        st.dictionaries(st.integers(min_value=-12, max_value=12), slot_ints, max_size=6).map(LaurentPoly),
+    ),
+    max_size=6,
+)
+
+
+def _shifted_terms(pairs):
+    """The nonzero terms of sum v^e f over the pairs (e, f), one term at a time."""
+    out = {}
+    for e, f in pairs:
+        out = _dict_sum(out, {x + e: c for x, c in f.terms.items()})
+    return out
+
+
+@given(shift_pairs, shift_pairs)
+@settings(max_examples=300)
+def test_shifted_sum_matches_term_dicts(plus, minus):
+    _matches(shifted_sum(plus, minus), _dict_sum(_shifted_terms(plus), _shifted_terms(minus), -1))
+    _matches(shifted_sum(plus), _shifted_terms(plus))
+    # the plus terms subtracted again, in another order, cancel in full
+    assert shifted_sum(plus, plus[::-1]) is ZERO
+    _matches(shifted_sum(minus + plus, plus[::-1]), _shifted_terms(minus))
+
+
+def test_shifted_sum_edge_cases():
+    f = LaurentPoly({-3: 2, 0: 5, 4: -1})
+    assert shifted_sum([]) is ZERO and shifted_sum([], []) is ZERO
+    assert shifted_sum([(7, ZERO)], [(-2, ZERO)]) is ZERO
+    assert shifted_sum([(2, f), (-1, f)], [(-1, f), (2, f)]) is ZERO
+    # both ends cancel: only the middle term is left, in normal form
+    assert shifted_sum([(0, f)], [(0, LaurentPoly({-3: 2})), (4, LaurentPoly.const(-1))]) == LaurentPoly({0: 5})
+    assert shifted_sum([(-5, f)]) == f * vp(-5)
+    assert shifted_sum([(1, f), (1, f)], [(0, f)]) == 2 * V * f - f
 
 
 @pytest.mark.parametrize(
