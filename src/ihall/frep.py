@@ -19,6 +19,14 @@ the classes one dimension lower by a simple (or of a simple by them) meet
 every nilpotent orbit; `_classify` walks the GL orbit of each such middle it
 has not met yet.
 
+Cocycles c and lambda c (lambda a nonzero scalar) have isomorphic middles,
+and eps blocks w and lambda w the same kernel and image, so the seeds walk
+one cocycle per line of the cocycle space (`_lines`) and the product engine
+one eps block per line, weighed by p - 1. The engine reads the w = 0 term
+off the kQ extension counts of x by y and solves nothing when x and tau* y
+share no vertex; `_ext_dist` reads a pair whose cocycles fill the whole rep
+space at dim K + dim L off the orbit sizes there.
+
 One routine (`_subquotient`) gives the module a rep induces on V/W: the
 product engine reads K = ker w and L = y / im(tau* w) off the kQ classes x
 and y with it, `homology_reduce` reads ker eps / im eps off a Lambda^i
@@ -63,11 +71,21 @@ def _physical_memory():
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _span(rows, n, p):
-    """Each vector of the span of rows in F_p^n once, the last row's
-    coefficient turning fastest."""
+def _lines(rows, n, p):
+    """One nonzero vector of each line of the span of rows in F_p^n, the rows
+    independent: the combinations whose first nonzero coefficient is 1.
+
+    They come in the lexicographic order of their coefficients (the last
+    row's turning fastest), and each is the first of its line in that order,
+    so a walk over them meets whatever the full span's walk meets first in
+    the same order.
+    """
     cols = linalg.transpose(rows) or ((),) * n
-    return (linalg.mat_vec(cols, c, p) for c in cartesian(range(p), repeat=len(rows)))
+    h = len(rows)
+    for i in range(h - 1, -1, -1):
+        head = (0,) * i + (1,)
+        for tail in cartesian(range(p), repeat=h - 1 - i):
+            yield linalg.mat_vec(cols, head + tail, p)
 
 
 def _whole(dim):
@@ -351,7 +369,9 @@ class ModuleTable:
         orbit: the extensions of each class at dim - e_v by S_v, or those of
         S_v by each class, over every v with dim_v > 0. The family with the
         smaller sum of p^(cocycle coordinates) over v is walked, a choice
-        made from the dimension vectors alone.
+        made from the dimension vectors alone. The middles of cocycles c and
+        lambda c are conjugate by lambda on the y block, so the zero cocycle
+        and one cocycle per line (`_lines`) reach every orbit.
         """
         if not any(dim):
             yield self.zero_rep(dim)
@@ -374,7 +394,8 @@ class ModuleTable:
             for m in self.classes(low):
                 x, dx, y, dy = (m.rep, low, simple, e) if as_sub else (simple, e, m.rep, low)
                 basis, offs, width = self._cocycles(x, y, dx, dy)
-                for c in _span(basis, width, self.p):
+                yield self._middle((0,) * width, y, x, offs, dx, dy)
+                for c in _lines(basis, width, self.p):
                     yield self._middle(c, y, x, offs, dx, dy)
 
     def _classify(self, dim):
@@ -451,6 +472,8 @@ class ModuleTable:
     # cache directory, so runs without one never compile it
 
     def _cache_path(self, dim):
+        """The table file at dim, or None without a cache directory; the
+        benchmark's span tracer reads cache file sizes through it."""
         if not self.cache_dir:
             return None
         from . import tablecache
@@ -528,8 +551,6 @@ class ModuleTable:
 
     def _lift(self, cls):
         """The rep of a kQ class as a Lambda^i-module: zero eps blocks first."""
-        if cls.table is not self.kq:
-            raise ValueError("extension counts take classes of the kQ table, got %r" % (cls,))
         shapes = self._shapes(cls.dim)
         return tuple(linalg.zeros(*shapes[pos]) for pos in self._eps_pos) + cls.rep
 
@@ -617,20 +638,35 @@ class ModuleTable:
         times, so the group adds the memoised kQ extension counts of K by L
         (`_ext_dist`).
 
+        Three shortcuts leave the counts as they are. At w = 0, K = x,
+        L = y, alpha = 0 and e = 0, and each block from x to y is one
+        cocycle: that group is the kQ extension counts of x by y. With no
+        eps coordinates (sum_v dx_v dy_(tau v) = 0) Hom(x, tau* y) is 0 and
+        that group is all, so no system is solved. The multiples lambda w of
+        a nonzero w share its kernel and image, hence its K, L, alpha and e,
+        so one w per line (`_lines`) stands for p - 1 groups.
+
         Returns ({(X, alpha, e): cocycle count}, q^(sum_i dx_i dy_i)); a count
         over that denominator is the sum of F^z_{x,y} a_x a_y / a_z over the
         middles z that reduce to (X, alpha, e) (Riedtmann's formula).
         """
-        p = self.p
+        kq, tau, p = self.kq, self._tau_idx, self.p
+        for cls in (x, y):
+            if cls.table is not kq:
+                raise ValueError("extension counts take classes of the kQ table, got %r" % (cls,))
         dx, dy = x.dim, y.dim
+        zero = (0,) * len(dx)
+        counts = {(cls, zero, 0): hit for cls, hit in kq._ext_dist(x, y)}
+        denom = p ** sum(a * b for a, b in zip(dx, dy))
+        if not any(dx[v] * dy[t] for v, t in enumerate(tau)):
+            return counts, denom
         basis, offs, n = self._cocycles(self._lift(x), self._lift(y), dx, dy)
         # the relations bind only the eps blocks, as x and y have none, so
         # the last `free` basis rows are the unit vectors of the Q
         # coordinates, which come last, and the rows before them have zero
         # Q blocks
-        kq, tau, counts = self.kq, self._tau_idx, {}
         free = sum(dy[t] * dx[s] for s, t in kq._arrow_ends)
-        for c in _span(basis[: len(basis) - free], n, p):
+        for c in _lines(basis[: len(basis) - free], n, p):
             # w_v: x_v -> y_(tau v) is the block of eps_v; the eps arrows come first
             w = [
                 [c[o + r * d : o + r * d + d] for r in range(dy[t])]
@@ -643,10 +679,10 @@ class ModuleTable:
             alpha = tuple(a - b for a, b in zip(dx, dk))
             diff = tuple(alpha[t] - a for t, a in zip(tau, alpha))
             e = self.iq.euler(dk, diff) + self.iq.euler(dl, diff)
-            mult = p ** (free - sum(dl[t] * dk[s] for s, t in kq._arrow_ends))
+            mult = (p - 1) * p ** (free - sum(dl[t] * dk[s] for s, t in kq._arrow_ends))
             for cls, hit in kq._ext_dist(kq.class_of(kmats, dk), kq.class_of(lmats, dl)):
                 counts[cls, alpha, e] = counts.get((cls, alpha, e), 0) + hit * mult
-        return counts, p ** sum(a * b for a, b in zip(dx, dy))
+        return counts, denom
 
     def _ext_dist(self, k, l):
         """[(X, cocycle count)] over the extensions of k by l, classes of
@@ -659,12 +695,20 @@ class ModuleTable:
         mkey = (k.key, l.key)
         if mkey not in self._ext:
             dz = tuple(a + b for a, b in zip(k.dim, l.dim))
+            classes = self.classes(dz)
+            if sum(l.dim[t] * k.dim[s] for s, t in self._arrow_ends) == sum(
+                r * c for r, c in self._shapes(dz)
+            ):
+                # the blocks of k, of l and from l to k have no entries: every
+                # rep at dz is the middle of exactly one cocycle, and is
+                # nilpotent, as every path of length 2 acts by zero
+                self._ext[mkey] = [(c, c.orbit_size) for c in classes]
+                return self._ext[mkey]
             basis, offs, n = self._cocycles(k.rep, l.rep, k.dim, l.dim)
             start, *units = [
                 self._code(self._middle(c, l.rep, k.rep, offs, k.dim, l.dim), dz)
                 for c in [(0,) * n, *basis]
             ]
-            classes = self.classes(dz)
             codes = cartesian((start,), *(range(0, self.p * (u - start), u - start) for u in units))
             hits = Counter(map(self._by_rep[dz].get, map(sum, codes)))
             if None in hits:

@@ -35,7 +35,7 @@ from itertools import product as cartesian
 from math import gcd
 
 from . import linalg
-from .frep import _span, _whole
+from .frep import _whole
 from .idp import _KCOEF, _factor_indices
 from .ihall import HallElt
 from .iqg import p_exponent
@@ -500,6 +500,13 @@ def multiple(table, a, m):
 
 _DECOMP = weakref.WeakKeyDictionary()  # table -> {class key: {(quot key, sub key): count}}
 _HOM = weakref.WeakKeyDictionary()     # table -> {(a key, b key): int}
+
+
+def _span(rows, n, p):
+    """Each vector of the span of rows in F_p^n once, the last row's
+    coefficient turning fastest."""
+    cols = linalg.transpose(rows) or ((),) * n
+    return (linalg.mat_vec(cols, c, p) for c in cartesian(range(p), repeat=len(rows)))
 
 
 def _subquotient(table, z, subs, tops):

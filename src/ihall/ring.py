@@ -507,14 +507,30 @@ def qdfact(n):
 
 
 @lru_cache(maxsize=None)
+def _pascal(m, r):
+    """[m choose r] for m >= 0 by the q-Pascal rule
+    [m, r] = v^-r [m-1, r] + v^(m-r) [m-1, r-1], no division."""
+    if r <= 0 or m < r:
+        return ONE if r == 0 else ZERO
+    return shifted_sum(((-r, _pascal(m - 1, r)), (m - r, _pascal(m - 1, r - 1))))
+
+
+@lru_cache(maxsize=None)
 def qbinom(m, r):
-    """Quantum binomial [m choose r]; m may be any integer, zero for r < 0."""
+    """Quantum binomial [m choose r] = [m][m-1]...[m-r+1] / [r]!; m may be
+    any integer, zero for r < 0. For m < 0, [m, r] = (-1)^r [r-m-1, r], as
+    [-n] = -[n]."""
     if r < 0:
         return ZERO
-    num = ONE
-    for j in range(r):
-        num = num * qint(m - j)
-    return num.exact_div(qfact(r))
+    if m < 0:
+        out = qbinom(r - m - 1, r)
+        return -out if r % 2 else out
+    # the rows below m, in increasing order, so that each q-Pascal step finds
+    # its two terms memoized and the recursion stays one step deep
+    for j in range(m):
+        for k in range(max(1, r - m + j), min(j, r) + 1):
+            _pascal(j, k)
+    return _pascal(m, r)
 
 
 def pochhammer(e_a, e_x, n):

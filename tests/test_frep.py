@@ -11,6 +11,7 @@ import weakref
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ihall import frep, linalg, oracle, tablecache
 from ihall.cli import main
@@ -251,7 +252,7 @@ def test_corrupt_cache_payload_is_recomputed(tmp_path, corruption):
     fresh = table("a2-split", 2)
     writer = table("a2-split", 2, cache_dir=str(tmp_path))
     writer.classes(dim)
-    path = writer._cache_path(dim)
+    path = tablecache.path(writer, dim)
     with open(path) as fh:
         text = fh.read()
     payload = json.loads(text)
@@ -747,7 +748,7 @@ def test_kq_and_lambda_tables_share_a_cache_dir(tmp_path, monkeypatch):
         assert tab.cache_dir == str(tmp_path)
         for dim in dims:
             tab.classes(dim)
-    assert writer._cache_path((1, 1)) != writer.kq._cache_path((1, 1))
+    assert tablecache.path(writer, (1, 1)) != tablecache.path(writer.kq, (1, 1))
     reader = ModuleTable(BoundQuiver(builtin_iquiver("a2-split")), 3)
     monkeypatch.delenv("IHALL_CACHE_DIR")
     fresh = ModuleTable(BoundQuiver(builtin_iquiver("a2-split")), 3)
@@ -869,17 +870,81 @@ def test_budget_refusal_stops_counting(monkeypatch):
 
 def test_span_walks_each_vector_once():
     # no rows span the zero vector alone
-    assert list(frep._span([], 3, 5)) == [(0, 0, 0)]
-    assert list(frep._span([], 0, 2)) == [()]
+    assert list(oracle._span([], 3, 5)) == [(0, 0, 0)]
+    assert list(oracle._span([], 0, 2)) == [()]
     for p, rows in (
         (2, [(1, 0, 1, 1), (0, 1, 1, 0), (0, 0, 0, 1)]),
         (3, [(1, 2, 0), (0, 1, 2)]),
         (5, [(0, 3, 1, 4, 2)]),
     ):
-        vecs = list(frep._span(rows, len(rows[0]), p))
+        vecs = list(oracle._span(rows, len(rows[0]), p))
         assert len(set(vecs)) == len(vecs) == p ** len(rows)
         basis, pivots = linalg.rref(rows, p)
         assert all(linalg.coords_against_rref(v, basis, pivots, p) is not None for v in vecs)
+
+
+@st.composite
+def spans(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(min_value=0, max_value=5))
+    m = draw(st.integers(min_value=0, max_value=4))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), min_size=m, max_size=m))
+    return p, n, linalg.rref(rows, p)[0]
+
+
+@given(spans())
+@settings(max_examples=80, deadline=None)
+def test_lines_walk_each_line_once(case):
+    # the first vector of each line in the full span's walk, in that walk's
+    # order, and nothing else
+    p, n, rows = case
+    firsts, seen = [], set()
+    for v in oracle._span(rows, n, p):
+        if any(v):
+            lead = pow(next(a for a in v if a), p - 2, p)
+            line = tuple(a * lead % p for a in v)
+            if line not in seen:
+                seen.add(line)
+                firsts.append(v)
+    assert list(frep._lines(rows, n, p)) == firsts
+    assert len(firsts) == (p ** len(rows) - 1) // (p - 1)
+
+
+def _ref_ext_dist(kq, k, l, memo):
+    """The kQ extension counts of k by l: every cocycle walked, each middle
+    looked up by `class_of`, in class order."""
+    if (k.key, l.key) not in memo:
+        dz = tuple(a + b for a, b in zip(k.dim, l.dim))
+        basis, offs, n = kq._cocycles(k.rep, l.rep, k.dim, l.dim)
+        walk = {}
+        for c in oracle._span(basis, n, kq.p):
+            z = kq.class_of(kq._middle(c, l.rep, k.rep, offs, k.dim, l.dim), dz)
+            walk[z] = walk.get(z, 0) + 1
+        memo[k.key, l.key] = sorted(walk.items(), key=lambda t: t[0].index)
+    return memo[k.key, l.key]
+
+
+def _ref_extension_counts(tab, x, y, memo):
+    """(`ModuleTable.extension_counts` of x by y, dim Hom(x, tau* y)) with
+    no shortcut: every eps block w of the Lambda^i cocycles walked, w = 0
+    and the scalar multiples included, each (K, L) by `_ref_ext_dist`."""
+    p, kq, tau = tab.p, tab.kq, tab._tau_idx
+    dx, dy = x.dim, y.dim
+    basis, offs, n = tab._cocycles(tab._lift(x), tab._lift(y), dx, dy)
+    free = sum(dy[t] * dx[s] for s, t in kq._arrow_ends)
+    counts = {}
+    for c in oracle._span(basis[: len(basis) - free], n, p):
+        w = [[c[o + r * d : o + r * d + d] for r in range(dy[t])] for o, d, t in zip(offs, dx, tau)]
+        kers = [linalg.rref(linalg.nullspace(m, d, p), p) for m, d in zip(w, dx)]
+        kmats, dk = kq._subquotient(x.rep, kers, [()] * len(dx))
+        lmats, dl = kq._subquotient(y.rep, frep._whole(dy), [linalg.col_space(w[t], p)[0] for t in tau])
+        alpha = tuple(a - b for a, b in zip(dx, dk))
+        diff = tuple(alpha[t] - a for t, a in zip(tau, alpha))
+        e = tab.iq.euler(dk, diff) + tab.iq.euler(dl, diff)
+        mult = p ** (free - sum(dl[t] * dk[s] for s, t in kq._arrow_ends))
+        for cls, hit in _ref_ext_dist(kq, kq.class_of(kmats, dk), kq.class_of(lmats, dl), memo):
+            counts[cls, alpha, e] = counts.get((cls, alpha, e), 0) + hit * mult
+    return (counts, p ** sum(a * b for a, b in zip(dx, dy))), len(basis) - free
 
 
 @pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["split-2"])
@@ -890,14 +955,9 @@ def test_ext_dist_matches_cocycle_walk(name):
     kq = ModuleTable(BoundQuiver(iq), 2).kq
     pool = [c for d in product(range(5), repeat=iq.n) if sum(d) <= 4 for c in kq.classes(d)]
     pairs = [(k, l) for k in pool for l in pool if k.total_dim + l.total_dim <= 4]
+    memo = {}
     for k, l in pairs:
-        dz = tuple(a + b for a, b in zip(k.dim, l.dim))
-        basis, offs, n = kq._cocycles(k.rep, l.rep, k.dim, l.dim)
-        walk = {}
-        for c in frep._span(basis, n, 2):
-            z = kq.class_of(kq._middle(c, l.rep, k.rep, offs, k.dim, l.dim), dz)
-            walk[z] = walk.get(z, 0) + 1
-        assert kq._ext_dist(k, l) == sorted(walk.items(), key=lambda t: t[0].index), (k, l)
+        assert kq._ext_dist(k, l) == _ref_ext_dist(kq, k, l, memo), (k, l)
     # each pair is computed once and then served from the memo
     assert len(kq._ext) == len(pairs)
     assert all(kq._ext_dist(k, l) is kq._ext[k.key, l.key] for k, l in pairs)
@@ -919,3 +979,51 @@ def test_class_interning():
     assert all(x is y for x, y in zip(a, b))
     s1 = tab.simple("1")
     assert tab.class_of(s1.rep, s1.dim) is s1
+
+
+ENGINE_CASES = (
+    [(name, q) for name in ("a2-split", "a3-quasisplit", "kronecker-r1") for q in (2, 3, 5)]
+    + [("split-2", 2), ("split-2", 3), ("kronecker-r2", 2)]
+)
+
+
+def test_extension_counts_match_full_walk(monkeypatch):
+    # pair by pair, counts and their order against `_ref_extension_counts`;
+    # each shortcut must fire: a pair with dim Hom(x, tau* y) >= 2 at q >= 3
+    # walked by lines, a pair with no eps coordinates that solves no
+    # Lambda^i cocycles, and a whole-space `_ext_dist` pair that solves no
+    # kQ cocycles
+    fired = {"lines": 0, "no eps": 0, "whole space": 0}
+    for name, q in ENGINE_CASES:
+        iq = {"split-2": SPLIT2, "kronecker-r2": KRONECKER2}.get(name) or builtin_iquiver(name)
+        tab = ModuleTable(BoundQuiver(iq), q)
+        kq, tau = tab.kq, tab._tau_idx
+        pool = [c for d in product(range(5), repeat=iq.n) if sum(d) <= 4 for c in kq.classes(d)]
+        memo = {}
+        for x in pool:
+            for y in pool:
+                if x.total_dim + y.total_dim > 4:
+                    continue
+                # the reference first, so every class the engine meets is
+                # classified and only the engine's own solves are seen
+                want, hom = _ref_extension_counts(tab, x, y, memo)
+                solves = {tab: [], kq: []}
+                lines = []
+                with monkeypatch.context() as m:
+                    for t in solves:
+                        m.setattr(t, "_cocycles", lambda *a, f=t._cocycles, t=t: solves[t].append(a) or f(*a))
+                    m.setattr(frep, "_lines", lambda rows, *a, f=frep._lines: lines.append(len(rows)) or f(rows, *a))
+                    before = set(kq._ext)
+                    got = tab._extension_counts(x, y)
+                assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1], (name, q, x, y)
+                eps = sum(x.dim[v] * y.dim[t] for v, t in enumerate(tau))
+                assert len(solves[tab]) == (eps > 0) and lines == ([hom] if eps else [])
+                fired["no eps"] += not eps
+                fired["lines"] += q >= 3 and hom >= 2
+                whole = 0
+                for (dk, _), (dl, _) in set(kq._ext) - before:
+                    n = sum(dl[t] * dk[s] for s, t in kq._arrow_ends)
+                    whole += n == sum(r * c for r, c in kq._shapes(tuple(a + b for a, b in zip(dk, dl))))
+                assert len(solves[kq]) == len(set(kq._ext) - before) - whole
+                fired["whole space"] += whole
+    assert all(fired.values()), fired

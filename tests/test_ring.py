@@ -6,6 +6,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ihall import ring
 from ihall.ring import (
     ExactDivisionError,
     LaurentPoly,
@@ -71,6 +72,23 @@ def test_qbinom_values():
     assert qbinom(3, 0) == ONE
     assert qbinom(3, 5).is_zero()
     assert qbinom(3, -1).is_zero()
+
+
+def test_qbinom_matches_product_over_factorial():
+    # the q-Pascal memo against prod_{j<r} [m - j] / [r]!, from cold memos
+    # and with negative m reflected to m >= 0 first
+    qbinom.cache_clear()
+    ring._pascal.cache_clear()
+    for m in range(-8, 15):
+        for r in range(-2, 15):
+            want = ZERO
+            if r >= 0:
+                num = ONE
+                for j in range(r):
+                    num = num * qint(m - j)
+                want = num.exact_div(qfact(r))
+            got = qbinom(m, r)
+            assert (got.lo, got.coeffs) == (want.lo, want.coeffs), (m, r)
 
 
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8))
