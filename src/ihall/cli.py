@@ -34,7 +34,11 @@ def _load_iquiver(name):
     if name.startswith("builtin:"):
         return builtin_iquiver(name[len("builtin:"):])
     with open(name) as fh:
-        return build_iquiver(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply" % name) from None
+    return build_iquiver(spec)
 
 
 def _algebra(args):

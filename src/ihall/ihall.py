@@ -16,6 +16,8 @@ same constants by Riedtmann's formula, live in `oracle`.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from .frep import ModuleTable
 from .iquiver import BoundQuiver
 from .ring import QSqrt
@@ -40,23 +42,21 @@ class HallElt:
         if self.algebra is not other.algebra:
             raise ValueError("elements of different Hall algebras")
 
-    def __add__(self, other):
+    def _merge(self, other, op):
+        """self op other, for op `operator.add` or `operator.sub`."""
         if not isinstance(other, HallElt):
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, self.algebra.scalar(0)) + c
+            out[k] = op(out.get(k, self.algebra.scalar(0)), c)
         return HallElt(self.algebra, out)
 
+    def __add__(self, other):
+        return self._merge(other, add)
+
     def __sub__(self, other):
-        if not isinstance(other, HallElt):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, self.algebra.scalar(0)) - c
-        return HallElt(self.algebra, out)
+        return self._merge(other, sub)
 
     def __neg__(self):
         return HallElt(self.algebra, {k: -c for k, c in self.terms.items()})

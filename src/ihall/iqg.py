@@ -23,7 +23,6 @@ from typing import NamedTuple, Optional
 from .ring import (
     VMVI,
     LaurentPoly,
-    ONE,
     QSqrt,
     comb2,
     pochhammer,
@@ -328,12 +327,9 @@ def km3_residual(p):
 
 
 def km5_residual(p):
-    """sum_k v^(-k(p-k+1)) [p choose k]  minus  prod_{j=1}^p (1 + v^-j)."""
-    total = _qbinom_sum(p, lambda k: -k * (p - k + 1))
-    prod = ONE
-    for j in range(1, p + 1):
-        prod = prod * (ONE + LaurentPoly.v_pow(-j))
-    return total - prod
+    """sum_k v^(-k(p-k+1)) [p choose k]  minus  prod_{j=1}^p (1 + v^-j),
+    the product being (-v^-1; v^-1)_p."""
+    return _qbinom_sum(p, lambda k: -k * (p - k + 1)) - pochhammer(-1, -1, p, sign=-1)
 
 
 def _kmrd_group(d, k):

@@ -6,8 +6,9 @@ coefficient (a Fraction, a float) raises TypeError.  Laurent polynomials
 multiply through one kernel, a Kronecker substitution into a single big-int
 product (_kronecker).  One long division over Z (_poly_divmod) serves
 exact_div and the gcd of the Q(v) oracle; each of its steps must divide
-exactly, else it raises ExactDivisionError.  A sum of many shifted terms
-v^e f goes into one buffer (shifted_sum); + and - take two terms.  A QSqrt
+exactly, else it raises ExactDivisionError.  Every sum, + and - included,
+adds its shifted terms v^e f into one buffer (shifted_sum).  An operand is
+a LaurentPoly or an int (a constant) for every operator.  A QSqrt
 holds three ints a, b and d in lowest terms, so every scalar operation is
 int arithmetic and one gcd; only its repr prints fractions.  Equality is
 structural, and a constant hashes as the int or Fraction it equals.  No
@@ -67,10 +68,9 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if type(other) is not LaurentPoly:
-            if not isinstance(other, int):
-                return NotImplemented
-            return self.lo == 0 and self.coeffs == ((other,) if other else ())
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         return self.lo == other.lo and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -79,7 +79,8 @@ class LaurentPoly:
         return hash((self.lo, self.coeffs))
 
     def __add__(self, other):
-        return _sum(self, other, add)
+        other = _operand(other)
+        return other if other is NotImplemented else shifted_sum(((0, self), (0, other)))
 
     __radd__ = __add__
 
@@ -87,16 +88,17 @@ class LaurentPoly:
         return _poly(self.lo, tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other):
-        return _sum(self, other, sub)
+        other = _operand(other)
+        return other if other is NotImplemented else shifted_sum(((0, self),), ((0, other),))
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = _operand(other)
+        return other if other is NotImplemented else shifted_sum(((0, other),), ((0, self),))
 
     def __mul__(self, other):
-        if type(other) is not LaurentPoly:
-            if not isinstance(other, int):
-                return NotImplemented
-            other = LaurentPoly.const(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
@@ -145,17 +147,18 @@ class LaurentPoly:
 
     def exact_div(self, other):
         """Exact division; raises ExactDivisionError on a nonzero remainder."""
-        if type(other) is not LaurentPoly:
-            other = LaurentPoly.const(other)
-        if not other.coeffs:
+        divisor = _operand(other)
+        if divisor is NotImplemented:
+            raise TypeError(f"cannot divide a LaurentPoly by a {type(other).__name__}")
+        if not divisor.coeffs:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if not self.coeffs:
             return ZERO
-        quot, rem = _poly_divmod(self.coeffs, other.coeffs)
+        quot, rem = _poly_divmod(self.coeffs, divisor.coeffs)
         if any(rem):
             raise ExactDivisionError("nonzero remainder in exact polynomial division")
         # an exact quotient's ends are the ratios of the ends: both nonzero
-        return _poly(self.lo - other.lo, tuple(quot))
+        return _poly(self.lo - divisor.lo, tuple(quot))
 
     def specialize_sqrtq(self, q):
         """Evaluate at v = sqrt(q), exactly, as a QSqrt."""
@@ -186,23 +189,12 @@ def _poly(lo, coeffs):
     return out
 
 
-def _sum(f, g, op):
-    """f + g or f - g, for op add or sub: g's coefficients enter by slices."""
-    if type(g) is not LaurentPoly:
-        if not isinstance(g, int):
-            return NotImplemented
-        g = LaurentPoly.const(g)
-    a, b = f.coeffs, g.coeffs
-    if not b:
-        return f
-    if not a:
-        return g if op is add else -g
-    lo = min(f.lo, g.lo)
-    out = [0] * (max(f.lo + len(a), g.lo + len(b)) - lo)
-    out[f.lo - lo:f.lo - lo + len(a)] = a
-    i = g.lo - lo
-    out[i:i + len(b)] = map(op, out[i:i + len(b)], b)
-    return _trim(lo, out)
+def _operand(other):
+    """other as a LaurentPoly: a LaurentPoly as is, an int as a constant,
+    anything else NotImplemented."""
+    if type(other) is LaurentPoly:
+        return other
+    return LaurentPoly.const(other) if isinstance(other, int) else NotImplemented
 
 
 def shifted_sum(plus, minus=()):
@@ -533,11 +525,14 @@ def qbinom(m, r):
     return _pascal(m, r)
 
 
-def pochhammer(e_a, e_x, n):
-    """(a; x)_n = prod_{j=0}^{n-1} (1 - a x^j) with a = v^e_a, x = v^e_x."""
+def pochhammer(e_a, e_x, n, sign=1):
+    """(a; x)_n = prod_{j=0}^{n-1} (1 - a x^j) with a = sign v^e_a, x = v^e_x,
+    sign 1 or -1."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
+    if sign not in (1, -1):
+        raise ValueError("pochhammer needs sign 1 or -1")
     out = ONE
     for j in range(n):
-        out = out * (ONE - LaurentPoly.v_pow(e_a + j * e_x))
+        out = out * (ONE - _poly(e_a + j * e_x, (sign,)))
     return out

@@ -63,8 +63,8 @@ def _path(table, dims, sig):
 
 def load(table, dim):
     """The classification stored for table at dim, or None on a miss: no
-    file, a file that is not JSON, a foreign version or signature, or a
-    payload that fails a check (`check`)."""
+    file, a file that is not JSON or nests past the recursion limit, a
+    foreign version or signature, or a payload that fails a check (`check`)."""
     return _load(check, table, dim)
 
 
@@ -79,7 +79,7 @@ def _load(check, table, *dims):
     try:
         with open(_path(table, dims, sig), "rb") as fh:
             payload = json.load(fh)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     try:
         if payload["version"] != FORMAT or payload["signature"] != sig:

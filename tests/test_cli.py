@@ -241,6 +241,16 @@ def test_missing_spec_file(capsys):
     assert code == 2
 
 
+def test_deeply_nested_spec_file_is_input_error(tmp_path, capsys):
+    # json.load raises RecursionError past the recursion limit: bad input,
+    # not a failed check
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
 @pytest.mark.parametrize(
     "spec",
     [

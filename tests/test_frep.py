@@ -237,6 +237,7 @@ CORRUPTIONS = [
     "wrong rep",
     "truncated",
     "not JSON",
+    "deeply nested",
     "non-int code",
     "code out of range",
     "negative index",
@@ -313,6 +314,8 @@ def test_corrupt_cache_payload_is_recomputed(tmp_path, corruption):
         text = text[: len(text) // 2]
     elif corruption == "not JSON":
         text = "\x80\x04 not json"
+    elif corruption == "deeply nested":
+        text = "[" * 200000 + "]" * 200000
     else:
         text = json.dumps(payload)
     with open(path, "w") as fh:
@@ -402,6 +405,7 @@ COUNT_CORRUPTIONS = [
     "duplicate middle",
     "truncated",
     "not JSON",
+    "deeply nested",
 ]
 
 
@@ -454,6 +458,8 @@ def test_corrupt_count_payload_is_recomputed(tmp_path, corruption):
         text = text[: len(text) // 2]
     elif corruption == "not JSON":
         text = "\x80\x04 not json"
+    elif corruption == "deeply nested":
+        text = "[" * 200000 + "]" * 200000
     else:
         text = json.dumps(payload)
     with open(path, "w") as fh:

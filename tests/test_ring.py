@@ -6,7 +6,8 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ihall import ring
+from ihall import iqg, ring
+from ihall.iqg import km5_residual
 from ihall.ring import (
     ExactDivisionError,
     LaurentPoly,
@@ -106,6 +107,40 @@ def test_pochhammer():
     assert pochhammer(2, 2, 0) == ONE
     assert pochhammer(2, 2, 2) == (ONE - vp(2)) * (ONE - vp(4))
     assert pochhammer(-2, -2, 3) == (ONE - vp(-2)) * (ONE - vp(-4)) * (ONE - vp(-6))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pochhammer_matches_its_product(sign):
+    # (sign v^a; v^x)_n against prod_{j<n} (1 - sign v^(a + j x)) on term dicts
+    for e_a in range(-3, 4):
+        for e_x in range(-3, 4):
+            want = {0: 1}
+            for n in range(7):
+                _matches(pochhammer(e_a, e_x, n, sign), want)
+                want = _dict_product(want, _dict_sum({0: 1}, {e_a + n * e_x: sign}, -1))
+    for bad in (0, 2, -2):
+        with pytest.raises(ValueError):
+            pochhammer(1, 1, 2, bad)
+
+
+def test_km5_product_is_a_pochhammer(monkeypatch):
+    # km5_residual's right-hand side prod_{j=1}^p (1 + v^-j), multiplied out
+    # factor by factor, is (-v^-1; v^-1)_p, and km5_residual takes it from
+    # pochhammer
+    prod = ONE
+    for p in range(13):
+        assert pochhammer(-1, -1, p, sign=-1) == prod
+        prod = prod * (ONE + vp(-(p + 1)))
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append((args, kw))
+        return pochhammer(*args, **kw)
+
+    monkeypatch.setattr(iqg, "pochhammer", spy)
+    for p in range(13):
+        assert km5_residual(p).is_zero()
+    assert calls == [((-1, -1, p), {"sign": -1}) for p in range(13)]
 
 
 @given(polys, polys)
@@ -630,6 +665,65 @@ def test_sums_stay_in_normal_form():
     assert (f - f).terms == {}
     assert (f + -1).terms == {3: 1}
     assert (V + ONE) - V == ONE
+
+
+# operands of the LaurentPoly operators: (operand, the terms of the constant
+# it equals or None, whether the operators take it); only ints and
+# LaurentPolys are taken, an integral Fraction, float or QSqrt included
+OPERANDS = {
+    "int": (3, {0: 3}, True),
+    "negative int": (-2, {0: -2}, True),
+    "zero int": (0, {}, True),
+    "bool": (True, {0: 1}, True),
+    "poly": (LaurentPoly({-3: 2, 0: 1, 1: -4}), {-3: 2, 0: 1, 1: -4}, True),
+    "zero poly": (ZERO, {}, True),
+    "Fraction": (Fraction(1, 2), None, False),
+    "integral Fraction": (Fraction(4, 2), {0: 2}, False),
+    "float": (0.5, None, False),
+    "integral float": (2.0, {0: 2}, False),
+    "QSqrt": (QSqrt(2, 1, 1), None, False),
+    "rational QSqrt": (QSqrt(2, 3), {0: 3}, False),
+}
+
+# each operator and its reflected form, f a LaurentPoly, with its oracle on
+# term dicts
+OPERATORS = [
+    (lambda f, x: f + x, lambda a, b: _dict_sum(a, b)),
+    (lambda f, x: x + f, lambda a, b: _dict_sum(b, a)),
+    (lambda f, x: f - x, lambda a, b: _dict_sum(a, b, -1)),
+    (lambda f, x: x - f, lambda a, b: _dict_sum(b, a, -1)),
+    (lambda f, x: f * x, _dict_product),
+    (lambda f, x: x * f, lambda a, b: _dict_product(b, a)),
+]
+
+F = LaurentPoly({-2: 3, 0: -1, 5: 7})
+
+
+@pytest.mark.parametrize("operand", OPERANDS)
+def test_operators_take_ints_and_polys_only(operand):
+    x, terms, taken = OPERANDS[operand]
+    const = None if terms is None else LaurentPoly(terms)
+    for op, oracle in OPERATORS:
+        for f in (F, ZERO, ONE):
+            if taken:
+                _matches(op(f, x), oracle(f.terms, terms))
+            else:
+                with pytest.raises(TypeError):
+                    op(f, x)
+    if taken:
+        assert const == x and x == const and not const != x
+        assert (F == x) is (x == F) is False and F != x
+        if terms:
+            _matches(LaurentPoly(_dict_product(F.terms, terms)).exact_div(x), F.terms)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                F.exact_div(x)
+        return
+    # comparing is a plain False, even with a constant of equal value
+    for f in (F, ZERO, ONE) + ((const,) if const is not None else ()):
+        assert (f == x) is False and (x == f) is False and f != x
+    with pytest.raises(TypeError):
+        F.exact_div(x)
 
 
 def test_nonvanishing_products_match_schoolbook():
