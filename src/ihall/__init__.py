@@ -18,10 +18,6 @@ _HOME = {
     "Psi": "iqg",
     "build_relation_suite": "iqg",
     "relation_residual": "iqg",
-    "run_identity_suites": "iqg",
-    "run_t_suite": "iqg",
-    "t1_value": "iqg",
-    "t_value": "iqg",
     "verify_presentation": "iqg",
     "BUILTIN_NAMES": "iquiver",
     "BoundQuiver": "iquiver",
@@ -34,10 +30,14 @@ _HOME = {
     "idp_recursive": "oracle",
     "oracle_kronecker_single": "oracle",
     "oracle_sss": "oracle",
+    "qbinom": "qseries",
+    "qdfact": "qseries",
+    "run_identity_suites": "qseries",
+    "run_t_suite": "qseries",
+    "t1_value": "qseries",
+    "t_value": "qseries",
+    "QSqrt": "qsqrt",
     "LaurentPoly": "ring",
-    "QSqrt": "ring",
-    "qbinom": "ring",
-    "qdfact": "ring",
     "qfact": "ring",
     "qint": "ring",
 }

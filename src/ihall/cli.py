@@ -114,8 +114,8 @@ def _terms_payload(elt):
 
 def _emit(args, payload, text_lines):
     if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        # one write: each is a system call when stdout is unbuffered
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         for line in text_lines:
             print(line)
@@ -189,8 +189,13 @@ def cmd_idp(args):
 
 
 def cmd_identities(args):
-    from .iqg import run_identity_suites, run_t_suite
+    from .qseries import CEILING, run_identity_suites, run_t_suite
 
+    for bound, ceiling in CEILING.items():
+        value = getattr(args, bound)
+        if value > ceiling:
+            print("budget exceeded: --%s %d is past its ceiling %d" % (bound, value, ceiling), file=sys.stderr)
+            return 3
     t0 = time.perf_counter()
     rows = run_identity_suites(pmax=args.pmax, dmax=args.dmax)
     rows += run_t_suite(amax=args.amax)
@@ -254,50 +259,73 @@ def _add_algebra_args(sub):
     sub.add_argument("--budget-space", type=_nonnegative, default=2 ** 28, help="max raw candidate count at one dimension (default 2^28)")
 
 
-def build_parser():
+def _verify_args(sub):
+    _add_algebra_args(sub)
+    sub.add_argument("--parities", type=_parities, default="0,1", help="comma list of parities for the fixed-vertex relations (default 0,1)")
+
+
+def _product_args(sub):
+    _add_algebra_args(sub)
+    sub.add_argument("x", help="element key")
+    sub.add_argument("y", help="element key")
+
+
+def _idp_args(sub):
+    _add_algebra_args(sub)
+    sub.add_argument("--vertex", required=True)
+    sub.add_argument("--n", type=_nonnegative, required=True)
+    sub.add_argument("--parity", type=int, choices=(0, 1), default=None)
+
+
+def _identities_args(sub):
+    sub.add_argument("--pmax", type=_nonnegative, default=12)
+    sub.add_argument("--dmax", type=_nonnegative, default=12)
+    sub.add_argument("--amax", type=_nonnegative, default=8)
+
+
+def _enumerate_args(sub):
+    _add_algebra_args(sub)
+    sub.add_argument("--dim", required=True, help="comma separated dimension vector")
+
+
+# name: (help line, argument adder, handler); every command also takes --json
+COMMANDS = {
+    "verify": ("run the presentation relation suite", _verify_args, cmd_verify),
+    "product": ("multiply two elements", _product_args, cmd_product),
+    "idp": ("print a Hall-side divided power", _idp_args, cmd_idp),
+    "identities": ("run the q-series identity suites", _identities_args, cmd_identities),
+    "enumerate": ("list module classes at a dimension vector", _enumerate_args, cmd_enumerate),
+}
+
+
+def build_parser(command=None):
+    """The argument parser: with a command name, that command's subparser
+    alone, else every subparser. Both print the same usage and help texts."""
     ap = argparse.ArgumentParser(prog="ihall", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    sp = ap.add_subparsers(dest="command", required=True)
-
-    v = sp.add_parser("verify", help="run the presentation relation suite")
-    _add_algebra_args(v)
-    v.add_argument("--parities", type=_parities, default="0,1", help="comma list of parities for the fixed-vertex relations (default 0,1)")
-    v.add_argument("--json", action="store_true")
-    v.set_defaults(func=cmd_verify)
-
-    pr = sp.add_parser("product", help="multiply two elements")
-    _add_algebra_args(pr)
-    pr.add_argument("x", help="element key")
-    pr.add_argument("y", help="element key")
-    pr.add_argument("--json", action="store_true")
-    pr.set_defaults(func=cmd_product)
-
-    dp = sp.add_parser("idp", help="print a Hall-side divided power")
-    _add_algebra_args(dp)
-    dp.add_argument("--vertex", required=True)
-    dp.add_argument("--n", type=_nonnegative, required=True)
-    dp.add_argument("--parity", type=int, choices=(0, 1), default=None)
-    dp.add_argument("--json", action="store_true")
-    dp.set_defaults(func=cmd_idp)
-
-    idn = sp.add_parser("identities", help="run the q-series identity suites")
-    idn.add_argument("--pmax", type=_nonnegative, default=12)
-    idn.add_argument("--dmax", type=_nonnegative, default=12)
-    idn.add_argument("--amax", type=_nonnegative, default=8)
-    idn.add_argument("--json", action="store_true")
-    idn.set_defaults(func=cmd_identities)
-
-    en = sp.add_parser("enumerate", help="list module classes at a dimension vector")
-    _add_algebra_args(en)
-    en.add_argument("--dim", required=True, help="comma separated dimension vector")
-    en.add_argument("--json", action="store_true")
-    en.set_defaults(func=cmd_enumerate)
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # a lone subparser still lists every command in the usage line; the full
+    # parser leaves the metavar unset, as it would also rename "argument
+    # command" in the errors only the full parser raises
+    metavar = "{%s}" % ",".join(COMMANDS) if len(names) == 1 else None
+    sp = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_args, handler = COMMANDS[name]
+        sub = sp.add_parser(name, help=help_line)
+        add_args(sub)
+        sub.add_argument("--json", action="store_true")
+        sub.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command; returns its exit code.
+
+    Only the subparser that argv[0] names is built, and its handler imports
+    the layers it runs (the module docstring above is the --help text).
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

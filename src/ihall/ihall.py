@@ -20,7 +20,7 @@ from operator import add, sub
 
 from .frep import ModuleTable
 from .iquiver import BoundQuiver
-from .ring import QSqrt
+from .qsqrt import QSqrt
 
 
 class HallElt:

@@ -38,16 +38,13 @@ from . import linalg
 from .frep import _whole
 from .idp import _KCOEF, _factor_indices
 from .ihall import HallElt
-from .iqg import p_exponent
+from .qseries import comb2, p_exponent, qbinom, qdfact
 from .ring import (
     VMVI,
     LaurentPoly,
     ONE,
     ZERO,
     _poly_divmod,
-    comb2,
-    qbinom,
-    qdfact,
     qfact,
     qint,
 )

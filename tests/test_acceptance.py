@@ -12,7 +12,7 @@ from fractions import Fraction
 from ihall import linalg
 from ihall.idp import idp_hall
 from ihall.ihall import HallAlgebra
-from ihall.iqg import run_identity_suites, run_t_suite, verify_presentation
+from ihall.iqg import verify_presentation
 from ihall.iquiver import BUILTIN_NAMES, IQuiver, build_iquiver, builtin_iquiver
 from ihall.oracle import (
     ext_count_with_middle,
@@ -27,6 +27,7 @@ from ihall.oracle import (
     oracle_sss,
     sym_to_hall,
 )
+from ihall.qseries import run_identity_suites, run_t_suite
 
 
 def _report(name, ok, detail=""):

@@ -378,25 +378,72 @@ def test_import_loads_no_cache_modules(tmp_path):
     assert runs == ["0 True True ['ihall.tablecache']", "0 False False ['ihall.tablecache']"]
 
 
-def test_identities_loads_only_its_layers():
-    # the package resolves its names lazily and each command imports its own
-    # layers, so the q-identity suites never compile the module side
+def _loaded_ihall_modules(argv):
+    """(exit code, sorted ihall modules loaded) of one command run in a fresh
+    interpreter that imports only ihall.cli first."""
     src = os.path.dirname(os.path.dirname(ihall.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """if True:
-        import contextlib, io, sys
-        import ihall, ihall.cli
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = ihall.cli.main(["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"])
-        module_side = ["ihall." + m for m in ("frep", "linalg", "ihall", "iquiver", "idp")]
-        print(code, sorted(set(module_side) & set(sys.modules)))
-        missing = [n for n in ihall.__all__ if getattr(ihall, n, None) is None]
-        print(missing, sorted(set(module_side) - set(sys.modules)))
+        import contextlib, io, json, sys
+        import ihall.cli
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = ihall.cli.main(sys.argv[1:])
+        print(code, json.dumps(sorted(m for m in sys.modules if m == "ihall" or m.startswith("ihall."))))
     """
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines() == ["0 []", "[] []"]
+    code, mods = out.stdout.split(" ", 1)
+    return int(code), json.loads(mods)
+
+
+def test_identities_loads_only_its_layers():
+    # the package resolves its names lazily and each command imports its own
+    # layers, so the q-identity suites compile neither the module side nor
+    # the relation suite (iqg) nor QSqrt; the package still resolves every
+    # public name
+    code, mods = _loaded_ihall_modules(["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"])
+    assert code == 0
+    assert mods == ["ihall", "ihall.cli", "ihall.qseries", "ihall.ring"]
+    assert [n for n in ihall.__all__ if getattr(ihall, n, None) is None] == []
+
+
+def test_identities_past_its_ceiling_exits_3_at_once():
+    # the ceiling is checked before any suite runs, so the run loads nothing
+    # past qseries and ends at once, naming the bound
+    from ihall.qseries import CEILING
+
+    assert list(CEILING) == ["pmax", "dmax", "amax"]
+    code, mods = _loaded_ihall_modules(["identities", "--pmax", "100000000", "--dmax", "0", "--amax", "0"])
+    assert (code, mods) == (3, ["ihall", "ihall.cli", "ihall.qseries", "ihall.ring"])
+    for bound, ceiling in CEILING.items():
+        argv = ["identities", "--pmax", "0", "--dmax", "0", "--amax", "0"]
+        argv[argv.index("--" + bound) + 1] = str(ceiling + 1)
+        out = io.StringIO()
+        with contextlib.redirect_stderr(out):
+            assert main(argv) == 3
+        assert out.getvalue() == "budget exceeded: --%s %d is past its ceiling %d\n" % (bound, ceiling + 1, ceiling)
+
+
+def test_verify_never_loads_the_q_series_suites():
+    code, mods = _loaded_ihall_modules(["verify", "builtin:a3-quasisplit", "--q", "2"])
+    assert code == 0
+    assert "ihall.iqg" in mods and "ihall.qsqrt" in mods
+    assert "ihall.qseries" not in mods and "ihall.oracle" not in mods
+
+
+def test_moved_names_resolve_at_their_old_homes():
+    # iqg and ring forward the names that moved out of them to the moved
+    # objects themselves, and nothing else
+    from ihall import iqg, qseries, qsqrt, ring
+
+    for name in iqg._QSERIES:
+        assert getattr(iqg, name) is getattr(qseries, name), name
+    assert ring.QSqrt is qsqrt.QSqrt
+    for module, name in ((iqg, "comb2"), (iqg, "_t_pair"), (ring, "qbinom"), (ring, "qdfact"),
+                         (ring, "_qsqrt"), (ring, "no_such_name")):
+        with pytest.raises(AttributeError):
+            getattr(module, name)
 
 
 @pytest.mark.parametrize(
@@ -456,6 +503,72 @@ def test_commands_load_no_fractions(argv):
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "0 []"
+
+
+_PARSED = {
+    "verify": ["verify", "builtin:a2-split", "--q", "3", "--parities", "1", "--json"],
+    "product": ["product", "spec.json", "simple:1", "class:1,1#0", "--budget-dim", "4"],
+    "idp": ["idp", "builtin:rank1-split", "--vertex", "1", "--n", "3", "--parity", "0"],
+    "identities": ["identities", "--pmax", "4", "--amax", "2", "--json"],
+    "enumerate": ["enumerate", "builtin:a2-split", "--dim", "1,1", "--budget-space", "9"],
+}
+
+
+def _parser_exit(parser, argv):
+    """(exit code, stdout, stderr) of a parse that must end in SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(ihall.cli.COMMANDS))
+def test_one_command_parser_matches_the_full_one(command):
+    # main builds only the subparser argv[0] names: same Namespace, same
+    # help text, same usage line on an error of the top-level parser
+    assert list(ihall.cli.COMMANDS) == list(_PARSED)
+    one, full = ihall.cli.build_parser(command), ihall.cli.build_parser()
+    argv = _PARSED[command]
+    assert one.parse_args(argv) == full.parse_args(argv)
+    for tail in (["--help"], ["--no-such-option"]):
+        assert _parser_exit(one, argv[:1] + tail) == _parser_exit(full, argv[:1] + tail)
+    # the lone subparser is the only one built
+    sub = one._subparsers._group_actions[0]
+    assert list(sub.choices) == [command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["--help"],
+        ["verify"],
+        ["identities", "--pmax", "-1"],
+        ["identities", "--pmax", "2", "surplus"],
+        ["product", "builtin:a2-split", "simple:1"],
+    ],
+)
+def test_usage_errors_match_the_full_parser(argv):
+    # a usage error or help text of main is byte for byte the full parser's
+    full = _parser_exit(ihall.cli.build_parser(), argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert (exc.value.code, out.getvalue(), err.getvalue()) == full
+    assert full[0] == (0 if argv == ["--help"] else 2)
+
+
+def test_json_payload_is_one_write(monkeypatch):
+    # each write is a system call when stdout is unbuffered
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(["verify", "builtin:a2-split", "--json"]) == 0
+    assert len(writes) == 1 and writes[0].endswith("}\n")
+    payload = json.loads(writes[0])
+    assert writes[0] == json.dumps(payload, indent=2) + "\n"
 
 
 def test_unknown_package_attribute_is_attribute_error():

@@ -13,7 +13,8 @@ from ihall.oracle import (
     idp_recursive,
     sym_to_hall,
 )
-from ihall.ring import LaurentPoly, V, qdfact, qfact
+from ihall.qseries import qdfact
+from ihall.ring import LaurentPoly, V, qfact
 
 
 def test_base_cases():

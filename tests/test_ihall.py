@@ -17,7 +17,8 @@ from ihall.oracle import (
     oracle_kronecker_single,
     oracle_sss,
 )
-from ihall.ring import QSqrt, V
+from ihall.qsqrt import QSqrt
+from ihall.ring import V
 
 
 def algebra(name, q, **kw):

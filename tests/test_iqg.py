@@ -3,39 +3,31 @@
 import pytest
 
 from ihall.ihall import HallAlgebra
-from ihall.iqg import (
-    Psi,
+from ihall.iqg import Psi, build_relation_suite, relation_residual, verify_presentation
+from ihall.iquiver import IQuiver, builtin_iquiver
+from ihall.qseries import (
     _kmrd_group,
     _qbinom_sum,
     _t_pair,
     adu_triples,
-    build_relation_suite,
+    comb2,
     km1_residual,
     km3_residual,
     km5_residual,
     kmrd_residual,
     p_exponent,
+    qbinom,
     qbinom_alt_residual,
     qbinom_high_residual,
     qbinom_low_residual,
-    relation_residual,
+    qdfact,
+    qdfact_ratio,
     run_identity_suites,
     run_t_suite,
     t1_value,
     t_value,
-    verify_presentation,
 )
-from ihall.iquiver import IQuiver, builtin_iquiver
-from ihall.ring import (
-    ONE,
-    LaurentPoly,
-    comb2,
-    qbinom,
-    qdfact,
-    qdfact_ratio,
-    qfact,
-    qfact_ratio,
-)
+from ihall.ring import ONE, LaurentPoly, qfact, qfact_ratio
 
 
 def test_suite_shapes():

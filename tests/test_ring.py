@@ -6,22 +6,24 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ihall import iqg, ring
-from ihall.iqg import km5_residual
+from ihall import qseries
+from ihall.qseries import (
+    comb2,
+    km5_residual,
+    qbinom,
+    qdfact,
+    qdfact_ratio,
+    qfact_dfact_cofactor,
+)
+from ihall.qsqrt import QSqrt
 from ihall.ring import (
     ExactDivisionError,
     LaurentPoly,
     ONE,
-    QSqrt,
     V,
     ZERO,
     pochhammer,
-    qbinom,
-    qdfact,
-    qdfact_ratio,
-    comb2,
     qfact,
-    qfact_dfact_cofactor,
     qfact_ratio,
     qint,
     shifted_sum,
@@ -79,7 +81,7 @@ def test_qbinom_matches_product_over_factorial():
     # the q-Pascal memo against prod_{j<r} [m - j] / [r]!, from cold memos
     # and with negative m reflected to m >= 0 first
     qbinom.cache_clear()
-    ring._pascal.cache_clear()
+    qseries._pascal.cache_clear()
     for m in range(-8, 15):
         for r in range(-2, 15):
             want = ZERO
@@ -137,7 +139,7 @@ def test_km5_product_is_a_pochhammer(monkeypatch):
         calls.append((args, kw))
         return pochhammer(*args, **kw)
 
-    monkeypatch.setattr(iqg, "pochhammer", spy)
+    monkeypatch.setattr(qseries, "pochhammer", spy)
     for p in range(13):
         assert km5_residual(p).is_zero()
     assert calls == [((-1, -1, p), {"sign": -1}) for p in range(13)]
