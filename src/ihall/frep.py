@@ -11,26 +11,29 @@ engine against live in `oracle`.
 The bound quiver is the doubled quiver of an iquiver (Lambda^i) or Q alone
 (kQ); a Lambda^i table owns the kQ table its reductions land in.
 
-One cocycle system (`_cocycles`) serves the classification, the product
-engine and the kQ extension counts it sums (`_ext_dist`): the blocks C for
+One cocycle system (`_cocycles`) serves the classification and the kQ
+extension counts the product engine sums (`_ext_dist`): the blocks C for
 which [[y, C], [0, x]] satisfies the relations. A nilpotent module has a
-simple submodule and a simple quotient, so the middles of the extensions of
-the classes one dimension lower by a simple (or of a simple by them) meet
-every nilpotent orbit; `_classify` walks the GL orbit of each such middle it
-has not met yet.
+simple submodule and a simple quotient, so the middles of the extensions
+of the classes one dimension lower by a simple (or of a simple by them)
+meet every nilpotent orbit; `_classify` walks the GL orbit of each such
+middle it has not met yet. Cocycles c and lambda c (lambda a nonzero
+scalar) have isomorphic middles, so the seeds walk one cocycle per line of
+the cocycle space (`_lines`).
 
-Cocycles c and lambda c (lambda a nonzero scalar) have isomorphic middles,
-and eps blocks w and lambda w the same kernel and image, so the seeds walk
-one cocycle per line of the cocycle space (`_lines`) and the product engine
-one eps block per line, weighed by p - 1. The engine reads the w = 0 term
-off the kQ extension counts of x by y and solves nothing when x and tau* y
-share no vertex; `_ext_dist` reads a pair whose cocycles fill the whole rep
-space at dim K + dim L off the orbit sizes there.
+The product engine (`extension_counts`) reads everything off the kQ
+table and tau, never the Lambda^i relations: a map w: x -> tau* y fixes
+the reduced middle through K = ker w and L = y / im(tau* w), and the
+number of maps with given (K, L) is a sum over their images I of Hall
+numbers, which come off the kQ extension counts by Riedtmann's formula
+(`_hall_numbers`); those numbers must add up to |Hom(x, tau* y)|, one
+nullspace of the Hom equations (`_hom_system`). `_ext_dist` reads a pair
+whose cocycles fill the whole rep space at dim K + dim L off the orbit
+sizes there.
 
-One routine (`_subquotient`) gives the module a rep induces on V/W: the
-product engine reads K = ker w and L = y / im(tau* w) off the kQ classes x
-and y with it, `homology_reduce` reads ker eps / im eps off a Lambda^i
-class, and the oracles their kernels, cokernels, submodules and quotients.
+One routine (`_subquotient`) gives the module a rep induces on V/W:
+`homology_reduce` reads ker eps / im eps off a Lambda^i class with it, and
+the oracles their kernels, cokernels, submodules and quotients.
 
 A representation is a tuple of matrices, one per arrow, and is keyed by its
 code: entry k of its index tuple is the index of arrow k's matrix in a
@@ -86,11 +89,6 @@ def _lines(rows, n, p):
         head = (0,) * i + (1,)
         for tail in cartesian(range(p), repeat=h - 1 - i):
             yield linalg.mat_vec(cols, head + tail, p)
-
-
-def _whole(dim):
-    """(rref rows, pivots) of the whole space at each vertex."""
-    return [(linalg.identity(d), tuple(range(d))) for d in dim]
 
 
 def _acyclic(ends, n):
@@ -187,6 +185,10 @@ class ModuleTable:
             bq.aindex[bq.eps_name[v]] for v in self.iq.vertices if v in bq.eps_name
         )
         self._tau_idx = tuple(index[self.iq.tau[v]] for v in self.iq.vertices)
+        # tau on arrow positions: eps_v goes to eps_(tau v)
+        tau_arrow = dict(self.iq.tau_arrows)
+        tau_arrow.update((e, bq.eps_name[self.iq.tau[v]]) for v, e in bq.eps_name.items())
+        self._tau_arrows = tuple(bq.aindex[tau_arrow[a.name]] for a in bq.arrows)
         # eps loops at tau-fixed vertices draw from the square-zero list
         self._loop_pos = frozenset(
             pos for vi, pos in enumerate(self._eps_pos) if self._tau_idx[vi] == vi
@@ -205,7 +207,7 @@ class ModuleTable:
         self._classes = {}     # dim -> tuple[IsoClass]
         self._by_rep = {}      # dim -> {rep code: class index}
         self._ext = {}         # (class key, class key) -> kQ extension counts
-        self._counts = {}      # (dim x, dim y) -> {(x index, y index): extension counts}, with a cache dir
+        self._hall = {}        # (dim Q, dim S) -> {middle: {(Q, S): Hall number}}
         self.kq = (
             ModuleTable(BoundQuiver(self.iq, doubled=False), p, budget_dim, budget_space, cache_dir)
             if self._eps_pos
@@ -549,11 +551,6 @@ class ModuleTable:
 
     # ---------- extensions by cocycles ----------
 
-    def _lift(self, cls):
-        """The rep of a kQ class as a Lambda^i-module: zero eps blocks first."""
-        shapes = self._shapes(cls.dim)
-        return tuple(linalg.zeros(*shapes[pos]) for pos in self._eps_pos) + cls.rep
-
     def _cocycles(self, xrep, yrep, dx, dy):
         """The cocycles of the extensions of xrep (dim dx) by yrep (dim dy).
 
@@ -599,52 +596,33 @@ class ModuleTable:
         return tuple(rep)
 
     def extension_counts(self, x, y):
-        """({(X, alpha, e): cocycle count}, q^(sum_i dx_i dy_i)) for kQ
-        classes x and y, as `_extension_counts` computes them.
-
-        With a cache directory the counts of all pairs at one (dim x, dim y)
-        are kept in one `tablecache` file, read at most once; a pair not in
-        it is computed and the file rewritten with it.
-        """
-        if not self.cache_dir or x.table is not self.kq or y.table is not self.kq:
-            return self._extension_counts(x, y)
-        from . import tablecache
-
-        dims = (x.dim, y.dim)
-        if dims not in self._counts:
-            self._counts[dims] = tablecache.load_counts(self, *dims) or {}
-        group = self._counts[dims]
-        pair = (x.index, y.index)
-        if pair not in group:
-            group[pair] = self._extension_counts(x, y)
-            tablecache.store_counts(self, *dims, group)
-        return group[pair]
-
-    def _extension_counts(self, x, y):
         """Extensions of x by y counted by cocycles, each middle reduced to
         v^e [X] * K_alpha with X a kQ class.
 
-        x and y are classes of `kq`, lifted by zero eps blocks, and the
-        cocycles are those of the Lambda^i relations (`_cocycles`). Every
+        x and y are classes of `kq`; the cocycles are those of the
+        Lambda^i relations on x and y lifted by zero eps blocks. Every
         cocycle gives one middle z, and the cocycles map onto Ext^1(x, y)
         with fibres of size q^(sum_i dx_i dy_i) / |Hom(x, y)|.
 
-        No middle is built. The eps blocks of a cocycle form a morphism w
-        from x to the tau-twist of y, w_v: x_v -> y_(tau v), and alone fix
-        alpha_v = rank w_v, X = ker eps / im eps and
+        No middle is built and no cocycle is walked. The eps blocks of a
+        cocycle form a morphism w: x -> tau* y, and alone fix
+        alpha = dim im w, X = ker eps / im eps and
         e = <dim X, tau(alpha) - alpha>: X is an extension of K = ker w by
-        L = y / im(tau* w), read off x and y (`_subquotient`). The cocycles
-        of one w reach each block from K to L p^(free - dim Hom(K, L))
-        times, so the group adds the memoised kQ extension counts of K by L
-        (`_ext_dist`).
+        L = y / im(tau* w), and the cocycles of one w reach each block from
+        K to L p^(free - sum_a dL_t dK_s) times, so w adds the memoised kQ
+        extension counts of K by L (`_ext_dist`) times that power of p.
+        The number N(K, L) of such w comes from their images I: a w is a
+        submodule U of x with U iso to K and x/U iso to I, a submodule V of
+        y with V iso to tau* I and y/V iso to L, and an isomorphism
+        x/U -> tau* V, so
 
-        Three shortcuts leave the counts as they are. At w = 0, K = x,
-        L = y, alpha = 0 and e = 0, and each block from x to y is one
-        cocycle: that group is the kQ extension counts of x by y. With no
-        eps coordinates (sum_v dx_v dy_(tau v) = 0) Hom(x, tau* y) is 0 and
-        that group is all, so no system is solved. The multiples lambda w of
-        a nonzero w share its kernel and image, hence its K, L, alpha and e,
-        so one w per line (`_lines`) stands for p - 1 groups.
+            N(K, L) = sum_I a_I F^x_{I,K} F^y_{L,tau* I}
+
+        over the kQ classes I with dim I <= dim x and tau dim I <= dim y
+        (`_maps`, `_hall_numbers`, `tau_star`); w = 0 is the term I = 0.
+        The sum of N(K, L) must be |Hom(x, tau* y)|, whose dimension one
+        nullspace of the Hom equations gives (`_hom_system`), or this
+        raises.
 
         Returns ({(X, alpha, e): cocycle count}, q^(sum_i dx_i dy_i)); a count
         over that denominator is the sum of F^z_{x,y} a_x a_y / a_z over the
@@ -655,34 +633,67 @@ class ModuleTable:
             if cls.table is not kq:
                 raise ValueError("extension counts take classes of the kQ table, got %r" % (cls,))
         dx, dy = x.dim, y.dim
-        zero = (0,) * len(dx)
-        counts = {(cls, zero, 0): hit for cls, hit in kq._ext_dist(x, y)}
-        denom = p ** sum(a * b for a, b in zip(dx, dy))
-        if not any(dx[v] * dy[t] for v, t in enumerate(tau)):
-            return counts, denom
-        basis, offs, n = self._cocycles(self._lift(x), self._lift(y), dx, dy)
-        # the relations bind only the eps blocks, as x and y have none, so
-        # the last `free` basis rows are the unit vectors of the Q
-        # coordinates, which come last, and the rows before them have zero
-        # Q blocks
         free = sum(dy[t] * dx[s] for s, t in kq._arrow_ends)
-        for c in _lines(basis[: len(basis) - free], n, p):
-            # w_v: x_v -> y_(tau v) is the block of eps_v; the eps arrows come first
-            w = [
-                [c[o + r * d : o + r * d + d] for r in range(dy[t])]
-                for o, d, t in zip(offs, dx, tau)
-            ]
-            kers = [linalg.rref(linalg.nullspace(m, d, p), p) for m, d in zip(w, dx)]
-            kmats, dk = kq._subquotient(x.rep, kers, [()] * len(dx))
-            ims = [linalg.col_space(w[t], p)[0] for t in tau]
-            lmats, dl = kq._subquotient(y.rep, _whole(dy), ims)
-            alpha = tuple(a - b for a, b in zip(dx, dk))
+        counts = {}
+        for (k, l), n in self._maps(x, y).items():
+            alpha = tuple(a - b for a, b in zip(dx, k.dim))
             diff = tuple(alpha[t] - a for t, a in zip(tau, alpha))
-            e = self.iq.euler(dk, diff) + self.iq.euler(dl, diff)
-            mult = (p - 1) * p ** (free - sum(dl[t] * dk[s] for s, t in kq._arrow_ends))
-            for cls, hit in kq._ext_dist(kq.class_of(kmats, dk), kq.class_of(lmats, dl)):
+            e = self.iq.euler(k.dim, diff) + self.iq.euler(l.dim, diff)
+            mult = n * p ** (free - sum(l.dim[t] * k.dim[s] for s, t in kq._arrow_ends))
+            for cls, hit in kq._ext_dist(k, l):
                 counts[cls, alpha, e] = counts.get((cls, alpha, e), 0) + hit * mult
-        return counts, denom
+        return counts, p ** sum(a * b for a, b in zip(dx, dy))
+
+    def _maps(self, x, y):
+        """{(K, L): N(K, L)}, the number of maps w: x -> tau* y with
+        ker w iso to K and y / im(tau* w) iso to L, for kQ classes x and y:
+        N(K, L) = sum_I a_I F^x_{I,K} F^y_{L,tau* I} (`extension_counts`).
+        Raises unless the numbers add up to |Hom(x, tau* y)|."""
+        kq, tau, dx, dy = self.kq, self._tau_idx, x.dim, y.dim
+        tally = {}
+        for di in cartesian(*(range(min(d, dy[t]) + 1) for d, t in zip(dx, tau))):
+            subs = {}  # tau* I -> [(L, F^y_{L,tau* I})]
+            for (l, v), f in kq._hall_numbers(y, tuple(d - di[t] for d, t in zip(dy, tau))).items():
+                subs.setdefault(v, []).append((l, f))
+            for (i, k), f in kq._hall_numbers(x, di).items():
+                for l, g in subs.get(kq.tau_star(i), ()):
+                    tally[k, l] = tally.get((k, l), 0) + i.aut_order * f * g
+        n, _, rows = kq._hom_system(x, kq.tau_star(y))
+        if sum(tally.values()) != self.p ** (n - linalg.rank(rows, self.p)):
+            raise RuntimeError("the maps %r -> tau* %r do not add up to |Hom|" % (x, y))
+        return tally
+
+    def _hall_numbers(self, z, dq):
+        """{(Q, S): F^z_{Q,S}} over the classes Q at dq and S at dim z - dq
+        of this kQ table, F^z_{Q,S} the number of submodules of z
+        isomorphic to S with quotient isomorphic to Q, nonzero ones only.
+
+        By Riedtmann's formula F^z_{Q,S} = h a_z / (p^(sum_v dQ_v dS_v) a_Q a_S),
+        h the extension count of Q by S at z (`_ext_dist`); the division is
+        exact or this raises. The numbers of every middle at (dq, dim z - dq)
+        are memoised together, as one pass over the pairs (Q, S) gives them
+        all; the dict returned is the memo's own.
+        """
+        ds = tuple(a - b for a, b in zip(z.dim, dq))
+        if (dq, ds) not in self._hall:
+            scale = self.p ** sum(a * b for a, b in zip(dq, ds))
+            by_middle = {}
+            for q in self.classes(dq):
+                for s in self.classes(ds):
+                    for m, hit in self._ext_dist(q, s):
+                        f, r = divmod(hit * m.aut_order, scale * q.aut_order * s.aut_order)
+                        if r:
+                            raise RuntimeError("Hall number of %r by %r in %r is no integer" % (q, s, m))
+                        by_middle.setdefault(m, {})[q, s] = f
+            self._hall[dq, ds] = by_middle
+        return self._hall[dq, ds].get(z, {})
+
+    def tau_star(self, cls):
+        """The class of tau* cls: (tau* M)_v = M_(tau v), and arrow a acts as
+        M's arrow tau(a)."""
+        return self.class_of(
+            tuple(cls.rep[k] for k in self._tau_arrows), tuple(cls.dim[t] for t in self._tau_idx)
+        )
 
     def _ext_dist(self, k, l):
         """[(X, cocycle count)] over the extensions of k by l, classes of
@@ -716,13 +727,36 @@ class ModuleTable:
             self._ext[mkey] = [(c, hits[c.index]) for c in classes if c.index in hits]
         return self._ext[mkey]
 
+    def _hom_system(self, a, b):
+        """(number of unknowns, offset of each vertex's block, rows) of the
+        equations of Hom(a, b): f_t A_k = B_k f_s for each arrow k: s -> t,
+        f_v a dim b_v by dim a_v block."""
+        p = self.p
+        offs = []
+        total = 0
+        for vi in range(self.iq.n):
+            offs.append(total)
+            total += b.dim[vi] * a.dim[vi]
+        rows = []
+        for k, (si, ti) in enumerate(self._arrow_ends):
+            ma, mb = a.rep[k], b.rep[k]
+            for r in range(b.dim[ti]):
+                for c in range(a.dim[si]):
+                    row = [0] * total
+                    for s in range(a.dim[ti]):
+                        row[offs[ti] + r * a.dim[ti] + s] += ma[s][c]
+                    for t in range(b.dim[si]):
+                        row[offs[si] + t * a.dim[si] + c] -= mb[r][t]
+                    rows.append(tuple(x % p for x in row))
+        return total, offs, rows
+
     def _subquotient(self, rep, subs, tops):
         """(matrices, dimension vector) of the module rep induces on V/W, or
         None when an arrow maps V outside V.
 
         `subs` holds one (rref rows, pivots) basis of V per vertex and `tops`
         rows spanning W inside V per vertex, W a submodule. Submodules are
-        V/0 and quotients are the whole space (`_whole`) over W; kernels,
+        V/0 and quotients are the whole space (`oracle._whole`) over W; kernels,
         cokernels and ker eps / im eps are the same construction.
         """
         p = self.p

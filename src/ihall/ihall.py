@@ -3,15 +3,18 @@
 Elements live in the basis [X] * K_alpha where X runs over the kQ classes
 (the eps-zero modules, pulled back from the underlying quiver) and K_alpha
 is the torus element attached to an integer vector alpha. Coefficients are
-exact numbers in Q(sqrt(q)). The product is computed by brute force: the
-cocycles of the extensions of x by y, counted per reduced middle
-v^e [X] * K_alpha (`ModuleTable.extension_counts`), give the untwisted
-structure constants |Ext^1(x,y)_z| / |Hom(x,y)| summed over the middles z
-of one reduction, and the Euler-form twist and the torus commutation rule
-supply the powers of v = sqrt(q). The Lambda^i module table is classified
-only for explicit module classes (`module_elt`) and the oracles. The
-product oracles, and the filtration counts (Hall numbers) that give the
-same constants by Riedtmann's formula, live in `oracle`.
+exact numbers in Q(sqrt(q)). The product of two kQ classes x and y counts
+the Lambda^i cocycles of x by y per reduced middle v^e [X] * K_alpha
+(`ModuleTable.extension_counts`); over q^(sum_i dx_i dy_i) the counts are
+the untwisted structure constants |Ext^1(x,y)_z| / |Hom(x,y)| summed over
+the middles z of one reduction. Those counts come off the kQ table and tau
+alone, as a sum over the images of the maps x -> tau* y of kQ Hall numbers
+and kQ extension counts; the Euler-form twist and the torus commutation
+rule supply the powers of v = sqrt(q). The Lambda^i module table is
+classified only for explicit module classes (`module_elt`) and the
+oracles. The product oracles, and the filtration counts (Hall numbers from
+every submodule) that give the same constants by Riedtmann's formula, live
+in `oracle`.
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ from itertools import product as cartesian
 from math import gcd
 
 from . import linalg
-from .frep import _whole
 from .idp import _KCOEF, _factor_indices
 from .ihall import HallElt
 from .qseries import comb2, p_exponent, qbinom, qdfact
@@ -499,6 +498,11 @@ _DECOMP = weakref.WeakKeyDictionary()  # table -> {class key: {(quot key, sub ke
 _HOM = weakref.WeakKeyDictionary()     # table -> {(a key, b key): int}
 
 
+def _whole(dim):
+    """(rref rows, pivots) of the whole space at each vertex."""
+    return [(linalg.identity(d), tuple(range(d))) for d in dim]
+
+
 def _span(rows, n, p):
     """Each vector of the span of rows in F_p^n once, the last row's
     coefficient turning fastest."""
@@ -570,35 +574,13 @@ def ext_count_with_middle(table, x, y, z):
     return int(val)
 
 
-def _hom_system(table, a, b):
-    """Coefficient rows of the intertwiner equations f_j A = B f_i."""
-    p = table.p
-    offs = []
-    total = 0
-    for vi in range(table.iq.n):
-        offs.append(total)
-        total += b.dim[vi] * a.dim[vi]
-    rows = []
-    for k, (si, ti) in enumerate(table._arrow_ends):
-        ma, mb = a.rep[k], b.rep[k]
-        for r in range(b.dim[ti]):
-            for c in range(a.dim[si]):
-                row = [0] * total
-                for s in range(a.dim[ti]):
-                    row[offs[ti] + r * a.dim[ti] + s] += ma[s][c]
-                for t in range(b.dim[si]):
-                    row[offs[si] + t * a.dim[si] + c] -= mb[r][t]
-                rows.append(tuple(x % p for x in row))
-    return total, offs, rows
-
-
 def hom_count(table, a, b):
     """|Hom(a, b)|."""
     memo = _HOM.setdefault(table, {})
     key = (a.key, b.key)
     if key in memo:
         return memo[key]
-    total, _, rows = _hom_system(table, a, b)
+    total, _, rows = table._hom_system(a, b)
     nullity = total - len(linalg.rref(rows, table.p)[0])
     count = table.p ** nullity
     memo[key] = count
@@ -608,7 +590,7 @@ def hom_count(table, a, b):
 def morphism_tally(table, a, b):
     """Tally of (kernel class, cokernel class) over every map a -> b."""
     p = table.p
-    total, offs, rows = _hom_system(table, a, b)
+    total, offs, rows = table._hom_system(a, b)
     tally = {}
     for vec in _span(linalg.nullspace(rows, total, p), total, p):
         f = [

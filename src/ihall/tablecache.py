@@ -1,24 +1,18 @@
-"""The disk cache: module tables and extension counts, as plain JSON files.
+"""The disk cache: module tables as plain JSON files.
 
 A table file, one per (bound quiver, p, dimension vector), holds what
 `ModuleTable._classify` returns: the orbits (canonical code, canonical rep,
 orbit size, aut order) and the rep map as two parallel lists, codes and
-class indices.
-
-A count file, one per (bound quiver, p, dim x, dim y) of a Lambda^i table,
-holds the `ModuleTable.extension_counts` of the pairs of kQ classes at
-(dim x, dim y) computed so far: a list `pairs` of [i, j, rows], i and j the
-class indices of x and y and one row [dim X, index X, alpha, e, count] per
-reduced middle v^e [X] * K_alpha. The denominator q^(sum_v dx_v dy_v) is
-not stored.
+class indices. Extension counts are not stored: the product engine reads
+them off the tables. Count files left by older versions (one per
+(dim x, dim y), with two dimension vectors in the name) are never read.
 
 Reading a file runs no code, so a cache directory shared with others is
-safe to read, and every payload is checked (`check`, `check_counts`)
-before it is used: a file that fails a check is a miss, computed again and
-rewritten.
+safe to read, and every payload is checked (`check`) before it is used: a
+file that fails the check is a miss, computed again and rewritten.
 
 A file's name is a crc32 of its signature (the source code, the bound
-quiver, p and the dimension vectors), and the file stores the signature
+quiver, p and the dimension vector), and the file stores the signature
 itself, so a name collision is a miss, never foreign data. The source code
 enters as a crc32 of the modules whose results are stored (`SOURCES`): any
 change to one of them makes every old file a miss.
@@ -46,18 +40,17 @@ def _source_crc():
     return crc
 
 
-def signature(table, *dims):
-    """The identity of a table file (one dimension vector) or a count file
-    (dim x, dim y)."""
-    return repr((_source_crc(), table.bq.signature(), table.p, *dims))
+def signature(table, dim):
+    """The identity of the table file at dim."""
+    return repr((_source_crc(), table.bq.signature(), table.p, dim))
 
 
-def path(table, *dims):
-    return _path(table, dims, signature(table, *dims))
+def path(table, dim):
+    return _path(table, dim, signature(table, dim))
 
 
-def _path(table, dims, sig):
-    name = "-".join("d" + "_".join(map(str, d)) for d in dims)
+def _path(table, dim, sig):
+    name = "d" + "_".join(map(str, dim))
     return os.path.join(table.cache_dir, "ihall-%08x-%s.json" % (zlib.crc32(sig.encode()), name))
 
 
@@ -65,26 +58,16 @@ def load(table, dim):
     """The classification stored for table at dim, or None on a miss: no
     file, a file that is not JSON or nests past the recursion limit, a
     foreign version or signature, or a payload that fails a check (`check`)."""
-    return _load(check, table, dim)
-
-
-def load_counts(table, dx, dy):
-    """{(i, j): extension counts} stored for table at (dx, dy), or None on
-    a miss, as for `load` (`check_counts`)."""
-    return _load(check_counts, table, dx, dy)
-
-
-def _load(check, table, *dims):
-    sig = signature(table, *dims)
+    sig = signature(table, dim)
     try:
-        with open(_path(table, dims, sig), "rb") as fh:
+        with open(_path(table, dim, sig), "rb") as fh:
             payload = json.load(fh)
     except (OSError, ValueError, RecursionError):
         return None
     try:
         if payload["version"] != FORMAT or payload["signature"] != sig:
             return None
-        return check(table, *dims, payload)
+        return check(table, dim, payload)
     except (TypeError, ValueError, KeyError, IndexError):
         return None
 
@@ -138,82 +121,21 @@ def check(table, dim, payload):
     return orbits, rep_to_idx
 
 
-def check_counts(table, dx, dy, payload):
-    """{(i, j): (counts, denominator)} of a count payload, or None if it is
-    inconsistent; a payload of the wrong shape raises.
-
-    i and j are class indices of the kQ table at dx and dy, no pair twice.
-    In each row [dim X, index X, alpha, e, count], dim X and alpha are
-    vectors of n naturals with dim X + res_K(alpha) = dx + dy, index X is a
-    class index at dim X, e is an int and count a positive int, no
-    (X, alpha, e) twice; a pair's counts add up to its number of cocycles,
-    a power of p.
-    """
-    kq, p, n = table.kq, table.p, table.iq.n
-    total = tuple(a + b for a, b in zip(dx, dy))
-    nx, ny = len(kq.classes(dx)), len(kq.classes(dy))
-    denom = p ** sum(a * b for a, b in zip(dx, dy))
-    group = {}
-    for i, j, rows in payload["pairs"]:
-        if not (_index(i, nx) and _index(j, ny)) or (i, j) in group:
-            return None
-        counts = {}
-        for dim, k, alpha, e, count in rows:
-            dim, alpha = tuple(dim), tuple(alpha)
-            if (
-                not (_naturals(dim, n) and _naturals(alpha, n))
-                or tuple(a + b for a, b in zip(dim, table.bq.res_K(alpha))) != total
-                or type(e) is not int
-                or type(count) is not int
-                or count <= 0
-            ):
-                return None
-            classes = kq.classes(dim)
-            if not _index(k, len(classes)) or (classes[k], alpha, e) in counts:
-                return None
-            counts[classes[k], alpha, e] = count
-        cocycles = sum(counts.values())
-        while cocycles > 1 and cocycles % p == 0:
-            cocycles //= p
-        if cocycles != 1:
-            return None
-        group[i, j] = counts, denom
-    return group
-
-
-def _index(i, n):
-    return type(i) is int and 0 <= i < n
-
-
-def _naturals(vec, n):
-    return len(vec) == n and all(type(v) is int and v >= 0 for v in vec)
-
-
 def store(table, dim, data):
+    """Write the table file at dim atomically: a tmp file, then `os.replace`."""
     orbits, rep_to_idx = data
-    _write(table, (dim,), {
+    sig = signature(table, dim)
+    target = _path(table, dim, sig)
+    os.makedirs(table.cache_dir, exist_ok=True)
+    tmp = "%s.tmp.%d" % (target, os.getpid())
+    payload = {
+        "version": FORMAT,
+        "signature": sig,
         "orbits": orbits,
         "codes": list(rep_to_idx),
         "index": list(rep_to_idx.values()),
-    })
-
-
-def store_counts(table, dx, dy, group):
-    _write(table, (dx, dy), {
-        "pairs": [
-            [i, j, [[x.dim, x.index, alpha, e, count] for (x, alpha, e), count in counts.items()]]
-            for (i, j), (counts, _) in group.items()
-        ],
-    })
-
-
-def _write(table, dims, data):
-    """Write one file atomically: a tmp file, then `os.replace`."""
-    sig = signature(table, *dims)
-    target = _path(table, dims, sig)
-    os.makedirs(table.cache_dir, exist_ok=True)
-    tmp = "%s.tmp.%d" % (target, os.getpid())
+    }
     # one json.dumps: json.dump would encode in pure Python, chunk by chunk
     with open(tmp, "w") as fh:
-        fh.write(json.dumps({"version": FORMAT, "signature": sig, **data}, separators=(",", ":")))
+        fh.write(json.dumps(payload, separators=(",", ":")))
     os.replace(tmp, target)

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from ihall import linalg
 from ihall.ihall import HallAlgebra
 from ihall.iquiver import IQuiver, builtin_iquiver
 from ihall.oracle import (
@@ -229,8 +230,10 @@ def class_pairs(tab, total, keep=lambda c: True):
 
 
 def lifted(tab, cls):
-    """The Lambda^i class of a kQ class."""
-    return tab.class_of(tab._lift(cls), cls.dim)
+    """The Lambda^i class of a kQ class: zero eps blocks first."""
+    shapes = tab._shapes(cls.dim)
+    eps = tuple(linalg.zeros(*shapes[pos]) for pos in tab._eps_pos)
+    return tab.class_of(eps + cls.rep, cls.dim)
 
 
 def filtration_rows(alg, x, y):
