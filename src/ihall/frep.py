@@ -9,7 +9,8 @@ enumeration of every relation-satisfying tuple, that the tests compare the
 engine against live in `oracle`.
 
 The bound quiver is the doubled quiver of an iquiver (Lambda^i) or Q alone
-(kQ); a Lambda^i table owns the kQ table its reductions land in.
+(kQ); a Lambda^i table owns the kQ table its reductions land in, and the
+product engine runs on that kQ table.
 
 One cocycle system (`_cocycles`) serves the classification and the kQ
 extension counts the product engine sums (`_ext_dist`): the blocks C for
@@ -21,13 +22,13 @@ middle it has not met yet. Cocycles c and lambda c (lambda a nonzero
 scalar) have isomorphic middles, so the seeds walk one cocycle per line of
 the cocycle space (`_lines`).
 
-The product engine (`extension_counts`) reads everything off the kQ
-table and tau, never the Lambda^i relations: a map w: x -> tau* y fixes
-the reduced middle through K = ker w and L = y / im(tau* w), and the
-number of maps with given (K, L) is a sum over their images I of Hall
-numbers, which come off the kQ extension counts by Riedtmann's formula
-(`_hall_numbers`); those numbers must add up to |Hom(x, tau* y)|, one
-nullspace of the Hom equations (`_hom_system`). `_ext_dist` reads a pair
+The product engine (`extension_counts`) is a method of the kQ table and
+reads only that table and tau, never the Lambda^i relations: a map
+w: x -> tau* y fixes the reduced middle through K = ker w and
+L = y / im(tau* w), and the number of maps with given (K, L) is a sum over
+their images I of Hall numbers, which come off the kQ extension counts by
+Riedtmann's formula (`_hall_numbers`); those numbers must add up to
+|Hom(x, tau* y)|, one nullspace of the Hom equations (`_hom_system`). `_ext_dist` reads a pair
 whose cocycles fill the whole rep space at dim K + dim L off the orbit
 sizes there.
 
@@ -76,13 +77,7 @@ def _physical_memory():
 
 def _lines(rows, n, p):
     """One nonzero vector of each line of the span of rows in F_p^n, the rows
-    independent: the combinations whose first nonzero coefficient is 1.
-
-    They come in the lexicographic order of their coefficients (the last
-    row's turning fastest), and each is the first of its line in that order,
-    so a walk over them meets whatever the full span's walk meets first in
-    the same order.
-    """
+    independent: the combinations whose first nonzero coefficient is 1."""
     cols = linalg.transpose(rows) or ((),) * n
     h = len(rows)
     for i in range(h - 1, -1, -1):
@@ -110,7 +105,9 @@ class IsoClass:
     """An isomorphism class of nilpotent representations of one dimension vector.
 
     `rep` is the canonical (lexicographically minimal) representative, a tuple
-    of matrices in the bound quiver's arrow order.
+    of matrices in the bound quiver's arrow order. A table builds each class
+    once (`ModuleTable.classes`), so classes compare by identity; `key`
+    names one in a memo that must not hold it.
     """
 
     __slots__ = ("table", "dim", "index", "rep", "orbit_size", "aut_order")
@@ -135,17 +132,6 @@ class IsoClass:
     def total_dim(self):
         return sum(self.dim)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IsoClass)
-            and self.table is other.table
-            and self.dim == other.dim
-            and self.index == other.index
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.index))
-
     def __repr__(self):
         return "IsoClass(%s)" % self.name
 
@@ -156,10 +142,11 @@ class ModuleTable:
     One table per (bound quiver, p). The table of the doubled quiver (the
     Lambda^i-modules) owns the table of Q alone as `kq` (the kQ-modules,
     which are the Lambda^i-modules with every eps acting by zero): the
-    homology reduction and the extension counts land in `kq`, whose classes
-    are the Hall algebra's basis keys. A kQ class has the index of its
-    eps-zero Lambda^i class, since eps arrows come first in the arrow order
-    and a zero matrix is the first candidate.
+    homology reduction lands in `kq`, whose classes are the Hall algebra's
+    basis keys, and the product engine (`extension_counts`) runs on `kq`
+    alone. A kQ class has the index of its eps-zero Lambda^i class, since
+    eps arrows come first in the arrow order and a zero matrix is the first
+    candidate.
 
     Candidate lists and GL permutation tables depend only on matrix shapes
     and generators, so one table shares them across dimension vectors. A
@@ -206,7 +193,7 @@ class ModuleTable:
         self._radices = {}     # dim -> (list keys, list sizes, code weights)
         self._classes = {}     # dim -> tuple[IsoClass]
         self._by_rep = {}      # dim -> {rep code: class index}
-        self._ext = {}         # (class key, class key) -> kQ extension counts
+        self._ext = {}         # (class, class) -> kQ extension counts
         self._hall = {}        # (dim Q, dim S) -> {middle: {(Q, S): Hall number}}
         self.kq = (
             ModuleTable(BoundQuiver(self.iq, doubled=False), p, budget_dim, budget_space, cache_dir)
@@ -599,10 +586,10 @@ class ModuleTable:
         """Extensions of x by y counted by cocycles, each middle reduced to
         v^e [X] * K_alpha with X a kQ class.
 
-        x and y are classes of `kq`; the cocycles are those of the
-        Lambda^i relations on x and y lifted by zero eps blocks. Every
-        cocycle gives one middle z, and the cocycles map onto Ext^1(x, y)
-        with fibres of size q^(sum_i dx_i dy_i) / |Hom(x, y)|.
+        This runs on the kQ table, and x and y are its classes; the cocycles
+        are those of the Lambda^i relations on x and y lifted by zero eps
+        blocks. Every cocycle gives one middle z, and the cocycles map onto
+        Ext^1(x, y) with fibres of size q^(sum_i dx_i dy_i) / |Hom(x, y)|.
 
         No middle is built and no cocycle is walked. The eps blocks of a
         cocycle form a morphism w: x -> tau* y, and alone fix
@@ -628,37 +615,39 @@ class ModuleTable:
         over that denominator is the sum of F^z_{x,y} a_x a_y / a_z over the
         middles z that reduce to (X, alpha, e) (Riedtmann's formula).
         """
-        kq, tau, p = self.kq, self._tau_idx, self.p
-        for cls in (x, y):
-            if cls.table is not kq:
-                raise ValueError("extension counts take classes of the kQ table, got %r" % (cls,))
+        maps = self._maps(x, y)  # refuses classes of any other table
+        tau, p, ends = self._tau_idx, self.p, self._arrow_ends
         dx, dy = x.dim, y.dim
-        free = sum(dy[t] * dx[s] for s, t in kq._arrow_ends)
+        free = sum(dy[t] * dx[s] for s, t in ends)
         counts = {}
-        for (k, l), n in self._maps(x, y).items():
+        for (k, l), n in maps.items():
             alpha = tuple(a - b for a, b in zip(dx, k.dim))
             diff = tuple(alpha[t] - a for t, a in zip(tau, alpha))
             e = self.iq.euler(k.dim, diff) + self.iq.euler(l.dim, diff)
-            mult = n * p ** (free - sum(l.dim[t] * k.dim[s] for s, t in kq._arrow_ends))
-            for cls, hit in kq._ext_dist(k, l):
+            mult = n * p ** (free - sum(l.dim[t] * k.dim[s] for s, t in ends))
+            for cls, hit in self._ext_dist(k, l):
                 counts[cls, alpha, e] = counts.get((cls, alpha, e), 0) + hit * mult
         return counts, p ** sum(a * b for a, b in zip(dx, dy))
 
     def _maps(self, x, y):
         """{(K, L): N(K, L)}, the number of maps w: x -> tau* y with
-        ker w iso to K and y / im(tau* w) iso to L, for kQ classes x and y:
-        N(K, L) = sum_I a_I F^x_{I,K} F^y_{L,tau* I} (`extension_counts`).
-        Raises unless the numbers add up to |Hom(x, tau* y)|."""
-        kq, tau, dx, dy = self.kq, self._tau_idx, x.dim, y.dim
+        ker w iso to K and y / im(tau* w) iso to L, for classes x and y of
+        this kQ table: N(K, L) = sum_I a_I F^x_{I,K} F^y_{L,tau* I}
+        (`extension_counts`). Raises unless the numbers add up to
+        |Hom(x, tau* y)|."""
+        for cls in (x, y):
+            if cls.table is not self or self._eps_pos:
+                raise ValueError("extension counts take classes of the kQ table, got %r" % (cls,))
+        tau, dx, dy = self._tau_idx, x.dim, y.dim
         tally = {}
         for di in cartesian(*(range(min(d, dy[t]) + 1) for d, t in zip(dx, tau))):
             subs = {}  # tau* I -> [(L, F^y_{L,tau* I})]
-            for (l, v), f in kq._hall_numbers(y, tuple(d - di[t] for d, t in zip(dy, tau))).items():
+            for (l, v), f in self._hall_numbers(y, tuple(d - di[t] for d, t in zip(dy, tau))).items():
                 subs.setdefault(v, []).append((l, f))
-            for (i, k), f in kq._hall_numbers(x, di).items():
-                for l, g in subs.get(kq.tau_star(i), ()):
+            for (i, k), f in self._hall_numbers(x, di).items():
+                for l, g in subs.get(self.tau_star(i), ()):
                     tally[k, l] = tally.get((k, l), 0) + i.aut_order * f * g
-        n, _, rows = kq._hom_system(x, kq.tau_star(y))
+        n, _, rows = self._hom_system(x, self.tau_star(y))
         if sum(tally.values()) != self.p ** (n - linalg.rank(rows, self.p)):
             raise RuntimeError("the maps %r -> tau* %r do not add up to |Hom|" % (x, y))
         return tally
@@ -697,13 +686,13 @@ class ModuleTable:
 
     def _ext_dist(self, k, l):
         """[(X, cocycle count)] over the extensions of k by l, classes of
-        this kQ table, in class order; memoised on the two class keys. kQ
+        this kQ table, in class order; memoised on the class pair. kQ
         has no relations, so each cocycle coordinate is one entry of the
         middle, one base-p digit of its code, and that digit is 0 in the
         middle of the zero cocycle: every middle's code is that middle's
         plus sum c_i (code of the i-th unit middle).
         """
-        mkey = (k.key, l.key)
+        mkey = (k, l)
         if mkey not in self._ext:
             dz = tuple(a + b for a, b in zip(k.dim, l.dim))
             classes = self.classes(dz)
@@ -780,8 +769,11 @@ class ModuleTable:
         alpha_v = rank(eps_v) and e = <dim X, tau(alpha) - alpha> in the
         Euler form of Q (zero whenever the involution is trivial). Checks
         that ker eps is a submodule, that the eps arrows act by zero on X
-        and that dim X + res_K(alpha) = dim.
+        and that dim X + res_K(alpha) = dim; refuses a class of any other
+        table.
         """
+        if cls.table is not self or not self._eps_pos:
+            raise ValueError("homology reduction takes classes of the Lambda^i table, got %r" % (cls,))
         p, dim, tau = self.p, cls.dim, self._tau_idx
         eps = cls.rep[: len(self._eps_pos)]  # the eps arrows come first
         kers = [linalg.rref(linalg.nullspace(eps[vi], d, p), p) for vi, d in enumerate(dim)]

@@ -4,17 +4,17 @@ Elements live in the basis [X] * K_alpha where X runs over the kQ classes
 (the eps-zero modules, pulled back from the underlying quiver) and K_alpha
 is the torus element attached to an integer vector alpha. Coefficients are
 exact numbers in Q(sqrt(q)). The product of two kQ classes x and y counts
-the Lambda^i cocycles of x by y per reduced middle v^e [X] * K_alpha
-(`ModuleTable.extension_counts`); over q^(sum_i dx_i dy_i) the counts are
-the untwisted structure constants |Ext^1(x,y)_z| / |Hom(x,y)| summed over
-the middles z of one reduction. Those counts come off the kQ table and tau
-alone, as a sum over the images of the maps x -> tau* y of kQ Hall numbers
-and kQ extension counts; the Euler-form twist and the torus commutation
-rule supply the powers of v = sqrt(q). The Lambda^i module table is
-classified only for explicit module classes (`module_elt`) and the
-oracles. The product oracles, and the filtration counts (Hall numbers from
-every submodule) that give the same constants by Riedtmann's formula, live
-in `oracle`.
+the Lambda^i cocycles of x by y per reduced middle v^e [X] * K_alpha; over
+q^(sum_i dx_i dy_i) the counts are the untwisted structure constants
+|Ext^1(x,y)_z| / |Hom(x,y)| summed over the middles z of one reduction.
+The kQ table computes those counts itself (`ModuleTable.extension_counts`
+on `kq`), from its own Hall numbers and extension counts and tau, as a sum
+over the images of the maps x -> tau* y; the Euler-form twist and the
+torus commutation rule supply the powers of v = sqrt(q). The algebra uses
+its Lambda^i table only to rewrite an explicit module class
+(`module_elt`); the oracles classify it too. The product oracles, and the
+filtration counts (Hall numbers from every submodule) that give the same
+constants by Riedtmann's formula, live in `oracle`.
 """
 
 from __future__ import annotations
@@ -115,8 +115,7 @@ class HallAlgebra:
     def __init__(self, iq, q, budget_dim=6, budget_space=2 ** 28):
         self.iq = iq
         self.q = q
-        self.bq = BoundQuiver(iq)
-        self.table = ModuleTable(self.bq, q, budget_dim=budget_dim, budget_space=budget_space)
+        self.table = ModuleTable(BoundQuiver(iq), q, budget_dim=budget_dim, budget_space=budget_space)
         self.kq = self.table.kq
         self._pair_cache = {}
         self._zero_alpha = (0,) * iq.n
@@ -145,11 +144,18 @@ class HallAlgebra:
             self, {(self.kq.zero_class(), self._zero_alpha): self.scalar(1)}
         )
 
+    def _alpha(self, alpha):
+        """A torus vector as a tuple of ints, one entry per vertex."""
+        alpha = tuple(int(a) for a in alpha)
+        if len(alpha) != self.iq.n:
+            raise ValueError("torus vector %r needs %d entries, one per vertex" % (alpha, self.iq.n))
+        return alpha
+
     def basis_elt(self, cls, alpha=None, coeff=1):
         """[cls] * K_alpha for a kQ class, as a single basis key."""
         if cls.table is not self.kq:
             raise ValueError("basis keys require a kQ (eps-zero) class, got %r" % (cls,))
-        alpha = self._zero_alpha if alpha is None else tuple(int(a) for a in alpha)
+        alpha = self._zero_alpha if alpha is None else self._alpha(alpha)
         return HallElt(self, {(cls, alpha): self.scalar(coeff)})
 
     def module_elt(self, cls):
@@ -161,8 +167,7 @@ class HallAlgebra:
         return self.basis_elt(self.kq.simple(v))
 
     def torus(self, alpha):
-        alpha = tuple(int(a) for a in alpha)
-        return HallElt(self, {(self.kq.zero_class(), alpha): self.scalar(1)})
+        return HallElt(self, {(self.kq.zero_class(), self._alpha(alpha)): self.scalar(1)})
 
     def torus_k(self, v):
         vi = self.iq.vertices.index(v)
@@ -178,7 +183,7 @@ class HallAlgebra:
         for i in range(n):
             if not alpha[i]:
                 continue
-            ti = self.table._tau_idx[i]
+            ti = self.kq._tau_idx[i]
             for j in range(n):
                 if ydim[j]:
                     total += alpha[i] * ydim[j] * (cart[ti][j] - cart[i][j])
@@ -187,20 +192,19 @@ class HallAlgebra:
     def _pair(self, x, y):
         """[x] * [y] for kQ classes, as (class, gamma, scalar) rows.
 
-        Each reduced middle v^e [X] * K_gamma of `ModuleTable.extension_counts`
-        gives one row: its cocycle count over q^(sum_i dx_i dy_i), times v to
-        the Euler-form twist plus e.
+        Each reduced middle v^e [X] * K_gamma of the kQ table's
+        `extension_counts` gives one row: its cocycle count over
+        q^(sum_i dx_i dy_i), times v to the Euler-form twist plus e.
         """
-        ckey = (x.key, y.key)
-        if ckey in self._pair_cache:
-            return self._pair_cache[ckey]
+        if (x, y) in self._pair_cache:
+            return self._pair_cache[x, y]
         tw = self.iq.euler(x.dim, y.dim)
-        counts, denom = self.table.extension_counts(x, y)
+        counts, denom = self.kq.extension_counts(x, y)
         rows = tuple(
             (w, gamma, self.v_pow(tw + e) * QSqrt(self.q, count, 0, denom))
             for (w, gamma, e), count in counts.items()
         )
-        self._pair_cache[ckey] = rows
+        self._pair_cache[x, y] = rows
         return rows
 
     def _mul(self, e1, e2):

@@ -841,7 +841,7 @@ def test_ext_dist_matches_cocycle_walk(name):
         assert kq._ext_dist(k, l) == _ref_ext_dist(kq, k, l, memo), (k, l)
     # each pair is computed once and then served from the memo
     assert len(kq._ext) == len(pairs)
-    assert all(kq._ext_dist(k, l) is kq._ext[k.key, l.key] for k, l in pairs)
+    assert all(kq._ext_dist(k, l) is kq._ext[k, l] for k, l in pairs)
 
 
 def test_mixed_dims_with_zero_component():
@@ -860,6 +860,18 @@ def test_class_interning():
     assert all(x is y for x, y in zip(a, b))
     s1 = tab.simple("1")
     assert tab.class_of(s1.rep, s1.dim) is s1
+
+
+def test_classes_of_two_tables_never_compare_equal(tmp_path):
+    # classes compare by identity: two tables of one quiver that read one
+    # cache directory build equal data but distinct classes
+    a, b = (ModuleTable(BoundQuiver(builtin_iquiver("a2-split")), 2, cache_dir=str(tmp_path)) for _ in "ab")
+    for ta, tb in ((a, b), (a.kq, b.kq)):
+        for dim in [(0, 0), (1, 0), (1, 1), (2, 1)]:
+            ca, cb = ta.classes(dim), tb.classes(dim)
+            assert [c.key for c in ca] == [c.key for c in cb]
+            assert not any(x == y for x in ca for y in cb), dim
+            assert len(set(ca) | set(cb)) == 2 * len(ca), dim
 
 
 QS3_2 = IQuiver(
@@ -898,7 +910,7 @@ def test_extension_counts_match_full_walk():
         memo = {}
         for x, y in _kq_pairs(tab.kq, 4):
             want, hom = _ref_extension_counts(tab, x, y, memo)
-            assert tab.extension_counts(x, y) == want, (name, q, x, y)
+            assert tab.kq.extension_counts(x, y) == want, (name, q, x, y)
             homs.add((q, hom))
     assert any(q >= 3 and hom >= 2 for q, hom in homs)
 
@@ -935,7 +947,7 @@ def test_map_counts_match_morphism_tally(name, q):
     tab = ModuleTable(BoundQuiver(_iquiver(name)), q)
     kq = tab.kq
     for x, y in _kq_pairs(kq, 4):
-        got = {(k, kq.tau_star(l)): n for (k, l), n in tab._maps(x, y).items()}
+        got = {(k, kq.tau_star(l)): n for (k, l), n in kq._maps(x, y).items()}
         assert got == oracle.morphism_tally(kq, x, kq.tau_star(y)), (x, y)
 
 
@@ -963,7 +975,7 @@ def test_a_wrong_hall_number_fails_the_hom_check(monkeypatch):
     tab = table("a3-quasisplit", 3)
     kq = tab.kq
     x, y = kq.simple("1"), kq.simple("3")
-    tab.extension_counts(x, y)
+    kq.extension_counts(x, y)
     zero = kq.zero_class()
     real = kq._hall_numbers
 
@@ -975,4 +987,20 @@ def test_a_wrong_hall_number_fails_the_hom_check(monkeypatch):
 
     monkeypatch.setattr(kq, "_hall_numbers", bumped)
     with pytest.raises(RuntimeError, match="do not add up to"):
-        tab.extension_counts(x, y)
+        kq.extension_counts(x, y)
+
+
+def test_the_engine_runs_on_the_kq_table_only():
+    # extension counts and map counts take two classes of the kQ table
+    # they run on; the Lambda^i table refuses even its own classes
+    tab = table("a2-split", 2)
+    kq = tab.kq
+    s1, k1 = kq.simple("1"), tab.simple("1")
+    for run, x, y in [
+        (tab, s1, s1), (tab, k1, k1), (kq, s1, k1), (kq, k1, s1),
+        (kq, s1, table("a2-split", 2).kq.simple("1")),
+    ]:
+        for method in (run.extension_counts, run._maps):
+            with pytest.raises(ValueError, match="classes of the kQ table"):
+                method(x, y)
+    assert tab._ext == {} and tab._hall == {}

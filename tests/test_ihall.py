@@ -1,5 +1,6 @@
 """Twisted semi-derived Hall algebra products."""
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -56,6 +57,31 @@ def test_basis_keys_must_be_eps_zero():
     kcls = k_module(alg.table, "1")
     with pytest.raises(ValueError):
         alg.basis_elt(kcls)
+
+
+@pytest.mark.parametrize("name", ["a2-split", "kronecker-r1"])
+def test_module_elt_refuses_kq_classes(name):
+    # a basis key is no Lambda^i class: the reduction names it and refuses
+    alg = algebra(name, 2)
+    for dim in product(range(3), repeat=alg.iq.n):
+        if sum(dim) <= 2:
+            for c in alg.kq.classes(dim):
+                with pytest.raises(ValueError, match=re.escape(repr(c))):
+                    alg.module_elt(c)
+    assert alg.table._classes == {}
+
+
+def test_torus_vectors_have_one_entry_per_vertex():
+    alg = algebra("a2-split", 2)
+    s1 = alg.kq.simple("1")
+    for alpha in [(1,), (1, 0, 5), ()]:
+        with pytest.raises(ValueError, match="one per vertex"):
+            alg.torus(alpha)
+        with pytest.raises(ValueError, match="one per vertex"):
+            alg.basis_elt(s1, alpha)
+    k = alg.torus((1, 0))
+    assert k * k == alg.torus([2, 0])
+    assert alg.basis_elt(s1, (0, 1)) == alg.torus((0, 1)) * alg.simple("1")
 
 
 def test_module_elt_reduces_k_class():
@@ -281,7 +307,7 @@ def test_cocycle_counts_match_ext_counts(name, q):
     # ker and coker nonzero at both vertices
     tab = (HallAlgebra(KRONECKER2, q) if name == "kronecker-r2" else algebra(name, q)).table
     for x, y in class_pairs(tab.kq, 3):
-        counts, denom = tab.extension_counts(x, y)
+        counts, denom = tab.kq.extension_counts(x, y)
         assert denom == q ** sum(a * b for a, b in zip(x.dim, y.dim))
         xl, yl = lifted(tab, x), lifted(tab, y)
         hom = hom_count(tab, xl, yl)
@@ -305,4 +331,5 @@ def test_verify_classifies_no_lambda_module():
     results = verify_presentation(alg, (0, 1))
     assert len(results) == 9 and all(res.is_zero() for _, res in results)
     assert alg.table._classes == {}
+    assert alg.table._ext == {} and alg.table._hall == {}
     assert alg.kq._classes
