@@ -56,21 +56,19 @@ def _vertex(algebra, name):
     """A vertex name from the command line, checked against the quiver."""
     verts = algebra.iq.vertices
     if name not in verts:
-        raise ValueError(
-            "unknown vertex %r (vertices: %s)" % (name, ", ".join(verts))
-        )
+        raise ValueError("unknown vertex %r (vertices: %s)" % (name, ", ".join(verts)))
     return name
 
 
 def _dim_vector(algebra, text):
     """A comma separated dimension vector, one nonnegative entry per vertex."""
-    dim = tuple(int(x) for x in text.split(","))
+    try:
+        dim = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError("dimension vector %r is not a comma separated list of integers" % text) from None
     n = algebra.iq.n
     if len(dim) != n:
-        raise ValueError(
-            "dimension vector %r has %d entries, the quiver has %d vertices"
-            % (text, len(dim), n)
-        )
+        raise ValueError("dimension vector %r has %d entries, the quiver has %d vertices" % (text, len(dim), n))
     if any(d < 0 for d in dim):
         raise ValueError("dimension vector %r has a negative entry" % text)
     return dim
@@ -87,22 +85,20 @@ def _parse_elt(algebra, key):
         if not sep:
             raise ValueError("class key %r lacks '#<index>'" % key)
         dim = _dim_vector(algebra, dim_s)
-        idx = int(idx_s)
+        try:
+            idx = int(idx_s)
+        except ValueError:
+            raise ValueError("class key %r: index %r is not an integer" % (key, idx_s)) from None
         # the eps-zero classes come first, each at its kQ class's index, so
-        # only a class past them needs the Lambda^i table
+        # only a class past them builds the Lambda^i table
         basis = algebra.kq.classes(dim)
         if 0 <= idx < len(basis):
             return algebra.basis_elt(basis[idx])
         classes = algebra.table.classes(dim)
         if not 0 <= idx < len(classes):
-            raise ValueError(
-                "index %d out of range: %d classes at dimension %s"
-                % (idx, len(classes), dim_s)
-            )
+            raise ValueError("index %d out of range: %d classes at dimension %s" % (idx, len(classes), dim_s))
         return algebra.module_elt(classes[idx])
-    raise ValueError(
-        "unrecognized element key %r (want simple:, k:, or class:)" % key
-    )
+    raise ValueError("unrecognized element key %r (want simple:, k:, or class:)" % key)
 
 
 def _terms_payload(elt):
@@ -204,6 +200,8 @@ def cmd_identities(args):
 
 
 def cmd_enumerate(args):
+    from .lambda_i import is_eps_zero
+
     algebra = _algebra(args)
     dim = _dim_vector(algebra, args.dim)
     classes = algebra.table.classes(dim)
@@ -212,7 +210,7 @@ def cmd_enumerate(args):
             "name": c.name,
             "aut_order": c.aut_order,
             "orbit_size": c.orbit_size,
-            "eps_zero": algebra.table.is_eps_zero(c),
+            "eps_zero": is_eps_zero(c),
         }
         for c in classes
     ]

@@ -2,15 +2,13 @@
 
 Classifies the finite-dimensional nilpotent representations of a fixed
 dimension vector up to isomorphism, and provides the counting data the Hall
-algebra layer needs: automorphism orders, extension counts per reduced
-middle (the product engine), and the reduction of a Lambda^i class to
-(kQ class, torus vector). The filtration and Hom routes, and the raw
+algebra layer needs: automorphism orders and extension counts per reduced
+middle (the product engine). The filtration and Hom routes, and the raw
 enumeration of every relation-satisfying tuple, that the tests compare the
 engine against live in `oracle`.
 
-The bound quiver is the doubled quiver of an iquiver (Lambda^i) or Q alone
-(kQ); a Lambda^i table owns the kQ table its reductions land in, and the
-product engine runs on that kQ table.
+The bound quiver is Q alone (kQ), on whose table the product engine runs,
+or any quiver with relations, such as the doubled quiver of `lambda_i`.
 
 One cocycle system (`_cocycles`) serves the classification and the kQ
 extension counts the product engine sums (`_ext_dist`): the blocks C for
@@ -33,13 +31,13 @@ whose cocycles fill the whole rep space at dim K + dim L off the orbit
 sizes there.
 
 One routine (`_subquotient`) gives the module a rep induces on V/W:
-`homology_reduce` reads ker eps / im eps off a Lambda^i class with it, and
-the oracles their kernels, cokernels, submodules and quotients.
+`lambda_i.homology_reduce` reads ker eps / im eps off a Lambda^i class with
+it, and the oracles their kernels, cokernels, submodules and quotients.
 
 A representation is a tuple of matrices, one per arrow, and is keyed by its
 code: entry k of its index tuple is the index of arrow k's matrix in a
 candidate list fixed by the matrix shape (the full matrix space, or the
-square-zero matrices for an eps loop at a tau-fixed vertex), and the code is
+square-zero matrices for a loop bound by a zero square), and the code is
 the mixed-radix number whose digits are that index tuple (`_radix`). Every
 list is in flat order (entries read row by row), so codes compare as the
 representations' flat entries do. GL acts through one permutation of a
@@ -54,7 +52,6 @@ from collections import Counter
 from itertools import product as cartesian
 
 from . import linalg
-from .iquiver import BoundQuiver
 
 # Bytes per entry of a {code: class index} rep map, the int key included:
 # tracemalloc on 64-bit CPython 3.11, filling such a dict with 6561 to 2^21
@@ -139,14 +136,9 @@ class IsoClass:
 class ModuleTable:
     """All per-prime representation data for one bound quiver.
 
-    One table per (bound quiver, p). The table of the doubled quiver (the
-    Lambda^i-modules) owns the table of Q alone as `kq` (the kQ-modules,
-    which are the Lambda^i-modules with every eps acting by zero): the
-    homology reduction lands in `kq`, whose classes are the Hall algebra's
-    basis keys, and the product engine (`extension_counts`) runs on `kq`
-    alone. A kQ class has the index of its eps-zero Lambda^i class, since
-    eps arrows come first in the arrow order and a zero matrix is the first
-    candidate.
+    One table per (bound quiver, p). The product engine
+    (`extension_counts`) runs on the table of Q alone, without relations,
+    whose classes are the Hall algebra's basis keys.
 
     Candidate lists and GL permutation tables depend only on matrix shapes
     and generators, so one table shares them across dimension vectors. A
@@ -166,26 +158,17 @@ class ModuleTable:
             cache_dir = os.environ.get("IHALL_CACHE_DIR")
         self.cache_dir = cache_dir
 
-        index = self.iq.vindex
+        index, ai = self.iq.vindex, bq.aindex
         self._arrow_ends = tuple((index[a.src], index[a.tgt]) for a in bq.arrows)
-        self._eps_pos = tuple(
-            bq.aindex[bq.eps_name[v]] for v in self.iq.vertices if v in bq.eps_name
-        )
         self._tau_idx = tuple(index[self.iq.tau[v]] for v in self.iq.vertices)
-        # tau on arrow positions: eps_v goes to eps_(tau v)
-        tau_arrow = dict(self.iq.tau_arrows)
-        tau_arrow.update((e, bq.eps_name[self.iq.tau[v]]) for v, e in bq.eps_name.items())
-        self._tau_arrows = tuple(bq.aindex[tau_arrow[a.name]] for a in bq.arrows)
-        # eps loops at tau-fixed vertices draw from the square-zero list
-        self._loop_pos = frozenset(
-            pos for vi, pos in enumerate(self._eps_pos) if self._tau_idx[vi] == vi
-        )
+        self._tau_arrows = tuple(ai[bq.tau_arrows[a.name]] for a in bq.arrows)
         # each relation as ((first, second), (first, second) or None), by arrow position
-        ai = bq.aindex
         self._relations = tuple(
             ((ai[r.lhs[0]], ai[r.lhs[1]]), None if r.rhs is None else (ai[r.rhs[0]], ai[r.rhs[1]]))
             for r in bq.relations
         )
+        # a loop whose square is a zero relation draws from the square-zero list
+        self._loop_pos = frozenset(f for (f, s), rhs in self._relations if f == s and rhs is None)
         self._acyclic = _acyclic(self._arrow_ends, self.iq.n)
 
         self._cand = {}        # list key -> (candidate matrices, {matrix: index})
@@ -195,11 +178,6 @@ class ModuleTable:
         self._by_rep = {}      # dim -> {rep code: class index}
         self._ext = {}         # (class, class) -> kQ extension counts
         self._hall = {}        # (dim Q, dim S) -> {middle: {(Q, S): Hall number}}
-        self.kq = (
-            ModuleTable(BoundQuiver(self.iq, doubled=False), p, budget_dim, budget_space, cache_dir)
-            if self._eps_pos
-            else None
-        )
 
     # ---------- shapes and budgets ----------
 
@@ -270,8 +248,8 @@ class ModuleTable:
     def _radix(self, dim):
         """(list key, list size, code weight) per arrow at dim.
 
-        Arrow k draws from the square-zero list ("sq0", d) if it is an eps
-        loop at a tau-fixed vertex, else from the full matrix space of its
+        Arrow k draws from the square-zero list ("sq0", d) if it is a loop
+        bound by a zero square, else from the full matrix space of its
         shape. A rep's code is the sum of its indices times the weights: the
         mixed-radix number whose digits are the index tuple, the last arrow's
         digit lowest, so codes order reps as index tuples do. On kQ every
@@ -533,9 +511,6 @@ class ModuleTable:
         dim = self.iq.unit(v)
         return self.class_of(self.zero_rep(dim), dim)
 
-    def is_eps_zero(self, cls):
-        return not any(any(row) for pos in self._eps_pos for row in cls.rep[pos])
-
     # ---------- extensions by cocycles ----------
 
     def _cocycles(self, xrep, yrep, dx, dy):
@@ -636,7 +611,7 @@ class ModuleTable:
         (`extension_counts`). Raises unless the numbers add up to
         |Hom(x, tau* y)|."""
         for cls in (x, y):
-            if cls.table is not self or self._eps_pos:
+            if cls.table is not self or self._relations:
                 raise ValueError("extension counts take classes of the kQ table, got %r" % (cls,))
         tau, dx, dy = self._tau_idx, x.dim, y.dim
         tally = {}
@@ -746,7 +721,7 @@ class ModuleTable:
         `subs` holds one (rref rows, pivots) basis of V per vertex and `tops`
         rows spanning W inside V per vertex, W a submodule. Submodules are
         V/0 and quotients are the whole space (`oracle._whole`) over W; kernels,
-        cokernels and ker eps / im eps are the same construction.
+        cokernels and ker eps / im eps (`lambda_i`) are the same construction.
         """
         p = self.p
         quots = [linalg.quotient_data(rows, piv, top, p) for (rows, piv), top in zip(subs, tops)]
@@ -757,34 +732,3 @@ class ModuleTable:
                 return None
             out.append(linalg.transpose(cols) or ((),) * len(quots[ti][0]))
         return tuple(out), tuple(len(reps) for reps, _ in quots)
-
-    # ---------- reduction to (kQ class, torus vector) ----------
-
-    def homology_reduce(self, cls):
-        """Write [cls] as v^e [X] * K_alpha with X a class of `kq`.
-
-        X is the module cls induces on X_v = ker(eps_v) / im(eps_{tau v}),
-        with every arrow's action computed there, the eps arrows included;
-        they come out zero for any module that satisfies the relations.
-        alpha_v = rank(eps_v) and e = <dim X, tau(alpha) - alpha> in the
-        Euler form of Q (zero whenever the involution is trivial). Checks
-        that ker eps is a submodule, that the eps arrows act by zero on X
-        and that dim X + res_K(alpha) = dim; refuses a class of any other
-        table.
-        """
-        if cls.table is not self or not self._eps_pos:
-            raise ValueError("homology reduction takes classes of the Lambda^i table, got %r" % (cls,))
-        p, dim, tau = self.p, cls.dim, self._tau_idx
-        eps = cls.rep[: len(self._eps_pos)]  # the eps arrows come first
-        kers = [linalg.rref(linalg.nullspace(eps[vi], d, p), p) for vi, d in enumerate(dim)]
-        sq = self._subquotient(cls.rep, kers, [linalg.col_space(eps[t], p)[0] for t in tau])
-        if sq is None:
-            raise RuntimeError("ker eps is not a submodule")
-        x, xdim = sq
-        alpha = tuple(d - len(rows) for d, (rows, _) in zip(dim, kers))
-        if tuple(a + b for a, b in zip(xdim, self.bq.res_K(alpha))) != dim:
-            raise RuntimeError("ker eps / im eps does not have dimension %r - res_K(%r)" % (dim, alpha))
-        if any(any(row) for pos in self._eps_pos for row in x[pos]):
-            raise RuntimeError("product left the eps-zero basis: eps acts on ker eps / im eps")
-        diff = tuple(alpha[t] - a for t, a in zip(tau, alpha))
-        return self.iq.euler(xdim, diff), self.kq.class_of(x[len(eps) :], xdim), alpha

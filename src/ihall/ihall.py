@@ -7,18 +7,19 @@ exact numbers in Q(sqrt(q)). The product of two kQ classes x and y counts
 the Lambda^i cocycles of x by y per reduced middle v^e [X] * K_alpha; over
 q^(sum_i dx_i dy_i) the counts are the untwisted structure constants
 |Ext^1(x,y)_z| / |Hom(x,y)| summed over the middles z of one reduction.
-The kQ table computes those counts itself (`ModuleTable.extension_counts`
-on `kq`), from its own Hall numbers and extension counts and tau, as a sum
-over the images of the maps x -> tau* y; the Euler-form twist and the
-torus commutation rule supply the powers of v = sqrt(q). The algebra uses
-its Lambda^i table only to rewrite an explicit module class
-(`module_elt`); the oracles classify it too. The product oracles, and the
+The kQ table `kq` computes those counts itself (`extension_counts`), from
+its own Hall numbers and extension counts and tau, as a sum over the images
+of the maps x -> tau* y; the Euler-form twist and the torus commutation
+rule supply the powers of v = sqrt(q). The Lambda^i table (`table`) is
+built on first use, only to list module classes or to rewrite one
+(`module_elt`). The product oracles, and the
 filtration counts (Hall numbers from every submodule) that give the same
 constants by Riedtmann's formula, live in `oracle`.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import add, sub
 
 from .frep import ModuleTable
@@ -115,10 +116,16 @@ class HallAlgebra:
     def __init__(self, iq, q, budget_dim=6, budget_space=2 ** 28):
         self.iq = iq
         self.q = q
-        self.table = ModuleTable(BoundQuiver(iq), q, budget_dim=budget_dim, budget_space=budget_space)
-        self.kq = self.table.kq
+        self.kq = ModuleTable(BoundQuiver(iq), q, budget_dim=budget_dim, budget_space=budget_space)
         self._pair_cache = {}
         self._zero_alpha = (0,) * iq.n
+
+    @cached_property
+    def table(self):
+        """The Lambda^i table, built on first use: no product reads it."""
+        from .lambda_i import doubled
+
+        return ModuleTable(doubled(self.iq), self.q, self.kq.budget_dim, self.kq.budget_space, self.kq.cache_dir)
 
     # ---------- scalars ----------
 
@@ -160,7 +167,9 @@ class HallAlgebra:
 
     def module_elt(self, cls):
         """[M] for a Lambda^i class, rewritten in the standard basis."""
-        e, x, alpha = self.table.homology_reduce(cls)
+        from .lambda_i import homology_reduce
+
+        e, x, alpha = homology_reduce(cls, self.kq)
         return HallElt(self, {(x, alpha): self.v_pow(e)})
 
     def simple(self, v):

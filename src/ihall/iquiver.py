@@ -1,15 +1,8 @@
-"""Quivers with involution and their doubled bound quivers.
+"""Quivers with involution and the bound quivers built on them.
 
 An iquiver is a finite loop-free quiver Q together with an involutive
-automorphism tau.  Its algebra is presented by the doubled quiver: one extra
-arrow eps_i : i -> tau(i) per vertex, bound by
-
-    eps_{tau i} . eps_i = 0                 (composites through eps vanish)
-    eps_j . a  =  tau(a) . eps_i            for each arrow a : i -> j
-
-where "." is composition of linear maps (right factor acts first). Q alone,
-with no eps arrows and no relations, is the bound quiver of the kQ-modules,
-which are the modules of the doubled quiver on which every eps is zero.
+automorphism tau. Q alone, with no relations, is the bound quiver of the
+kQ-modules; the doubled quiver that presents Lambda^i lives in `lambda_i`.
 """
 
 from typing import NamedTuple
@@ -194,47 +187,24 @@ class IQuiver:
 
 
 class BoundQuiver:
-    """A quiver with relations built from an iquiver.
+    """A quiver with relations on the vertices of an iquiver; by default Q
+    alone, with no relations, whose modules are the kQ-modules.
 
-    The doubled quiver (the default) adds one arrow eps_i : i -> tau(i) per
-    vertex and the relations above; its modules are the Lambda^i-modules.
-    With doubled=False it is Q alone, with no eps arrows and no relations:
-    its modules are the kQ-modules, which are the Lambda^i-modules on which
-    every eps acts by zero.
-
-    Arrow order is fixed (eps arrows in vertex order, then the original
-    arrows); representations are stored as matrix tuples in this order.
+    The `extra` arrows come first, then those of Q: representations are
+    matrix tuples in this order. `tau_arrows` pairs every arrow name with
+    its tau partner's, `tau_extra` those of the extra arrows.
     """
 
-    def __init__(self, iq: IQuiver, doubled=True):
+    def __init__(self, iq: IQuiver, extra=(), relations=(), tau_extra=()):
         self.iq = iq
-        self.eps_name = {}
-        eps_arrows = []
-        rels = []
-        if doubled:
-            taken = {a.name for a in iq.arrows}
-            for v in iq.vertices:
-                name = f"eps_{v}"
-                if name in taken:
-                    raise ValueError(f"arrow name {name} collides with the doubled quiver")
-                self.eps_name[v] = name
-                eps_arrows.append(Arrow(name, v, iq.tau[v]))
-            for v in iq.vertices:
-                rels.append(Relation((self.eps_name[v], self.eps_name[iq.tau[v]]), None))
-            for a in iq.arrows:
-                ta = iq.tau_arrows[a.name]
-                rels.append(Relation((a.name, self.eps_name[a.tgt]), (self.eps_name[a.src], ta)))
-        self.arrows = tuple(eps_arrows) + iq.arrows
+        self.arrows = tuple(extra) + iq.arrows
         self.aindex = {a.name: k for k, a in enumerate(self.arrows)}
-        self.relations = tuple(rels)
+        self.relations = tuple(relations)
+        self.tau_arrows = dict(tau_extra, **iq.tau_arrows)
 
     def signature(self):
         """Stable text identity of the iquiver, the arrows and the relations."""
         return repr((self.iq.signature(), self.arrows, self.relations))
-
-    @property
-    def vertices(self):
-        return self.iq.vertices
 
     def res_K(self, alpha):
         """Restriction to kQ of K_alpha: the vector alpha + tau(alpha)."""

@@ -37,6 +37,7 @@ from math import gcd
 from . import linalg
 from .idp import _KCOEF, _factor_indices
 from .ihall import HallElt
+from .lambda_i import eps_pos
 from .qseries import comb2, p_exponent, qbinom, qdfact
 from .ring import (
     VMVI,
@@ -368,11 +369,11 @@ def sym_to_hall(algebra, vertex, sym):
 
 def _schedule(table):
     """Per arrow, the relations to check once its matrix is chosen: those
-    whose last arrow it is. eps^2 = 0 at a tau-fixed vertex holds for every
-    square-zero candidate, so it is left out."""
+    whose last arrow it is. A loop bound by a zero square draws only
+    square-zero candidates, so that relation is left out."""
     ready = [[] for _ in table.bq.arrows]
     for lhs, rhs in table._relations:
-        if rhs is None and lhs[0] == lhs[1] and lhs[0] in table._loop_pos:
+        if rhs is None and lhs[0] == lhs[1]:
             continue
         ready[max(lhs + (rhs or ()))].append((lhs, rhs))
     return ready
@@ -467,7 +468,7 @@ def k_module(table, v):
     dim[ti] += 1
     dim = tuple(dim)
     rep = list(table.zero_rep(dim))
-    rep[table._eps_pos[vi]] = ((0, 0), (1, 0)) if ti == vi else ((1,),)
+    rep[eps_pos(table.bq, v)] = ((0, 0), (1, 0)) if ti == vi else ((1,),)
     return table.class_of(tuple(rep), dim)
 
 
@@ -734,8 +735,7 @@ def oracle_kronecker_single(algebra, l, t):
     i1 = iq.vertices.index(v1)
     pos_a = [table.bq.aindex[ar.name] for ar in alphas]
     pos_b = [table.bq.aindex[ar.name] for ar in betas]
-    eps1 = table.bq.aindex[table.bq.eps_name[v1]]
-    eps2 = table.bq.aindex[table.bq.eps_name[v2]]
+    eps1, eps2 = eps_pos(table.bq, v1), eps_pos(table.bq, v2)
     dim = tuple(2 * r + 1 if j == i1 else 1 for j in range(2))
     pref = algebra.v_pow(
         -r * (2 * r + 1) + t * l + l * (l - 1) + t * (t - 1)

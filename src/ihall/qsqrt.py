@@ -11,8 +11,6 @@ it is called.
 from math import gcd, isqrt
 from sys import hash_info
 
-from .ring import LaurentPoly
-
 
 class QSqrt:
     """Exact number (a + b*sqrt(q)) / d with ints a, b and d.
@@ -46,8 +44,11 @@ class QSqrt:
 
     @classmethod
     def v_pow(cls, q, e):
-        """sqrt(q)^e for any integer exponent e."""
-        return LaurentPoly.v_pow(e).specialize_sqrtq(q)
+        """sqrt(q)^e for any integer exponent e: q^k sqrt(q)^odd for
+        e = 2k + odd, with q^-k as the denominator when k < 0."""
+        k, odd = divmod(e, 2)
+        n = q ** abs(k)
+        return cls(q, (1 - odd) * n, odd * n) if k >= 0 else cls(q, 1 - odd, odd, n)
 
     def is_zero(self):
         return not self.a and not self.b

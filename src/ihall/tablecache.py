@@ -28,7 +28,7 @@ from collections import Counter
 from operator import ge
 
 FORMAT = 4  # the payload layout; 1-3 were pickles
-SOURCES = ("frep.py", "linalg.py", "iquiver.py", "tablecache.py")
+SOURCES = ("frep.py", "linalg.py", "iquiver.py", "lambda_i.py", "tablecache.py")
 
 
 @functools.cache
@@ -126,7 +126,11 @@ def store(table, dim, data):
     orbits, rep_to_idx = data
     sig = signature(table, dim)
     target = _path(table, dim, sig)
-    os.makedirs(table.cache_dir, exist_ok=True)
+    try:
+        os.makedirs(table.cache_dir, exist_ok=True)
+    except OSError as exc:
+        msg = "IHALL_CACHE_DIR %r is not a usable directory: %s" % (table.cache_dir, exc.strerror or exc)
+        raise OSError(msg) from None
     tmp = "%s.tmp.%d" % (target, os.getpid())
     payload = {
         "version": FORMAT,

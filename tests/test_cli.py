@@ -321,6 +321,11 @@ def test_enumerate_wrong_dimension_length_is_input_error(capsys):
     code, _, err = run(capsys, "enumerate", "builtin:a2-split", "--dim", "1")
     assert code == 2
     assert "2 vertices" in err
+    # a malformed entry names the dimension vector, not Python's int()
+    for dim in ("1,", "1,x", ""):
+        code, _, err = run(capsys, "enumerate", "builtin:a2-split", "--dim", dim)
+        assert code == 2, dim
+        assert err == "error: dimension vector %r is not a comma separated list of integers\n" % dim
 
 
 def test_idp_unknown_vertex_is_input_error(capsys):
@@ -336,6 +341,25 @@ def test_product_bad_element_vertex_or_dimension_is_input_error(capsys):
         code, _, err = run(capsys, "product", "builtin:a2-split", key, "simple:1")
         assert code == 2, key
         assert "error" in err
+    # a malformed index names the key, a malformed entry the dimension vector
+    for key, named in (("class:1,0#x", "class key 'class:1,0#x'"), ("class:1,0#0#1", "class key 'class:1,0#0#1'"),
+                       ("class:1,#0", "dimension vector '1,'")):
+        code, _, err = run(capsys, "product", "builtin:a2-split", key, "simple:1")
+        assert code == 2, key
+        assert err.startswith("error: %s" % named) and "invalid literal" not in err, key
+
+
+@pytest.mark.parametrize("under_a_file", [False, True])
+def test_cache_dir_that_is_no_directory_is_input_error(tmp_path, capsys, monkeypatch, under_a_file):
+    # IHALL_CACHE_DIR naming a file, or a path below one, is bad input that
+    # names the variable, not an errno of the first table written
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = str(blocker / "cache" if under_a_file else blocker)
+    monkeypatch.setenv("IHALL_CACHE_DIR", path)
+    code, out, err = run(capsys, "verify", "builtin:a2-split")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: IHALL_CACHE_DIR %r is not a usable directory: " % path), err
 
 
 @pytest.mark.parametrize(
@@ -469,6 +493,43 @@ def test_identities_past_its_ceiling_exits_3_at_once():
         with contextlib.redirect_stderr(out):
             assert main(argv) == 3
         assert out.getvalue() == "budget exceeded: --%s %d is past its ceiling %d\n" % (bound, ceiling + 1, ceiling)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "builtin:kronecker-r1", "--q", "2"],
+        ["idp", "builtin:kronecker-r1", "--vertex", "1", "--n", "2"],
+        ["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"],
+        ["product", "builtin:kronecker-r1", "simple:1", "k:2"],
+        # the kQ classes at (1, 1) are #0 to #2
+        ["product", "builtin:kronecker-r1", "class:1,1#2", "class:1,0#0"],
+    ],
+)
+def test_kq_commands_load_no_lambda_module(argv):
+    # the product engine runs on the kQ table alone
+    code, mods = _loaded_ihall_modules(argv)
+    assert code == 0 and "ihall.lambda_i" not in mods
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "builtin:a2-split", "--dim", "1,1"],
+        ["product", "builtin:kronecker-r1", "class:1,1#3", "simple:2"],
+    ],
+)
+def test_lambda_classes_load_the_lambda_module(argv):
+    code, mods = _loaded_ihall_modules(argv)
+    assert code == 0 and "ihall.lambda_i" in mods
+
+
+def test_qsqrt_loads_no_laurent_ring():
+    src = os.path.dirname(os.path.dirname(ihall.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ihall.qsqrt; print(sorted(m for m in sys.modules if m.startswith('ihall')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['ihall', 'ihall.qsqrt']"
 
 
 def test_verify_never_loads_the_q_series_suites():

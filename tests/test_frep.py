@@ -17,6 +17,7 @@ from ihall import frep, linalg, oracle, tablecache
 from ihall.cli import main
 from ihall.frep import BudgetError, ModuleTable
 from ihall.iquiver import BUILTIN_NAMES, BoundQuiver, IQuiver, builtin_iquiver
+from ihall.lambda_i import doubled, eps_pos, homology_reduce, is_eps_zero
 from ihall.oracle import (
     direct_sum,
     enumerate_reps,
@@ -30,7 +31,16 @@ from ihall.oracle import (
 
 
 def table(name, p, **kw):
+    return ModuleTable(doubled(builtin_iquiver(name)), p, **kw)
+
+
+def kq_table(name, p, **kw):
     return ModuleTable(BoundQuiver(builtin_iquiver(name)), p, **kw)
+
+
+def tables(iq, p, **kw):
+    """The Lambda^i table of iq and its kQ table."""
+    return ModuleTable(doubled(iq), p, **kw), ModuleTable(BoundQuiver(iq), p, **kw)
 
 
 def _flat(rep):
@@ -267,7 +277,7 @@ def test_corrupt_cache_payload_is_recomputed(tmp_path, corruption):
     elif corruption == "foreign signature":
         # a quiver that differs only in an arrow name has the same tables,
         # so the payload is consistent and only its signature is foreign
-        other = ModuleTable(BoundQuiver(IQuiver(["1", "2"], [("b1", "1", "2")])), 2)
+        other = ModuleTable(doubled(IQuiver(["1", "2"], [("b1", "1", "2")])), 2)
         payload["signature"] = tablecache.signature(other, dim)
     elif corruption == "non-minimal code":
         # a later member of an orbit as its canonical code, with that
@@ -337,12 +347,12 @@ def _fresh(tab, dim):
 def test_cache_round_trip(tmp_path, name, q):
     # a table read from a cache file equals the one that wrote it
     iq = SPLIT2 if name == "split-2" else builtin_iquiver(name)
-    writer = ModuleTable(BoundQuiver(iq), q, cache_dir=str(tmp_path))
-    reader = ModuleTable(BoundQuiver(iq), q, cache_dir=str(tmp_path))
+    writer = tables(iq, q, cache_dir=str(tmp_path))
+    reader = tables(iq, q, cache_dir=str(tmp_path))
     for dim in product(range(4), repeat=iq.n):
         if sum(dim) > 3:
             continue
-        for wtab, rtab in ((writer, reader), (writer.kq, reader.kq)):
+        for wtab, rtab in zip(writer, reader):
             want = _fresh(wtab, dim)
             assert rtab._load_cached(dim) is not None, dim
             assert _fresh(rtab, dim) == want, dim
@@ -352,7 +362,7 @@ def test_signature_covers_every_module_the_cache_stores(tmp_path, monkeypatch):
     # orbits come from frep and linalg and the bound quiver's arrows and
     # relations from iquiver, so a change to any of them, or to the cache
     # itself, makes old files a miss
-    names = ("frep.py", "linalg.py", "iquiver.py", "tablecache.py")
+    names = ("frep.py", "linalg.py", "iquiver.py", "lambda_i.py", "tablecache.py")
     src = os.path.dirname(tablecache.__file__)
     for name in names:
         shutil.copy(os.path.join(src, name), tmp_path / name)
@@ -428,8 +438,7 @@ def test_seeded_classes_are_the_nilpotent_raw_orbits(name, q, total):
     # nilpotent tuple and nothing else, each class's rep is its orbit's
     # minimum, and the classes come in increasing code order
     iq = {"split-2": SPLIT2, "kronecker-r2": KRONECKER2}.get(name) or builtin_iquiver(name)
-    lam = ModuleTable(BoundQuiver(iq), q)
-    for tab in (lam, lam.kq):
+    for tab in tables(iq, q):
         for dim in product(range(total + 1), repeat=iq.n):
             if sum(dim) > total:
                 continue
@@ -449,7 +458,7 @@ def test_seeds_missing_a_vertex_fail_the_orbit_count(monkeypatch):
     # without oriented cycles the orbits must cover all p^N reps of kQ;
     # seeds that leave out the extensions at one vertex meet too few
     # (at a simple's dimension vector the one vertex seeds from the zero class)
-    kq = table("a2-split", 2).kq
+    kq = kq_table("a2-split", 2)
     classes = kq.classes
     monkeypatch.setattr(kq, "classes", lambda dim: () if not any(dim) else classes(dim))
     for dim in ((1, 0), (0, 1)):
@@ -486,8 +495,8 @@ def test_k_module_shapes():
     tab = table("kronecker-r1", 3)
     k1 = k_module(tab, "1")
     assert k1.dim == (1, 1)
-    assert not tab.is_eps_zero(k1)
-    assert tab.is_eps_zero(tab.simple("1"))
+    assert not is_eps_zero(k1)
+    assert is_eps_zero(tab.simple("1"))
 
 
 def test_hom_counts():
@@ -563,13 +572,13 @@ def test_morphism_tally_total_is_hom_count():
 
 
 def test_homology_reduction():
-    tab = table("kronecker-r1", 2)
+    tab, kq = tables(builtin_iquiver("kronecker-r1"), 2)
     k1 = k_module(tab, "1")
-    vexp, xcls, alpha = tab.homology_reduce(k1)
-    assert xcls == tab.kq.zero_class()
+    vexp, xcls, alpha = homology_reduce(k1, kq)
+    assert xcls == kq.zero_class()
     assert alpha == (1, 0)
-    vexp, xcls, alpha = tab.homology_reduce(tab.simple("1"))
-    assert (vexp, xcls, alpha) == (0, tab.kq.simple("1"), (0, 0))
+    vexp, xcls, alpha = homology_reduce(tab.simple("1"), kq)
+    assert (vexp, xcls, alpha) == (0, kq.simple("1"), (0, 0))
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -578,18 +587,18 @@ def test_homology_reduction_on_all_small_classes(name, q):
     # X = ker eps / im eps with its eps action computed: it must vanish (X
     # is a kQ class), the dimensions must add up to dim M, and alpha must be
     # the eps ranks; an eps-zero M reduces to its own kQ class
-    tab = table(name, q)
-    iq = tab.iq
+    iq = builtin_iquiver(name)
+    tab, kq = tables(iq, q)
     for dim in product(range(4), repeat=iq.n):
         if sum(dim) > 3:
             continue
         for m in tab.classes(dim):
-            vexp, x, alpha = tab.homology_reduce(m)
-            assert x.table is tab.kq, m
+            vexp, x, alpha = homology_reduce(m, kq)
+            assert x.table is kq, m
             talpha = iq.tau_vec(alpha)
             assert tuple(a + b + c for a, b, c in zip(x.dim, alpha, talpha)) == m.dim, m
-            assert alpha == tuple(linalg.rank(m.rep[pos], q) for pos in tab._eps_pos), m
-            if tab.is_eps_zero(m):
+            assert alpha == tuple(linalg.rank(m.rep[eps_pos(tab.bq, v)], q) for v in iq.vertices), m
+            if is_eps_zero(m):
                 assert (vexp, x.key, alpha) == (0, m.key, (0,) * iq.n), m
                 assert x.rep == m.rep[iq.n:], m
 
@@ -603,13 +612,13 @@ def test_kq_classes_are_the_eps_zero_classes(name, q, total):
     # the eps-zero classes come first, each at its kQ class's index, with
     # the kQ rep as the tail of the rep (the eps arrows come first)
     iq = SPLIT2 if name == "split-2" else builtin_iquiver(name)
-    tab = ModuleTable(BoundQuiver(iq), q)
+    tab, kq_tab = tables(iq, q)
     for dim in product(range(total + 1), repeat=iq.n):
         if sum(dim) > total:
             continue
-        kq = tab.kq.classes(dim)
+        kq = kq_tab.classes(dim)
         lam = tab.classes(dim)
-        assert [tab.is_eps_zero(c) for c in lam] == [k < len(kq) for k in range(len(lam))], dim
+        assert [is_eps_zero(c) for c in lam] == [k < len(kq) for k in range(len(lam))], dim
         assert [(c.index, c.rep, c.orbit_size, c.aut_order) for c in kq] == [
             (c.index, c.rep[iq.n:], c.orbit_size, c.aut_order) for c in lam[: len(kq)]
         ], dim
@@ -618,22 +627,22 @@ def test_kq_classes_are_the_eps_zero_classes(name, q, total):
 def test_kq_and_lambda_tables_share_a_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
     dims = [(1, 1), (2, 1)]
-    writer = ModuleTable(BoundQuiver(builtin_iquiver("a2-split")), 3)
-    for tab in (writer, writer.kq):
+    writer = tables(builtin_iquiver("a2-split"), 3)
+    for tab in writer:
         assert tab.cache_dir == str(tmp_path)
         for dim in dims:
             tab.classes(dim)
-    assert tablecache.path(writer, (1, 1)) != tablecache.path(writer.kq, (1, 1))
-    reader = ModuleTable(BoundQuiver(builtin_iquiver("a2-split")), 3)
+    assert tablecache.path(writer[0], (1, 1)) != tablecache.path(writer[1], (1, 1))
+    reader = tables(builtin_iquiver("a2-split"), 3)
     monkeypatch.delenv("IHALL_CACHE_DIR")
-    fresh = ModuleTable(BoundQuiver(builtin_iquiver("a2-split")), 3)
-    for tab, ref in ((reader, fresh), (reader.kq, fresh.kq)):
+    fresh = tables(builtin_iquiver("a2-split"), 3)
+    for tab, ref in zip(reader, fresh):
         for dim in dims:
             assert tab._load_cached(dim) is not None
             assert _fresh(tab, dim) == _fresh(ref, dim)
     # the kQ reps lack the eps matrices, so each table read its own file
-    assert len(reader.classes((1, 1))[0].rep) == 3
-    assert len(reader.kq.classes((1, 1))[0].rep) == 1
+    assert len(reader[0].classes((1, 1))[0].rep) == 3
+    assert len(reader[1].classes((1, 1))[0].rep) == 1
 
 
 def test_cache_file_of_version_2_is_a_miss(tmp_path):
@@ -641,16 +650,16 @@ def test_cache_file_of_version_2_is_a_miss(tmp_path):
     # have read a Lambda^i file; write one where version 2 put it
     iq = builtin_iquiver("kronecker-r1")
     dim = (1, 1)
-    old = ModuleTable(BoundQuiver(iq), 2)
+    old = ModuleTable(doubled(iq), 2)
     orbits, codes = old._classify(dim)
     orbits = [(rep, osz, aut) for _, rep, osz, aut in orbits]
     rep_to_idx = {old._decode(c, dim): i for c, i in codes.items()}
     h = hashlib.sha256(repr((2, iq.signature(), 2)).encode()).hexdigest()[:16]
     with open(tmp_path / ("ihall-%s-d1_1.pkl" % h), "wb") as fh:
         pickle.dump({"version": 2, "orbits": orbits, "rep_to_idx": rep_to_idx}, fh)
-    reader = ModuleTable(BoundQuiver(iq), 2, cache_dir=str(tmp_path))
-    fresh = ModuleTable(BoundQuiver(iq), 2)
-    for tab, ref in ((reader, fresh), (reader.kq, fresh.kq)):
+    reader = tables(iq, 2, cache_dir=str(tmp_path))
+    fresh = tables(iq, 2)
+    for tab, ref in zip(reader, fresh):
         data = tab._load_cached(dim)
         assert data is None or data == ref._classify(dim)
         assert _fresh(tab, dim) == _fresh(ref, dim)
@@ -675,8 +684,8 @@ def test_pickle_of_version_3_is_never_read(tmp_path):
     # bound quiver; write one, with a tripwire, where version 3 put each
     iq = builtin_iquiver("kronecker-r1")
     dim = (1, 1)
-    fresh = ModuleTable(BoundQuiver(iq), 2)
-    for ref in (fresh, fresh.kq):
+    fresh = tables(iq, 2)
+    for ref in fresh:
         orbits, codes = ref._classify(dim)
         payload = {
             "version": 3,
@@ -687,8 +696,8 @@ def test_pickle_of_version_3_is_never_read(tmp_path):
         h = hashlib.sha256(repr((3, ref.bq.signature(), 2)).encode()).hexdigest()[:16]
         with open(tmp_path / ("ihall-%s-d1_1.pkl" % h), "wb") as fh:
             pickle.dump(payload, fh)
-    reader = ModuleTable(BoundQuiver(iq), 2, cache_dir=str(tmp_path))
-    for tab, ref in ((reader, fresh), (reader.kq, fresh.kq)):
+    reader = tables(iq, 2, cache_dir=str(tmp_path))
+    for tab, ref in zip(reader, fresh):
         assert tab._load_cached(dim) is None
         assert _fresh(tab, dim) == _fresh(ref, dim)
     assert UNPICKLED == []
@@ -713,12 +722,12 @@ def test_budget_counts_rep_map_memory(monkeypatch):
     # raw candidates, inside the space budget but not in 8 GiB of memory
     monkeypatch.setattr(frep, "_physical_memory", lambda: 8 << 30)
     split3 = IQuiver(["1", "2"], [("a1", "1", "2"), ("a2", "1", "2"), ("a3", "1", "2")])
-    big = ModuleTable(BoundQuiver(split3), 5).kq
+    big = ModuleTable(BoundQuiver(split3), 5)
     with pytest.raises(BudgetError) as err:
         big.check_budget((4, 1))
     assert "244140625" in str(err.value) and str(8 << 30) in str(err.value)
     assert big._cand == {}, "the budget check enumerated candidates"
-    ModuleTable(BoundQuiver(split3), 3).kq.check_budget((4, 1))
+    ModuleTable(BoundQuiver(split3), 3).check_budget((4, 1))
 
 
 @pytest.mark.parametrize("p,dmax", [(2, 4), (3, 3), (5, 3)])
@@ -802,14 +811,14 @@ def _ref_ext_dist(kq, k, l, memo):
 def _lift(tab, cls):
     """The rep of a kQ class as a Lambda^i-module: zero eps blocks first."""
     shapes = tab._shapes(cls.dim)
-    return tuple(linalg.zeros(*shapes[pos]) for pos in tab._eps_pos) + cls.rep
+    return tuple(linalg.zeros(*shapes[eps_pos(tab.bq, v)]) for v in tab.iq.vertices) + cls.rep
 
 
-def _ref_extension_counts(tab, x, y, memo):
+def _ref_extension_counts(tab, kq, x, y, memo):
     """(`ModuleTable.extension_counts` of x by y, dim Hom(x, tau* y)) with
     no shortcut: every eps block w of the Lambda^i cocycles walked, w = 0
     and the scalar multiples included, each (K, L) by `_ref_ext_dist`."""
-    p, kq, tau = tab.p, tab.kq, tab._tau_idx
+    p, tau = tab.p, tab._tau_idx
     dx, dy = x.dim, y.dim
     basis, offs, n = tab._cocycles(_lift(tab, x), _lift(tab, y), dx, dy)
     free = sum(dy[t] * dx[s] for s, t in kq._arrow_ends)
@@ -833,7 +842,7 @@ def test_ext_dist_matches_cocycle_walk(name):
     # the kQ extension counts that the product engine sums, against a walk
     # of every cocycle with each middle looked up by `class_of`
     iq = SPLIT2 if name == "split-2" else builtin_iquiver(name)
-    kq = ModuleTable(BoundQuiver(iq), 2).kq
+    kq = ModuleTable(BoundQuiver(iq), 2)
     pool = [c for d in product(range(5), repeat=iq.n) if sum(d) <= 4 for c in kq.classes(d)]
     pairs = [(k, l) for k in pool for l in pool if k.total_dim + l.total_dim <= 4]
     memo = {}
@@ -865,8 +874,8 @@ def test_class_interning():
 def test_classes_of_two_tables_never_compare_equal(tmp_path):
     # classes compare by identity: two tables of one quiver that read one
     # cache directory build equal data but distinct classes
-    a, b = (ModuleTable(BoundQuiver(builtin_iquiver("a2-split")), 2, cache_dir=str(tmp_path)) for _ in "ab")
-    for ta, tb in ((a, b), (a.kq, b.kq)):
+    a, b = (tables(builtin_iquiver("a2-split"), 2, cache_dir=str(tmp_path)) for _ in "ab")
+    for ta, tb in zip(a, b):
         for dim in [(0, 0), (1, 0), (1, 1), (2, 1)]:
             ca, cb = ta.classes(dim), tb.classes(dim)
             assert [c.key for c in ca] == [c.key for c in cb]
@@ -906,11 +915,11 @@ def test_extension_counts_match_full_walk():
     # pairs with dim Hom(x, tau* y) >= 2 at q >= 3
     homs = set()
     for name, q in ENGINE_CASES:
-        tab = ModuleTable(BoundQuiver(_iquiver(name)), q)
+        tab, kq = tables(_iquiver(name), q)
         memo = {}
-        for x, y in _kq_pairs(tab.kq, 4):
-            want, hom = _ref_extension_counts(tab, x, y, memo)
-            assert tab.kq.extension_counts(x, y) == want, (name, q, x, y)
+        for x, y in _kq_pairs(kq, 4):
+            want, hom = _ref_extension_counts(tab, kq, x, y, memo)
+            assert kq.extension_counts(x, y) == want, (name, q, x, y)
             homs.add((q, hom))
     assert any(q >= 3 and hom >= 2 for q, hom in homs)
 
@@ -920,7 +929,7 @@ def test_extension_counts_match_full_walk():
 def test_hall_numbers_match_filtration_counts(name, q):
     # Riedtmann's formula on the kQ extension counts against a count of
     # every submodule of z (`oracle.hall_number`), zeros left out
-    kq = table(name, q).kq
+    kq = kq_table(name, q)
     for dz in product(range(5), repeat=kq.iq.n):
         if sum(dz) > 4:
             continue
@@ -944,8 +953,7 @@ def test_map_counts_match_morphism_tally(name, q):
     # N(K, L) from the sum over images against every map x -> tau* y,
     # tallied by kernel and cokernel (`oracle.morphism_tally`): the cokernel
     # is tau* L
-    tab = ModuleTable(BoundQuiver(_iquiver(name)), q)
-    kq = tab.kq
+    kq = ModuleTable(BoundQuiver(_iquiver(name)), q)
     for x, y in _kq_pairs(kq, 4):
         got = {(k, kq.tau_star(l)): n for (k, l), n in kq._maps(x, y).items()}
         assert got == oracle.morphism_tally(kq, x, kq.tau_star(y)), (x, y)
@@ -956,7 +964,7 @@ def test_tau_star_is_an_involution(name):
     # tau* keeps orbit size and aut order, permutes the dimension vector by
     # tau and undoes itself; it moves some class unless tau is trivial
     iq = _iquiver(name)
-    kq = ModuleTable(BoundQuiver(iq), 2).kq
+    kq = ModuleTable(BoundQuiver(iq), 2)
     moved = 0
     for d in product(range(4), repeat=iq.n):
         if sum(d) > 3:
@@ -972,8 +980,7 @@ def test_tau_star_is_an_involution(name):
 
 def test_a_wrong_hall_number_fails_the_hom_check(monkeypatch):
     # F^x_{0,x} = 1 bumped by 1 adds one map x -> tau* y that Hom lacks
-    tab = table("a3-quasisplit", 3)
-    kq = tab.kq
+    kq = kq_table("a3-quasisplit", 3)
     x, y = kq.simple("1"), kq.simple("3")
     kq.extension_counts(x, y)
     zero = kq.zero_class()
@@ -993,12 +1000,11 @@ def test_a_wrong_hall_number_fails_the_hom_check(monkeypatch):
 def test_the_engine_runs_on_the_kq_table_only():
     # extension counts and map counts take two classes of the kQ table
     # they run on; the Lambda^i table refuses even its own classes
-    tab = table("a2-split", 2)
-    kq = tab.kq
+    tab, kq = tables(builtin_iquiver("a2-split"), 2)
     s1, k1 = kq.simple("1"), tab.simple("1")
     for run, x, y in [
         (tab, s1, s1), (tab, k1, k1), (kq, s1, k1), (kq, k1, s1),
-        (kq, s1, table("a2-split", 2).kq.simple("1")),
+        (kq, s1, kq_table("a2-split", 2).simple("1")),
     ]:
         for method in (run.extension_counts, run._maps):
             with pytest.raises(ValueError, match="classes of the kQ table"):

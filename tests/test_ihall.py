@@ -9,6 +9,7 @@ import pytest
 from ihall import linalg
 from ihall.ihall import HallAlgebra
 from ihall.iquiver import IQuiver, builtin_iquiver
+from ihall.lambda_i import eps_pos, homology_reduce
 from ihall.oracle import (
     ext_count_with_middle,
     hall_number,
@@ -68,7 +69,7 @@ def test_module_elt_refuses_kq_classes(name):
             for c in alg.kq.classes(dim):
                 with pytest.raises(ValueError, match=re.escape(repr(c))):
                     alg.module_elt(c)
-    assert alg.table._classes == {}
+    assert "table" not in vars(alg)
 
 
 def test_torus_vectors_have_one_entry_per_vertex():
@@ -258,7 +259,7 @@ def class_pairs(tab, total, keep=lambda c: True):
 def lifted(tab, cls):
     """The Lambda^i class of a kQ class: zero eps blocks first."""
     shapes = tab._shapes(cls.dim)
-    eps = tuple(linalg.zeros(*shapes[pos]) for pos in tab._eps_pos)
+    eps = tuple(linalg.zeros(*shapes[eps_pos(tab.bq, v)]) for v in tab.iq.vertices)
     return tab.class_of(eps + cls.rep, cls.dim)
 
 
@@ -273,7 +274,7 @@ def filtration_rows(alg, x, y):
     for z in tab.classes(tuple(a + b for a, b in zip(x.dim, y.dim))):
         f = hall_number(tab, xl, yl, z)
         if f:
-            e, w, gamma = tab.homology_reduce(z)
+            e, w, gamma = homology_reduce(z, alg.kq)
             coeff = Fraction(f * xl.aut_order * yl.aut_order, z.aut_order)
             rows[(w, gamma)] = rows.get((w, gamma), 0) + alg.v_pow(tw + e) * coeff
     return rows
@@ -305,9 +306,10 @@ def test_cocycle_counts_match_ext_counts(name, q):
     # the middles z of one reduction, with the Ext groups of Lambda^i;
     # kronecker-r2 is the one quiver where the eps blocks reach rank 2 with
     # ker and coker nonzero at both vertices
-    tab = (HallAlgebra(KRONECKER2, q) if name == "kronecker-r2" else algebra(name, q)).table
-    for x, y in class_pairs(tab.kq, 3):
-        counts, denom = tab.kq.extension_counts(x, y)
+    alg = HallAlgebra(KRONECKER2, q) if name == "kronecker-r2" else algebra(name, q)
+    tab = alg.table
+    for x, y in class_pairs(alg.kq, 3):
+        counts, denom = alg.kq.extension_counts(x, y)
         assert denom == q ** sum(a * b for a, b in zip(x.dim, y.dim))
         xl, yl = lifted(tab, x), lifted(tab, y)
         hom = hom_count(tab, xl, yl)
@@ -315,21 +317,25 @@ def test_cocycle_counts_match_ext_counts(name, q):
         for z in tab.classes(tuple(a + b for a, b in zip(x.dim, y.dim))):
             ext = ext_count_with_middle(tab, xl, yl, z)
             if ext:
-                e, w, gamma = tab.homology_reduce(z)
+                e, w, gamma = homology_reduce(z, alg.kq)
                 want[(w, gamma, e)] = want.get((w, gamma, e), 0) + ext
         assert {k: c * hom for k, c in counts.items()} == {
             k: c * denom for k, c in want.items()
         }, (x, y)
 
 
-def test_verify_classifies_no_lambda_module():
-    # the engine reduces middles in place: after the whole relation suite
-    # the Lambda^i table has classified no dimension vector
+def test_verify_classifies_no_lambda_module(monkeypatch):
+    # the engine reduces middles in place: the whole relation suite builds
+    # one table, of Q alone, and no doubled quiver or Lambda^i table
+    from ihall import frep
     from ihall.iqg import verify_presentation
 
+    built = []
+    init = frep.ModuleTable.__init__
+    monkeypatch.setattr(frep.ModuleTable, "__init__", lambda self, bq, *a, **kw: built.append(bq) or init(self, bq, *a, **kw))
     alg = HallAlgebra(SPLIT2, 3)
     results = verify_presentation(alg, (0, 1))
     assert len(results) == 9 and all(res.is_zero() for _, res in results)
-    assert alg.table._classes == {}
-    assert alg.table._ext == {} and alg.table._hall == {}
+    assert [(bq.arrows, bq.relations) for bq in built] == [(SPLIT2.arrows, ())]
+    assert "table" not in vars(alg)
     assert alg.kq._classes

@@ -4,10 +4,10 @@ import pytest
 
 from ihall.iquiver import (
     BUILTIN_NAMES,
-    BoundQuiver,
     build_iquiver,
     builtin_iquiver,
 )
+from ihall.lambda_i import doubled
 
 
 def dim_K(bq, v):
@@ -57,7 +57,7 @@ def test_tau_structures():
 
 
 def test_bound_quiver_layout():
-    bq = BoundQuiver(builtin_iquiver("a2-split"))
+    bq = doubled(builtin_iquiver("a2-split"))
     names = [a.name for a in bq.arrows]
     assert names[:2] == ["eps_1", "eps_2"]
     assert dim_K(bq, "1") == (2, 0)
@@ -67,7 +67,7 @@ def test_bound_quiver_layout():
 
 
 def test_bound_quiver_swap_pair():
-    bq = BoundQuiver(builtin_iquiver("kronecker-r1"))
+    bq = doubled(builtin_iquiver("kronecker-r1"))
     assert dim_K(bq, "1") == (1, 1)
     assert dim_K(bq, "2") == (1, 1)
     # one commuting relation per original arrow
@@ -76,7 +76,7 @@ def test_bound_quiver_swap_pair():
 
 
 def test_res_K():
-    bq = BoundQuiver(builtin_iquiver("a3-quasisplit"))
+    bq = doubled(builtin_iquiver("a3-quasisplit"))
     assert bq.res_K((1, 0, 0)) == tuple(
         x + y for x, y in zip(dim_K(bq, "1"), (0, 0, 0))
     )

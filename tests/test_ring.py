@@ -219,6 +219,15 @@ def test_qsqrt_vpow_matches_poly_specialization():
             assert LaurentPoly.v_pow(e).specialize_sqrtq(q) == QSqrt.v_pow(q, e)
 
 
+def test_qsqrt_v_pow_is_a_power_of_q_times_sqrt_q():
+    # q^k sqrt(q)^odd, with no Laurent polynomial built; the squares fold
+    for q in (2, 3, 4, 5, 9):
+        for e in range(-9, 10):
+            got = QSqrt.v_pow(q, e)
+            assert got == LaurentPoly.v_pow(e).specialize_sqrtq(q), (q, e)
+            assert (got.b == 0) == (e % 2 == 0 or isqrt(q) ** 2 == q), (q, e)
+
+
 def test_qsqrt_mixing_bases_rejected():
     with pytest.raises(ValueError):
         QSqrt(2, 1) + QSqrt(3, 1)
