@@ -83,17 +83,6 @@ def _lines(rows, n, p):
             yield linalg.mat_vec(cols, head + tail, p)
 
 
-def _acyclic(ends, n):
-    """True when the arrows, as (source, target) pairs on n vertices, close no
-    oriented cycle: stripping sinks empties the quiver."""
-    left = set(range(n))
-    while True:
-        sinks = {v for v in left if not any(s == v and t in left for s, t in ends)}
-        if not sinks:
-            return not left
-        left -= sinks
-
-
 class BudgetError(RuntimeError):
     """An enumeration request exceeds the configured dimension or space budget."""
 
@@ -146,7 +135,7 @@ class ModuleTable:
     numbered in the flat order of their reps.
     """
 
-    def __init__(self, bq, p, budget_dim=6, budget_space=2 ** 28, cache_dir=None):
+    def __init__(self, bq, p, budget_dim=6, budget_space=2 ** 28):
         if not linalg.is_prime(p):
             raise ValueError("p must be prime, got %r" % (p,))
         self.bq = bq
@@ -154,14 +143,10 @@ class ModuleTable:
         self.p = p
         self.budget_dim = budget_dim
         self.budget_space = budget_space
-        if cache_dir is None:
-            cache_dir = os.environ.get("IHALL_CACHE_DIR")
-        self.cache_dir = cache_dir
+        self.cache_dir = os.environ.get("IHALL_CACHE_DIR")
 
         index, ai = self.iq.vindex, bq.aindex
         self._arrow_ends = tuple((index[a.src], index[a.tgt]) for a in bq.arrows)
-        self._tau_idx = tuple(index[self.iq.tau[v]] for v in self.iq.vertices)
-        self._tau_arrows = tuple(ai[bq.tau_arrows[a.name]] for a in bq.arrows)
         # each relation as ((first, second), (first, second) or None), by arrow position
         self._relations = tuple(
             ((ai[r.lhs[0]], ai[r.lhs[1]]), None if r.rhs is None else (ai[r.rhs[0]], ai[r.rhs[1]]))
@@ -169,7 +154,6 @@ class ModuleTable:
         )
         # a loop whose square is a zero relation draws from the square-zero list
         self._loop_pos = frozenset(f for (f, s), rhs in self._relations if f == s and rhs is None)
-        self._acyclic = _acyclic(self._arrow_ends, self.iq.n)
 
         self._cand = {}        # list key -> (candidate matrices, {matrix: index})
         self._perm = {}        # (list key, d, generator, side) -> index permutation
@@ -420,9 +404,9 @@ class ModuleTable:
             if group % osz != 0:
                 raise RuntimeError("orbit size does not divide group order")
             found.append((low, osz))
-        # without oriented cycles every rep is nilpotent, and such a bound
-        # quiver is a kQ with no relations: the orbits cover all p^N reps
-        if self._acyclic and sum(osz for _, osz in found) != self.p ** sum(
+        # on kQ without oriented cycles every rep is nilpotent: the orbits
+        # cover all p^N reps
+        if not self._relations and self.iq.is_acyclic() and sum(osz for _, osz in found) != self.p ** sum(
             r * c for r, c in self._shapes(dim)
         ):
             raise RuntimeError("orbit sizes do not add up to the rep count")
@@ -591,7 +575,7 @@ class ModuleTable:
         middles z that reduce to (X, alpha, e) (Riedtmann's formula).
         """
         maps = self._maps(x, y)  # refuses classes of any other table
-        tau, p, ends = self._tau_idx, self.p, self._arrow_ends
+        tau, p, ends = self.iq.tau_index, self.p, self._arrow_ends
         dx, dy = x.dim, y.dim
         free = sum(dy[t] * dx[s] for s, t in ends)
         counts = {}
@@ -613,7 +597,7 @@ class ModuleTable:
         for cls in (x, y):
             if cls.table is not self or self._relations:
                 raise ValueError("extension counts take classes of the kQ table, got %r" % (cls,))
-        tau, dx, dy = self._tau_idx, x.dim, y.dim
+        tau, dx, dy = self.iq.tau_index, x.dim, y.dim
         tally = {}
         for di in cartesian(*(range(min(d, dy[t]) + 1) for d, t in zip(dx, tau))):
             subs = {}  # tau* I -> [(L, F^y_{L,tau* I})]
@@ -654,10 +638,11 @@ class ModuleTable:
 
     def tau_star(self, cls):
         """The class of tau* cls: (tau* M)_v = M_(tau v), and arrow a acts as
-        M's arrow tau(a)."""
-        return self.class_of(
-            tuple(cls.rep[k] for k in self._tau_arrows), tuple(cls.dim[t] for t in self._tau_idx)
-        )
+        M's arrow tau(a). Refuses a class of a table with relations, whose
+        arrows are not Q's alone."""
+        if self._relations:
+            raise ValueError("tau* takes classes of the kQ table, got %r" % (cls,))
+        return self.class_of(tuple(cls.rep[k] for k in self.iq.tau_arrow_index), self.iq.tau_vec(cls.dim))
 
     def _ext_dist(self, k, l):
         """[(X, cocycle count)] over the extensions of k by l, classes of

@@ -16,13 +16,14 @@ from .ring import VMVI, V, qfact, qint
 
 
 def _factor_indices(n, parity):
-    """The bracket indices [s]^2 appearing in the defining product."""
+    """The bracket indices [s]^2 appearing in the defining product, as a
+    range: a huge n costs nothing before the first product."""
     m = n // 2
     if parity == 1:
-        return [2 * j - 1 for j in range(1, m + 1)]
+        return range(1, 2 * m, 2)
     if n % 2 == 1:
-        return [2 * j for j in range(1, m + 1)]
-    return [2 * j - 2 for j in range(1, m + 1)]
+        return range(2, 2 * m + 1, 2)
+    return range(0, 2 * m - 1, 2)
 
 
 _KCOEF = V * VMVI ** 2  # v (v - v^-1)^2 = v^-1 (v^2 - 1)^2

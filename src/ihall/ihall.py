@@ -125,7 +125,7 @@ class HallAlgebra:
         """The Lambda^i table, built on first use: no product reads it."""
         from .lambda_i import doubled
 
-        return ModuleTable(doubled(self.iq), self.q, self.kq.budget_dim, self.kq.budget_space, self.kq.cache_dir)
+        return ModuleTable(doubled(self.iq), self.q, self.kq.budget_dim, self.kq.budget_space)
 
     # ---------- scalars ----------
 
@@ -192,7 +192,7 @@ class HallAlgebra:
         for i in range(n):
             if not alpha[i]:
                 continue
-            ti = self.kq._tau_idx[i]
+            ti = self.iq.tau_index[i]
             for j in range(n):
                 if ydim[j]:
                     total += alpha[i] * ydim[j] * (cart[ti][j] - cart[i][j])

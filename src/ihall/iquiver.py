@@ -5,11 +5,12 @@ automorphism tau. Q alone, with no relations, is the bound quiver of the
 kQ-modules; the doubled quiver that presents Lambda^i lives in `lambda_i`.
 """
 
+from functools import cached_property
 from typing import NamedTuple
 
 
 class Arrow(NamedTuple):
-    name: str
+    name: str | tuple  # a tuple only for an arrow a bound quiver adds to Q
     src: str
     tgt: str
 
@@ -78,6 +79,9 @@ class IQuiver:
         self.tau = tau
         self.tau_arrows = tau_arrows
         self.vindex = {v: k for k, v in enumerate(vertices)}
+        # tau on vertex positions and on arrow positions
+        self.tau_index = tuple(self.vindex[tau[v]] for v in vertices)
+        self.tau_arrow_index = tuple(names.index(tau_arrows[name]) for name in names)
         self._cartan = None
 
     @staticmethod
@@ -110,10 +114,7 @@ class IQuiver:
 
     def tau_vec(self, alpha):
         """Permute a dimension vector by tau."""
-        out = [0] * self.n
-        for v, k in self.vindex.items():
-            out[self.vindex[self.tau[v]]] = alpha[k]
-        return tuple(out)
+        return tuple(alpha[t] for t in self.tau_index)
 
     def euler(self, x, y):
         """Euler form <x, y>_Q of the path algebra kQ."""
@@ -145,12 +146,9 @@ class IQuiver:
         reps = {min(v, self.tau[v]) for v in self.vertices}
         return tuple(v for v in self.vertices if v in reps)
 
-    def is_virtually_acyclic(self):
-        """True when the only cycles are 2-cycles between tau-paired vertices.
-
-        Equivalently, every vertex w != v that is mutually reachable with v
-        is tau(v).
-        """
+    @cached_property
+    def _reach(self):
+        """{v: the vertices at the end of a nonempty path from v}."""
         succ = {v: [] for v in self.vertices}
         for a in self.arrows:
             succ[a.src].append(a.tgt)
@@ -163,6 +161,19 @@ class IQuiver:
                         seen.add(w)
                         stack.append(w)
             reach[v] = seen
+        return reach
+
+    def is_acyclic(self):
+        """True when Q has no oriented cycle: no vertex reaches itself."""
+        return not any(v in self._reach[v] for v in self.vertices)
+
+    def is_virtually_acyclic(self):
+        """True when the only cycles are 2-cycles between tau-paired vertices.
+
+        Equivalently, every vertex w != v that is mutually reachable with v
+        is tau(v).
+        """
+        reach = self._reach
         return all(
             w == self.tau[v]
             for v in self.vertices
@@ -191,25 +202,18 @@ class BoundQuiver:
     alone, with no relations, whose modules are the kQ-modules.
 
     The `extra` arrows come first, then those of Q: representations are
-    matrix tuples in this order. `tau_arrows` pairs every arrow name with
-    its tau partner's, `tau_extra` those of the extra arrows.
+    matrix tuples in this order.
     """
 
-    def __init__(self, iq: IQuiver, extra=(), relations=(), tau_extra=()):
+    def __init__(self, iq: IQuiver, extra=(), relations=()):
         self.iq = iq
         self.arrows = tuple(extra) + iq.arrows
         self.aindex = {a.name: k for k, a in enumerate(self.arrows)}
         self.relations = tuple(relations)
-        self.tau_arrows = dict(tau_extra, **iq.tau_arrows)
 
     def signature(self):
         """Stable text identity of the iquiver, the arrows and the relations."""
         return repr((self.iq.signature(), self.arrows, self.relations))
-
-    def res_K(self, alpha):
-        """Restriction to kQ of K_alpha: the vector alpha + tau(alpha)."""
-        ta = self.iq.tau_vec(alpha)
-        return tuple(a + b for a, b in zip(alpha, ta))
 
 
 BUILTIN_NAMES = ("rank1-split", "a2-split", "a3-quasisplit", "kronecker-r1")

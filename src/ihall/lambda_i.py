@@ -9,7 +9,9 @@ vertex to Q, bound by
 where "." is composition of linear maps (right factor acts first). The
 eps arrows come first, in vertex order, and a zero matrix is the first
 candidate of every list, so the eps-zero classes of its `frep.ModuleTable`
-(the kQ-modules) come first, each at the index of its kQ class.
+(the kQ-modules) come first, each at the index of its kQ class. eps_v is
+named by the tuple ("eps", v), which no arrow of an iquiver can carry, as
+`IQuiver` makes every arrow name a string.
 
 The product engine never reads a Lambda^i table: the Hall algebra builds
 one only to list classes or to rewrite a module (`HallAlgebra.module_elt`,
@@ -19,24 +21,28 @@ by `homology_reduce`), and the oracles classify it too.
 from . import linalg
 from .iquiver import Arrow, BoundQuiver, Relation
 
-EPS = "eps_%s"  # the name of eps_v
+
+def _eps(v):
+    """The name of eps_v."""
+    return ("eps", v)
 
 
 def doubled(iq):
     """The doubled quiver of iq, whose modules are the Lambda^i-modules."""
-    for v in iq.vertices:
-        if any(a.name == EPS % v for a in iq.arrows):
-            raise ValueError(f"arrow name {EPS % v} collides with the doubled quiver")
     tau = iq.tau
-    rels = [Relation((EPS % v, EPS % tau[v]), None) for v in iq.vertices]
-    rels += [Relation((a.name, EPS % a.tgt), (EPS % a.src, iq.tau_arrows[a.name])) for a in iq.arrows]
-    eps = [Arrow(EPS % v, v, tau[v]) for v in iq.vertices]
-    return BoundQuiver(iq, eps, rels, {EPS % v: EPS % tau[v] for v in iq.vertices})
+    rels = [Relation((_eps(v), _eps(tau[v])), None) for v in iq.vertices]
+    rels += [Relation((a.name, _eps(a.tgt)), (_eps(a.src), iq.tau_arrows[a.name])) for a in iq.arrows]
+    return BoundQuiver(iq, [Arrow(_eps(v), v, tau[v]) for v in iq.vertices], rels)
 
 
 def eps_pos(bq, v):
     """The position of eps_v among the arrows of the doubled quiver bq."""
-    return bq.aindex[EPS % v]
+    return bq.aindex[_eps(v)]
+
+
+def res_K(iq, alpha):
+    """Restriction to kQ of K_alpha: the vector alpha + tau(alpha)."""
+    return tuple(a + b for a, b in zip(alpha, iq.tau_vec(alpha)))
 
 
 def is_eps_zero(cls):
@@ -58,7 +64,7 @@ def homology_reduce(cls, kq):
     lam = cls.table
     if lam.iq is not kq.iq or lam.p != kq.p or not lam._relations:
         raise ValueError("homology reduction takes classes of the Lambda^i table, got %r" % (cls,))
-    p, dim, tau, n = lam.p, cls.dim, lam._tau_idx, lam.iq.n
+    p, dim, tau, n = lam.p, cls.dim, lam.iq.tau_index, lam.iq.n
     eps = cls.rep[:n]
     kers = [linalg.rref(linalg.nullspace(eps[vi], d, p), p) for vi, d in enumerate(dim)]
     sq = lam._subquotient(cls.rep, kers, [linalg.col_space(eps[t], p)[0] for t in tau])
@@ -66,7 +72,7 @@ def homology_reduce(cls, kq):
         raise RuntimeError("ker eps is not a submodule")
     x, xdim = sq
     alpha = tuple(d - len(rows) for d, (rows, _) in zip(dim, kers))
-    if tuple(a + b for a, b in zip(xdim, lam.bq.res_K(alpha))) != dim:
+    if tuple(a + b for a, b in zip(xdim, res_K(lam.iq, alpha))) != dim:
         raise RuntimeError("ker eps / im eps does not have dimension %r - res_K(%r)" % (dim, alpha))
     if any(any(row) for mat in x[:n] for row in mat):
         raise RuntimeError("product left the eps-zero basis: eps acts on ker eps / im eps")

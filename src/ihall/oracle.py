@@ -462,7 +462,7 @@ def k_module(table, v):
     """The generalized simple at v: eps_v acts with rank one, the arrows of
     Q by zero."""
     vi = table.iq.vindex[v]
-    ti = table._tau_idx[vi]
+    ti = table.iq.tau_index[vi]
     dim = [0] * table.iq.n
     dim[vi] += 1
     dim[ti] += 1

@@ -14,8 +14,8 @@ file that fails the check is a miss, computed again and rewritten.
 A file's name is a crc32 of its signature (the source code, the bound
 quiver, p and the dimension vector), and the file stores the signature
 itself, so a name collision is a miss, never foreign data. The source code
-enters as a crc32 of the modules whose results are stored (`SOURCES`): any
-change to one of them makes every old file a miss.
+enters as a crc32 of every module of the package: any change to one of them
+makes every old file a miss.
 
 Runs without a cache directory never import this module.
 """
@@ -28,15 +28,17 @@ from collections import Counter
 from operator import ge
 
 FORMAT = 4  # the payload layout; 1-3 were pickles
-SOURCES = ("frep.py", "linalg.py", "iquiver.py", "lambda_i.py", "tablecache.py")
 
 
 @functools.cache
 def _source_crc():
+    """A crc32 of every .py file of the package, in name order."""
     crc = 0
-    for name in SOURCES:
-        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
-            crc = zlib.crc32(fh.read(), crc)
+    src = os.path.dirname(__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as fh:
+                crc = zlib.crc32(fh.read(), crc)
     return crc
 
 

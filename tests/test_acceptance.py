@@ -14,6 +14,7 @@ from ihall.idp import idp_hall
 from ihall.ihall import HallAlgebra
 from ihall.iqg import verify_presentation
 from ihall.iquiver import BUILTIN_NAMES, IQuiver, build_iquiver, builtin_iquiver
+from ihall.lambda_i import eps_pos
 from ihall.oracle import (
     ext_count_with_middle,
     hom_count,
@@ -211,10 +212,10 @@ def _uw_data(table, cls):
     p = table.p
     ai = table.bq.aindex
     rep = cls.rep
-    rows = tuple(rep[ai["a1"]]) + tuple(rep[ai["eps_1"]])
+    rows = tuple(rep[ai["a1"]]) + tuple(rep[eps_pos(table.bq, "1")])
     u_basis = linalg.nullspace(rows, cls.dim[0], p)
     w_rows = tuple(linalg.transpose(rep[ai["b1"]])) + tuple(
-        linalg.transpose(rep[ai["eps_2"]])
+        linalg.transpose(rep[eps_pos(table.bq, "2")])
     )
     w_rref, w_piv = linalg.rref(w_rows, p)
     u_rref, u_piv = linalg.rref(u_basis, p)
@@ -262,13 +263,13 @@ def test_c7_counting_invariants():
         zero13 = ((0, 0, 0),)
         zero31 = ((0,), (0,), (0,))
         rep_u = [None] * 4
-        rep_u[ai["eps_1"]] = ((0, 1, 0),)
-        rep_u[ai["eps_2"]] = zero31
+        rep_u[eps_pos(tab.bq, "1")] = ((0, 1, 0),)
+        rep_u[eps_pos(tab.bq, "2")] = zero31
         rep_u[ai["a1"]] = ((1, 0, 0),)
         rep_u[ai["b1"]] = zero31
         rep_w = [None] * 4
-        rep_w[ai["eps_1"]] = zero13
-        rep_w[ai["eps_2"]] = ((1,), (0,), (0,))
+        rep_w[eps_pos(tab.bq, "1")] = zero13
+        rep_w[eps_pos(tab.bq, "2")] = ((1,), (0,), (0,))
         rep_w[ai["a1"]] = zero13
         rep_w[ai["b1"]] = ((0,), (1,), (0,))
         want = (q - 1) * (q - 1) * q ** 2

@@ -524,6 +524,23 @@ def test_lambda_classes_load_the_lambda_module(argv):
     assert code == 0 and "ihall.lambda_i" in mods
 
 
+def test_an_arrow_may_carry_the_name_eps_1(tmp_path, capsys):
+    # no arrow of a spec can take the name of an eps arrow of the doubled
+    # quiver, so eps_1 is an arrow name like a1: same classes, same products
+    outs = {}
+    for name in ("eps_1", "a1"):
+        spec = tmp_path / ("%s.json" % name)
+        spec.write_text(json.dumps({"vertices": ["1", "2"], "arrows": [[name, "1", "2"]]}))
+        outs[name] = []
+        for argv in (["enumerate", str(spec), "--dim", "2,1"], ["product", str(spec), "class:2,1#3", "simple:1"]):
+            code, out, err = run(capsys, *argv, "--json")
+            assert (code, err) == (0, ""), (argv, err)
+            payload = json.loads(out)
+            assert payload.pop("quiver") == str(spec)
+            outs[name].append(payload)
+    assert outs["eps_1"] == outs["a1"]
+
+
 def test_qsqrt_loads_no_laurent_ring():
     src = os.path.dirname(os.path.dirname(ihall.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -685,7 +702,7 @@ def test_unknown_package_attribute_is_attribute_error():
 
 # ---------- fuzzing the command line ----------
 
-_IDS = st.sampled_from(["1", "2", "3", 1, 7, "", True, None, 2.5, ["1"]])
+_IDS = st.sampled_from(["1", "2", "3", "eps_1", 1, 7, "", True, None, 2.5, ["1"]])
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 3) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),

@@ -258,10 +258,11 @@ CORRUPTIONS = [
 
 
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
-def test_corrupt_cache_payload_is_recomputed(tmp_path, corruption):
+def test_corrupt_cache_payload_is_recomputed(tmp_path, monkeypatch, corruption):
     dim = (1, 2)
     fresh = table("a2-split", 2)
-    writer = table("a2-split", 2, cache_dir=str(tmp_path))
+    monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
+    writer = table("a2-split", 2)
     writer.classes(dim)
     path = tablecache.path(writer, dim)
     with open(path) as fh:
@@ -331,7 +332,7 @@ def test_corrupt_cache_payload_is_recomputed(tmp_path, corruption):
     with open(path, "w") as fh:
         fh.write(text)
 
-    reader = table("a2-split", 2, cache_dir=str(tmp_path))
+    reader = table("a2-split", 2)
     assert reader._load_cached(dim) is None
     assert _fresh(reader, dim) == _fresh(fresh, dim)
 
@@ -344,11 +345,12 @@ def _fresh(tab, dim):
 
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["split-2"])
-def test_cache_round_trip(tmp_path, name, q):
+def test_cache_round_trip(tmp_path, monkeypatch, name, q):
     # a table read from a cache file equals the one that wrote it
     iq = SPLIT2 if name == "split-2" else builtin_iquiver(name)
-    writer = tables(iq, q, cache_dir=str(tmp_path))
-    reader = tables(iq, q, cache_dir=str(tmp_path))
+    monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
+    writer = tables(iq, q)
+    reader = tables(iq, q)
     for dim in product(range(4), repeat=iq.n):
         if sum(dim) > 3:
             continue
@@ -359,11 +361,11 @@ def test_cache_round_trip(tmp_path, name, q):
 
 
 def test_signature_covers_every_module_the_cache_stores(tmp_path, monkeypatch):
-    # orbits come from frep and linalg and the bound quiver's arrows and
-    # relations from iquiver, so a change to any of them, or to the cache
-    # itself, makes old files a miss
-    names = ("frep.py", "linalg.py", "iquiver.py", "lambda_i.py", "tablecache.py")
+    # the signature signs every module of the package, so a change to any
+    # of them makes old files a miss
     src = os.path.dirname(tablecache.__file__)
+    names = sorted(name for name in os.listdir(src) if name.endswith(".py"))
+    assert {"frep.py", "linalg.py", "iquiver.py", "lambda_i.py", "tablecache.py"} <= set(names)
     for name in names:
         shutil.copy(os.path.join(src, name), tmp_path / name)
     monkeypatch.setattr(tablecache, "__file__", str(tmp_path / "tablecache.py"))
@@ -645,7 +647,7 @@ def test_kq_and_lambda_tables_share_a_cache_dir(tmp_path, monkeypatch):
     assert len(reader[1].classes((1, 1))[0].rep) == 1
 
 
-def test_cache_file_of_version_2_is_a_miss(tmp_path):
+def test_cache_file_of_version_2_is_a_miss(tmp_path, monkeypatch):
     # version 2 keyed its files by the iquiver alone, so a kQ table could
     # have read a Lambda^i file; write one where version 2 put it
     iq = builtin_iquiver("kronecker-r1")
@@ -657,8 +659,9 @@ def test_cache_file_of_version_2_is_a_miss(tmp_path):
     h = hashlib.sha256(repr((2, iq.signature(), 2)).encode()).hexdigest()[:16]
     with open(tmp_path / ("ihall-%s-d1_1.pkl" % h), "wb") as fh:
         pickle.dump({"version": 2, "orbits": orbits, "rep_to_idx": rep_to_idx}, fh)
-    reader = tables(iq, 2, cache_dir=str(tmp_path))
     fresh = tables(iq, 2)
+    monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
+    reader = tables(iq, 2)
     for tab, ref in zip(reader, fresh):
         data = tab._load_cached(dim)
         assert data is None or data == ref._classify(dim)
@@ -679,7 +682,7 @@ class _Tripwire:
         return _unpickled, ()
 
 
-def test_pickle_of_version_3_is_never_read(tmp_path):
+def test_pickle_of_version_3_is_never_read(tmp_path, monkeypatch):
     # version 3 pickled the classes into files named by a sha256 of the
     # bound quiver; write one, with a tripwire, where version 3 put each
     iq = builtin_iquiver("kronecker-r1")
@@ -696,7 +699,8 @@ def test_pickle_of_version_3_is_never_read(tmp_path):
         h = hashlib.sha256(repr((3, ref.bq.signature(), 2)).encode()).hexdigest()[:16]
         with open(tmp_path / ("ihall-%s-d1_1.pkl" % h), "wb") as fh:
             pickle.dump(payload, fh)
-    reader = tables(iq, 2, cache_dir=str(tmp_path))
+    monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
+    reader = tables(iq, 2)
     for tab, ref in zip(reader, fresh):
         assert tab._load_cached(dim) is None
         assert _fresh(tab, dim) == _fresh(ref, dim)
@@ -818,7 +822,7 @@ def _ref_extension_counts(tab, kq, x, y, memo):
     """(`ModuleTable.extension_counts` of x by y, dim Hom(x, tau* y)) with
     no shortcut: every eps block w of the Lambda^i cocycles walked, w = 0
     and the scalar multiples included, each (K, L) by `_ref_ext_dist`."""
-    p, tau = tab.p, tab._tau_idx
+    p, tau = tab.p, tab.iq.tau_index
     dx, dy = x.dim, y.dim
     basis, offs, n = tab._cocycles(_lift(tab, x), _lift(tab, y), dx, dy)
     free = sum(dy[t] * dx[s] for s, t in kq._arrow_ends)
@@ -871,10 +875,11 @@ def test_class_interning():
     assert tab.class_of(s1.rep, s1.dim) is s1
 
 
-def test_classes_of_two_tables_never_compare_equal(tmp_path):
+def test_classes_of_two_tables_never_compare_equal(tmp_path, monkeypatch):
     # classes compare by identity: two tables of one quiver that read one
     # cache directory build equal data but distinct classes
-    a, b = (tables(builtin_iquiver("a2-split"), 2, cache_dir=str(tmp_path)) for _ in "ab")
+    monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
+    a, b = (tables(builtin_iquiver("a2-split"), 2) for _ in "ab")
     for ta, tb in zip(a, b):
         for dim in [(0, 0), (1, 0), (1, 1), (2, 1)]:
             ca, cb = ta.classes(dim), tb.classes(dim)
@@ -976,6 +981,15 @@ def test_tau_star_is_an_involution(name):
             assert kq.tau_star(t) is c
             moved += t is not c
     assert bool(moved) == any(iq.tau[v] != v for v in iq.vertices)
+
+
+def test_tau_star_refuses_a_lambda_class():
+    # tau* permutes the arrow positions of Q, and a Lambda^i rep puts the
+    # eps arrows first
+    tab = table("kronecker-r1", 2)
+    for cls in (tab.simple("1"), k_module(tab, "1")):
+        with pytest.raises(ValueError, match="classes of the kQ table"):
+            tab.tau_star(cls)
 
 
 def test_a_wrong_hall_number_fails_the_hom_check(monkeypatch):

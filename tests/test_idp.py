@@ -1,7 +1,10 @@
 """Idivided powers: symbolic forms and Hall-algebra evaluation."""
 
+import tracemalloc
+
 import pytest
 
+from ihall.frep import BudgetError
 from ihall.idp import idp_hall
 from ihall.ihall import HallAlgebra
 from ihall.iquiver import builtin_iquiver
@@ -63,6 +66,20 @@ def test_hall_evaluation_matches_closed_form():
                 assert sym_to_hall(alg, "1", sym) == idp_hall(
                     alg, "1", n, parity
                 )
+
+
+def test_huge_n_reaches_the_budget_in_little_memory():
+    # the products pass the budget at dimension 7, before any list of the
+    # n/2 bracket indices could be built
+    alg = HallAlgebra(builtin_iquiver("rank1-split"), 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            idp_hall(alg, "1", 10**6, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_fixed_vertex_needs_parity():

@@ -4,10 +4,11 @@ import pytest
 
 from ihall.iquiver import (
     BUILTIN_NAMES,
+    IQuiver,
     build_iquiver,
     builtin_iquiver,
 )
-from ihall.lambda_i import doubled
+from ihall.lambda_i import doubled, eps_pos, res_K
 
 
 def dim_K(bq, v):
@@ -59,7 +60,8 @@ def test_tau_structures():
 def test_bound_quiver_layout():
     bq = doubled(builtin_iquiver("a2-split"))
     names = [a.name for a in bq.arrows]
-    assert names[:2] == ["eps_1", "eps_2"]
+    assert [eps_pos(bq, v) for v in ("1", "2")] == [0, 1]
+    assert names[2:] == ["a1"]
     assert dim_K(bq, "1") == (2, 0)
     # every eps composite relation present: eps^2 at both vertices
     zero_rels = [r for r in bq.relations if r.rhs is None]
@@ -77,10 +79,10 @@ def test_bound_quiver_swap_pair():
 
 def test_res_K():
     bq = doubled(builtin_iquiver("a3-quasisplit"))
-    assert bq.res_K((1, 0, 0)) == tuple(
+    assert res_K(bq.iq, (1, 0, 0)) == tuple(
         x + y for x, y in zip(dim_K(bq, "1"), (0, 0, 0))
     )
-    assert bq.res_K((1, 1, 0)) == tuple(
+    assert res_K(bq.iq, (1, 1, 0)) == tuple(
         x + y for x, y in zip(dim_K(bq, "1"), dim_K(bq, "2"))
     )
 
@@ -187,3 +189,59 @@ def test_virtual_acyclicity():
 def test_signature_distinguishes_builtins():
     sigs = {builtin_iquiver(n).signature() for n in BUILTIN_NAMES}
     assert len(sigs) == len(BUILTIN_NAMES)
+
+
+TAU_QUIVERS = {name: builtin_iquiver(name) for name in BUILTIN_NAMES} | {
+    "kronecker-r2": IQuiver(
+        ["1", "2"],
+        [("a1", "1", "2"), ("a2", "1", "2"), ("b1", "2", "1"), ("b2", "2", "1")],
+        tau={"1": "2", "2": "1"},
+        tau_arrows={"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"},
+    ),
+    "qs3-2": IQuiver(
+        ["1", "2", "3"],
+        [("a1", "1", "2"), ("a2", "1", "2"), ("c1", "3", "2"), ("c2", "3", "2")],
+        tau={"1": "3", "3": "1", "2": "2"},
+        tau_arrows={"a1": "c1", "c1": "a1", "a2": "c2", "c2": "a2"},
+    ),
+    "split-2": IQuiver(
+        ["1", "2"], [("a1", "1", "2"), ("a2", "1", "2")], tau_arrows={"a1": "a2", "a2": "a1"}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(TAU_QUIVERS))
+def test_positional_tau_matches_the_name_maps(name):
+    iq = TAU_QUIVERS[name]
+    assert iq.tau_index == tuple(iq.vindex[iq.tau[v]] for v in iq.vertices)
+    names = [a.name for a in iq.arrows]
+    assert [names[k] for k in iq.tau_arrow_index] == [iq.tau_arrows[a] for a in names]
+    alpha = tuple(range(1, iq.n + 1))
+    assert {v: iq.tau_vec(alpha)[iq.vindex[iq.tau[v]]] for v in iq.vertices} == {
+        v: alpha[iq.vindex[v]] for v in iq.vertices
+    }
+
+
+def _strips_to_nothing(iq):
+    """The sink-stripping test for oriented cycles: peeling off the sinks,
+    again and again, empties Q exactly when Q has none."""
+    ends = [(a.src, a.tgt) for a in iq.arrows]
+    left = set(iq.vertices)
+    while True:
+        sinks = {v for v in left if not any(s == v and t in left for s, t in ends)}
+        if not sinks:
+            return not left
+        left -= sinks
+
+
+CYCLES = {
+    "2-cycle": IQuiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")]),
+    "3-cycle": IQuiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")]),
+}
+
+
+@pytest.mark.parametrize("name", list(TAU_QUIVERS) + list(CYCLES))
+def test_is_acyclic_agrees_with_sink_stripping(name):
+    iq = TAU_QUIVERS.get(name) or CYCLES[name]
+    assert iq.is_acyclic() == _strips_to_nothing(iq)
+    assert iq.is_acyclic() == (name in ("rank1-split", "a2-split", "a3-quasisplit", "qs3-2", "split-2"))
