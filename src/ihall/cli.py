@@ -19,13 +19,10 @@ Each command imports the layers it uses when it runs, so ``identities``
 never loads the module enumeration or the Hall algebra.
 """
 
-from __future__ import annotations
-
-import argparse
-import json
 import sys
 import time
 import warnings
+from types import SimpleNamespace
 
 
 def _load_iquiver(name):
@@ -33,6 +30,8 @@ def _load_iquiver(name):
 
     if name.startswith("builtin:"):
         return builtin_iquiver(name[len("builtin:"):])
+    import json
+
     with open(name) as fh:
         try:
             spec = json.load(fh)
@@ -110,6 +109,8 @@ def _terms_payload(elt):
 
 def _emit(args, payload, text_lines):
     if args.json:
+        import json
+
         # one write: each is a system call when stdout is unbuffered
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
@@ -236,8 +237,12 @@ def _nonnegative(text):
     try:
         value = int(text)
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
     if value < 0:
+        import argparse
+
         raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
     return value
 
@@ -246,59 +251,51 @@ def _parities(text):
     """A nonempty comma list of distinct parities 0 and 1 (argparse exits 2 otherwise)."""
     parts = text.split(",")
     if not set(parts) <= {"0", "1"} or len(set(parts)) < len(parts):
+        import argparse
+
         raise argparse.ArgumentTypeError("want distinct parities 0 and 1, comma separated, got %r" % text)
     return tuple(map(int, parts))
 
 
-def _add_algebra_args(sub):
-    sub.add_argument("quiver", help="builtin:<name> or path of a JSON spec (an unknown builtin name lists the builtins)")
-    sub.add_argument("--q", type=int, default=2, help="prime field size (default 2)")
-    sub.add_argument("--budget-dim", type=_nonnegative, default=6, help="max total dimension enumerated (default 6)")
-    sub.add_argument("--budget-space", type=_nonnegative, default=2 ** 28, help="max raw candidate count at one dimension (default 2^28)")
+# the positional quiver and the options of every command that builds an algebra;
+# an option is (flag, type, default, required, choices, help)
+_QUIVER = ("quiver", "builtin:<name> or path of a JSON spec (an unknown builtin name lists the builtins)")
+_ALGEBRA = (
+    ("--q", int, 2, False, None, "prime field size (default 2)"),
+    ("--budget-dim", _nonnegative, 6, False, None, "max total dimension enumerated (default 6)"),
+    ("--budget-space", _nonnegative, 2 ** 28, False, None, "max raw candidate count at one dimension (default 2^28)"),
+)
 
-
-def _verify_args(sub):
-    _add_algebra_args(sub)
-    sub.add_argument("--parities", type=_parities, default="0,1", help="comma list of parities for the fixed-vertex relations (default 0,1)")
-
-
-def _product_args(sub):
-    _add_algebra_args(sub)
-    sub.add_argument("x", help="element key")
-    sub.add_argument("y", help="element key")
-
-
-def _idp_args(sub):
-    _add_algebra_args(sub)
-    sub.add_argument("--vertex", required=True)
-    sub.add_argument("--n", type=_nonnegative, required=True)
-    sub.add_argument("--parity", type=int, choices=(0, 1), default=None)
-
-
-def _identities_args(sub):
-    sub.add_argument("--pmax", type=_nonnegative, default=12)
-    sub.add_argument("--dmax", type=_nonnegative, default=12)
-    sub.add_argument("--amax", type=_nonnegative, default=8)
-
-
-def _enumerate_args(sub):
-    _add_algebra_args(sub)
-    sub.add_argument("--dim", required=True, help="comma separated dimension vector")
-
-
-# name: (help line, argument adder, handler); every command also takes --json
+# name: (help line, positionals as (name, help), options, handler); every
+# command also takes --json. build_parser and _read both read this table.
 COMMANDS = {
-    "verify": ("run the presentation relation suite", _verify_args, cmd_verify),
-    "product": ("multiply two elements", _product_args, cmd_product),
-    "idp": ("print a Hall-side divided power", _idp_args, cmd_idp),
-    "identities": ("run the q-series identity suites", _identities_args, cmd_identities),
-    "enumerate": ("list module classes at a dimension vector", _enumerate_args, cmd_enumerate),
+    "verify": ("run the presentation relation suite", (_QUIVER,), _ALGEBRA + (
+        ("--parities", _parities, "0,1", False, None,
+         "comma list of parities for the fixed-vertex relations (default 0,1)"),
+    ), cmd_verify),
+    "product": ("multiply two elements", (_QUIVER, ("x", "element key"), ("y", "element key")), _ALGEBRA,
+                cmd_product),
+    "idp": ("print a Hall-side divided power", (_QUIVER,), _ALGEBRA + (
+        ("--vertex", str, None, True, None, None),
+        ("--n", _nonnegative, None, True, None, None),
+        ("--parity", int, None, False, (0, 1), None),
+    ), cmd_idp),
+    "identities": ("run the q-series identity suites", (), (
+        ("--pmax", _nonnegative, 12, False, None, None),
+        ("--dmax", _nonnegative, 12, False, None, None),
+        ("--amax", _nonnegative, 8, False, None, None),
+    ), cmd_identities),
+    "enumerate": ("list module classes at a dimension vector", (_QUIVER,), _ALGEBRA + (
+        ("--dim", str, None, True, None, "comma separated dimension vector"),
+    ), cmd_enumerate),
 }
 
 
 def build_parser(command=None):
     """The argument parser: with a command name, that command's subparser
     alone, else every subparser. Both print the same usage and help texts."""
+    import argparse
+
     ap = argparse.ArgumentParser(prog="ihall", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     names = [command] if command in COMMANDS else list(COMMANDS)
@@ -308,25 +305,81 @@ def build_parser(command=None):
     metavar = "{%s}" % ",".join(COMMANDS) if len(names) == 1 else None
     sp = ap.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_line, add_args, handler = COMMANDS[name]
+        help_line, positionals, options, handler = COMMANDS[name]
         sub = sp.add_parser(name, help=help_line)
-        add_args(sub)
+        for dest, text in positionals:
+            sub.add_argument(dest, help=text)
+        for flag, type_, default, required, choices, text in options:
+            sub.add_argument(flag, type=type_, default=default, required=required, choices=choices, help=text)
         sub.add_argument("--json", action="store_true")
         sub.set_defaults(func=handler)
     return ap
 
 
+def _read(argv):
+    """The namespace of a plain command line, or None.
+
+    A plain line is the exact command name, then exactly its positionals,
+    exact full option names each followed by a value that does not start
+    with "-", and --json, in any order; every value passes its type and
+    choices and every required option is given. Anything else (help,
+    --opt=value, an abbreviation, "--", a negative number, a bad value) is
+    left to argparse, which reads it and words every help and error text.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, positionals, options, handler = COMMANDS[argv[0]]
+    table = {flag: (flag[2:].replace("-", "_"), type_, choices) for flag, type_, _, _, choices, _ in options}
+    args = {"command": argv[0], "json": False, "func": handler}
+    rest = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--json":
+            args["json"] = True
+        elif not token.startswith("-"):
+            rest.append(token)
+        elif token in table:
+            dest, type_, choices = table[token]
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            try:
+                value = type_(value)
+            except Exception:  # argparse runs the type again and words the error
+                return None
+            if choices is not None and value not in choices:
+                return None
+            args[dest] = value
+        else:
+            return None
+    if len(rest) != len(positionals):
+        return None
+    args.update(zip((dest for dest, _ in positionals), rest))
+    for flag, type_, default, required, _, _ in options:
+        dest = table[flag][0]
+        if dest not in args:
+            if required:
+                return None
+            # argparse passes a string default through the option's type
+            args[dest] = type_(default) if isinstance(default, str) else default
+    return SimpleNamespace(**args)
+
+
 def main(argv=None):
     """Run one command; returns its exit code.
 
-    Only the subparser that argv[0] names is built, and its handler imports
-    the layers it runs (the module docstring above is the --help text).
+    A plain command line is read without argparse (`_read`); argparse reads
+    any other, building only the subparser that argv[0] names. The handler
+    imports the layers it runs (the module docstring above is the --help
+    text).
     """
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -45,8 +45,6 @@ list's indices per generator; only the canonical reps of the classes are
 decoded back to matrix tuples.
 """
 
-from __future__ import annotations
-
 import os
 from collections import Counter
 from itertools import product as cartesian
@@ -362,19 +360,25 @@ class ModuleTable:
         keys, sizes, weights = self._radix(dim)
         digits = tuple(zip(weights, sizes))
         # a move is one GL generator at one vertex: per arrow it touches, the
-        # change of the code as that arrow's index i goes to perm[i]
+        # change of the code as that arrow's index i goes to perm[i]. A list
+        # of one matrix is fixed by every move, so a vertex whose arrows all
+        # have one candidate takes no move. A longer list has at least p
+        # matrices, so GL_d's generators, whose primitive root factors p - 1,
+        # are built only for a p the budget check has bounded
         moves = []
         for vi, d in enumerate(dim):
             sides = [
                 (k, ("l" if ti == vi else "") + ("r" if si == vi else ""))
                 for k, (si, ti) in enumerate(self._arrow_ends)
+                if vi in (si, ti) and sizes[k] > 1
             ]
+            if not sides:
+                continue
             for gi in range(len(linalg.gl_generators(d, self.p))):
                 moves.append(
                     tuple(
                         (k, [(j - i) * weights[k] for i, j in enumerate(self._permutation(keys[k], d, gi, side))])
                         for k, side in sides
-                        if side
                     )
                 )
 

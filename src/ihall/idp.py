@@ -8,8 +8,6 @@ symbolic forms in Q(v) (defining product, recursion, closed sum) live in
 `idp_hall`.
 """
 
-from __future__ import annotations
-
 import warnings
 
 from .ring import VMVI, V, qfact, qint

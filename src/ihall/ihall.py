@@ -17,8 +17,6 @@ filtration counts (Hall numbers from every submodule) that give the same
 constants by Riedtmann's formula, live in `oracle`.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from operator import add, sub
 

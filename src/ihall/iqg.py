@@ -12,8 +12,6 @@ resolve here, on access only (`__getattr__` below), because the
 benchmark's tracer (perfbench/spans.py) patches them by these names.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple, Optional
 
 from .qsqrt import QSqrt

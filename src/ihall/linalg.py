@@ -103,15 +103,39 @@ def gl_order(n, p):
     return out
 
 
+# Miller-Rabin to the prime bases 2, ..., 41 decides primality exactly below
+# this bound (Sorenson and Webster 2015)
+PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n):
-    """Trial division; field sizes here are small."""
+    """Deterministic Miller-Rabin, exact below PRIME_TEST_BOUND (about
+    3.317e24); ValueError at or above it."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(
+            "cannot test %d for primality: the test is exact only below %d (about 3.317e24)"
+            % (n, PRIME_TEST_BOUND)
+        )
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -27,8 +27,6 @@ the table weakly and hold class keys, not classes, so nothing in them keeps
 a table alive: they die with it.
 """
 
-from __future__ import annotations
-
 import weakref
 from fractions import Fraction
 from itertools import product as cartesian

@@ -10,10 +10,11 @@ import tempfile
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ihall
 import ihall.cli
+from ihall import linalg
 from ihall.cli import main
 
 SPLIT2 = {
@@ -267,6 +268,35 @@ def test_huge_raw_space_exits_3(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "at least 2^" in err and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["verify", "builtin:rank1-split"], 0),
+        (["verify", "builtin:a2-split"], 3),
+        (["verify", "builtin:a3-quasisplit"], 3),
+        (["verify", "builtin:kronecker-r1"], 3),
+        # the eps loop at a fixed vertex of dimension 1 has one candidate, zero
+        (["enumerate", "builtin:rank1-split", "--dim", "1"], 0),
+    ],
+)
+def test_a_large_prime_q_runs_or_exits_3_without_a_primitive_root(capsys, monkeypatch, argv, exit_code):
+    # q is tested by Miller-Rabin, and GL generators, whose primitive root
+    # factors q - 1 by trial division, are built only at a vertex with a
+    # candidate list of two or more matrices: at this q none passes the budget
+    calls = []
+    primitive_root = linalg.primitive_root
+    monkeypatch.setattr(linalg, "primitive_root", lambda p: calls.append(p) or primitive_root(p))
+    code, _, err = run(capsys, *argv, "--q", str(10 ** 13 + 37))
+    assert (code, calls) == (exit_code, [])
+    assert (code == 3) == err.startswith("budget exceeded:")
+
+
+def test_q_past_the_prime_test_bound_is_input_error(capsys):
+    code, out, err = run(capsys, "verify", "builtin:a2-split", "--q", str(linalg.PRIME_TEST_BOUND))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(linalg.PRIME_TEST_BOUND) in err
 
 
 def test_bad_element_key(capsys):
@@ -629,6 +659,44 @@ def test_commands_load_no_fractions(argv):
     assert out.stdout.strip() == "0 []"
 
 
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (["verify", "builtin:a2-split", "--q", "3", "--json"], True),
+        (["product", "builtin:a2-split", "simple:1", "simple:2", "--q", "3"], True),
+        (["idp", "builtin:rank1-split", "--vertex", "1", "--n", "3", "--parity", "1"], True),
+        (["enumerate", "builtin:a2-split", "--dim", "1,1"], True),
+        (["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"], True),
+        (["verify", "--help"], False),
+        (["verify", "builtin:a2-split", "--no-such-option"], False),
+    ],
+)
+def test_plain_command_lines_load_no_argparse(argv, plain):
+    # a plain command line is read without argparse (and the gettext and
+    # locale it loads); help and usage errors still come from argparse
+    src = os.path.dirname(os.path.dirname(ihall.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """if True:
+        import sys
+        before = set(sys.modules)
+        import contextlib, io, ihall.cli
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = ihall.cli.main(sys.argv[1:])
+            except SystemExit as exc:
+                code = exc.code
+        print(code, sorted({"argparse", "gettext", "locale", "__future__"} & (set(sys.modules) - before)))
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    code, loaded = out.stdout.split(" ", 1)
+    if plain:
+        assert (code, loaded.strip()) == ("0", "[]")
+    else:
+        assert code == ("0" if "--help" in argv else "2") and "'argparse'" in loaded
+
+
 _PARSED = {
     "verify": ["verify", "builtin:a2-split", "--q", "3", "--parities", "1", "--json"],
     "product": ["product", "spec.json", "simple:1", "class:1,1#0", "--budget-dim", "4"],
@@ -683,6 +751,22 @@ def test_usage_errors_match_the_full_parser(argv):
             main(argv)
     assert (exc.value.code, out.getvalue(), err.getvalue()) == full
     assert full[0] == (0 if argv == ["--help"] else 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the job shapes of perfbench/run.py and perfbench/digests.py
+        ["verify", "/work/spec-a2-split.json", "--q", "2", "--parities", "0,1", "--json"],
+        ["verify", "/work/spec-split-a2.json", "--q", "3", "--parities", "0,1", "--json"],
+        ["identities", "--pmax", "10", "--dmax", "8", "--amax", "7", "--json"],
+        ["enumerate", "builtin:a3-quasisplit", "--q", "3", "--dim", "1,0,1", "--json"],
+    ],
+)
+def test_benchmark_command_lines_skip_argparse(argv):
+    # an option change that sent these through argparse would add its
+    # import to every benchmark process
+    assert ihall.cli._read(argv) is not None
 
 
 def test_json_payload_is_one_write(monkeypatch):
@@ -800,3 +884,43 @@ def test_cli_exit_codes_under_fuzzing(case):
         text = out.getvalue()
         assert argv[0] in ("verify", "identities"), (argv, spec)
         assert "FAIL" in text or '"ok": false' in text, (argv, spec)
+
+
+_TAILS = st.sampled_from(["--json", "-h", "--help", "--", "--q=2", "--budget-d", "-1", "x", "--q", "3", "--n", "--parity", "0"])
+
+
+@st.composite
+def _argv_with_tails(draw):
+    """A fuzzed command line with tokens inserted, and options repeated or
+    dropped, at several places."""
+    argv, _ = draw(_argv())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(1, len(argv)))
+        options = [i for i, token in enumerate(argv[:-1]) if token.startswith("--") and token != "--json"]
+        how = draw(st.sampled_from(["insert", "repeat", "drop"])) if options else "insert"
+        if how == "insert":
+            argv.insert(at, draw(_TAILS))
+            continue
+        i = draw(st.sampled_from(options))
+        if how == "repeat":
+            argv[at:at] = [argv[i], draw(st.sampled_from([argv[i + 1], "x", "0", "1", "2", "-1", "-x"]))]
+        else:
+            del argv[i:i + 2]
+    return argv
+
+
+@given(_argv_with_tails())
+@example(["verify", "builtin:a2-split"])
+@example(["identities", "--pmax", "x", "--pmax", "2"])
+@example(["enumerate", "builtin:a2-split", "--dim", "-1,2"])
+@example(["idp", "builtin:rank1-split", "--vertex", "1", "--n", "2", "--parity", "2"])
+@example(["idp", "builtin:rank1-split", "--n", "2"])
+@example(["verify", "-x"])
+@example(["product", "builtin:a2-split", "simple:1", "simple:2", "x"])
+@settings(max_examples=500, deadline=None)
+def test_plain_reader_matches_argparse(argv):
+    # the reader takes a line or leaves it to argparse; a line it takes,
+    # argparse accepts and reads to the same namespace
+    read = ihall.cli._read(argv)
+    if read is not None:
+        assert vars(read) == vars(ihall.cli.build_parser().parse_args(argv)), argv

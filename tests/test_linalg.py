@@ -1,5 +1,6 @@
 """Dense linear algebra over F_p used by the module enumeration."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ihall import linalg
@@ -96,6 +97,19 @@ def test_is_prime_and_primitive_root():
     for p in (2, 3, 5, 7, 11):
         g = linalg.primitive_root(p)
         assert len({pow(g, k, p) for k in range(1, p)}) == p - 1
+
+
+def test_is_prime_is_exact_below_its_bound():
+    # trial division by the primes up to sqrt(2 * 10^5) is the reference
+    small = [d for d in range(2, 448) if all(d % e for e in range(2, d))]
+    for n in range(-1, 2 * 10 ** 5):
+        assert linalg.is_prime(n) == (n > 1 and all(n % d or n == d for d in small if d * d <= n)), n
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not linalg.is_prime(n), n
+    assert linalg.is_prime(2 ** 61 - 1) and linalg.is_prime(10 ** 13 + 37)
+    with pytest.raises(ValueError, match=str(linalg.PRIME_TEST_BOUND)):
+        linalg.is_prime(linalg.PRIME_TEST_BOUND)
 
 
 def test_gl_generators_generate():
