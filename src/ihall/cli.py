@@ -21,7 +21,6 @@ never loads the module enumeration or the Hall algebra.
 
 import sys
 import time
-import warnings
 from types import SimpleNamespace
 
 
@@ -49,62 +48,6 @@ def _algebra(args):
         budget_dim=args.budget_dim,
         budget_space=args.budget_space,
     )
-
-
-def _vertex(algebra, name):
-    """A vertex name from the command line, checked against the quiver."""
-    verts = algebra.iq.vertices
-    if name not in verts:
-        raise ValueError("unknown vertex %r (vertices: %s)" % (name, ", ".join(verts)))
-    return name
-
-
-def _dim_vector(algebra, text):
-    """A comma separated dimension vector, one nonnegative entry per vertex."""
-    try:
-        dim = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError("dimension vector %r is not a comma separated list of integers" % text) from None
-    n = algebra.iq.n
-    if len(dim) != n:
-        raise ValueError("dimension vector %r has %d entries, the quiver has %d vertices" % (text, len(dim), n))
-    if any(d < 0 for d in dim):
-        raise ValueError("dimension vector %r has a negative entry" % text)
-    return dim
-
-
-def _parse_elt(algebra, key):
-    if key.startswith("simple:"):
-        return algebra.simple(_vertex(algebra, key[len("simple:"):]))
-    if key.startswith("k:"):
-        return algebra.torus_k(_vertex(algebra, key[len("k:"):]))
-    if key.startswith("class:"):
-        body = key[len("class:"):]
-        dim_s, sep, idx_s = body.partition("#")
-        if not sep:
-            raise ValueError("class key %r lacks '#<index>'" % key)
-        dim = _dim_vector(algebra, dim_s)
-        try:
-            idx = int(idx_s)
-        except ValueError:
-            raise ValueError("class key %r: index %r is not an integer" % (key, idx_s)) from None
-        # the eps-zero classes come first, each at its kQ class's index, so
-        # only a class past them builds the Lambda^i table
-        basis = algebra.kq.classes(dim)
-        if 0 <= idx < len(basis):
-            return algebra.basis_elt(basis[idx])
-        classes = algebra.table.classes(dim)
-        if not 0 <= idx < len(classes):
-            raise ValueError("index %d out of range: %d classes at dimension %s" % (idx, len(classes), dim_s))
-        return algebra.module_elt(classes[idx])
-    raise ValueError("unrecognized element key %r (want simple:, k:, or class:)" % key)
-
-
-def _terms_payload(elt):
-    return [
-        {"class": cls.name, "alpha": list(alpha), "coeff": str(c)}
-        for (cls, alpha), c in elt.sorted_terms()
-    ]
 
 
 def _emit(args, payload, text_lines):
@@ -145,43 +88,16 @@ def cmd_verify(args):
     return _emit_checks(args, payload, rows, ("relation", "relations"), t0)
 
 
-def cmd_product(args):
+def cmd_element(args):
+    """product, idp and enumerate: `elements` runs the command on the built
+    algebra and cli emits what it returns."""
     algebra = _algebra(args)
-    x = _parse_elt(algebra, args.x)
-    y = _parse_elt(algebra, args.y)
-    prod = x * y
-    payload = {
-        "command": "product",
-        "quiver": args.quiver,
-        "q": args.q,
-        "x": args.x,
-        "y": args.y,
-        "terms": _terms_payload(prod),
-    }
-    _emit(args, payload, [repr(prod)])
-    return 0
+    from . import elements
 
-
-def cmd_idp(args):
-    algebra = _algebra(args)
-    from .idp import idp_hall
-
-    # a warning of idp_hall is one plain line, without Python's source location
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        elt = idp_hall(algebra, _vertex(algebra, args.vertex), args.n, args.parity)
-    for w in caught:
-        print("warning: %s" % w.message, file=sys.stderr)
-    payload = {
-        "command": "idp",
-        "quiver": args.quiver,
-        "q": args.q,
-        "vertex": args.vertex,
-        "n": args.n,
-        "parity": args.parity,
-        "terms": _terms_payload(elt),
-    }
-    _emit(args, payload, [repr(elt)])
+    fields, lines = getattr(elements, "cmd_" + args.command)(algebra, args)
+    payload = {"command": args.command, "quiver": args.quiver, "q": args.q}
+    payload.update(fields)
+    _emit(args, payload, lines)
     return 0
 
 
@@ -198,38 +114,6 @@ def cmd_identities(args):
     rows += run_t_suite(amax=args.amax)
     payload = {"command": "identities", "pmax": args.pmax, "dmax": args.dmax, "amax": args.amax}
     return _emit_checks(args, payload, rows, ("identity", "identities"), t0)
-
-
-def cmd_enumerate(args):
-    from .lambda_i import is_eps_zero
-
-    algebra = _algebra(args)
-    dim = _dim_vector(algebra, args.dim)
-    classes = algebra.table.classes(dim)
-    rows = [
-        {
-            "name": c.name,
-            "aut_order": c.aut_order,
-            "orbit_size": c.orbit_size,
-            "eps_zero": is_eps_zero(c),
-        }
-        for c in classes
-    ]
-    payload = {
-        "command": "enumerate",
-        "quiver": args.quiver,
-        "q": args.q,
-        "dim": list(dim),
-        "classes": rows,
-    }
-    lines = [
-        "%-12s aut=%-8d orbit=%-8d %s"
-        % (r["name"], r["aut_order"], r["orbit_size"], "eps-zero" if r["eps_zero"] else "")
-        for r in rows
-    ]
-    lines.append("%d classes" % len(rows))
-    _emit(args, payload, lines)
-    return 0
 
 
 def _nonnegative(text):
@@ -274,12 +158,12 @@ COMMANDS = {
          "comma list of parities for the fixed-vertex relations (default 0,1)"),
     ), cmd_verify),
     "product": ("multiply two elements", (_QUIVER, ("x", "element key"), ("y", "element key")), _ALGEBRA,
-                cmd_product),
+                cmd_element),
     "idp": ("print a Hall-side divided power", (_QUIVER,), _ALGEBRA + (
         ("--vertex", str, None, True, None, None),
         ("--n", _nonnegative, None, True, None, None),
         ("--parity", int, None, False, (0, 1), None),
-    ), cmd_idp),
+    ), cmd_element),
     "identities": ("run the q-series identity suites", (), (
         ("--pmax", _nonnegative, 12, False, None, None),
         ("--dmax", _nonnegative, 12, False, None, None),
@@ -287,7 +171,7 @@ COMMANDS = {
     ), cmd_identities),
     "enumerate": ("list module classes at a dimension vector", (_QUIVER,), _ALGEBRA + (
         ("--dim", str, None, True, None, "comma separated dimension vector"),
-    ), cmd_enumerate),
+    ), cmd_element),
 }
 
 

@@ -2,7 +2,8 @@
 
 At a tau-fixed vertex the generator [S] does not satisfy the usual
 divided-power law; the right substitute comes in two parities. `idp_hall`
-evaluates the defining product formula with genuine Hall products. The
+evaluates the defining product formula with genuine Hall products, its
+scalars taken at v = sqrt(q) as QSqrt numbers (`qsqrt`). The
 symbolic forms in Q(v) (defining product, recursion, closed sum) live in
 `oracle`, where the tests check them against each other and against
 `idp_hall`.
@@ -10,7 +11,7 @@ symbolic forms in Q(v) (defining product, recursion, closed sum) live in
 
 import warnings
 
-from .ring import VMVI, V, qfact, qint
+from .qsqrt import QSqrt
 
 
 def _factor_indices(n, parity):
@@ -24,9 +25,6 @@ def _factor_indices(n, parity):
     return range(0, 2 * m - 1, 2)
 
 
-_KCOEF = V * VMVI ** 2  # v (v - v^-1)^2 = v^-1 (v^2 - 1)^2
-
-
 def idp_hall(algebra, vertex, n, parity=None):
     """[S_vertex]^(n) computed with genuine Hall products.
 
@@ -34,7 +32,7 @@ def idp_hall(algebra, vertex, n, parity=None):
     chosen parity. At a non-fixed vertex the ordinary divided power
     [S]^n / [n]! applies and the parity argument is ignored.
     """
-    iq = algebra.iq
+    iq, q = algebra.iq, algebra.q
     s_elt = algebra.simple(vertex)
     if iq.tau[vertex] != vertex:
         if parity is not None:
@@ -43,14 +41,15 @@ def idp_hall(algebra, vertex, n, parity=None):
                 stacklevel=2,
             )
         out = algebra.power(s_elt, n)
-        return out.scale(qfact(n).specialize_sqrtq(algebra.q).inverse())
+        return out.scale(QSqrt.qfact(q, n).inverse())
     if parity not in (0, 1):
         raise ValueError("a tau-fixed vertex needs parity 0 or 1")
     k_elt = algebra.torus_k(vertex)
     out = algebra.one()
     for s in _factor_indices(n, parity):
-        coeff = algebra.scalar(_KCOEF * qint(s) ** 2)
+        # v (v - v^-1)^2 [s]^2 = v (v^s - v^-s)^2 = v^(1-2s) (q^s - 1)^2
+        coeff = algebra.v_pow(1 - 2 * s) * (q ** s - 1) ** 2
         out = s_elt * (s_elt * out) + (out * k_elt).scale(coeff)
     if n % 2 == 1:
         out = s_elt * out
-    return out.scale(qfact(n).specialize_sqrtq(algebra.q).inverse())
+    return out.scale(QSqrt.qfact(q, n).inverse())

@@ -254,10 +254,12 @@ def build_iquiver(spec):
     {"name","src","tgt"} objects or [name, src, tgt] / [src, tgt] lists),
     optional "tau" (vertex map, default identity) and "tau_arrows".
     Every id (vertex, arrow name, endpoint, tau key or value) must be a
-    string or an integer. A spec of any other shape raises ValueError.
+    string or an integer. A spec of any other shape, or with a key past
+    those named here (a misspelt "tau_arrows" included), raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError("quiver spec must be a JSON object")
+    _no_other_keys(spec, ("vertices", "arrows", "tau", "tau_arrows"), "quiver spec")
     vertices = spec.get("vertices")
     if not isinstance(vertices, (list, tuple)):
         raise ValueError('quiver spec needs a "vertices" list')
@@ -268,6 +270,7 @@ def build_iquiver(spec):
     arrows = []
     for k, item in enumerate(raw_arrows):
         if isinstance(item, dict) and {"name", "src", "tgt"} <= item.keys():
+            _no_other_keys(item, ("name", "src", "tgt"), f"arrow entry {item!r}")
             name, src, tgt = item["name"], item["src"], item["tgt"]
         elif isinstance(item, (list, tuple)) and len(item) == 3:
             name, src, tgt = item
@@ -281,6 +284,13 @@ def build_iquiver(spec):
             _spec_name(tgt, "an arrow target"),
         ))
     return IQuiver(vertices, arrows, _spec_map(spec, "tau"), _spec_map(spec, "tau_arrows"))
+
+
+def _no_other_keys(obj, keys, what):
+    """Raise ValueError naming the first key of the JSON object obj not in keys."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{what} has unknown key {key!r} (known keys: {', '.join(keys)})")
 
 
 def _spec_map(spec, key):

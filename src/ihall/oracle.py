@@ -33,7 +33,7 @@ from itertools import product as cartesian
 from math import gcd
 
 from . import linalg
-from .idp import _KCOEF, _factor_indices
+from .idp import _factor_indices
 from .ihall import HallElt
 from .lambda_i import eps_pos
 from .qseries import comb2, p_exponent, qbinom, qdfact
@@ -41,11 +41,14 @@ from .ring import (
     VMVI,
     LaurentPoly,
     ONE,
+    V,
     ZERO,
     _poly_divmod,
     qfact,
     qint,
 )
+
+_KCOEF = V * VMVI ** 2  # v (v - v^-1)^2 = v^-1 (v^2 - 1)^2, the K factor of [S]^(n)
 
 # ---------------------------------------------------------------------------
 # the field Q(v)

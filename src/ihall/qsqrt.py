@@ -4,8 +4,11 @@ A QSqrt holds three ints a, b and d in lowest terms, so every scalar
 operation is int arithmetic and one gcd; only its repr prints fractions.
 Equality is structural, and a value with b = 0 hashes as the int or
 Fraction it equals. No floats anywhere. Only the commands that build a
-Hall algebra load this module; LaurentPoly.specialize_sqrtq imports it when
-it is called.
+Hall algebra load this module. The q-numbers a Hall algebra scales by,
+sqrt(q)^e, [n]! and (v^e; v^e)_n at v = sqrt(q), are built here from ints,
+so those commands never load the Laurent polynomials of `ring`; only
+LaurentPoly.specialize_sqrtq, which the oracles and the tests call, goes
+the other way and imports this module when it is called.
 """
 
 from math import gcd, isqrt
@@ -49,6 +52,28 @@ class QSqrt:
         k, odd = divmod(e, 2)
         n = q ** abs(k)
         return cls(q, (1 - odd) * n, odd * n) if k >= 0 else cls(q, 1 - odd, odd, n)
+
+    @classmethod
+    def qfact(cls, q, n):
+        """[n]! at v = sqrt(q), n >= 0: [k] = v^(1-k) (1 + q + ... + q^(k-1)),
+        so [n]! is v^(-n(n-1)/2) times the product of those int sums."""
+        if n < 0:
+            raise ValueError("qfact needs n >= 0")
+        prod = r = 1
+        for _ in range(1, n):
+            r = r * q + 1
+            prod *= r
+        return cls.v_pow(q, -n * (n - 1) // 2) * prod
+
+    @classmethod
+    def pochhammer(cls, q, e, n):
+        """(v^e; v^e)_n = prod_{j=1}^{n} (1 - v^(e j)) at v = sqrt(q), n >= 0."""
+        if n < 0:
+            raise ValueError("pochhammer needs n >= 0")
+        out = cls(q, 1)
+        for j in range(1, n + 1):
+            out = out * (1 - cls.v_pow(q, e * j))
+        return out
 
     def is_zero(self):
         return not self.a and not self.b

@@ -12,10 +12,13 @@ a LaurentPoly or an int (a constant) for every operator.  Equality is
 structural, and a constant hashes as the int it equals.  No floats
 anywhere.
 
-Every command loads this module, so it holds only what more than one
-command runs: LaurentPoly, [n], [n]! and q-Pochhammer products.  The
-values at v = sqrt(q) are QSqrt numbers (`qsqrt`), and the
-q-combinatorics that only the identity suites use live in `qseries`.
+Of the commands only `identities` loads this module: the Hall-side
+commands take their scalars at v = sqrt(q) as QSqrt numbers, which `qsqrt`
+builds from ints.  It holds what the identity suites, the Q(v) oracles and
+the tests share: LaurentPoly, [n], [n]! and q-Pochhammer products.  The
+tests check the QSqrt values against these forms specialized at
+v = sqrt(q), and the q-combinatorics that only the identity suites use
+live in `qseries`.
 """
 
 from functools import lru_cache

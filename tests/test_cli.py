@@ -347,6 +347,25 @@ def test_malformed_quiver_spec_is_input_error(tmp_path, capsys, spec):
     assert err.startswith("error:")
 
 
+def test_unknown_spec_keys_are_input_errors(tmp_path, capsys):
+    # "tau_arrow" for "tau_arrows": the arrows are not swapped, and the
+    # identity pairing once gave 36 classes at (2, 2) where the swap has 34
+    spec = dict(SPLIT2, tau_arrow={"a1": "a2", "a2": "a1"})
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "enumerate", str(path), "--dim", "2,2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: quiver spec has unknown key 'tau_arrow'")
+    spec["tau_arrows"] = spec.pop("tau_arrow")
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "enumerate", str(path), "--dim", "2,2")
+    assert code == 0 and out.endswith("\n34 classes\n")
+    arrow = {"name": "a1", "src": "1", "tgt": "2", "weight": 1}
+    path.write_text(json.dumps({"vertices": ["1", "2"], "arrows": [arrow]}))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and "unknown key 'weight'" in err
+
+
 def test_enumerate_wrong_dimension_length_is_input_error(capsys):
     code, _, err = run(capsys, "enumerate", "builtin:a2-split", "--dim", "1")
     assert code == 2
@@ -478,23 +497,63 @@ def test_import_loads_no_cache_modules(tmp_path):
     assert runs == ["0 True ['ihall.tablecache']", "0 False ['ihall.tablecache']"]
 
 
-def _loaded_ihall_modules(argv):
+def _loaded_ihall_modules(argv, as_main=False):
     """(exit code, sorted ihall modules loaded) of one command run in a fresh
-    interpreter that imports only ihall.cli first."""
+    interpreter that imports only ihall.cli first; with as_main, that runs
+    cli as __main__, as `python -m ihall.cli` does."""
     src = os.path.dirname(os.path.dirname(ihall.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if as_main:
+        load, call = "import runpy", "runpy.run_module('ihall.cli', run_name='__main__', alter_sys=True)"
+    else:
+        load, call = "import ihall.cli", "ihall.cli.main(sys.argv[1:])"
     code = """if True:
         import contextlib, io, json, sys
-        import ihall.cli
+        %s
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = ihall.cli.main(sys.argv[1:])
+            try:
+                code = %s
+            except SystemExit as exc:
+                code = exc.code
         print(code, json.dumps(sorted(m for m in sys.modules if m == "ihall" or m.startswith("ihall."))))
-    """
+    """ % (load, call)
     out = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
     )
     code, mods = out.stdout.split(" ", 1)
     return int(code), json.loads(mods)
+
+
+# The ihall modules each plain command loads past the package itself, as
+# README's table lists them. Each command runs as `python -m ihall.cli`
+# runs it, so no module may import ihall.cli: that would compile cli a
+# second time beside __main__.
+_HALL = ["ihall.frep", "ihall.ihall", "ihall.iquiver", "ihall.linalg", "ihall.qsqrt"]
+_VERIFY = _HALL + ["ihall.idp", "ihall.iqg"]
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["verify", "builtin:a3-quasisplit", "--q", "3"], _VERIFY),
+        (["verify", "SPEC", "--q", "2", "--parities", "0,1", "--json"], _VERIFY),
+        (["product", "builtin:kronecker-r1", "simple:1", "simple:2"], _HALL + ["ihall.elements"]),
+        (["idp", "builtin:rank1-split", "--vertex", "1", "--n", "3", "--parity", "0"],
+         _HALL + ["ihall.elements", "ihall.idp"]),
+        (["enumerate", "builtin:a2-split", "--dim", "2,1"], _HALL + ["ihall.elements", "ihall.lambda_i"]),
+        (["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"], ["ihall.qseries", "ihall.ring"]),
+    ],
+)
+def test_each_command_loads_its_row_of_the_module_table(tmp_path, argv, loads):
+    # verify, idp and product load no Laurent polynomials (ring), and verify
+    # and identities no element commands (elements)
+    if "SPEC" in argv:
+        spec = tmp_path / "split2.json"
+        spec.write_text(json.dumps(SPLIT2))
+        argv = [str(spec) if a == "SPEC" else a for a in argv]
+    code, mods = _loaded_ihall_modules(argv, as_main=True)
+    assert code == 0
+    assert mods == sorted(["ihall"] + loads)
 
 
 def test_identities_loads_only_its_layers():

@@ -7,7 +7,7 @@ import pytest
 from ihall.frep import BudgetError
 from ihall.idp import idp_hall
 from ihall.ihall import HallAlgebra
-from ihall.iquiver import builtin_iquiver
+from ihall.iquiver import BUILTIN_NAMES, builtin_iquiver
 from ihall.oracle import (
     LaurentFrac,
     SymRank1,
@@ -66,6 +66,25 @@ def test_hall_evaluation_matches_closed_form():
                 assert sym_to_hall(alg, "1", sym) == idp_hall(
                     alg, "1", n, parity
                 )
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_hall_evaluation_matches_its_laurent_forms(name, q):
+    # idp_hall takes its scalars at v = sqrt(q) as QSqrt numbers; the
+    # reference takes them as Laurent polynomials and specializes them: the
+    # symbolic product form at a fixed vertex, [S]^n / [n]! elsewhere
+    alg = HallAlgebra(builtin_iquiver(name), q)
+    for vertex in alg.iq.vertices:
+        fixed = alg.iq.tau[vertex] == vertex
+        for n in range(6):
+            if not fixed:
+                plain = alg.power(alg.simple(vertex), n).scale(alg.scalar(qfact(n)).inverse())
+                assert idp_hall(alg, vertex, n) == plain, (vertex, n)
+                continue
+            for parity in (0, 1):
+                sym = sym_to_hall(alg, vertex, idp_product(n, parity))
+                assert idp_hall(alg, vertex, n, parity) == sym, (vertex, n, parity)
 
 
 def test_huge_n_reaches_the_budget_in_little_memory():

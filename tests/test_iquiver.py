@@ -1,5 +1,8 @@
 """Quiver-with-involution data: validation, forms, bound quiver."""
 
+import importlib.util
+import os
+
 import pytest
 
 from ihall.iquiver import (
@@ -132,6 +135,37 @@ def test_build_iquiver_rejects_bad_input():
                 "tau": {"1": "2", "2": "3", "3": "1"},
             }
         )
+
+
+def test_build_iquiver_refuses_unknown_keys():
+    # a misspelt "tau_arrows" was once ignored and the identity pairing
+    # inferred in its place
+    spec = {
+        "vertices": ["1", "2"],
+        "arrows": [["a1", "1", "2"], ["a2", "1", "2"]],
+        "tau_arrow": {"a1": "a2", "a2": "a1"},
+    }
+    with pytest.raises(ValueError, match="unknown key 'tau_arrow'"):
+        build_iquiver(spec)
+    spec["tau_arrows"] = spec.pop("tau_arrow")
+    assert build_iquiver(spec).tau_arrows == {"a1": "a2", "a2": "a1"}
+    arrow = {"name": "a", "src": "1", "tgt": "2", "label": "x"}
+    with pytest.raises(ValueError, match="unknown key 'label'"):
+        build_iquiver({"vertices": ["1", "2"], "arrows": [arrow]})
+
+
+def test_bench_specs_and_builtins_build():
+    # the benchmark's specs, under many seeds, use only the known keys;
+    # its unrelabelled builtins build the builtin quivers
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "specs.py")
+    loader = importlib.util.spec_from_file_location("bench_specs", path)
+    specs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(specs)
+    for name, base in specs.BASE_SPECS.items():
+        for seed in range(64):
+            build_iquiver(specs.relabel(name, seed))
+        if name in BUILTIN_NAMES:
+            assert build_iquiver(base).signature() == builtin_iquiver(name).signature(), name
 
 
 def test_tau_arrow_inference_requires_unique_candidate():

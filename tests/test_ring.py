@@ -228,6 +228,21 @@ def test_qsqrt_v_pow_is_a_power_of_q_times_sqrt_q():
             assert (got.b == 0) == (e % 2 == 0 or isqrt(q) ** 2 == q), (q, e)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_qsqrt_q_numbers_match_their_laurent_forms(q):
+    # the scalars of idp_hall and of the pair relation are built from ints
+    # at v = sqrt(q); 4 and 9 fold the sqrt part
+    for n in range(13):
+        assert QSqrt.qfact(q, n) == qfact(n).specialize_sqrtq(q), n
+    for e in (1, -1, 2, -2):
+        for n in range(7):
+            assert QSqrt.pochhammer(q, e, n) == pochhammer(e, e, n).specialize_sqrtq(q), (e, n)
+    with pytest.raises(ValueError):
+        QSqrt.qfact(q, -1)
+    with pytest.raises(ValueError):
+        QSqrt.pochhammer(q, 2, -1)
+
+
 def test_qsqrt_mixing_bases_rejected():
     with pytest.raises(ValueError):
         QSqrt(2, 1) + QSqrt(3, 1)
