@@ -24,7 +24,6 @@ _HOME = {
     "IQuiver": "iquiver",
     "build_iquiver": "iquiver",
     "builtin_iquiver": "iquiver",
-    "LaurentFrac": "oracle",
     "idp_closed": "oracle",
     "idp_product": "oracle",
     "idp_recursive": "oracle",

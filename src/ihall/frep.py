@@ -449,15 +449,46 @@ class ModuleTable:
             tablecache.store(self, dim, data)
 
     def classes(self, dim):
-        """Isomorphism classes at a dimension vector, in a stable order."""
+        """Isomorphism classes at a dimension vector, in a stable order.
+
+        A vector in neither memory nor the disk cache is classified from
+        the classes one step below it (`_seeds`). Those are read first, by
+        a walk down with an explicit stack that stops at each vector held
+        in memory or on disk; the missing ones are then classified smallest
+        total first, so every `_seeds` finds its classes in memory and the
+        call chain does not grow with the total dimension.
+        """
         dim = tuple(int(d) for d in dim)
         if dim in self._classes:
             return self._classes[dim]
         self.check_budget(dim)
         data = self._load_cached(dim)
         if data is None:
+            missing, seen, stack = [], {dim}, [dim]
+            while stack:
+                top = stack.pop()
+                for v, dv in enumerate(top):
+                    low = top[:v] + (dv - 1,) + top[v + 1 :]
+                    if not dv or low in seen or low in self._classes:
+                        continue
+                    seen.add(low)
+                    self.check_budget(low)
+                    low_data = self._load_cached(low)
+                    if low_data is None:
+                        missing.append(low)
+                        stack.append(low)
+                    else:
+                        self._adopt(low, low_data)
+            for low in sorted(missing, key=sum):
+                low_data = self._classify(low)
+                self._store_cached(low, low_data)
+                self._adopt(low, low_data)
             data = self._classify(dim)
             self._store_cached(dim, data)
+        return self._adopt(dim, data)
+
+    def _adopt(self, dim, data):
+        """Hold the classes of (orbits, rep map) at dim; returns them."""
         orbits, rep_to_idx = data
         cls = tuple(
             IsoClass(self, dim, k, can, osz, aut)

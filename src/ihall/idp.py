@@ -4,9 +4,9 @@ At a tau-fixed vertex the generator [S] does not satisfy the usual
 divided-power law; the right substitute comes in two parities. `idp_hall`
 evaluates the defining product formula with genuine Hall products, its
 scalars taken at v = sqrt(q) as QSqrt numbers (`qsqrt`). The
-symbolic forms in Q(v) (defining product, recursion, closed sum) live in
-`oracle`, where the tests check them against each other and against
-`idp_hall`.
+symbolic forms (defining product, recursion, closed sum), Laurent
+polynomials over one common Laurent denominator, live in `oracle`, where
+the tests check them against each other and against `idp_hall`.
 """
 
 import warnings

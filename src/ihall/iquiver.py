@@ -82,7 +82,6 @@ class IQuiver:
         # tau on vertex positions and on arrow positions
         self.tau_index = tuple(self.vindex[tau[v]] for v in vertices)
         self.tau_arrow_index = tuple(names.index(tau_arrows[name]) for name in names)
-        self._cartan = None
 
     @staticmethod
     def _infer_tau_arrows(arrows, tau):
@@ -126,16 +125,14 @@ class IQuiver:
     def sym(self, x, y):
         return self.euler(x, y) + self.euler(y, x)
 
-    @property
+    @cached_property
     def cartan(self):
         """Symmetrized matrix c_ij = <e_i,e_j>_Q + <e_j,e_i>_Q."""
-        if self._cartan is None:
-            units = [self.unit(v) for v in self.vertices]
-            self._cartan = tuple(
-                tuple(self.sym(units[i], units[j]) for j in range(self.n))
-                for i in range(self.n)
-            )
-        return self._cartan
+        units = [self.unit(v) for v in self.vertices]
+        return tuple(
+            tuple(self.sym(units[i], units[j]) for j in range(self.n))
+            for i in range(self.n)
+        )
 
     def cartan_vv(self, u, w):
         return self.cartan[self.vindex[u]][self.vindex[w]]

@@ -4,13 +4,11 @@ No command imports this module: `ihall verify` and the other commands run
 the engine alone (`ModuleTable.extension_counts`, `HallAlgebra._pair`,
 `idp.idp_hall`). Each route here reaches the same numbers another way:
 
-* the field Q(v) (`LaurentFrac`), in which the symbolic forms live, kept
-  as reduced fractions of Laurent polynomials over Z; its gcd takes
-  pseudo-remainders through `ring._poly_divmod`, the one long division;
 * the symbolic idivided powers at a tau-fixed vertex: the defining product
   form, the two-step recursion and the closed sum (`idp_product`,
-  `idp_recursive`, `idp_closed`), and their image in a Hall algebra
-  (`sym_to_hall`);
+  `idp_recursive`, `idp_closed`), each a `SymRank1` of Laurent polynomial
+  numerators over one common Laurent denominator, and their image in a
+  Hall algebra (`sym_to_hall`);
 * the raw enumeration of every relation-satisfying tuple, nilpotent or
   not (`enumerate_reps`), and the module constructions the tests build
   classes with (`k_module`, `direct_sum`, `multiple`);
@@ -28,211 +26,43 @@ a table alive: they die with it.
 """
 
 import weakref
-from fractions import Fraction
 from itertools import product as cartesian
-from math import gcd
 
 from . import linalg
 from .idp import _factor_indices
 from .ihall import HallElt
 from .lambda_i import eps_pos
 from .qseries import comb2, p_exponent, qbinom, qdfact
-from .ring import (
-    VMVI,
-    LaurentPoly,
-    ONE,
-    V,
-    ZERO,
-    _poly_divmod,
-    qfact,
-    qint,
-)
+from .qsqrt import QSqrt
+from .ring import VMVI, LaurentPoly, ONE, V, ZERO, qfact, qint
 
 _KCOEF = V * VMVI ** 2  # v (v - v^-1)^2 = v^-1 (v^2 - 1)^2, the K factor of [S]^(n)
-
-# ---------------------------------------------------------------------------
-# the field Q(v)
-# ---------------------------------------------------------------------------
-
-
-def _primitive(a):
-    """A nonzero int list divided by its content, leading coefficient positive."""
-    c = gcd(*a)
-    return [x // c for x in a] if a[-1] > 0 else [-x // c for x in a]
-
-
-def _poly_gcd(a, b):
-    """Primitive gcd over Z of nonzero dense int sequences (low degree first,
-    last coefficient nonzero), with a positive leading coefficient.
-
-    Euclid on primitive parts with pseudo-remainders: b's leading coefficient
-    to the power deg a - deg b + 1, times a, divides by b exactly at every
-    step of `_poly_divmod`.
-    """
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        _, r = _poly_divmod([x * b[-1] ** (len(a) - len(b) + 1) for x in a], b)
-        while r and not r[-1]:
-            r.pop()
-        if not r:
-            return b
-        a, b = b, _primitive(r)
-
-
-class LaurentFrac:
-    """Element of Q(v) as a reduced fraction of Laurent polynomials over Z.
-
-    Normal form: the denominator is an ordinary polynomial in v with nonzero
-    constant term and positive leading coefficient; numerator and
-    denominator are coprime in Q[v] and the gcd of all their coefficients
-    is 1; the zero element is 0/1.  Equality is therefore structural.  A
-    Fraction argument becomes its numerator over its denominator.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=ONE):
-        num, den_n = _split(num)
-        den, num_d = _split(den)
-        num, den = num * num_d, den * den_n
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in Q(v)")
-        if num.is_zero():
-            num, den = ZERO, ONE
-        else:
-            g = _poly_gcd(num.coeffs, den.coeffs)
-            g = LaurentPoly(dict(enumerate(g)))
-            num, den = num.exact_div(g), den.exact_div(g)
-            lo = den.min_exp()
-            c = gcd(*num.coeffs, *den.coeffs)
-            if den.coeff(den.max_exp()) < 0:
-                c = -c
-            num = LaurentPoly({e - lo: x // c for e, x in num.terms.items()})
-            den = LaurentPoly({e - lo: x // c for e, x in den.terms.items()})
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentFrac is immutable")
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        other = _as_frac_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = _as_frac_or_none(other)
-        if other is None:
-            return NotImplemented
-        return LaurentFrac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = object.__new__(LaurentFrac)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
-
-    def __sub__(self, other):
-        other = _as_frac_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_frac_or_none(other)
-        if other is None:
-            return NotImplemented
-        return LaurentFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_frac_or_none(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero in Q(v)")
-        return LaurentFrac(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_frac_or_none(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def bar(self):
-        return LaurentFrac(self.num.bar(), self.den.bar())
-
-    def specialize_sqrtq(self, q):
-        return self.num.specialize_sqrtq(q) / self.den.specialize_sqrtq(q)
-
-    def __repr__(self):
-        if self.den == ONE:
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
-
-
-def _split(x):
-    """(Laurent polynomial, int) whose quotient is x, for x in Z[v, v^-1] or Q."""
-    if isinstance(x, LaurentPoly):
-        return x, 1
-    if isinstance(x, (int, Fraction)):
-        return LaurentPoly.const(x.numerator), x.denominator
-    raise TypeError(f"cannot interpret {type(x).__name__} as a Laurent polynomial")
-
-
-def _as_frac_or_none(x):
-    if isinstance(x, LaurentFrac):
-        return x
-    if isinstance(x, (int, Fraction, LaurentPoly)):
-        return LaurentFrac(x)
-    return None
-
 
 # ---------------------------------------------------------------------------
 # symbolic idivided powers
 # ---------------------------------------------------------------------------
 
 
-def _lf(x):
-    if isinstance(x, LaurentFrac):
-        return x
-    return LaurentFrac(x)
-
-
 class SymRank1:
-    """Laurent-rational combinations of [nS] * K^k at one tau-fixed vertex.
+    """Q(v)-combinations of [nS] * K^k at one tau-fixed vertex.
 
-    Only the operations the idivided-power constructions need are defined:
-    left multiplication by [S] (one folding rule) and multiplication by the
-    central torus element K.
+    `terms` maps (n, k) to a Laurent polynomial numerator, all of them over
+    one common denominator `den`, a nonzero Laurent polynomial. No fraction
+    is ever reduced: a sum cross-multiplies, and two elements are equal
+    when the numerators of each cross-multiplied by the other's denominator
+    agree. Only the operations the idivided-power constructions need are
+    defined: left multiplication by [S] (one folding rule), multiplication
+    by the central torus element K, scaling by a Laurent polynomial and
+    division by one (`over`).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms):
-        self.terms = {k: _lf(c) for k, c in terms.items() if _lf(c)}
-
-    @classmethod
-    def zero(cls):
-        return cls({})
+    def __init__(self, terms, den=ONE):
+        if not den:
+            raise ZeroDivisionError("SymRank1 with denominator zero")
+        self.terms = {k: c for k, c in terms.items() if c}
+        self.den = den
 
     @classmethod
     def one(cls):
@@ -243,56 +73,55 @@ class SymRank1:
         return cls({(1, 0): ONE})
 
     def __add__(self, other):
-        out = dict(self.terms)
+        a, b = self.den, other.den
+        out = {k: c * b for k, c in self.terms.items()}
         for k, c in other.terms.items():
-            out[k] = out.get(k, LaurentFrac(0)) + c
-        return SymRank1(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, LaurentFrac(0)) - c
-        return SymRank1(out)
+            out[k] = out.get(k, ZERO) + c * a
+        return SymRank1(out, a * b)
 
     def __eq__(self, other):
-        return isinstance(other, SymRank1) and self.terms == other.terms
+        if not isinstance(other, SymRank1):
+            return NotImplemented
+        a, b = self.den, other.den
+        return all(
+            self.terms.get(k, ZERO) * b == other.terms.get(k, ZERO) * a
+            for k in self.terms.keys() | other.terms.keys()
+        )
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
+    __hash__ = None
 
     def scale(self, c):
-        c = _lf(c)
-        return SymRank1({k: x * c for k, x in self.terms.items()})
+        return SymRank1({k: x * c for k, x in self.terms.items()}, self.den)
+
+    def over(self, d):
+        """This element divided by the nonzero Laurent polynomial d."""
+        return SymRank1(self.terms, self.den * d)
 
     def mul_S(self):
         """Left product by [S]: [S]*[nS] = v^-n [(n+1)S] + (v^n - v^-n)[(n-1)S]K."""
         out = {}
 
         def add(key, val):
-            out[key] = out.get(key, LaurentFrac(0)) + val
+            out[key] = out.get(key, ZERO) + val
 
         for (n, k), c in self.terms.items():
             add((n + 1, k), c * LaurentPoly.v_pow(-n))
             if n >= 1:
                 add((n - 1, k + 1), c * (LaurentPoly.v_pow(n) - LaurentPoly.v_pow(-n)))
-        return SymRank1(out)
+        return SymRank1(out, self.den)
 
     def mul_K(self, m=1):
-        return SymRank1({(n, k + m): c for (n, k), c in self.terms.items()})
+        return SymRank1({(n, k + m): c for (n, k), c in self.terms.items()}, self.den)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
         bits = []
         for (n, k), c in sorted(self.terms.items()):
             s = "(%r)[%dS]" % (c, n)
             if k:
                 s += "*K^%d" % k
             bits.append(s)
-        return " + ".join(bits)
+        out = " + ".join(bits) or "0"
+        return out if self.den == ONE else "(%s)/(%r)" % (out, self.den)
 
 
 def idp_product(n, parity):
@@ -308,7 +137,7 @@ def idp_product(n, parity):
         out = out.mul_S().mul_S() + out.mul_K().scale(_KCOEF * qint(s) ** 2)
     if n % 2 == 1:
         out = out.mul_S()
-    return out.scale(LaurentFrac(ONE, qfact(n)))
+    return out.over(qfact(n))
 
 
 def idp_recursive(n, parity):
@@ -325,7 +154,7 @@ def idp_recursive(n, parity):
         rhs = cur.mul_S()
         if correction_step and m >= 1:
             rhs = rhs + prev.mul_K().scale(_KCOEF * qint(m))
-        prev, cur = cur, rhs.scale(LaurentFrac(ONE, qint(m + 1)))
+        prev, cur = cur, rhs.over(qint(m + 1))
     return cur
 
 
@@ -334,16 +163,15 @@ def idp_closed(n, parity):
     if n < 0:
         raise ValueError("n must be nonnegative")
     sign = -1 if n % 2 else 1  # (-1)^n
-    out = {}
+    out = SymRank1({})
     for k in range(n // 2 + 1):
         if parity == 1:
             e = k * (k + sign) - comb2(n - 2 * k)
         else:
             e = k * (k - sign) - comb2(n - 2 * k)
         num = LaurentPoly.v_pow(e) * VMVI ** k
-        coeff = LaurentFrac(num, qfact(n - 2 * k) * qdfact(2 * k))
-        out[(n - 2 * k, k)] = coeff
-    return SymRank1(out)
+        out = out + SymRank1({(n - 2 * k, k): num}, qfact(n - 2 * k) * qdfact(2 * k))
+    return out
 
 
 def sym_to_hall(algebra, vertex, sym):
@@ -354,12 +182,13 @@ def sym_to_hall(algebra, vertex, sym):
     vi = iq.vertices.index(vertex)
     table = algebra.kq
     simple = table.simple(vertex)
+    inv = algebra.scalar(sym.den).inverse()
     acc = {}
     for (n, k), c in sym.terms.items():
         cls = multiple(table, simple, n)
         alpha = tuple(k if t == vi else 0 for t in range(iq.n))
         key = (cls, alpha)
-        acc[key] = acc.get(key, algebra.scalar(0)) + algebra.scalar(c)
+        acc[key] = acc.get(key, algebra.scalar(0)) + algebra.scalar(c) * inv
     return HallElt(algebra, acc)
 
 
@@ -562,18 +391,12 @@ def ext_count_with_middle(table, x, y, z):
     |Aut z| / (|Aut x| |Aut y|). The result must be a nonnegative integer.
     """
     f = hall_number(table, x, y, z)
-    val = (
-        Fraction(f)
-        * hom_count(table, x, y)
-        * x.aut_order
-        * y.aut_order
-        / z.aut_order
-    )
-    if val.denominator != 1:
+    ext, rem = divmod(f * hom_count(table, x, y) * x.aut_order * y.aut_order, z.aut_order)
+    if rem:
         raise RuntimeError(
             "extension count is not an integer for %r, %r, %r" % (x, y, z)
         )
-    return int(val)
+    return ext
 
 
 def hom_count(table, a, b):
@@ -655,7 +478,7 @@ def oracle_kq_product(algebra, a, b):
             ext = ext_count_with_middle(table, n_cls, l_cls, m)
             if not ext:
                 continue
-            acc[(m, alpha)] = algebra.scalar(Fraction(ext, hom_nl)) * scal
+            acc[(m, alpha)] = QSqrt(algebra.q, ext, 0, hom_nl) * scal
         out = out + HallElt(algebra, acc)
     return out
 
@@ -704,9 +527,7 @@ def oracle_sss(algebra, s, t):
             )
             if num.is_zero():
                 continue
-            scal = algebra.scalar(LaurentFrac(num, qfact(r))) * Fraction(
-                1, m_cls.aut_order
-            )
+            scal = algebra.scalar(num) / algebra.scalar(qfact(r) * m_cls.aut_order)
             out = out + HallElt(algebra, {(m_cls, alpha): scal})
     return out
 
@@ -740,7 +561,7 @@ def oracle_kronecker_single(algebra, l, t):
     dim = tuple(2 * r + 1 if j == i1 else 1 for j in range(2))
     pref = algebra.v_pow(
         -r * (2 * r + 1) + t * l + l * (l - 1) + t * (t - 1)
-    ) * Fraction((algebra.q - 1) ** (2 * r + 2), 1)
+    ) * (algebra.q - 1) ** (2 * r + 2)
     out = algebra.zero()
     for m_cls in table.classes(dim):
         rep = m_cls.rep
@@ -760,6 +581,6 @@ def oracle_kronecker_single(algebra, l, t):
         weight = LaurentPoly.v_pow((um - t) * (t - wm)) * qbinom(um - wm, t - wm)
         if weight.is_zero():
             continue
-        scal = algebra.scalar(weight) * pref * Fraction(1, m_cls.aut_order)
+        scal = algebra.scalar(weight) * pref / m_cls.aut_order
         out = out + algebra.module_elt(m_cls).scale(scal)
     return out

@@ -4,18 +4,17 @@ Every q-coefficient lies in Z[v, v^-1], so a LaurentPoly holds int
 coefficients only, as a dense tuple from its lowest exponent; any other
 coefficient (a Fraction, a float) raises TypeError.  Laurent polynomials
 multiply through one kernel, a Kronecker substitution into a single big-int
-product (_kronecker).  One long division over Z (_poly_divmod) serves
-exact_div and the gcd of the Q(v) oracle; each of its steps must divide
-exactly, else it raises ExactDivisionError.  Every sum, + and - included,
-adds its shifted terms v^e f into one buffer (shifted_sum).  An operand is
-a LaurentPoly or an int (a constant) for every operator.  Equality is
-structural, and a constant hashes as the int it equals.  No floats
-anywhere.
+product (_kronecker).  Division (exact_div) is long division over Z whose
+every step must divide exactly, else it raises ExactDivisionError.  Every
+sum, + and - included, adds its shifted terms v^e f into one buffer
+(shifted_sum).  An operand is a LaurentPoly or an int (a constant) for
+every operator.  Equality is structural, and a constant hashes as the int
+it equals.  No floats anywhere.
 
 Of the commands only `identities` loads this module: the Hall-side
 commands take their scalars at v = sqrt(q) as QSqrt numbers, which `qsqrt`
-builds from ints.  It holds what the identity suites, the Q(v) oracles and
-the tests share: LaurentPoly, [n], [n]! and q-Pochhammer products.  The
+builds from ints.  It holds what the identity suites, the symbolic oracles
+and the tests share: LaurentPoly, [n], [n]! and q-Pochhammer products.  The
 tests check the QSqrt values against these forms specialized at
 v = sqrt(q), and the q-combinatorics that only the identity suites use
 live in `qseries`.
@@ -150,15 +149,32 @@ class LaurentPoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def exact_div(self, other):
-        """Exact division; raises ExactDivisionError on a nonzero remainder."""
+        """Exact division; raises ExactDivisionError on a nonzero remainder.
+
+        Long division over Z: each step divides a leading coefficient by the
+        divisor's and raises when that leaves a remainder.
+        """
         divisor = _operand(other)
         if divisor is NotImplemented:
             raise TypeError(f"cannot divide a LaurentPoly by a {type(other).__name__}")
-        if not divisor.coeffs:
+        den = divisor.coeffs
+        if not den:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if not self.coeffs:
             return ZERO
-        quot, rem = _poly_divmod(self.coeffs, divisor.coeffs)
+        rem = list(self.coeffs)
+        dd = len(den) - 1
+        lead = den[dd]
+        quot = [0] * max(len(rem) - dd, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            c = rem[i + dd]
+            if c:
+                f, r = divmod(c, lead)
+                if r:
+                    raise ExactDivisionError(f"{c} is not divisible by {lead}")
+                quot[i] = f
+                for j in range(dd + 1):
+                    rem[i + j] -= f * den[j]
         if any(rem):
             raise ExactDivisionError("nonzero remainder in exact polynomial division")
         # an exact quotient's ends are the ratios of the ends: both nonzero
@@ -263,29 +279,6 @@ def _packed(t, nb, h):
     else:
         s = b"".join([c.to_bytes(nb, "little", signed=True) for c in t])
     return (int.from_bytes(s, "little") ^ h) - h
-
-
-def _poly_divmod(num, den):
-    """(quotient, remainder) of dense int coefficient sequences, low degree first.
-
-    Long division over Z by den, whose last coefficient is nonzero: each step
-    divides a leading coefficient by den's and raises ExactDivisionError when
-    that leaves a remainder. The remainder has at most len(den) - 1 entries.
-    """
-    rem = list(num)
-    dd = len(den) - 1
-    lead = den[dd]
-    quot = [0] * max(len(rem) - dd, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + dd]
-        if c:
-            f, r = divmod(c, lead)
-            if r:
-                raise ExactDivisionError(f"{c} is not divisible by {lead}")
-            quot[i] = f
-            for j in range(dd + 1):
-                rem[i + j] -= f * den[j]
-    return quot, rem[:dd]
 
 
 ZERO = _poly(0, ())

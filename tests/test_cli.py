@@ -139,6 +139,23 @@ def test_product_over_a_large_hom_space(capsys):
 """
 
 
+def test_deep_dimension_vector_needs_no_deep_call_chain():
+    # the classes below a new middle are classified bottom-up, so a total
+    # dimension far past the recursion limit is no RecursionError (exit 1)
+    src = os.path.dirname(os.path.dirname(ihall.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("IHALL_CACHE_DIR", None)
+    code = """if True:
+        import sys
+        import ihall.cli
+        sys.setrecursionlimit(150)
+        sys.exit(ihall.cli.main(sys.argv[1:]))
+    """
+    argv = ["product", "builtin:rank1-split", "class:60#0", "k:1", "--budget-dim", "100"]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "(1)[60#0]*K(1)\n", "")
+
+
 def test_product_class_key(capsys):
     code, out, _ = run(
         capsys, "product", "builtin:a2-split", "class:1,0#0", "k:1"
@@ -684,7 +701,7 @@ def test_commands_leave_the_oracles_out(argv):
     out = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
     )
-    homed = ["LaurentFrac", "idp_closed", "idp_product", "idp_recursive",
+    homed = ["idp_closed", "idp_product", "idp_recursive",
              "oracle_kronecker_single", "oracle_sss"]
     assert out.stdout.splitlines() == ["0 False", "[] %s" % homed]
 
@@ -716,6 +733,23 @@ def test_commands_load_no_fractions(argv):
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "0 []"
+
+
+def test_no_module_loads_fractions():
+    # the oracles too take their scalars as ints, LaurentPoly and QSqrt
+    src = os.path.dirname(os.path.dirname(ihall.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """if True:
+        import importlib, pkgutil, sys
+        import ihall
+        names = sorted(m.name for m in pkgutil.iter_modules(ihall.__path__, "ihall."))
+        for name in names:
+            importlib.import_module(name)
+        print(len(names), "ihall.oracle" in sys.modules, "fractions" in sys.modules)
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    n, oracle, fractions = out.stdout.split()
+    assert int(n) >= 14 and (oracle, fractions) == ("True", "False")
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import os
 import pickle
 import shutil
 import weakref
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -647,6 +648,33 @@ def test_kq_and_lambda_tables_share_a_cache_dir(tmp_path, monkeypatch):
     assert len(reader[1].classes((1, 1))[0].rep) == 1
 
 
+def test_classes_read_the_cache_down_to_the_first_hit(tmp_path, monkeypatch):
+    # a vector is read once, and the vectors below it only when it is in
+    # neither memory nor the cache: a cold table reads the whole box below
+    # dim, a warm one dim alone, a partly warm one down to its hits
+    monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
+    loaded = []
+    load = ModuleTable._load_cached
+
+    def recording(self, dim):
+        loaded.append(dim)
+        return load(self, dim)
+
+    monkeypatch.setattr(ModuleTable, "_load_cached", recording)
+    dim = (2, 2)
+    want = _fresh(kq_table("a2-split", 2), dim)
+    assert sorted(loaded) == list(product(range(3), repeat=2))
+    loaded.clear()
+    assert _fresh(kq_table("a2-split", 2), dim) == want
+    assert loaded == [dim]
+    cold = kq_table("a2-split", 2)
+    for gone in [(2, 2), (1, 2)]:
+        os.remove(tablecache.path(cold, gone))
+    loaded.clear()
+    assert _fresh(kq_table("a2-split", 2), dim) == want
+    assert sorted(loaded) == [(0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
+
+
 def test_cache_file_of_version_2_is_a_miss(tmp_path, monkeypatch):
     # version 2 keyed its files by the iquiver alone, so a kQ table could
     # have read a Lambda^i file; write one where version 2 put it
@@ -947,6 +975,74 @@ def test_hall_numbers_match_filtration_counts(name, q):
                     for b in kq.classes(ds)
                 }
                 assert kq._hall_numbers(z, dq) == {k: f for k, f in want.items() if f}, (z, dq)
+
+
+def _green_mismatches(kq, total, sign=1):
+    """(quadruples, mismatches) of Green's formula on the Hall numbers of a
+    kQ table, over every quadruple of classes (M, N, X, Y) with
+    dim M + dim N = dim X + dim Y of total dimension at most `total`:
+
+        a_M a_N a_X a_Y sum_E F^E_{M,N} F^E_{X,Y} / a_E
+            = sum_{A,B,C,D} q^(-<A,D>) F^M_{A,B} F^N_{C,D} F^X_{A,C} F^Y_{B,D} a_A a_B a_C a_D
+
+    with F^E_{M,N} the number of submodules of E iso to N with quotient M
+    (J. A. Green, Invent. Math. 1995; Ringel 1996). The Euler form enters
+    with its sign times `sign`.
+    """
+    q, euler = kq.p, kq.iq.euler
+    dims = [d for d in product(range(total + 1), repeat=kq.iq.n) if sum(d) <= total]
+    cls = {d: kq.classes(d) for d in dims}
+
+    def minus(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def hall(e, m, n):
+        return kq._hall_numbers(e, m.dim).get((m, n), 0)
+
+    def aut(*cs):
+        out = 1
+        for c in cs:
+            out *= c.aut_order
+        return out
+
+    count, bad = 0, []
+    for dm, dn, dx in product(dims, repeat=3):
+        de = tuple(a + b for a, b in zip(dm, dn))
+        dy = minus(de, dx)
+        if sum(de) > total or min(dy) < 0:
+            continue
+        # the dimension vectors of A, B, C, D: A below M and X
+        splits = []
+        for da in dims:
+            db, dc = minus(dm, da), minus(dx, da)
+            dd = minus(dn, dc)
+            if min(db + dc + dd) >= 0:
+                splits.append((da, db, dc, dd, Fraction(q) ** (-sign * euler(da, dd))))
+        for m, n, x, y in product(cls[dm], cls[dn], cls[dx], cls[dy]):
+            lhs = aut(m, n, x, y) * sum(
+                Fraction(hall(e, m, n) * hall(e, x, y), e.aut_order) for e in cls[de]
+            )
+            rhs = sum(
+                w * hall(m, a, b) * hall(n, c, d) * hall(x, a, c) * hall(y, b, d) * aut(a, b, c, d)
+                for da, db, dc, dd, w in splits
+                for a, b, c, d in product(cls[da], cls[db], cls[dc], cls[dd])
+            )
+            count += 1
+            if lhs != rhs:
+                bad.append((m, n, x, y))
+    return count, bad
+
+
+@pytest.mark.parametrize(
+    "name,q", [("a2-split", 2), ("a2-split", 3), ("kronecker-r1", 2), ("a3-quasisplit", 2), ("split-2", 2)]
+)
+def test_hall_numbers_satisfy_greens_formula(name, q):
+    # an independent check of `_hall_numbers` that counts no filtration;
+    # with the Euler form's sign flipped the formula fails
+    kq = ModuleTable(BoundQuiver(_iquiver(name)), q)
+    count, bad = _green_mismatches(kq, 3)
+    assert count > 250 and bad == []
+    assert _green_mismatches(kq, 3, sign=-1)[1]
 
 
 @pytest.mark.parametrize(

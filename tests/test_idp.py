@@ -9,7 +9,6 @@ from ihall.idp import idp_hall
 from ihall.ihall import HallAlgebra
 from ihall.iquiver import BUILTIN_NAMES, builtin_iquiver
 from ihall.oracle import (
-    LaurentFrac,
     SymRank1,
     idp_closed,
     idp_product,
@@ -28,17 +27,46 @@ def test_base_cases():
         assert idp_recursive(1, parity) == SymRank1.gen_S()
 
 
+def _is(sym, key, num, den):
+    """The coefficient of sym at key is num/den."""
+    return sym.terms[key] * den == num * sym.den
+
+
 def test_closed_n2_coefficients():
     out = idp_closed(2, 0)
+    vi = LaurentPoly.v_pow(-1)
     assert set(out.terms) == {(2, 0), (0, 1)}
-    assert out.terms[(2, 0)] == LaurentFrac(LaurentPoly.v_pow(-1), qfact(2))
-    assert out.terms[(0, 1)] == LaurentFrac(V - LaurentPoly.v_pow(-1), qdfact(2))
+    assert _is(out, (2, 0), vi, qfact(2))
+    assert _is(out, (0, 1), V - vi, qdfact(2))
     # odd parity shifts the K-term exponent by 2
     out1 = idp_closed(2, 1)
-    assert out1.terms[(2, 0)] == out.terms[(2, 0)]
-    assert out1.terms[(0, 1)] == out.terms[(0, 1)] * LaurentFrac(
-        LaurentPoly.v_pow(2)
-    )
+    assert set(out1.terms) == {(2, 0), (0, 1)}
+    assert _is(out1, (2, 0), vi, qfact(2))
+    assert _is(out1, (0, 1), (V - vi) * LaurentPoly.v_pow(2), qdfact(2))
+
+
+def test_symbolic_equality_weighs_the_denominator():
+    # a/d equals (a c)/(d c), but not a/(d c), a c/d or a/d plus a term
+    a = {(2, 0): V + 3, (0, 1): LaurentPoly.v_pow(-2)}
+    d, c = qfact(3), 2 * V - LaurentPoly.v_pow(-1)
+    x = SymRank1(a, d)
+    ac = {k: t * c for k, t in a.items()}
+    assert x == SymRank1(ac, d * c)
+    assert x != SymRank1(a, d * c)
+    assert x != SymRank1(a, d * 2)
+    assert x != SymRank1(a)
+    assert x != SymRank1({**a, (0, 1): a[(0, 1)] * 2}, d)
+    assert x != SymRank1({**a, (1, 0): V}, d)
+    assert x != SymRank1({(2, 0): a[(2, 0)]}, d)
+    assert x + SymRank1({(1, 0): V}, c) == SymRank1({**ac, (1, 0): V * d}, d * c)
+    assert x.over(c) == SymRank1({k: t * d for k, t in a.items()}, d * d * c)
+    assert x != a and SymRank1({}, d) == SymRank1({})
+    with pytest.raises(ZeroDivisionError):
+        SymRank1(a, LaurentPoly())
+    with pytest.raises(ZeroDivisionError):
+        x.over(0)
+    with pytest.raises(TypeError):
+        hash(x)
 
 
 def test_three_forms_agree():

@@ -1,4 +1,4 @@
-"""Exact coefficient arithmetic: Laurent polynomials over Z, Q(v), Q(sqrt q)."""
+"""Exact coefficient arithmetic: Laurent polynomials over Z, Q(sqrt q)."""
 
 from fractions import Fraction
 from math import gcd, isqrt
@@ -28,7 +28,6 @@ from ihall.ring import (
     qint,
     shifted_sum,
 )
-from ihall.oracle import LaurentFrac, _poly_gcd
 
 polys = st.builds(
     LaurentPoly,
@@ -185,26 +184,6 @@ def test_inflate_doubles_exponents():
     assert qbinom(3, 1).inflate(2) == vp(4) + ONE + vp(-4)
 
 
-def test_frac_normalization():
-    half = LaurentFrac(qint(2), qint(4))
-    # [2]/[4] = 1/(v^2 + v^-2)
-    assert half * (vp(2) + vp(-2)) == LaurentFrac(ONE)
-    assert LaurentFrac(ZERO, qint(3)).is_zero()
-    with pytest.raises(ZeroDivisionError):
-        LaurentFrac(ONE, ZERO)
-
-
-def test_frac_field_ops():
-    a = LaurentFrac(ONE, qint(2))
-    b = LaurentFrac(V, ONE)
-    assert (a + b) - b == a
-    assert (a * b) / b == a
-    assert a - a == LaurentFrac(0)
-    # int coercion both sides
-    assert a * 2 - 2 * a == LaurentFrac(0)
-    assert (1 - a) + a == LaurentFrac(1)
-
-
 def test_qsqrt_folds_perfect_squares():
     x = QSqrt(4, 0, 1)  # sqrt(4) = 2
     assert x == QSqrt(4, 2, 0)
@@ -288,19 +267,9 @@ def test_qsqrt_fraction_coercion():
     assert 2 * x == QSqrt(2, 1, 2)
 
 
-def test_specialization_of_fractions():
-    f = LaurentFrac(qint(2), qint(3))
-    q = 2
-    num = qint(2).specialize_sqrtq(q)
-    den = qint(3).specialize_sqrtq(q)
-    assert f.specialize_sqrtq(q) * den == num
-
-
 def _exact_coeffs(x):
     if isinstance(x, LaurentPoly):
         return list(x.terms.values())
-    if isinstance(x, LaurentFrac):
-        return _exact_coeffs(x.num) + _exact_coeffs(x.den)
     return [x.a, x.b, x.d]
 
 
@@ -312,9 +281,6 @@ def test_coefficients_stay_exact_and_integral_ones_are_ints():
         qfact(6),
         qdfact(8),
         (qfact(6) * 3).exact_div(qint(4)),
-        LaurentFrac(qint(2) * 6, qint(4) * 4),
-        LaurentFrac(V, 3 * V + 1),
-        LaurentFrac(Fraction(2, 6)),
     ]
     for x in polynomial:
         assert all(type(c) is int for c in _exact_coeffs(x)), x
@@ -394,65 +360,6 @@ def test_exact_division_by_non_monic_divisor():
     assert (f * 4).exact_div(-2) == f * -2
     with pytest.raises(ExactDivisionError):
         (V * V + ONE).exact_div(2 * V + ONE)
-
-
-def _dense(f):
-    return list(f.coeffs)
-
-
-@pytest.mark.parametrize(
-    "num, den, want_num, want_den",
-    [
-        (V, 3 * V + 1, V, 3 * V + 1),
-        # 6[2] / 4[4] = 3 / (2 (v^2 + v^-2)) = 3 v^2 / (2 v^4 + 2)
-        (6 * qint(2), 4 * qint(4), 3 * vp(2), 2 * vp(4) + 2),
-        (Fraction(1, 2), ONE, ONE, 2 * ONE),
-        (-6 * vp(-3), -4 * V - 2, 3 * vp(-3), 2 * V + 1),
-        (2 * V + 4, 3 * V + 6, 2 * ONE, 3 * ONE),
-        (2 * V + 4, Fraction(6, 5), 5 * V + 10, 3 * ONE),
-    ],
-)
-def test_frac_normal_form_over_z(num, den, want_num, want_den):
-    f = LaurentFrac(num, den)
-    assert (f.num, f.den) == (want_num, want_den)
-    coeffs = _exact_coeffs(f)
-    assert all(type(c) is int for c in coeffs)
-    assert gcd(*coeffs) == 1
-    assert f.den.min_exp() == 0 and f.den.coeff(0) != 0
-    assert f.den.coeff(f.den.max_exp()) > 0
-    assert _poly_gcd(_dense(f.num), _dense(f.den)) == [1]
-    for q in (2, 3, 5):
-        ns, ds = LaurentFrac(num).specialize_sqrtq(q), LaurentFrac(den).specialize_sqrtq(q)
-        assert f.specialize_sqrtq(q) == ns / ds
-
-
-def test_poly_gcd_is_primitive():
-    assert _poly_gcd([2, 2], [4, 4]) == [1, 1]
-    assert _poly_gcd([-3, 0, 3], [6, 6]) == [1, 1]
-    assert _poly_gcd([4, 2], [-6, -3]) == [2, 1]
-    assert _poly_gcd([6, 0, 6], [3]) == [1]
-    assert _poly_gcd([0, -5], [0, 0, 10]) == [0, 1]
-
-
-int_polys = st.dictionaries(
-    st.integers(min_value=0, max_value=5), st.integers(min_value=-9, max_value=9), max_size=4
-).map(lambda t: LaurentPoly(t))
-
-
-@given(int_polys, int_polys, int_polys)
-@settings(max_examples=80)
-def test_poly_gcd_divides_and_contains_common_factors(f, g, h):
-    if not (f and g and h):
-        return
-    a, b = _dense(f * h), _dense(g * h)
-    d = LaurentPoly(dict(enumerate(_poly_gcd(a, b))))
-    assert gcd(*d.terms.values()) == 1 and d.coeff(d.max_exp()) > 0
-    # d divides both, and so does the primitive part of the common factor h
-    # (over Z, by Gauss's lemma); exact_div raises otherwise
-    (f * h).exact_div(d)
-    (g * h).exact_div(d)
-    hd = _dense(h)
-    d.exact_div(LaurentPoly({i: c // gcd(*hd) for i, c in enumerate(hd)}))
 
 
 def _qint_ref(r):
