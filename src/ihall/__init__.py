@@ -8,8 +8,12 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+
+class BudgetError(RuntimeError):
+    """A request past a budget: a table's dimension or space, or a q-series ceiling."""
+
+
 _HOME = {
-    "BudgetError": "frep",
     "IsoClass": "frep",
     "ModuleTable": "frep",
     "idp_hall": "idp",
@@ -41,7 +45,7 @@ _HOME = {
     "qint": "ring",
 }
 
-__all__ = sorted(_HOME) + ["__version__"]
+__all__ = sorted([*_HOME, "BudgetError"]) + ["__version__"]
 
 
 def __getattr__(name):

@@ -23,6 +23,8 @@ import sys
 import time
 from types import SimpleNamespace
 
+from . import BudgetError
+
 
 def _load_iquiver(name):
     from .iquiver import build_iquiver, builtin_iquiver
@@ -107,8 +109,7 @@ def cmd_identities(args):
     for bound, ceiling in CEILING.items():
         value = getattr(args, bound)
         if value > ceiling:
-            print("budget exceeded: --%s %d is past its ceiling %d" % (bound, value, ceiling), file=sys.stderr)
-            return 3
+            raise BudgetError("--%s %d is past its ceiling %d" % (bound, value, ceiling))
     t0 = time.perf_counter()
     rows = run_identity_suites(pmax=args.pmax, dmax=args.dmax)
     rows += run_t_suite(amax=args.amax)
@@ -175,21 +176,14 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The argument parser: with a command name, that command's subparser
-    alone, else every subparser. Both print the same usage and help texts."""
+def build_parser():
+    """The argument parser, one subparser per command of `COMMANDS`."""
     import argparse
 
     ap = argparse.ArgumentParser(prog="ihall", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    names = [command] if command in COMMANDS else list(COMMANDS)
-    # a lone subparser still lists every command in the usage line; the full
-    # parser leaves the metavar unset, as it would also rename "argument
-    # command" in the errors only the full parser raises
-    metavar = "{%s}" % ",".join(COMMANDS) if len(names) == 1 else None
-    sp = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_line, positionals, options, handler = COMMANDS[name]
+    sp = ap.add_subparsers(dest="command", required=True)
+    for name, (help_line, positionals, options, handler) in COMMANDS.items():
         sub = sp.add_parser(name, help=help_line)
         for dest, text in positionals:
             sub.add_argument(dest, help=text)
@@ -253,25 +247,21 @@ def main(argv=None):
     """Run one command; returns its exit code.
 
     A plain command line is read without argparse (`_read`); argparse reads
-    any other, building only the subparser that argv[0] names. The handler
+    any other, which is a help request or a usage error. The handler
     imports the layers it runs (the module docstring above is the --help
-    text).
+    text). Every budget refusal, a table's or a q-series ceiling, is one
+    `BudgetError` and exits 3.
     """
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv)
     if args is None:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # only the commands that load frep can raise its BudgetError
-        from .frep import BudgetError
-
-        if not isinstance(exc, BudgetError):
-            raise
+    except BudgetError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return 3
 

@@ -49,7 +49,7 @@ import os
 from collections import Counter
 from itertools import product as cartesian
 
-from . import linalg
+from . import BudgetError, linalg
 
 # Bytes per entry of a {code: class index} rep map, the int key included:
 # tracemalloc on 64-bit CPython 3.11, filling such a dict with 6561 to 2^21
@@ -79,10 +79,6 @@ def _lines(rows, n, p):
         head = (0,) * i + (1,)
         for tail in cartesian(range(p), repeat=h - 1 - i):
             yield linalg.mat_vec(cols, head + tail, p)
-
-
-class BudgetError(RuntimeError):
-    """An enumeration request exceeds the configured dimension or space budget."""
 
 
 class IsoClass:
@@ -471,8 +467,8 @@ class ModuleTable:
                     low = top[:v] + (dv - 1,) + top[v + 1 :]
                     if not dv or low in seen or low in self._classes:
                         continue
+                    # no check_budget(low): its total, raw space and rep map are below dim's
                     seen.add(low)
-                    self.check_budget(low)
                     low_data = self._load_cached(low)
                     if low_data is None:
                         missing.append(low)

@@ -84,9 +84,6 @@ class HallElt:
         self._check(other)
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def coeff(self, key):
         return self.terms.get(key, self.algebra.scalar(0))
 

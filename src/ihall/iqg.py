@@ -1,11 +1,12 @@
 """Serre-type presentation checks.
 
 The generators B_i, ktilde_i of the universal presentation are mapped into a
-Hall algebra (simples and torus elements with parity- and orbit-dependent
-normalizations); every defining relation then becomes an element that must
-vanish identically. Relations with denominators are multiplied through so
-each check is a plain zero test. Every scalar is a QSqrt at v = sqrt(q),
-built in `qsqrt` from ints, so `ihall verify` loads no Laurent polynomial.
+Hall algebra (B_i as its own first divided power, ktilde_i as a scaled
+torus element); every defining relation then becomes an element that must
+vanish identically, and each one between B_i and B_j, j not tau(i), is one
+Serre sum. Relations with denominators are multiplied through so each check
+is a plain zero test. Every scalar is a QSqrt at v = sqrt(q), built in
+`qsqrt` from ints, so `ihall verify` loads no Laurent polynomial.
 
 The q-series suites (T, T1 and the identities they reduce to) live in
 `qseries`, which `ihall verify` never loads. Their public names still
@@ -32,11 +33,8 @@ class Psi:
         self._bdp_cache = {}
 
     def B(self, j):
-        h = self.algebra
-        s = h.simple(j)
-        if j in self.reps:
-            return s.scale(QSqrt(h.q, -1, 0, h.q - 1))
-        return s.scale(h.v_pow(1) * QSqrt(h.q, 1, 0, h.q - 1))
+        """B_j is its own first (parity-0) divided power."""
+        return self.BDP(j, 1, 0 if self.iq.tau[j] == j else None)
 
     def K(self, i):
         h = self.algebra
@@ -56,9 +54,9 @@ class Psi:
         from .idp import idp_hall
 
         h = self.algebra
-        fixed = self.iq.tau[i] == i
-        base = idp_hall(h, i, n, parity if fixed else None)
-        if fixed or i in self.reps:
+        base = idp_hall(h, i, n, parity if self.iq.tau[i] == i else None)
+        # a fixed vertex is its own orbit's representative
+        if i in self.reps:
             scal = QSqrt(h.q, 1, 0, (1 - h.q) ** n)
         else:
             scal = h.v_pow(n) * QSqrt(h.q, 1, 0, (h.q - 1) ** n)
@@ -83,10 +81,11 @@ class RelationInstance(NamedTuple):
 def build_relation_suite(iq, parities=(0, 1)):
     """Every defining relation instance for one iquiver.
 
-    torus-torus / torus-b cover the weight relations; commute the c = 0
-    case between non-partner vertices; serre the classical Serre relation
-    at a non-fixed vertex; pair the relation binding a swapped pair; and
-    fixed-serre the parity pair of relations at a tau-fixed vertex.
+    torus-torus / torus-b cover the weight relations; serre the classical
+    Serre relation at a non-fixed vertex, and commute its c = 0 case (one
+    instance per unordered pair); pair the relation binding a swapped pair;
+    and fixed-serre the parity pair of relations at a tau-fixed vertex.
+    commute, serre and fixed-serre all evaluate as one Serre sum.
     """
     if not iq.is_virtually_acyclic():
         raise ValueError(
@@ -149,6 +148,7 @@ def build_relation_suite(iq, parities=(0, 1)):
 def _serre_sum(psi, i, j, c, parity=None):
     """sum_n (-1)^n B_i^(n) B_j B_i^(1-c-n), n = 0 .. 1-c.
 
+    At c = 0 this is B_j B_i - B_i B_j, the commutation relation.
     With a parity, the left divided powers take it and the right ones take
     (parity + c) mod 2.
     """
@@ -173,10 +173,7 @@ def relation_residual(algebra, inst, psi=None):
         ki, bl = psi.K(inst.i), psi.B(inst.j)
         e = iq.cartan_vv(iq.tau[inst.i], inst.j) - iq.cartan_vv(inst.i, inst.j)
         return ki * bl - (bl * ki).scale(algebra.v_pow(e))
-    if kind == "commute":
-        bi, bj = psi.B(inst.i), psi.B(inst.j)
-        return bi * bj - bj * bi
-    if kind in ("serre", "fixed-serre"):
+    if kind in ("commute", "serre", "fixed-serre"):
         c = iq.cartan_vv(inst.i, inst.j)
         return _serre_sum(psi, inst.i, inst.j, c, inst.parity)
     if kind == "pair":

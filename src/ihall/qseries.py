@@ -14,7 +14,7 @@ before it multiplies each k group by [2d]!!/[2k]!!.
 
 from functools import lru_cache
 
-from .ring import ONE, ZERO, pochhammer, qfact, qfact_ratio, qint, shifted_sum
+from .ring import ONE, ZERO, fill_ratios, pochhammer, qfact, qfact_ratio, qint, shifted_sum
 
 # The largest bounds `ihall identities` runs to. Each family's cost grows as
 # about the fifth to eighth power of its bound: on a 2-vCPU VM the p
@@ -35,14 +35,16 @@ def comb2(m):
     return m * (m - 1) // 2
 
 
-@lru_cache(maxsize=None)
+_QDFACT_RATIOS = {}
+
+
 def qdfact_ratio(lo, hi):
     """[hi]!! / [lo]!! = [lo+2][lo+4]...[hi] for even 0 <= lo <= hi."""
+    if (lo, hi) in _QDFACT_RATIOS:
+        return _QDFACT_RATIOS[lo, hi]
     if lo % 2 or hi % 2 or not 0 <= lo <= hi:
         raise ValueError("qdfact_ratio needs even 0 <= lo <= hi")
-    if hi == lo:
-        return ONE
-    return qdfact_ratio(lo, hi - 2) * qint(hi)
+    return fill_ratios(_QDFACT_RATIOS, lo, hi, 2)
 
 
 @lru_cache(maxsize=None)

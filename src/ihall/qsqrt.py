@@ -75,9 +75,6 @@ class QSqrt:
             out = out * (1 - cls.v_pow(q, e * j))
         return out
 
-    def is_zero(self):
-        return not self.a and not self.b
-
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 

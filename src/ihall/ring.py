@@ -304,14 +304,28 @@ def qint(r):
     return LaurentPoly({e: 1 for e in range(r - 1, -r, -2)})
 
 
-@lru_cache(maxsize=None)
+def fill_ratios(memo, lo, hi, step):
+    """[lo+step][lo+2 step]...[hi]: memo[lo, k] is filled upward from the
+    largest k it holds, one product each, so no call recurses."""
+    top = hi
+    while top > lo and (lo, top) not in memo:
+        top -= step
+    out = memo.get((lo, top), ONE)
+    for k in range(top + step, hi + 1, step):
+        out = memo[lo, k] = out * qint(k)
+    return out
+
+
+_QFACT_RATIOS = {}
+
+
 def qfact_ratio(lo, hi):
     """[hi]! / [lo]! = [lo+1][lo+2]...[hi] for 0 <= lo <= hi."""
+    if (lo, hi) in _QFACT_RATIOS:
+        return _QFACT_RATIOS[lo, hi]
     if not 0 <= lo <= hi:
         raise ValueError("qfact_ratio needs 0 <= lo <= hi")
-    if hi == lo:
-        return ONE
-    return qfact_ratio(lo, hi - 1) * qint(hi)
+    return fill_ratios(_QFACT_RATIOS, lo, hi, 1)
 
 
 def qfact(n):

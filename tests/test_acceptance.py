@@ -53,6 +53,19 @@ def _qpoch(base, n):
     return out
 
 
+def _commuting_pair():
+    # vertices 1 <-> 2 and 3 <-> 4 swapped, arrows 1 -> 4 and 2 -> 3 swapped:
+    # c(1, 3) = c(2, 4) = 0, so the suite holds two commute rows
+    return build_iquiver(
+        {
+            "vertices": ["1", "2", "3", "4"],
+            "arrows": [["a", "1", "4"], ["b", "2", "3"]],
+            "tau": {"1": "2", "2": "1", "3": "4", "4": "3"},
+            "tau_arrows": {"a": "b", "b": "a"},
+        }
+    )
+
+
 def _kronecker2():
     # two arrows each way; tau swaps the vertices and a1 <-> b1, a2 <-> b2
     return IQuiver(
@@ -69,6 +82,7 @@ def test_c1_presentation_relations():
     total = 0
     runs = [(name, builtin_iquiver(name), q) for name in BUILTIN_NAMES for q in (2, 3)]
     runs.append(("kronecker-r2", _kronecker2(), 2))
+    runs += [("commuting-pair", _commuting_pair(), q) for q in (2, 3)]
     for name, iq, q in runs:
         alg = HallAlgebra(iq, q)
         for label, res in verify_presentation(alg, (0, 1)):
@@ -76,9 +90,10 @@ def test_c1_presentation_relations():
             if not res.is_zero():
                 failures.append("%s q=%d: %s" % (name, q, label))
     elapsed = time.perf_counter() - t0
-    ok = not failures and total == 81 and elapsed < 300
+    ok = not failures and total == 145 and elapsed < 300
     _report(
-        "presentation relations on all builtins, q in {2,3}, and kronecker-r2 at q = 2",
+        "presentation relations on all builtins and a c = 0 quiver, q in {2,3},"
+        " and kronecker-r2 at q = 2",
         ok,
         "%d/%d residuals zero, %.1fs" % (total - len(failures), total, elapsed),
     )

@@ -790,15 +790,6 @@ def test_plain_command_lines_load_no_argparse(argv, plain):
         assert code == ("0" if "--help" in argv else "2") and "'argparse'" in loaded
 
 
-_PARSED = {
-    "verify": ["verify", "builtin:a2-split", "--q", "3", "--parities", "1", "--json"],
-    "product": ["product", "spec.json", "simple:1", "class:1,1#0", "--budget-dim", "4"],
-    "idp": ["idp", "builtin:rank1-split", "--vertex", "1", "--n", "3", "--parity", "0"],
-    "identities": ["identities", "--pmax", "4", "--amax", "2", "--json"],
-    "enumerate": ["enumerate", "builtin:a2-split", "--dim", "1,1", "--budget-space", "9"],
-}
-
-
 def _parser_exit(parser, argv):
     """(exit code, stdout, stderr) of a parse that must end in SystemExit."""
     out, err = io.StringIO(), io.StringIO()
@@ -806,21 +797,6 @@ def _parser_exit(parser, argv):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(argv)
     return exc.value.code, out.getvalue(), err.getvalue()
-
-
-@pytest.mark.parametrize("command", list(ihall.cli.COMMANDS))
-def test_one_command_parser_matches_the_full_one(command):
-    # main builds only the subparser argv[0] names: same Namespace, same
-    # help text, same usage line on an error of the top-level parser
-    assert list(ihall.cli.COMMANDS) == list(_PARSED)
-    one, full = ihall.cli.build_parser(command), ihall.cli.build_parser()
-    argv = _PARSED[command]
-    assert one.parse_args(argv) == full.parse_args(argv)
-    for tail in (["--help"], ["--no-such-option"]):
-        assert _parser_exit(one, argv[:1] + tail) == _parser_exit(full, argv[:1] + tail)
-    # the lone subparser is the only one built
-    sub = one._subparsers._group_actions[0]
-    assert list(sub.choices) == [command]
 
 
 @pytest.mark.parametrize(

@@ -193,6 +193,14 @@ def test_power_matches_repeated_product():
 
 
 SPLIT2 = IQuiver(["1", "2"], [("a1", "1", "2"), ("a2", "1", "2")])
+SPLIT3 = IQuiver(["1", "2"], [("a1", "1", "2"), ("a2", "1", "2"), ("a3", "1", "2")])
+# two arrows 1 -> 2 and two 3 -> 2; tau swaps 1 <-> 3 and the arrows in pairs
+QS3_2 = IQuiver(
+    ["1", "2", "3"],
+    [("a1", "1", "2"), ("a2", "1", "2"), ("b1", "3", "2"), ("b2", "3", "2")],
+    tau={"1": "3", "2": "2", "3": "1"},
+    tau_arrows={"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"},
+)
 KRONECKER2 = IQuiver(
     ["1", "2"],
     [("a1", "1", "2"), ("a2", "1", "2"), ("b1", "2", "1"), ("b2", "2", "1")],
@@ -254,6 +262,32 @@ def class_pairs(tab, total, keep=lambda c: True):
         if keep(c)
     ]
     return [(x, y) for x in pool for y in pool if x.total_dim + y.total_dim <= total]
+
+
+@pytest.mark.parametrize(
+    "name,q,triples",
+    [
+        ("kronecker-r1", 2, 364), ("kronecker-r1", 3, 364),
+        ("a3-quasisplit", 2, 1323), ("a3-quasisplit", 3, 1323),
+        ("split-2", 2, 424), ("split-2", 3, 484),
+        ("split-3", 2, 808), ("split-3", 3, 1312),
+        ("kronecker-r2", 2, 844),
+        ("qs3-2", 2, 2295),
+    ],
+)
+def test_associativity_on_every_small_basis_triple(name, q, triples):
+    # every kQ basis class of total dimension 1 to 3 and every k_v; a triple
+    # of total at most 3 (k_v counts 0) must give (xy)z = x(yz)
+    iq = {"split-2": SPLIT2, "split-3": SPLIT3, "kronecker-r2": KRONECKER2, "qs3-2": QS3_2}.get(name)
+    alg = HallAlgebra(iq, q) if iq else algebra(name, q)
+    pool = [(0, alg.torus_k(v)) for v in alg.iq.vertices]
+    pool += [(sum(d), alg.basis_elt(c)) for d in dims_upto(alg.iq.n, 3) if any(d) for c in alg.kq.classes(d)]
+    seen = 0
+    for (a, x), (b, y), (c, z) in product(pool, repeat=3):
+        if a + b + c <= 3:
+            seen += 1
+            assert (x * y) * z == x * (y * z), (x, y, z)
+    assert seen == triples
 
 
 def lifted(tab, cls):

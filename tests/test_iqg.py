@@ -55,6 +55,27 @@ def test_suite_kinds_kronecker():
     assert kinds == ["pair"] * 2 + ["torus-b"] * 4 + ["torus-torus"]
 
 
+def test_suite_kinds_commuting_pair():
+    # c(1, 3) = c(2, 4) = 0 with 3 and 4 off the orbit {1, 2}: one commute
+    # row per such unordered pair, and it is no trivial zero
+    iq = IQuiver(
+        ["1", "2", "3", "4"],
+        [("a", "1", "4"), ("b", "2", "3")],
+        tau={"1": "2", "2": "1", "3": "4", "4": "3"},
+        tau_arrows={"a": "b", "b": "a"},
+    )
+    suite = build_relation_suite(iq)
+    kinds = sorted(inst.kind for inst in suite)
+    assert kinds == ["commute"] * 2 + ["pair"] * 4 + ["serre"] * 4 + ["torus-b"] * 16 + ["torus-torus"] * 6
+    alg = HallAlgebra(iq, 2)
+    psi = Psi(alg)
+    for inst in suite:
+        if inst.kind == "commute":
+            assert (inst.i, inst.j) in (("1", "3"), ("2", "4"))
+            assert relation_residual(alg, inst, psi).is_zero()
+            assert not (psi.B(inst.i) * psi.B(inst.j)).is_zero()
+
+
 def test_suite_requires_virtually_acyclic():
     iq = IQuiver(
         ["1", "2"],

@@ -1,5 +1,8 @@
 """Exact coefficient arithmetic: Laurent polynomials over Z, Q(sqrt q)."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -400,6 +403,28 @@ def test_memoized_helpers_match_plain_products():
         qfact_ratio(3, 2)
     with pytest.raises(ValueError):
         qdfact_ratio(1, 4)
+
+
+def test_factorial_ratios_need_no_deep_call_chain():
+    # the memo fills upward in a loop, so [50]! and [100]!! are no
+    # RecursionError under a limit of 40 frames
+    import ihall
+
+    src = os.path.dirname(os.path.dirname(ihall.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """if True:
+        import sys
+        from ihall.qseries import qdfact
+        from ihall.ring import ONE, qfact, qint
+        sys.setrecursionlimit(40)
+        want_f, want_d = ONE, ONE
+        for k in range(1, 51):
+            want_f = want_f * qint(k)
+            want_d = want_d * qint(2 * k)
+        print(qfact(50) == want_f, qdfact(100) == want_d)
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "True True\n", "")
 
 
 # ---------------------------------------------------------------------------
