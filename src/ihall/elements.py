@@ -7,10 +7,13 @@ payload that follow "command", "quiver" and "q", with its text lines;
 `cli` emits them. This module imports nothing from `cli`: `python -m
 ihall.cli` runs `cli` as `__main__`, and an import of `ihall.cli` here
 would compile it a second time.
+
+`idp_hall` ignores a parity at a vertex the involution moves; `cmd_idp`
+says so in one "warning: ..." line on stderr once the power is built, so a
+run refused by the budget prints only its budget line.
 """
 
 import sys
-import warnings
 
 
 def _vertex(algebra, name):
@@ -79,12 +82,10 @@ def cmd_product(algebra, args):
 def cmd_idp(algebra, args):
     from .idp import idp_hall
 
-    # a warning of idp_hall is one plain line, without Python's source location
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        elt = idp_hall(algebra, _vertex(algebra, args.vertex), args.n, args.parity)
-    for w in caught:
-        print("warning: %s" % w.message, file=sys.stderr)
+    vertex = _vertex(algebra, args.vertex)
+    elt = idp_hall(algebra, vertex, args.n, args.parity)
+    if args.parity is not None and algebra.iq.tau[vertex] != vertex:
+        print("warning: parity has no effect at a vertex not fixed by the involution", file=sys.stderr)
     fields = {"vertex": args.vertex, "n": args.n, "parity": args.parity, "terms": _terms_payload(elt)}
     return fields, [repr(elt)]
 

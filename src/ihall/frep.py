@@ -584,10 +584,11 @@ class ModuleTable:
         No middle is built and no cocycle is walked. The eps blocks of a
         cocycle form a morphism w: x -> tau* y, and alone fix
         alpha = dim im w, X = ker eps / im eps and
-        e = <dim X, tau(alpha) - alpha>: X is an extension of K = ker w by
-        L = y / im(tau* w), and the cocycles of one w reach each block from
-        K to L p^(free - sum_a dL_t dK_s) times, so w adds the memoised kQ
-        extension counts of K by L (`_ext_dist`) times that power of p.
+        e = <dim X, tau(alpha) - alpha> (`IQuiver.twist`): X is an
+        extension of K = ker w by L = y / im(tau* w), and the cocycles of
+        one w reach each block from K to L p^(free - sum_a dL_t dK_s) times,
+        so w adds the memoised kQ extension counts of K by L (`_ext_dist`)
+        times that power of p.
         The number N(K, L) of such w comes from their images I: a w is a
         submodule U of x with U iso to K and x/U iso to I, a submodule V of
         y with V iso to tau* I and y/V iso to L, and an isomorphism
@@ -606,13 +607,13 @@ class ModuleTable:
         middles z that reduce to (X, alpha, e) (Riedtmann's formula).
         """
         maps = self._maps(x, y)  # refuses classes of any other table
-        tau, p, ends = self.iq.tau_index, self.p, self._arrow_ends
+        p, ends = self.p, self._arrow_ends
         dx, dy = x.dim, y.dim
         free = sum(dy[t] * dx[s] for s, t in ends)
         counts = {}
         for (k, l), n in maps.items():
             alpha = tuple(a - b for a, b in zip(dx, k.dim))
-            diff = tuple(alpha[t] - a for t, a in zip(tau, alpha))
+            diff = self.iq.twist(alpha)
             e = self.iq.euler(k.dim, diff) + self.iq.euler(l.dim, diff)
             mult = n * p ** (free - sum(l.dim[t] * k.dim[s] for s, t in ends))
             for cls, hit in self._ext_dist(k, l):

@@ -7,9 +7,10 @@ scalars taken at v = sqrt(q) as QSqrt numbers (`qsqrt`). The
 symbolic forms (defining product, recursion, closed sum), Laurent
 polynomials over one common Laurent denominator, live in `oracle`, where
 the tests check them against each other and against `idp_hall`.
-"""
 
-import warnings
+A parity has no effect at a vertex the involution moves: `idp_hall`
+ignores it there, and says nothing (the `idp` command prints the warning).
+"""
 
 from .qsqrt import QSqrt
 
@@ -35,11 +36,6 @@ def idp_hall(algebra, vertex, n, parity=None):
     iq, q = algebra.iq, algebra.q
     s_elt = algebra.simple(vertex)
     if iq.tau[vertex] != vertex:
-        if parity is not None:
-            warnings.warn(
-                "parity has no effect at a vertex not fixed by the involution",
-                stacklevel=2,
-            )
         out = algebra.power(s_elt, n)
         return out.scale(QSqrt.qfact(q, n).inverse())
     if parity not in (0, 1):

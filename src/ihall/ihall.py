@@ -10,7 +10,10 @@ q^(sum_i dx_i dy_i) the counts are the untwisted structure constants
 The kQ table `kq` computes those counts itself (`extension_counts`), from
 its own Hall numbers and extension counts and tau, as a sum over the images
 of the maps x -> tau* y; the Euler-form twist and the torus commutation
-rule supply the powers of v = sqrt(q). The Lambda^i table (`table`) is
+rule K_alpha [y] = v^((tau(alpha) - alpha, dim y)) [y] K_alpha, in the
+symmetric Euler form, supply the powers of v = sqrt(q). tau(alpha) - alpha
+comes from `IQuiver.twist` alone. Every one-term element, 1 and K_alpha
+among them, is built by `basis_elt`. The Lambda^i table (`table`) is
 built on first use, only to list module classes or to rewrite one
 (`module_elt`). The product oracles, and the
 filtration counts (Hall numbers from every submodule) that give the same
@@ -142,9 +145,7 @@ class HallAlgebra:
         return HallElt(self, {})
 
     def one(self):
-        return HallElt(
-            self, {(self.kq.zero_class(), self._zero_alpha): self.scalar(1)}
-        )
+        return self.basis_elt(self.kq.zero_class())
 
     def _alpha(self, alpha):
         """A torus vector as a tuple of ints, one entry per vertex."""
@@ -153,12 +154,12 @@ class HallAlgebra:
             raise ValueError("torus vector %r needs %d entries, one per vertex" % (alpha, self.iq.n))
         return alpha
 
-    def basis_elt(self, cls, alpha=None, coeff=1):
+    def basis_elt(self, cls, alpha=None):
         """[cls] * K_alpha for a kQ class, as a single basis key."""
         if cls.table is not self.kq:
             raise ValueError("basis keys require a kQ (eps-zero) class, got %r" % (cls,))
         alpha = self._zero_alpha if alpha is None else self._alpha(alpha)
-        return HallElt(self, {(cls, alpha): self.scalar(coeff)})
+        return HallElt(self, {(cls, alpha): self.scalar(1)})
 
     def module_elt(self, cls):
         """[M] for a Lambda^i class, rewritten in the standard basis."""
@@ -171,27 +172,12 @@ class HallAlgebra:
         return self.basis_elt(self.kq.simple(v))
 
     def torus(self, alpha):
-        return HallElt(self, {(self.kq.zero_class(), self._alpha(alpha)): self.scalar(1)})
+        return self.basis_elt(self.kq.zero_class(), alpha)
 
     def torus_k(self, v):
-        vi = self.iq.vertices.index(v)
-        return self.torus(tuple(1 if k == vi else 0 for k in range(self.iq.n)))
+        return self.torus(self.iq.unit(v))
 
     # ---------- product ----------
-
-    def _torus_exp(self, alpha, ydim):
-        """Exponent of v when K_alpha moves left past a class of dim ydim."""
-        cart = self.iq.cartan
-        n = self.iq.n
-        total = 0
-        for i in range(n):
-            if not alpha[i]:
-                continue
-            ti = self.iq.tau_index[i]
-            for j in range(n):
-                if ydim[j]:
-                    total += alpha[i] * ydim[j] * (cart[ti][j] - cart[i][j])
-        return total
 
     def _pair(self, x, y):
         """[x] * [y] for kQ classes, as (class, gamma, scalar) rows.
@@ -212,11 +198,13 @@ class HallAlgebra:
         return rows
 
     def _mul(self, e1, e2):
+        """K_a moves left past [y] at v^((tau(a) - a, dim y)) (`IQuiver.twist`)."""
         out = {}
         zero = self.scalar(0)
         for (x, a), cx in e1.terms.items():
+            t = self.iq.twist(a)
             for (y, b), cy in e2.terms.items():
-                base = cx * cy * self.v_pow(self._torus_exp(a, y.dim))
+                base = cx * cy * self.v_pow(self.iq.sym(t, y.dim))
                 for w, gamma, scal in self._pair(x, y):
                     key = (
                         w,

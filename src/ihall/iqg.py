@@ -54,7 +54,7 @@ class Psi:
         from .idp import idp_hall
 
         h = self.algebra
-        base = idp_hall(h, i, n, parity if self.iq.tau[i] == i else None)
+        base = idp_hall(h, i, n, parity)
         # a fixed vertex is its own orbit's representative
         if i in self.reps:
             scal = QSqrt(h.q, 1, 0, (1 - h.q) ** n)

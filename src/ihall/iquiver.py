@@ -123,19 +123,17 @@ class IQuiver:
         return total
 
     def sym(self, x, y):
+        """Symmetric Euler form (x, y) = <x, y>_Q + <y, x>_Q."""
         return self.euler(x, y) + self.euler(y, x)
 
-    @cached_property
-    def cartan(self):
-        """Symmetrized matrix c_ij = <e_i,e_j>_Q + <e_j,e_i>_Q."""
-        units = [self.unit(v) for v in self.vertices]
-        return tuple(
-            tuple(self.sym(units[i], units[j]) for j in range(self.n))
-            for i in range(self.n)
-        )
+    def twist(self, alpha):
+        """tau(alpha) - alpha: K_alpha moves left past [y] at v^((twist, dim y)),
+        and a middle's v^e [X] * K_alpha has e = <dim X, twist>."""
+        return tuple(alpha[t] - a for t, a in zip(self.tau_index, alpha))
 
     def cartan_vv(self, u, w):
-        return self.cartan[self.vindex[u]][self.vindex[w]]
+        """The Cartan entry c_uw = (e_u, e_w)."""
+        return self.sym(self.unit(u), self.unit(w))
 
     @property
     def i_tau(self):

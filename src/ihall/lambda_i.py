@@ -76,5 +76,4 @@ def homology_reduce(cls, kq):
         raise RuntimeError("ker eps / im eps does not have dimension %r - res_K(%r)" % (dim, alpha))
     if any(any(row) for mat in x[:n] for row in mat):
         raise RuntimeError("product left the eps-zero basis: eps acts on ker eps / im eps")
-    diff = tuple(alpha[t] - a for t, a in zip(tau, alpha))
-    return lam.iq.euler(xdim, diff), kq.class_of(x[n:], xdim), alpha
+    return lam.iq.euler(xdim, lam.iq.twist(alpha)), kq.class_of(x[n:], xdim), alpha

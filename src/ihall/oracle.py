@@ -110,8 +110,8 @@ class SymRank1:
                 add((n - 1, k + 1), c * (LaurentPoly.v_pow(n) - LaurentPoly.v_pow(-n)))
         return SymRank1(out, self.den)
 
-    def mul_K(self, m=1):
-        return SymRank1({(n, k + m): c for (n, k), c in self.terms.items()}, self.den)
+    def mul_K(self):
+        return SymRank1({(n, k + 1): c for (n, k), c in self.terms.items()}, self.den)
 
     def __repr__(self):
         bits = []

@@ -237,7 +237,7 @@ def qbinom_high_residual(p):
     return _qbinom_sum(p, lambda t: (p + 1) * t, alternating=True) - pochhammer(2, 2, p)
 
 
-def run_identity_suites(pmax=12, dmax=12):
+def run_identity_suites(pmax, dmax):
     """Every named identity over its whole advertised range.
 
     Returns a list of (name, ok) pairs, one per identity family, each ok
@@ -271,7 +271,7 @@ def run_identity_suites(pmax=12, dmax=12):
     return results
 
 
-def run_t_suite(amax=8):
+def run_t_suite(amax):
     """T and T1 on every admissible triple with a <= amax."""
     results = []
     for a, d, u in adu_triples(amax):

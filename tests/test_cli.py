@@ -185,16 +185,24 @@ def test_idp_command(capsys):
 
 def test_idp_parity_at_a_moved_vertex_warns_in_one_line():
     # the warning reaches stderr as one plain line, not in Python's format
-    # with the path and source line of the code that raised it
+    # with the path and source line of the code that raised it; a run the
+    # budget refuses prints its budget line alone
     src = os.path.dirname(os.path.dirname(ihall.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["idp", "builtin:kronecker-r1", "--vertex", "1", "--n", "2", "--parity", "0", "--json"]
-    out = subprocess.run(
-        [sys.executable, "-m", "ihall.cli", *argv], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert json.loads(out.stdout)["parity"] == 0
-    assert out.stderr == "warning: parity has no effect at a vertex not fixed by the involution\n"
+    cases = [
+        (["--n", "2", "--parity", "0", "--json"], 0,
+         "warning: parity has no effect at a vertex not fixed by the involution\n"),
+        (["--n", "7", "--parity", "0"], 3,
+         "budget exceeded: dimension vector (7, 0) has total 7 > budget 6\n"),
+    ]
+    for args, code, err in cases:
+        argv = ["idp", "builtin:kronecker-r1", "--vertex", "1", *args]
+        out = subprocess.run(
+            [sys.executable, "-m", "ihall.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert (out.returncode, out.stderr) == (code, err), argv
+        if code == 0:
+            assert json.loads(out.stdout)["parity"] == 0
 
 
 def test_idp_missing_parity_is_input_error(capsys):

@@ -142,8 +142,8 @@ def test_non_fixed_vertex_is_plain_divided_power():
         qfact(n).specialize_sqrtq(2).inverse()
     )
     assert idp_hall(alg, "1", n) == plain
-    with pytest.warns(UserWarning):
-        idp_hall(alg, "1", 2, parity=0)
+    # a parity at a moved vertex is ignored, silently
+    assert idp_hall(alg, "1", 2, parity=0) == idp_hall(alg, "1", 2)
 
 
 def test_sym_to_hall_rejects_swapped_vertex():

@@ -131,7 +131,7 @@ def test_simple_times_multiple_rank1():
 
 
 def test_torus_commutation_exponents():
-    # K_a * [Y] = v^e [Y] * K_a with e = sum a_i ydim_j (c_{ti,j} - c_{ij})
+    # K_a * [Y] = v^e [Y] * K_a with e = (tau(a) - a, dim Y), (,) symmetric
     alg = algebra("kronecker-r1", 2)
     k1 = alg.torus_k("1")
     s1, s2 = alg.simple("1"), alg.simple("2")
@@ -288,6 +288,55 @@ def test_associativity_on_every_small_basis_triple(name, q, triples):
             seen += 1
             assert (x * y) * z == x * (y * z), (x, y, z)
     assert seen == triples
+
+
+def arrow_action(tab, g):
+    """cls -> gM: g in GL_k acts on each group of k parallel arrows, arrow l
+    becoming sum_m g_lm * arrow m. The a and b groups of qs3-k take the same
+    g, so the action commutes with tau."""
+    groups = {}
+    for pos, a in enumerate(tab.bq.arrows):
+        groups.setdefault((a.src, a.tgt), []).append(pos)
+    p = tab.p
+
+    def act(cls):
+        rep = list(cls.rep)
+        for pos in groups.values():
+            mats = [cls.rep[m] for m in pos]
+            for l, coeffs in zip(pos, g):
+                rep[l] = tuple(
+                    tuple(sum(c * e for c, e in zip(coeffs, entries)) % p for entries in zip(*rows))
+                    for rows in zip(*mats)
+                )
+        return tab.class_of(tuple(rep), cls.dim)
+
+    return act
+
+
+@pytest.mark.parametrize(
+    "name,q,total,checks",
+    [
+        ("split-2", 2, 4, 224), ("split-2", 3, 4, 411),
+        ("split-3", 2, 4, 1088), ("split-3", 3, 3, 340),
+        ("qs3-2", 2, 4, 942), ("qs3-2", 3, 3, 279),
+    ],
+)
+def test_arrow_space_symmetry(name, q, total, checks):
+    # g in GL_k on the parallel arrows is an automorphism of the iHall
+    # algebra: for nonzero kQ classes X and Y of total at most `total`,
+    # [gX] * [gY] is [X] * [Y] with every class M replaced by gM, for each
+    # generator g of GL_k(F_q)
+    iq = {"split-2": SPLIT2, "split-3": SPLIT3, "qs3-2": QS3_2}[name]
+    alg = HallAlgebra(iq, q)
+    seen = 0
+    for g in linalg.gl_generators(int(name[-1]), q):
+        act = arrow_action(alg.kq, g)
+        for x, y in class_pairs(alg.kq, total, keep=lambda c: c.total_dim):
+            prod = alg.basis_elt(x) * alg.basis_elt(y)
+            moved = {(act(m), alpha): c for (m, alpha), c in prod.terms.items()}
+            assert (alg.basis_elt(act(x)) * alg.basis_elt(act(y))).terms == moved, (g, x, y)
+            seen += 1
+    assert seen == checks
 
 
 def lifted(tab, cls):
