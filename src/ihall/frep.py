@@ -137,7 +137,6 @@ class ModuleTable:
         self.p = p
         self.budget_dim = budget_dim
         self.budget_space = budget_space
-        self.cache_dir = os.environ.get("IHALL_CACHE_DIR")
 
         index, ai = self.iq.vindex, bq.aindex
         self._arrow_ends = tuple((index[a.src], index[a.tgt]) for a in bq.arrows)
@@ -161,6 +160,13 @@ class ModuleTable:
 
     def _shapes(self, dim):
         return tuple((dim[ti], dim[si]) for si, ti in self._arrow_ends)
+
+    def _block_entries(self, dx, dy):
+        """Entries of the arrow blocks from dim dx to dim dy: the sum over
+        the arrows a of dy[t(a)] * dx[s(a)]. These are the cocycle
+        coordinates of an extension of dx by dy on kQ, and at dx = dy = d
+        the entries of a rep at d."""
+        return sum(dy[ti] * dx[si] for si, ti in self._arrow_ends)
 
     def _arrow_space(self, k, shape, cap=float("inf")):
         """Number of candidate matrices the search tries at one arrow. The
@@ -329,9 +335,7 @@ class ModuleTable:
 
         def cost(pairs):
             # p to the number of cocycle coordinates of x (dim dx) by y (dim dy)
-            return sum(
-                self.p ** sum(dy[ti] * dx[si] for si, ti in self._arrow_ends) for dx, dy in pairs
-            )
+            return sum(self.p ** self._block_entries(dx, dy) for dx, dy in pairs)
 
         as_sub = cost((low, e) for e, low in steps) <= cost(steps)
         for e, low in steps:
@@ -406,8 +410,10 @@ class ModuleTable:
             found.append((low, osz))
         # on kQ without oriented cycles every rep is nilpotent: the orbits
         # cover all p^N reps
-        if not self._relations and self.iq.is_acyclic() and sum(osz for _, osz in found) != self.p ** sum(
-            r * c for r, c in self._shapes(dim)
+        if (
+            not self._relations
+            and self.iq.is_acyclic()
+            and sum(osz for _, osz in found) != self.p ** self._block_entries(dim, dim)
         ):
             raise RuntimeError("orbit sizes do not add up to the rep count")
         rank = [0] * len(found)
@@ -419,80 +425,35 @@ class ModuleTable:
         orbits = [(low, self._decode(low, dim), osz, group // osz) for low, osz in sorted(found)]
         return orbits, rep_to_idx
 
-    # the disk cache (`tablecache`) is imported only when a table has a
-    # cache directory, so runs without one never compile it
-
-    def _cache_path(self, dim):
-        """The table file at dim, or None without a cache directory; the
-        benchmark's span tracer reads cache file sizes through it."""
-        if not self.cache_dir:
-            return None
-        from . import tablecache
-
-        return tablecache.path(self, dim)
-
-    def _load_cached(self, dim):
-        if not self.cache_dir:
-            return None
-        from . import tablecache
-
-        return tablecache.load(self, dim)
-
-    def _store_cached(self, dim, data):
-        if self.cache_dir:
-            from . import tablecache
-
-            tablecache.store(self, dim, data)
-
     def classes(self, dim):
         """Isomorphism classes at a dimension vector, in a stable order.
 
-        A vector in neither memory nor the disk cache is classified from
-        the classes one step below it (`_seeds`). Those are read first, by
-        a walk down with an explicit stack that stops at each vector held
-        in memory or on disk; the missing ones are then classified smallest
+        A vector not held in memory is classified from the classes one step
+        below it (`_seeds`). A walk down with an explicit stack collects the
+        vectors below dim not held yet, and they are classified smallest
         total first, so every `_seeds` finds its classes in memory and the
         call chain does not grow with the total dimension.
         """
         dim = tuple(int(d) for d in dim)
-        if dim in self._classes:
-            return self._classes[dim]
-        self.check_budget(dim)
-        data = self._load_cached(dim)
-        if data is None:
+        if dim not in self._classes:
+            self.check_budget(dim)
+            # no check_budget below dim: a lower vector's total, raw space
+            # and rep map are smaller
             missing, seen, stack = [], {dim}, [dim]
             while stack:
                 top = stack.pop()
+                missing.append(top)
                 for v, dv in enumerate(top):
                     low = top[:v] + (dv - 1,) + top[v + 1 :]
-                    if not dv or low in seen or low in self._classes:
-                        continue
-                    # no check_budget(low): its total, raw space and rep map are below dim's
-                    seen.add(low)
-                    low_data = self._load_cached(low)
-                    if low_data is None:
-                        missing.append(low)
+                    if dv and low not in seen and low not in self._classes:
+                        seen.add(low)
                         stack.append(low)
-                    else:
-                        self._adopt(low, low_data)
             for low in sorted(missing, key=sum):
-                low_data = self._classify(low)
-                self._store_cached(low, low_data)
-                self._adopt(low, low_data)
-            data = self._classify(dim)
-            self._store_cached(dim, data)
-        return self._adopt(dim, data)
-
-    def _adopt(self, dim, data):
-        """Hold the classes of (orbits, rep map) at dim; returns them."""
-        orbits, rep_to_idx = data
-        cls = tuple(
-            IsoClass(self, dim, k, can, osz, aut)
-            for k, (_, can, osz, aut) in enumerate(orbits)
-        )
-        self._classes[dim] = cls
-        self._by_rep[dim] = rep_to_idx
-        return cls
+                orbits, self._by_rep[low] = self._classify(low)
+                self._classes[low] = tuple(
+                    IsoClass(self, low, k, can, osz, aut) for k, (_, can, osz, aut) in enumerate(orbits)
+                )
+        return self._classes[dim]
 
     def _code(self, rep, dim):
         """The code of a matrix tuple at dim (KeyError or ValueError if none)."""
@@ -607,15 +568,14 @@ class ModuleTable:
         middles z that reduce to (X, alpha, e) (Riedtmann's formula).
         """
         maps = self._maps(x, y)  # refuses classes of any other table
-        p, ends = self.p, self._arrow_ends
-        dx, dy = x.dim, y.dim
-        free = sum(dy[t] * dx[s] for s, t in ends)
+        p, dx, dy = self.p, x.dim, y.dim
+        free = self._block_entries(dx, dy)
         counts = {}
         for (k, l), n in maps.items():
             alpha = tuple(a - b for a, b in zip(dx, k.dim))
             diff = self.iq.twist(alpha)
             e = self.iq.euler(k.dim, diff) + self.iq.euler(l.dim, diff)
-            mult = n * p ** (free - sum(l.dim[t] * k.dim[s] for s, t in ends))
+            mult = n * p ** (free - self._block_entries(k.dim, l.dim))
             for cls, hit in self._ext_dist(k, l):
                 counts[cls, alpha, e] = counts.get((cls, alpha, e), 0) + hit * mult
         return counts, p ** sum(a * b for a, b in zip(dx, dy))
@@ -688,9 +648,7 @@ class ModuleTable:
         if mkey not in self._ext:
             dz = tuple(a + b for a, b in zip(k.dim, l.dim))
             classes = self.classes(dz)
-            if sum(l.dim[t] * k.dim[s] for s, t in self._arrow_ends) == sum(
-                r * c for r, c in self._shapes(dz)
-            ):
+            if self._block_entries(k.dim, l.dim) == self._block_entries(dz, dz):
                 # the blocks of k, of l and from l to k have no entries: every
                 # rep at dz is the middle of exactly one cocycle, and is
                 # nilpotent, as every path of length 2 acts by zero

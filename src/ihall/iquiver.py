@@ -177,7 +177,8 @@ class IQuiver:
         )
 
     def signature(self):
-        """Stable text identity, used for cache keys."""
+        """Stable text identity: two iquivers with the same vertices, arrows
+        and involution have the same signature."""
         return repr(
             (
                 self.vertices,
@@ -205,10 +206,6 @@ class BoundQuiver:
         self.arrows = tuple(extra) + iq.arrows
         self.aindex = {a.name: k for k, a in enumerate(self.arrows)}
         self.relations = tuple(relations)
-
-    def signature(self):
-        """Stable text identity of the iquiver, the arrows and the relations."""
-        return repr((self.iq.signature(), self.arrows, self.relations))
 
 
 BUILTIN_NAMES = ("rank1-split", "a2-split", "a3-quasisplit", "kronecker-r1")

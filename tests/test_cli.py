@@ -1,5 +1,6 @@
 """Command line interface: exit codes and payload shapes."""
 
+import ast
 import contextlib
 import io
 import json
@@ -144,7 +145,6 @@ def test_deep_dimension_vector_needs_no_deep_call_chain():
     # dimension far past the recursion limit is no RecursionError (exit 1)
     src = os.path.dirname(os.path.dirname(ihall.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("IHALL_CACHE_DIR", None)
     code = """if True:
         import sys
         import ihall.cli
@@ -423,19 +423,6 @@ def test_product_bad_element_vertex_or_dimension_is_input_error(capsys):
         assert err.startswith("error: %s" % named) and "invalid literal" not in err, key
 
 
-@pytest.mark.parametrize("under_a_file", [False, True])
-def test_cache_dir_that_is_no_directory_is_input_error(tmp_path, capsys, monkeypatch, under_a_file):
-    # IHALL_CACHE_DIR naming a file, or a path below one, is bad input that
-    # names the variable, not an errno of the first table written
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    path = str(blocker / "cache" if under_a_file else blocker)
-    monkeypatch.setenv("IHALL_CACHE_DIR", path)
-    code, out, err = run(capsys, "verify", "builtin:a2-split")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: IHALL_CACHE_DIR %r is not a usable directory: " % path), err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -473,11 +460,33 @@ def test_bad_parities_is_input_error(capsys, value):
     assert "argument --parities:" in out.err and repr(value) in out.err
 
 
+def _verify_payload(capsys, *argv):
+    code, out, err = run(capsys, "verify", "builtin:a2-split", "--q", "3", "--json", *argv)
+    out = json.loads(out)
+    out.pop("elapsed_s")
+    return code, out, err
+
+
+@pytest.mark.parametrize("under_a_file", [False, True])
+def test_cache_dir_that_is_no_directory_is_input_error(tmp_path, capsys, monkeypatch, under_a_file):
+    # no table is read from or written to disk, so IHALL_CACHE_DIR naming a
+    # file, or a path below one, is no longer an input error: the run is
+    # the same as without the variable
+    monkeypatch.delenv("IHALL_CACHE_DIR", raising=False)
+    want = _verify_payload(capsys)
+    assert want[0] == 0
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = str(blocker / "cache" if under_a_file else blocker)
+    monkeypatch.setenv("IHALL_CACHE_DIR", path)
+    assert _verify_payload(capsys) == want
+
+
 def test_import_loads_no_cache_modules(tmp_path):
-    # hashlib and pickle are not used at all (the disk cache is JSON named
-    # by a crc32), so neither importing the CLI nor a verify that reads its
-    # tables from a warm cache may load them; `site` may have loaded them
-    # already
+    # hashlib and pickle are not used at all, so neither importing the CLI
+    # nor a verify run may load them (`site` may have loaded them already);
+    # every run classifies its tables afresh and an IHALL_CACHE_DIR stays
+    # empty
     src = os.path.dirname(os.path.dirname(ihall.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
@@ -493,33 +502,24 @@ def test_import_loads_no_cache_modules(tmp_path):
         before = set(sys.modules)
         import ihall.cli, ihall.frep
         table = ihall.frep.ModuleTable
-        called = {"_classify": 0}
-        for name in called:
-            def counted(*args, name=name, orig=getattr(table, name)):
-                called[name] += 1
-                return orig(*args)
-            setattr(table, name, counted)
+        called = []
+        def counted(*args, orig=table._classify):
+            called.append(args[1])
+            return orig(*args)
+        table._classify = counted
         with contextlib.redirect_stdout(io.StringIO()):
             code = ihall.cli.main(["verify", "builtin:a2-split", "--q", "3"])
-        new = set(sys.modules) - before
-        print(code, called["_classify"] > 0,
-              sorted({'hashlib', 'pickle', 'ihall.tablecache'} & new))
+        print(code, bool(called), sorted({"hashlib", "pickle"} & (set(sys.modules) - before)))
     """
-    # without a cache directory the cache module is never compiled
-    env.pop("IHALL_CACHE_DIR", None)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "0 True []"
-    env["IHALL_CACHE_DIR"] = str(tmp_path)
-    runs = [
-        subprocess.run(
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    env["IHALL_CACHE_DIR"] = str(cache)
+    for _ in range(2):
+        out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout.strip()
-        for _ in range(2)
-    ]
-    # the first run fills the cache; the second classifies nothing
-    assert runs == ["0 True ['ihall.tablecache']", "0 False ['ihall.tablecache']"]
+        )
+        assert out.stdout.strip() == "0 True []"
+    assert list(cache.iterdir()) == []
 
 
 def _loaded_ihall_modules(argv, as_main=False):
@@ -757,7 +757,26 @@ def test_no_module_loads_fractions():
     """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     n, oracle, fractions = out.stdout.split()
-    assert int(n) >= 14 and (oracle, fractions) == ("True", "False")
+    assert int(n) >= 13 and (oracle, fractions) == ("True", "False")
+
+
+def test_no_module_reads_the_environment():
+    # no hidden knob: every input of a run is on its command line, so no
+    # module names os.environ, os.environb, os.getenv or os.getenvb, in
+    # any spelling of the import
+    src = os.path.dirname(ihall.__file__)
+    names = sorted(name for name in os.listdir(src) if name.endswith(".py"))
+    assert len(names) >= 14
+    knobs = {"environ", "environb", "getenv", "getenvb"}
+    for name in names:
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+        }
+        assert not knobs & used, (name, sorted(knobs & used))
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,6 @@
 
 import functools
 import gc
-import hashlib
-import json
-import os
-import pickle
-import shutil
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -14,7 +9,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ihall import frep, linalg, oracle, tablecache
+from ihall import frep, linalg, oracle
 from ihall.cli import main
 from ihall.frep import BudgetError, ModuleTable
 from ihall.iquiver import BUILTIN_NAMES, BoundQuiver, IQuiver, builtin_iquiver
@@ -237,152 +232,6 @@ def test_permutation_tables_match_matrix_products(q):
                     m = tuple(map(right_row, m))
                 want.append(index[m])
             assert tab._permutation(key, d, gi, side) == want, (key, side, gi)
-
-
-CORRUPTIONS = [
-    "missing rep",
-    "aut order",
-    "orbit index",
-    "foreign signature",
-    "non-minimal code",
-    "wrong rep",
-    "truncated",
-    "not JSON",
-    "deeply nested",
-    "non-int code",
-    "code out of range",
-    "negative index",
-    "repeated code",
-    "missing member",
-    "canonical code moved",
-]
-
-
-@pytest.mark.parametrize("corruption", CORRUPTIONS)
-def test_corrupt_cache_payload_is_recomputed(tmp_path, monkeypatch, corruption):
-    dim = (1, 2)
-    fresh = table("a2-split", 2)
-    monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
-    writer = table("a2-split", 2)
-    writer.classes(dim)
-    path = tablecache.path(writer, dim)
-    with open(path) as fh:
-        text = fh.read()
-    payload = json.loads(text)
-    orbits, codes, index = payload["orbits"], payload["codes"], payload["index"]
-    if corruption == "missing rep":
-        del codes[0], index[0]
-    elif corruption == "aut order":
-        orbits[0][3] += 1
-    elif corruption == "orbit index":
-        index[0] = len(orbits)
-    elif corruption == "foreign signature":
-        # a quiver that differs only in an arrow name has the same tables,
-        # so the payload is consistent and only its signature is foreign
-        other = ModuleTable(doubled(IQuiver(["1", "2"], [("b1", "1", "2")])), 2)
-        payload["signature"] = tablecache.signature(other, dim)
-    elif corruption == "non-minimal code":
-        # a later member of an orbit as its canonical code, with that
-        # member's rep, keeping the canonical codes increasing
-        n = len(orbits)
-        i, code = next(
-            (i, c)
-            for c, i in zip(codes, index)
-            if c != orbits[i][0] and (i + 1 == n or c < orbits[i + 1][0])
-        )
-        orbits[i][:2] = code, writer._decode(code, dim)
-    elif corruption == "wrong rep":
-        orbits[-1][1] = orbits[0][1]
-    else:
-        # each of these breaks exactly one check: the orbit sizes, the
-        # smallest codes and the rest of the payload stay consistent
-        canon = [o[0] for o in orbits]
-        members = [k for k, c in enumerate(codes) if c not in canon]
-        k = members[0]
-        _, sizes, weights = writer._radix(dim)
-        space = sizes[0] * weights[0]
-        if corruption == "non-int code":
-            codes[k] += 0.5
-        elif corruption == "code out of range":
-            codes[k] = space
-        elif corruption == "negative index":
-            codes.append(max(set(range(space)) - set(codes)))
-            index.append(-1)
-            assert codes[-1] > canon[-1]
-        elif corruption == "repeated code":
-            codes[k] = canon[index[k]]
-        elif corruption == "missing member":
-            del codes[k], index[k]
-        elif corruption == "canonical code moved":
-            # the canonical code of orbit j and a larger member of an
-            # earlier orbit i trade class indices
-            j, m = next(
-                (j, m) for j in range(1, len(canon)) for m in members
-                if index[m] < j and codes[m] > canon[j]
-            )
-            c = codes.index(canon[j])
-            index[c], index[m] = index[m], j
-    if corruption == "truncated":
-        text = text[: len(text) // 2]
-    elif corruption == "not JSON":
-        text = "\x80\x04 not json"
-    elif corruption == "deeply nested":
-        text = "[" * 200000 + "]" * 200000
-    else:
-        text = json.dumps(payload)
-    with open(path, "w") as fh:
-        fh.write(text)
-
-    reader = table("a2-split", 2)
-    assert reader._load_cached(dim) is None
-    assert _fresh(reader, dim) == _fresh(fresh, dim)
-
-
-def _fresh(tab, dim):
-    """Classes and full rep map (code -> class index) of a table at dim."""
-    cls = tab.classes(dim)
-    return [(c.rep, c.orbit_size, c.aut_order) for c in cls], dict(tab._by_rep[dim])
-
-
-@pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["split-2"])
-def test_cache_round_trip(tmp_path, monkeypatch, name, q):
-    # a table read from a cache file equals the one that wrote it
-    iq = SPLIT2 if name == "split-2" else builtin_iquiver(name)
-    monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
-    writer = tables(iq, q)
-    reader = tables(iq, q)
-    for dim in product(range(4), repeat=iq.n):
-        if sum(dim) > 3:
-            continue
-        for wtab, rtab in zip(writer, reader):
-            want = _fresh(wtab, dim)
-            assert rtab._load_cached(dim) is not None, dim
-            assert _fresh(rtab, dim) == want, dim
-
-
-def test_signature_covers_every_module_the_cache_stores(tmp_path, monkeypatch):
-    # the signature signs every module of the package, so a change to any
-    # of them makes old files a miss
-    src = os.path.dirname(tablecache.__file__)
-    names = sorted(name for name in os.listdir(src) if name.endswith(".py"))
-    assert {"frep.py", "linalg.py", "iquiver.py", "lambda_i.py", "tablecache.py"} <= set(names)
-    for name in names:
-        shutil.copy(os.path.join(src, name), tmp_path / name)
-    monkeypatch.setattr(tablecache, "__file__", str(tmp_path / "tablecache.py"))
-    tab = table("a2-split", 2)
-    try:
-        tablecache._source_crc.cache_clear()
-        seen = {tablecache.signature(tab, (1, 1))}
-        for name in names:
-            with open(tmp_path / name, "a") as fh:
-                fh.write("\n")
-            tablecache._source_crc.cache_clear()
-            new = tablecache.signature(tab, (1, 1))
-            assert new not in seen, name
-            seen.add(new)
-    finally:
-        tablecache._source_crc.cache_clear()
 
 
 def _raw_orbits(tab, dim):
@@ -627,117 +476,40 @@ def test_kq_classes_are_the_eps_zero_classes(name, q, total):
         ], dim
 
 
-def test_kq_and_lambda_tables_share_a_cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
-    dims = [(1, 1), (2, 1)]
-    writer = tables(builtin_iquiver("a2-split"), 3)
-    for tab in writer:
-        assert tab.cache_dir == str(tmp_path)
-        for dim in dims:
-            tab.classes(dim)
-    assert tablecache.path(writer[0], (1, 1)) != tablecache.path(writer[1], (1, 1))
-    reader = tables(builtin_iquiver("a2-split"), 3)
-    monkeypatch.delenv("IHALL_CACHE_DIR")
-    fresh = tables(builtin_iquiver("a2-split"), 3)
-    for tab, ref in zip(reader, fresh):
-        for dim in dims:
-            assert tab._load_cached(dim) is not None
-            assert _fresh(tab, dim) == _fresh(ref, dim)
-    # the kQ reps lack the eps matrices, so each table read its own file
-    assert len(reader[0].classes((1, 1))[0].rep) == 3
-    assert len(reader[1].classes((1, 1))[0].rep) == 1
+def _fresh(tab, dim):
+    """Classes and full rep map (code -> class index) of a table at dim."""
+    cls = tab.classes(dim)
+    return [(c.rep, c.orbit_size, c.aut_order) for c in cls], dict(tab._by_rep[dim])
 
 
-def test_classes_read_the_cache_down_to_the_first_hit(tmp_path, monkeypatch):
-    # a vector is read once, and the vectors below it only when it is in
-    # neither memory nor the cache: a cold table reads the whole box below
-    # dim, a warm one dim alone, a partly warm one down to its hits
-    monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
-    loaded = []
-    load = ModuleTable._load_cached
+def test_classes_classify_the_box_below_bottom_up(monkeypatch):
+    # a vector is classified once, and the vectors below it only when they
+    # are not held yet: a cold table classifies the whole box below dim,
+    # smallest total first, a warm one nothing, a partly warm one the
+    # vectors it lacks
+    classified = []
+    classify = ModuleTable._classify
 
     def recording(self, dim):
-        loaded.append(dim)
-        return load(self, dim)
+        classified.append(dim)
+        return classify(self, dim)
 
-    monkeypatch.setattr(ModuleTable, "_load_cached", recording)
+    monkeypatch.setattr(ModuleTable, "_classify", recording)
     dim = (2, 2)
-    want = _fresh(kq_table("a2-split", 2), dim)
-    assert sorted(loaded) == list(product(range(3), repeat=2))
-    loaded.clear()
-    assert _fresh(kq_table("a2-split", 2), dim) == want
-    assert loaded == [dim]
-    cold = kq_table("a2-split", 2)
-    for gone in [(2, 2), (1, 2)]:
-        os.remove(tablecache.path(cold, gone))
-    loaded.clear()
-    assert _fresh(kq_table("a2-split", 2), dim) == want
-    assert sorted(loaded) == [(0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
-
-
-def test_cache_file_of_version_2_is_a_miss(tmp_path, monkeypatch):
-    # version 2 keyed its files by the iquiver alone, so a kQ table could
-    # have read a Lambda^i file; write one where version 2 put it
-    iq = builtin_iquiver("kronecker-r1")
-    dim = (1, 1)
-    old = ModuleTable(doubled(iq), 2)
-    orbits, codes = old._classify(dim)
-    orbits = [(rep, osz, aut) for _, rep, osz, aut in orbits]
-    rep_to_idx = {old._decode(c, dim): i for c, i in codes.items()}
-    h = hashlib.sha256(repr((2, iq.signature(), 2)).encode()).hexdigest()[:16]
-    with open(tmp_path / ("ihall-%s-d1_1.pkl" % h), "wb") as fh:
-        pickle.dump({"version": 2, "orbits": orbits, "rep_to_idx": rep_to_idx}, fh)
-    fresh = tables(iq, 2)
-    monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
-    reader = tables(iq, 2)
-    for tab, ref in zip(reader, fresh):
-        data = tab._load_cached(dim)
-        assert data is None or data == ref._classify(dim)
-        assert _fresh(tab, dim) == _fresh(ref, dim)
-
-
-UNPICKLED = []
-
-
-def _unpickled():
-    UNPICKLED.append(True)
-
-
-class _Tripwire:
-    """Runs `_unpickled` when unpickled, as a hostile pickle could run anything."""
-
-    def __reduce__(self):
-        return _unpickled, ()
-
-
-def test_pickle_of_version_3_is_never_read(tmp_path, monkeypatch):
-    # version 3 pickled the classes into files named by a sha256 of the
-    # bound quiver; write one, with a tripwire, where version 3 put each
-    iq = builtin_iquiver("kronecker-r1")
-    dim = (1, 1)
-    fresh = tables(iq, 2)
-    for ref in fresh:
-        orbits, codes = ref._classify(dim)
-        payload = {
-            "version": 3,
-            "orbits": [(rep, osz, aut) for _, rep, osz, aut in orbits],
-            "rep_to_idx": {ref._decode(c, dim): i for c, i in codes.items()},
-            "tripwire": _Tripwire(),
-        }
-        h = hashlib.sha256(repr((3, ref.bq.signature(), 2)).encode()).hexdigest()[:16]
-        with open(tmp_path / ("ihall-%s-d1_1.pkl" % h), "wb") as fh:
-            pickle.dump(payload, fh)
-    monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
-    reader = tables(iq, 2)
-    for tab, ref in zip(reader, fresh):
-        assert tab._load_cached(dim) is None
-        assert _fresh(tab, dim) == _fresh(ref, dim)
-    assert UNPICKLED == []
-    # the tripwire works: loading one of those files does fire it
-    with open(next(tmp_path.glob("*.pkl")), "rb") as fh:
-        pickle.load(fh)
-    assert UNPICKLED == [True]
-    UNPICKLED.clear()
+    tab = kq_table("a2-split", 2)
+    tab.classes(dim)
+    assert sorted(classified) == list(product(range(3), repeat=2))
+    assert [sum(d) for d in classified] == sorted(sum(d) for d in classified)
+    assert classified[-1] == dim
+    classified.clear()
+    tab.classes(dim)
+    assert classified == []
+    part = kq_table("a2-split", 2)
+    part.classes((1, 1))
+    classified.clear()
+    part.classes(dim)
+    assert sorted(classified) == [(0, 2), (1, 2), (2, 0), (2, 1), (2, 2)]
+    assert _fresh(part, dim) == _fresh(tab, dim)
 
 
 def test_budget_errors():
@@ -903,10 +675,9 @@ def test_class_interning():
     assert tab.class_of(s1.rep, s1.dim) is s1
 
 
-def test_classes_of_two_tables_never_compare_equal(tmp_path, monkeypatch):
-    # classes compare by identity: two tables of one quiver that read one
-    # cache directory build equal data but distinct classes
-    monkeypatch.setenv("IHALL_CACHE_DIR", str(tmp_path))
+def test_classes_of_two_tables_never_compare_equal():
+    # classes compare by identity: two tables of one quiver build equal
+    # data but distinct classes
     a, b = (tables(builtin_iquiver("a2-split"), 2) for _ in "ab")
     for ta, tb in zip(a, b):
         for dim in [(0, 0), (1, 0), (1, 1), (2, 1)]:
