@@ -7,6 +7,8 @@ the package, or running one CLI command, compiles only the layers in use.
 from importlib import import_module
 
 __version__ = "0.1.0"
+# the default table budgets: the largest total dimension, and raw candidate count at one dimension vector
+BUDGET_DIM, BUDGET_SPACE = 6, 2 ** 28
 
 
 class BudgetError(RuntimeError):

@@ -23,7 +23,7 @@ import sys
 import time
 from types import SimpleNamespace
 
-from . import BudgetError
+from . import BUDGET_DIM, BUDGET_SPACE, BudgetError
 
 
 def _load_iquiver(name):
@@ -44,12 +44,7 @@ def _load_iquiver(name):
 def _algebra(args):
     from .ihall import HallAlgebra
 
-    return HallAlgebra(
-        _load_iquiver(args.quiver),
-        args.q,
-        budget_dim=args.budget_dim,
-        budget_space=args.budget_space,
-    )
+    return HallAlgebra(_load_iquiver(args.quiver), args.q, budget_dim=args.budget_dim, budget_space=args.budget_space)
 
 
 def _emit(args, payload, text_lines):
@@ -147,8 +142,9 @@ def _parities(text):
 _QUIVER = ("quiver", "builtin:<name> or path of a JSON spec (an unknown builtin name lists the builtins)")
 _ALGEBRA = (
     ("--q", int, 2, False, None, "prime field size (default 2)"),
-    ("--budget-dim", _nonnegative, 6, False, None, "max total dimension enumerated (default 6)"),
-    ("--budget-space", _nonnegative, 2 ** 28, False, None, "max raw candidate count at one dimension (default 2^28)"),
+    ("--budget-dim", _nonnegative, BUDGET_DIM, False, None, "max total dimension enumerated (default %d)" % BUDGET_DIM),
+    ("--budget-space", _nonnegative, BUDGET_SPACE, False, None,
+     "max raw candidate count at one dimension (default 2^%d)" % (BUDGET_SPACE.bit_length() - 1)),
 )
 
 # name: (help line, positionals as (name, help), options, handler); every

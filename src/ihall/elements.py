@@ -53,13 +53,15 @@ def _parse_elt(algebra, key):
             idx = int(idx_s)
         except ValueError:
             raise ValueError("class key %r: index %r is not an integer" % (key, idx_s)) from None
+        if idx < 0:
+            raise ValueError("class key %r: index %d is negative" % (key, idx))
         # the eps-zero classes come first, each at its kQ class's index, so
         # only a class past them builds the Lambda^i table
         basis = algebra.kq.classes(dim)
-        if 0 <= idx < len(basis):
+        if idx < len(basis):
             return algebra.basis_elt(basis[idx])
         classes = algebra.table.classes(dim)
-        if not 0 <= idx < len(classes):
+        if idx >= len(classes):
             raise ValueError("index %d out of range: %d classes at dimension %s" % (idx, len(classes), dim_s))
         return algebra.module_elt(classes[idx])
     raise ValueError("unrecognized element key %r (want simple:, k:, or class:)" % key)

@@ -49,7 +49,7 @@ import os
 from collections import Counter
 from itertools import product as cartesian
 
-from . import BudgetError, linalg
+from . import BUDGET_DIM, BUDGET_SPACE, BudgetError, linalg
 
 # Bytes per entry of a {code: class index} rep map, the int key included:
 # tracemalloc on 64-bit CPython 3.11, filling such a dict with 6561 to 2^21
@@ -129,7 +129,7 @@ class ModuleTable:
     numbered in the flat order of their reps.
     """
 
-    def __init__(self, bq, p, budget_dim=6, budget_space=2 ** 28):
+    def __init__(self, bq, p, budget_dim=BUDGET_DIM, budget_space=BUDGET_SPACE):
         if not linalg.is_prime(p):
             raise ValueError("p must be prime, got %r" % (p,))
         self.bq = bq

@@ -109,12 +109,12 @@ class HallElt:
 
 
 class HallAlgebra:
-    """The twisted semi-derived Hall algebra of (iquiver, q)."""
+    """The twisted semi-derived Hall algebra of (iquiver, q); the budget keywords go to its tables."""
 
-    def __init__(self, iq, q, budget_dim=6, budget_space=2 ** 28):
+    def __init__(self, iq, q, **budgets):
         self.iq = iq
         self.q = q
-        self.kq = ModuleTable(BoundQuiver(iq), q, budget_dim=budget_dim, budget_space=budget_space)
+        self.kq = ModuleTable(BoundQuiver(iq), q, **budgets)
         self._pair_cache = {}
         self._zero_alpha = (0,) * iq.n
 

@@ -41,10 +41,7 @@ class Psi:
         k = h.torus_k(i)
         if self.iq.tau[i] == i:
             return k.scale(QSqrt(h.q, -1, 0, h.q))
-        c = self.iq.cartan_vv(i, self.iq.tau[i])
-        if c % 2:
-            raise ValueError("odd Cartan pairing between a swapped pair")
-        return k.scale(h.v_pow(-c // 2))
+        return k.scale(h.v_pow(-self.iq.cartan_vv(i, self.iq.tau[i]) // 2))
 
     def BDP(self, i, n, parity=None):
         """Image of the (parity-)divided power of B_i."""

@@ -1,15 +1,15 @@
 """The q-series side: T, T1 and the q-identities behind the idivided powers.
 
 Only `ihall identities` and the oracles load this module; `ihall verify`
-never compiles it. It holds the q-combinatorics only the suites use (comb2,
-[n]!! and its ratios, the cleared factor of the T sums, [m choose r]; [n]
-and [n]! are shared, in `ring`), then the triple-sum values T and T1 and
-the factorial/binomial identities they reduce to, all over exact Laurent
-polynomials. Each sum is taken in one pass: its terms v^e f go into one
-buffer (ring.shifted_sum), T and T1 come out of one shared evaluation per
-triple (each (k, m) group's terms of even and odd n are summed once and
-multiplied by the group's cofactor once), and kmrd sums its terms over m
-before it multiplies each k group by [2d]!!/[2k]!!.
+never compiles it. It holds the q-combinatorics of the suites, which the
+oracles share (comb2, [n]!! and its ratios, the cleared factor of the T
+sums, [m choose r]; [n] and [n]! are in `ring`), then the triple-sum values
+T and T1 and the factorial/binomial identities they reduce to, all over
+exact Laurent polynomials. Each sum is taken in one pass: its terms v^e f go
+into one buffer (ring.shifted_sum), T and T1 come out of one shared
+evaluation per triple (each (k, m) group's terms of even and odd n are
+summed once and multiplied by the group's cofactor once), and kmrd sums its
+terms over m before it multiplies each k group by [2d]!!/[2k]!!.
 """
 
 from functools import lru_cache

@@ -15,9 +15,9 @@ Of the commands only `identities` loads this module: the Hall-side
 commands take their scalars at v = sqrt(q) as QSqrt numbers, which `qsqrt`
 builds from ints.  It holds what the identity suites, the symbolic oracles
 and the tests share: LaurentPoly, [n], [n]! and q-Pochhammer products.  The
-tests check the QSqrt values against these forms specialized at
-v = sqrt(q), and the q-combinatorics that only the identity suites use
-live in `qseries`.
+tests check the QSqrt values against these forms at v = sqrt(q).  The rest
+of the q-combinatorics lives in `qseries`, for the identity suites and the
+oracles (which take qbinom, qdfact, comb2 and p_exponent from it).
 """
 
 from functools import lru_cache

@@ -13,7 +13,7 @@ from ihall import linalg
 from ihall.idp import idp_hall
 from ihall.ihall import HallAlgebra
 from ihall.iqg import verify_presentation
-from ihall.iquiver import BUILTIN_NAMES, IQuiver, build_iquiver, builtin_iquiver
+from ihall.iquiver import BUILTIN_NAMES, builtin_iquiver
 from ihall.lambda_i import eps_pos
 from ihall.oracle import (
     ext_count_with_middle,
@@ -29,6 +29,7 @@ from ihall.oracle import (
     sym_to_hall,
 )
 from ihall.qseries import run_identity_suites, run_t_suite
+from quivers import quiver
 
 
 def _report(name, ok, detail=""):
@@ -39,13 +40,6 @@ def _report(name, ok, detail=""):
     assert ok, line
 
 
-def _split2(a):
-    arrows = [["a%d" % k, "1", "2"] for k in range(1, a + 1)]
-    return build_iquiver(
-        {"vertices": ["1", "2"], "arrows": arrows, "tau": {"1": "1", "2": "2"}}
-    )
-
-
 def _qpoch(base, n):
     out = Fraction(1)
     for j in range(1, n + 1):
@@ -53,38 +47,16 @@ def _qpoch(base, n):
     return out
 
 
-def _commuting_pair():
-    # vertices 1 <-> 2 and 3 <-> 4 swapped, arrows 1 -> 4 and 2 -> 3 swapped:
-    # c(1, 3) = c(2, 4) = 0, so the suite holds two commute rows
-    return build_iquiver(
-        {
-            "vertices": ["1", "2", "3", "4"],
-            "arrows": [["a", "1", "4"], ["b", "2", "3"]],
-            "tau": {"1": "2", "2": "1", "3": "4", "4": "3"},
-            "tau_arrows": {"a": "b", "b": "a"},
-        }
-    )
-
-
-def _kronecker2():
-    # two arrows each way; tau swaps the vertices and a1 <-> b1, a2 <-> b2
-    return IQuiver(
-        ["1", "2"],
-        [("a1", "1", "2"), ("a2", "1", "2"), ("b1", "2", "1"), ("b2", "2", "1")],
-        tau={"1": "2", "2": "1"},
-        tau_arrows={"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"},
-    )
-
-
 def test_c1_presentation_relations():
     t0 = time.perf_counter()
     failures = []
     total = 0
-    runs = [(name, builtin_iquiver(name), q) for name in BUILTIN_NAMES for q in (2, 3)]
-    runs.append(("kronecker-r2", _kronecker2(), 2))
-    runs += [("commuting-pair", _commuting_pair(), q) for q in (2, 3)]
-    for name, iq, q in runs:
-        alg = HallAlgebra(iq, q)
+    # the commuting pair has c(1, 3) = c(2, 4) = 0: its suite holds two
+    # commute rows
+    runs = [(name, q) for name in BUILTIN_NAMES for q in (2, 3)]
+    runs += [("kronecker-r2", 2), ("commuting-pair", 2), ("commuting-pair", 3)]
+    for name, q in runs:
+        alg = HallAlgebra(quiver(name), q)
         for label, res in verify_presentation(alg, (0, 1)):
             total += 1
             if not res.is_zero():
@@ -122,9 +94,10 @@ def test_c2_lowest_weight_sandwich_identity():
 
 def test_c3_fixed_vertex_serre_sums():
     failures = []
-    for a, qs in ((1, (2, 3)), (2, (2, 3)), (3, (2,))):
+    for name, qs in (("a2-split", (2, 3)), ("split-2", (2, 3)), ("split-3", (2,))):
         for q in qs:
-            alg = HallAlgebra(_split2(a), q)
+            alg = HallAlgebra(quiver(name), q)
+            a = len(alg.iq.arrows)
             s2 = alg.simple("2")
             for p in (0, 1):
                 tot = alg.zero()
@@ -152,7 +125,7 @@ def test_c4_idivided_power_forms_agree():
             ok = ok and idp_product(n, parity) == c
             ok = ok and idp_recursive(n, parity) == c
     # the Hall side at both fixed vertices of split rank 2 with two arrows too
-    sites = [(builtin_iquiver("rank1-split"), ("1",)), (_split2(2), ("1", "2"))]
+    sites = [(quiver("rank1-split"), ("1",)), (quiver("split-2"), ("1", "2"))]
     for q in (2, 3):
         for iq, vertices in sites:
             alg = HallAlgebra(iq, q, budget_dim=10)
@@ -196,8 +169,8 @@ def test_c6_closed_form_oracles():
             continue
         ok = ok and oracle_kq_product(alg, x, y) == alg.basis_elt(x) * alg.basis_elt(y)
     # semisimple sandwich closed form
-    for a in (1, 2):
-        alg = HallAlgebra(_split2(a), 2)
+    for name in ("a2-split", "split-2"):
+        alg = HallAlgebra(quiver(name), 2)
         tab = alg.kq
         s1 = tab.simple("1")
         for s in range(4):

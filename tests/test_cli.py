@@ -5,7 +5,6 @@ import contextlib
 import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
 from types import SimpleNamespace
@@ -15,14 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import ihall
 import ihall.cli
-from ihall import linalg
+from ihall import frep, linalg
 from ihall.cli import main
-
-SPLIT2 = {
-    "vertices": ["1", "2"],
-    "arrows": [["a1", "1", "2"], ["a2", "1", "2"]],
-    "tau": {"1": "1", "2": "2"},
-}
+from child import CLI, run_child
+from quivers import SPECS
 
 
 def run(capsys, *argv):
@@ -47,25 +42,21 @@ def test_verify_json(capsys):
 
 
 def test_verify_single_parity(capsys):
-    code, out, _ = run(
-        capsys, "verify", "builtin:a2-split", "--parities", "0"
-    )
+    code, out, _ = run(capsys, "verify", "builtin:a2-split", "--parities", "0")
     assert code == 0
     assert "7/7 relations hold" in out
 
 
 def test_verify_json_quiver_file(tmp_path, capsys):
     spec = tmp_path / "split2.json"
-    spec.write_text(json.dumps(SPLIT2))
+    spec.write_text(json.dumps(SPECS["split-2"]))
     code, out, _ = run(capsys, "verify", str(spec), "--q", "2")
     assert code == 0
     assert "relations hold" in out
 
 
 def test_product_text(capsys):
-    code, out, _ = run(
-        capsys, "product", "builtin:kronecker-r1", "simple:1", "simple:2"
-    )
+    code, out, _ = run(capsys, "product", "builtin:kronecker-r1", "simple:1", "simple:2")
     assert code == 0
     assert out.strip() == (
         "(1*sqrt(2))[0,0#0]*K(1,0) + (1/2*sqrt(2))[1,1#0]"
@@ -74,14 +65,7 @@ def test_product_text(capsys):
 
 
 def test_product_json(capsys):
-    code, out, _ = run(
-        capsys,
-        "product",
-        "builtin:kronecker-r1",
-        "simple:1",
-        "simple:2",
-        "--json",
-    )
+    code, out, _ = run(capsys, "product", "builtin:kronecker-r1", "simple:1", "simple:2", "--json")
     assert code == 0
     payload = json.loads(out)
     assert [t["class"] for t in payload["terms"]] == [
@@ -96,9 +80,7 @@ def test_product_json(capsys):
 def test_product_over_a_large_hom_space(capsys):
     # S_1^3 by S_1^3 on rank1-split at q = 5: Hom(x, tau* y) has 5^9 maps,
     # which the sum over images counts without walking them
-    code, out, _ = run(
-        capsys, "product", "builtin:rank1-split", "class:3#0", "class:3#0", "--q", "5", "--json"
-    )
+    code, out, _ = run(capsys, "product", "builtin:rank1-split", "class:3#0", "class:3#0", "--q", "5", "--json")
     assert code == 0
     assert out == """{
   "command": "product",
@@ -143,40 +125,19 @@ def test_product_over_a_large_hom_space(capsys):
 def test_deep_dimension_vector_needs_no_deep_call_chain():
     # the classes below a new middle are classified bottom-up, so a total
     # dimension far past the recursion limit is no RecursionError (exit 1)
-    src = os.path.dirname(os.path.dirname(ihall.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = """if True:
-        import sys
-        import ihall.cli
-        sys.setrecursionlimit(150)
-        sys.exit(ihall.cli.main(sys.argv[1:]))
-    """
     argv = ["product", "builtin:rank1-split", "class:60#0", "k:1", "--budget-dim", "100"]
-    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
-    assert (out.returncode, out.stdout, out.stderr) == (0, "(1)[60#0]*K(1)\n", "")
+    code, out, err, _ = run_child(argv, "sys.setrecursionlimit(150); " + CLI)
+    assert (code, out, err) == (0, "(1)[60#0]*K(1)\n", "")
 
 
 def test_product_class_key(capsys):
-    code, out, _ = run(
-        capsys, "product", "builtin:a2-split", "class:1,0#0", "k:1"
-    )
+    code, out, _ = run(capsys, "product", "builtin:a2-split", "class:1,0#0", "k:1")
     assert code == 0
     assert "K(1, 0)" in out or "K(1,0)" in out
 
 
 def test_idp_command(capsys):
-    code, out, _ = run(
-        capsys,
-        "idp",
-        "builtin:rank1-split",
-        "--vertex",
-        "1",
-        "--n",
-        "2",
-        "--parity",
-        "0",
-        "--json",
-    )
+    code, out, _ = run(capsys, "idp", "builtin:rank1-split", "--vertex", "1", "--n", "2", "--parity", "0", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 2
@@ -187,8 +148,6 @@ def test_idp_parity_at_a_moved_vertex_warns_in_one_line():
     # the warning reaches stderr as one plain line, not in Python's format
     # with the path and source line of the code that raised it; a run the
     # budget refuses prints its budget line alone
-    src = os.path.dirname(os.path.dirname(ihall.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cases = [
         (["--n", "2", "--parity", "0", "--json"], 0,
          "warning: parity has no effect at a vertex not fixed by the involution\n"),
@@ -197,33 +156,20 @@ def test_idp_parity_at_a_moved_vertex_warns_in_one_line():
     ]
     for args, code, err in cases:
         argv = ["idp", "builtin:kronecker-r1", "--vertex", "1", *args]
-        out = subprocess.run(
-            [sys.executable, "-m", "ihall.cli", *argv], env=env, capture_output=True, text=True
-        )
-        assert (out.returncode, out.stderr) == (code, err), argv
+        status, out, stderr, _ = run_child(argv)
+        assert (status, stderr) == (code, err), argv
         if code == 0:
-            assert json.loads(out.stdout)["parity"] == 0
+            assert json.loads(out)["parity"] == 0
 
 
 def test_idp_missing_parity_is_input_error(capsys):
-    code, _, err = run(
-        capsys, "idp", "builtin:rank1-split", "--vertex", "1", "--n", "2"
-    )
+    code, _, err = run(capsys, "idp", "builtin:rank1-split", "--vertex", "1", "--n", "2")
     assert code == 2
     assert "parity" in err
 
 
 def test_identities_command(capsys):
-    code, out, _ = run(
-        capsys,
-        "identities",
-        "--pmax",
-        "3",
-        "--dmax",
-        "3",
-        "--amax",
-        "2",
-    )
+    code, out, _ = run(capsys, "identities", "--pmax", "3", "--dmax", "3", "--amax", "2")
     assert code == 0
     assert "identities hold" in out
 
@@ -256,9 +202,7 @@ def test_elapsed_is_one_monotonic_reading(capsys, monkeypatch, argv):
 
 
 def test_enumerate_command(capsys):
-    code, out, _ = run(
-        capsys, "enumerate", "builtin:a2-split", "--dim", "1,1", "--json"
-    )
+    code, out, _ = run(capsys, "enumerate", "builtin:a2-split", "--dim", "1,1", "--json")
     assert code == 0
     payload = json.loads(out)
     assert len(payload["classes"]) == 2
@@ -267,15 +211,7 @@ def test_enumerate_command(capsys):
 
 
 def test_budget_exit_code(capsys):
-    code, _, err = run(
-        capsys,
-        "enumerate",
-        "builtin:a2-split",
-        "--dim",
-        "4,4",
-        "--budget-dim",
-        "6",
-    )
+    code, _, err = run(capsys, "enumerate", "builtin:a2-split", "--dim", "4,4", "--budget-dim", "6")
     assert code == 3
     assert "budget" in err
 
@@ -325,9 +261,7 @@ def test_q_past_the_prime_test_bound_is_input_error(capsys):
 
 
 def test_bad_element_key(capsys):
-    code, _, err = run(
-        capsys, "product", "builtin:a2-split", "simple:1", "bogus"
-    )
+    code, _, err = run(capsys, "product", "builtin:a2-split", "simple:1", "bogus")
     assert code == 2
     assert "unrecognized element key" in err
 
@@ -353,35 +287,51 @@ def test_deeply_nested_spec_file_is_input_error(tmp_path, capsys):
     assert err.startswith("error:") and "nested too deeply" in err
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        {"vertices": 5},
-        {"vertices": ["1", "2"], "arrows": [{"src": "1", "tgt": "2"}]},
-        {"vertices": ["1", "2"], "arrows": [7]},
-        {"vertices": ["1"], "tau": ["1"]},
-        {"vertices": [{"a": 1}]},
-        {"vertices": [None, "None"]},
-    ],
-)
-def test_malformed_quiver_spec_is_input_error(tmp_path, capsys, spec):
+_TWO = ["1", "2"]
+MALFORMED_SPECS = [
+    ({"vertices": 5}, 'quiver spec needs a "vertices" list'),
+    ({"vertices": _TWO, "arrows": [{"src": "1", "tgt": "2"}]}, "cannot parse arrow entry"),
+    ({"vertices": _TWO, "arrows": [7]}, "cannot parse arrow entry 7"),
+    ({"vertices": ["1"], "tau": ["1"]}, '"tau" must be an object'),
+    ({"vertices": [{"a": 1}]}, "a vertex id must be a string or an integer"),
+    ({"vertices": [None, "None"]}, "a vertex id must be a string or an integer"),
+    ({"vertices": []}, "a quiver needs at least one vertex"),
+    ({"vertices": _TWO, "arrows": [["a", "1", "2"], ["a", "2", "1"]]}, "duplicate arrow names"),
+    ({"vertices": ["1"], "arrows": [["a", "1", "2"]]}, "arrow a: unknown endpoint"),
+    ({"vertices": _TWO, "tau": {"1": "1"}}, "tau misses vertex 2"),
+    ({"vertices": ["1"], "tau": {"1": "2"}}, "tau(1) is not a vertex"),
+    ({"vertices": _TWO, "arrows": [["a", "1", "2"], ["b", "1", "2"]], "tau_arrows": {"a": "a"}},
+     "tau_arrows must be a bijection on all arrow names"),
+    ({"vertices": _TWO, "arrows": [["a", "1", "2"], ["b", "2", "1"]], "tau_arrows": {"a": "b", "b": "a"}},
+     "tau_arrows(a) = b does not respect tau on endpoints"),
+    # three parallel arrows cycled: a bijection that respects the endpoints
+    ({"vertices": _TWO, "arrows": [["a", "1", "2"], ["b", "1", "2"], ["c", "1", "2"]],
+      "tau_arrows": {"a": "b", "b": "c", "c": "a"}}, "tau_arrows is not an involution"),
+    ({"vertices": _TWO, "arrows": "a"}, '"arrows" must be a list'),
+]
+
+
+# the ids stay spec0, spec1, ... as rows are added
+@pytest.mark.parametrize("spec, message", MALFORMED_SPECS, ids=["spec%d" % k for k in range(len(MALFORMED_SPECS))])
+def test_malformed_quiver_spec_is_input_error(tmp_path, capsys, spec, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error: " + message), err
 
 
 def test_unknown_spec_keys_are_input_errors(tmp_path, capsys):
     # "tau_arrow" for "tau_arrows": the arrows are not swapped, and the
     # identity pairing once gave 36 classes at (2, 2) where the swap has 34
-    spec = dict(SPLIT2, tau_arrow={"a1": "a2", "a2": "a1"})
+    spec = dict(SPECS["split-2"], tau_arrow={"a1": "a2", "a2": "a1"})
     path = tmp_path / "typo.json"
     path.write_text(json.dumps(spec))
     code, out, err = run(capsys, "enumerate", str(path), "--dim", "2,2")
     assert (code, out) == (2, "")
     assert err.startswith("error: quiver spec has unknown key 'tau_arrow'")
     spec["tau_arrows"] = spec.pop("tau_arrow")
+    assert spec == SPECS["split-2-swapped"]
     path.write_text(json.dumps(spec))
     code, out, _ = run(capsys, "enumerate", str(path), "--dim", "2,2")
     assert code == 0 and out.endswith("\n34 classes\n")
@@ -403,9 +353,7 @@ def test_enumerate_wrong_dimension_length_is_input_error(capsys):
 
 
 def test_idp_unknown_vertex_is_input_error(capsys):
-    code, _, err = run(
-        capsys, "idp", "builtin:rank1-split", "--vertex", "9", "--n", "1"
-    )
+    code, _, err = run(capsys, "idp", "builtin:rank1-split", "--vertex", "9", "--n", "1")
     assert code == 2
     assert "unknown vertex '9'" in err
 
@@ -415,10 +363,13 @@ def test_product_bad_element_vertex_or_dimension_is_input_error(capsys):
         code, _, err = run(capsys, "product", "builtin:a2-split", key, "simple:1")
         assert code == 2, key
         assert "error" in err
-    # a malformed index names the key, a malformed entry the dimension vector
+    # a malformed or negative index names the key, a malformed entry the
+    # dimension vector; a negative index is refused before any table is
+    # built, where the Lambda^i table at (4, 4) would exceed the budget
     for key, named in (("class:1,0#x", "class key 'class:1,0#x'"), ("class:1,0#0#1", "class key 'class:1,0#0#1'"),
-                       ("class:1,#0", "dimension vector '1,'")):
-        code, _, err = run(capsys, "product", "builtin:a2-split", key, "simple:1")
+                       ("class:1,#0", "dimension vector '1,'"), ("class:1,0", "class key 'class:1,0'"),
+                       ("class:4,4#-1", "class key 'class:4,4#-1'"), ("class:1,1#99", "index 99 out of range")):
+        code, _, err = run(capsys, "product", "builtin:a2-split", key, "k:1", "--q", "2", "--budget-dim", "8")
         assert code == 2, key
         assert err.startswith("error: %s" % named) and "invalid literal" not in err, key
 
@@ -460,146 +411,165 @@ def test_bad_parities_is_input_error(capsys, value):
     assert "argument --parities:" in out.err and repr(value) in out.err
 
 
-def _verify_payload(capsys, *argv):
-    code, out, err = run(capsys, "verify", "builtin:a2-split", "--q", "3", "--json", *argv)
+def _verify_payload(capsys):
+    code, out, err = run(capsys, "verify", "builtin:a2-split", "--q", "3", "--json")
     out = json.loads(out)
     out.pop("elapsed_s")
     return code, out, err
 
 
-@pytest.mark.parametrize("under_a_file", [False, True])
-def test_cache_dir_that_is_no_directory_is_input_error(tmp_path, capsys, monkeypatch, under_a_file):
-    # no table is read from or written to disk, so IHALL_CACHE_DIR naming a
-    # file, or a path below one, is no longer an input error: the run is
-    # the same as without the variable
+@pytest.mark.parametrize("kind", ["empty-directory", "a-file", "below-a-file"])
+def test_cache_dir_is_ignored(tmp_path, capsys, monkeypatch, kind):
+    # no table is read from or written to disk: with IHALL_CACHE_DIR naming
+    # an empty directory (twice), a file or a path below a file, every run
+    # classifies its tables afresh, gives the payload of a run without the
+    # variable, and leaves the directory empty
+    classified = []
+    classify = frep.ModuleTable._classify
+    monkeypatch.setattr(frep.ModuleTable, "_classify", lambda self, dim: classified.append(dim) or classify(self, dim))
     monkeypatch.delenv("IHALL_CACHE_DIR", raising=False)
     want = _verify_payload(capsys)
-    assert want[0] == 0
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    path = str(blocker / "cache" if under_a_file else blocker)
-    monkeypatch.setenv("IHALL_CACHE_DIR", path)
-    assert _verify_payload(capsys) == want
-
-
-def test_import_loads_no_cache_modules(tmp_path):
-    # hashlib and pickle are not used at all, so neither importing the CLI
-    # nor a verify run may load them (`site` may have loaded them already);
-    # every run classifies its tables afresh and an IHALL_CACHE_DIR stays
-    # empty
-    src = os.path.dirname(os.path.dirname(ihall.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys; before = set(sys.modules); import ihall.cli; "
-        "print(sorted({'hashlib', 'pickle'} & (set(sys.modules) - before)))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
-    code = """if True:
-        import contextlib, io, sys
-        before = set(sys.modules)
-        import ihall.cli, ihall.frep
-        table = ihall.frep.ModuleTable
-        called = []
-        def counted(*args, orig=table._classify):
-            called.append(args[1])
-            return orig(*args)
-        table._classify = counted
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = ihall.cli.main(["verify", "builtin:a2-split", "--q", "3"])
-        print(code, bool(called), sorted({"hashlib", "pickle"} & (set(sys.modules) - before)))
-    """
+    assert want[0] == 0 and classified
     cache = tmp_path / "cache"
     cache.mkdir()
-    env["IHALL_CACHE_DIR"] = str(cache)
-    for _ in range(2):
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "0 True []"
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    paths = {"empty-directory": [cache, cache], "a-file": [blocker], "below-a-file": [blocker / "cache"]}[kind]
+    for path in paths:
+        monkeypatch.setenv("IHALL_CACHE_DIR", str(path))
+        classified.clear()
+        assert _verify_payload(capsys) == want, path
+        assert classified, path
     assert list(cache.iterdir()) == []
 
 
-def _loaded_ihall_modules(argv, as_main=False):
-    """(exit code, sorted ihall modules loaded) of one command run in a fresh
-    interpreter that imports only ihall.cli first; with as_main, that runs
-    cli as __main__, as `python -m ihall.cli` does."""
-    src = os.path.dirname(os.path.dirname(ihall.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    if as_main:
-        load, call = "import runpy", "runpy.run_module('ihall.cli', run_name='__main__', alter_sys=True)"
-    else:
-        load, call = "import ihall.cli", "ihall.cli.main(sys.argv[1:])"
-    code = """if True:
-        import contextlib, io, json, sys
-        %s
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = %s
-            except SystemExit as exc:
-                code = exc.code
-        print(code, json.dumps(sorted(m for m in sys.modules if m == "ihall" or m.startswith("ihall."))))
-    """ % (load, call)
-    out = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
-    )
-    code, mods = out.stdout.split(" ", 1)
-    return int(code), json.loads(mods)
+# The ihall modules each command line loads, as README's table lists them.
+# Each runs as `python -m ihall.cli` runs it, so no module may import
+# ihall.cli: that would compile cli a second time beside __main__. verify,
+# idp and product load no Laurent polynomials (ring), verify and identities
+# no element commands (elements), the kQ commands no Lambda^i module
+# (lambda_i), and verify no q-series suites (qseries).
+_HALL = {"ihall", "ihall.frep", "ihall.ihall", "ihall.iquiver", "ihall.linalg", "ihall.qsqrt"}
+_VERIFY = _HALL | {"ihall.idp", "ihall.iqg"}
+_ELEMENTS = _HALL | {"ihall.elements"}
+_IDENTITIES = {"ihall", "ihall.qseries", "ihall.ring"}
+
+# (command line, exit code, ihall modules loaded, plain); a plain line is
+# read without argparse
+MODULE_TABLE = [
+    (["verify", "builtin:a3-quasisplit", "--q", "3"], 0, _VERIFY, True),
+    (["verify", "SPEC", "--q", "2", "--parities", "0,1", "--json"], 0, _VERIFY, True),
+    (["product", "builtin:kronecker-r1", "simple:1", "simple:2"], 0, _ELEMENTS, True),
+    (["idp", "builtin:rank1-split", "--vertex", "1", "--n", "3", "--parity", "0"], 0, _ELEMENTS | {"ihall.idp"}, True),
+    (["enumerate", "builtin:a2-split", "--dim", "2,1"], 0, _ELEMENTS | {"ihall.lambda_i"}, True),
+    (["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"], 0, _IDENTITIES, True),
+    # the ceiling is checked before any suite runs
+    (["identities", "--pmax", "100000000", "--dmax", "0", "--amax", "0"], 3, _IDENTITIES, True),
+    (["verify", "builtin:kronecker-r1", "--q", "2"], 0, _VERIFY, True),
+    (["verify", "builtin:a3-quasisplit", "--q", "2"], 0, _VERIFY, True),
+    (["verify", "builtin:a2-split", "--q", "3"], 0, _VERIFY, True),
+    (["verify", "builtin:a2-split", "--q", "3", "--json"], 0, _VERIFY, True),
+    (["idp", "builtin:kronecker-r1", "--vertex", "1", "--n", "2"], 0, _ELEMENTS | {"ihall.idp"}, True),
+    (["idp", "builtin:rank1-split", "--vertex", "1", "--n", "3", "--parity", "1"], 0, _ELEMENTS | {"ihall.idp"}, True),
+    (["product", "builtin:kronecker-r1", "simple:1", "k:2"], 0, _ELEMENTS, True),
+    # the kQ classes at (1, 1) are #0 to #2
+    (["product", "builtin:kronecker-r1", "class:1,1#2", "class:1,0#0"], 0, _ELEMENTS, True),
+    (["product", "builtin:kronecker-r1", "class:1,1#3", "simple:2"], 0, _ELEMENTS | {"ihall.lambda_i"}, True),
+    (["product", "builtin:a2-split", "simple:1", "simple:2", "--q", "3"], 0, _ELEMENTS, True),
+    (["enumerate", "builtin:a2-split", "--dim", "1,1"], 0, _ELEMENTS | {"ihall.lambda_i"}, True),
+    # help and usage errors come from argparse
+    (["verify", "--help"], 0, {"ihall"}, False),
+    (["verify", "builtin:a2-split", "--no-such-option"], 2, {"ihall"}, False),
+]
+# argparse and what it loads
+_ARGPARSE = {"argparse", "gettext", "locale", "__future__"}
+# every scalar is a LaurentPoly or a QSqrt over ints (so no fractions, nor
+# the decimal and numbers it imports), no table touches the disk (hashlib,
+# pickle), and the reference routes of ihall.oracle serve the tests alone
+_NEVER = {"fractions", "decimal", "numbers", "hashlib", "pickle", "ihall.oracle"}
 
 
-# The ihall modules each plain command loads past the package itself, as
-# README's table lists them. Each command runs as `python -m ihall.cli`
-# runs it, so no module may import ihall.cli: that would compile cli a
-# second time beside __main__.
-_HALL = ["ihall.frep", "ihall.ihall", "ihall.iquiver", "ihall.linalg", "ihall.qsqrt"]
-_VERIFY = _HALL + ["ihall.idp", "ihall.iqg"]
-
-
+# the row ids stay argv0-loads0, argv1-loads1, ... as rows are added
 @pytest.mark.parametrize(
-    "argv, loads",
-    [
-        (["verify", "builtin:a3-quasisplit", "--q", "3"], _VERIFY),
-        (["verify", "SPEC", "--q", "2", "--parities", "0,1", "--json"], _VERIFY),
-        (["product", "builtin:kronecker-r1", "simple:1", "simple:2"], _HALL + ["ihall.elements"]),
-        (["idp", "builtin:rank1-split", "--vertex", "1", "--n", "3", "--parity", "0"],
-         _HALL + ["ihall.elements", "ihall.idp"]),
-        (["enumerate", "builtin:a2-split", "--dim", "2,1"], _HALL + ["ihall.elements", "ihall.lambda_i"]),
-        (["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"], ["ihall.qseries", "ihall.ring"]),
-    ],
+    "argv, code, loads, plain", MODULE_TABLE, ids=["argv%d-loads%d" % (k, k) for k in range(len(MODULE_TABLE))]
 )
-def test_each_command_loads_its_row_of_the_module_table(tmp_path, argv, loads):
-    # verify, idp and product load no Laurent polynomials (ring), and verify
-    # and identities no element commands (elements)
+def test_each_command_loads_its_row_of_the_module_table(tmp_path, argv, code, loads, plain):
     if "SPEC" in argv:
         spec = tmp_path / "split2.json"
-        spec.write_text(json.dumps(SPLIT2))
+        spec.write_text(json.dumps(SPECS["split-2"]))
         argv = [str(spec) if a == "SPEC" else a for a in argv]
-    code, mods = _loaded_ihall_modules(argv, as_main=True)
-    assert code == 0
-    assert mods == sorted(["ihall"] + loads)
+    status, _, err, loaded = run_child(argv)
+    assert status == code, err
+    assert {m for m in loaded if m.partition(".")[0] == "ihall"} == loads
+    assert not loaded & _NEVER
+    if plain:
+        assert not loaded & _ARGPARSE
+    else:
+        assert "argparse" in loaded
+
+
+def test_package_resolves_every_public_name():
+    # the package resolves its names lazily, the reference routes in
+    # ihall.oracle, which no command imports
+    assert [n for n in ihall.__all__ if getattr(ihall, n, None) is None] == []
+    homed = [n for n in ihall.__all__ if getattr(getattr(ihall, n), "__module__", None) == "ihall.oracle"]
+    assert homed == ["idp_closed", "idp_product", "idp_recursive", "oracle_kronecker_single", "oracle_sss"]
+
+
+# Contracts that hold on some rows of the module table, checked on the
+# table's own child runs
+def _loaded(argv):
+    status, _, err, loaded = run_child(argv)
+    assert status == 0, err
+    return loaded
 
 
 def test_identities_loads_only_its_layers():
-    # the package resolves its names lazily and each command imports its own
-    # layers, so the q-identity suites compile neither the module side nor
-    # the relation suite (iqg) nor QSqrt; the package still resolves every
-    # public name
-    code, mods = _loaded_ihall_modules(["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"])
-    assert code == 0
-    assert mods == ["ihall", "ihall.cli", "ihall.qseries", "ihall.ring"]
+    # the q-identity suites compile neither the module side nor the relation
+    # suite (iqg) nor QSqrt; the package still resolves every public name
+    assert {m for m in _loaded(MODULE_TABLE[5][0]) if m.startswith("ihall")} == _IDENTITIES
     assert [n for n in ihall.__all__ if getattr(ihall, n, None) is None] == []
 
 
+@pytest.mark.parametrize("argv", [MODULE_TABLE[k][0] for k in (7, 11, 5, 13, 14)])
+def test_kq_commands_load_no_lambda_module(argv):
+    assert "ihall.lambda_i" not in _loaded(argv)  # the product engine runs on the kQ table alone
+
+
+@pytest.mark.parametrize("argv", [MODULE_TABLE[k][0] for k in (17, 15)])
+def test_lambda_classes_load_the_lambda_module(argv):
+    assert "ihall.lambda_i" in _loaded(argv)
+
+
+def test_verify_never_loads_the_q_series_suites():
+    loaded = _loaded(MODULE_TABLE[8][0])
+    assert {"ihall.iqg", "ihall.qsqrt"} <= loaded and not {"ihall.qseries", "ihall.oracle"} & loaded
+
+
+@pytest.mark.parametrize("argv", [MODULE_TABLE[k][0] for k in (9, 5)])
+def test_commands_leave_the_oracles_out(argv):
+    assert "ihall.oracle" not in _loaded(argv)
+
+
+@pytest.mark.parametrize("argv", [MODULE_TABLE[k][0] for k in (9, 16, 12, 17, 5)])
+def test_commands_load_no_fractions(argv):
+    assert not {"fractions", "decimal", "numbers"} & _loaded(argv)
+
+
+@pytest.mark.parametrize("argv, plain", [(MODULE_TABLE[k][0], MODULE_TABLE[k][3]) for k in (10, 16, 12, 17, 5, 18, 19)])
+def test_plain_command_lines_load_no_argparse(argv, plain):
+    # help and usage errors still come from argparse
+    status, _, _, loaded = run_child(argv)
+    assert status == (0 if plain or "--help" in argv else 2)
+    assert not loaded & _ARGPARSE if plain else "argparse" in loaded
+
+
 def test_identities_past_its_ceiling_exits_3_at_once():
-    # the ceiling is checked before any suite runs, so the run loads nothing
-    # past qseries and ends at once, naming the bound
+    # the ceiling is checked before any suite runs, naming the bound; the
+    # module table runs one such line in a fresh interpreter
     from ihall.qseries import CEILING
 
     assert list(CEILING) == ["pmax", "dmax", "amax"]
-    code, mods = _loaded_ihall_modules(["identities", "--pmax", "100000000", "--dmax", "0", "--amax", "0"])
-    assert (code, mods) == (3, ["ihall", "ihall.cli", "ihall.qseries", "ihall.ring"])
     for bound, ceiling in CEILING.items():
         argv = ["identities", "--pmax", "0", "--dmax", "0", "--amax", "0"]
         argv[argv.index("--" + bound) + 1] = str(ceiling + 1)
@@ -607,35 +577,6 @@ def test_identities_past_its_ceiling_exits_3_at_once():
         with contextlib.redirect_stderr(out):
             assert main(argv) == 3
         assert out.getvalue() == "budget exceeded: --%s %d is past its ceiling %d\n" % (bound, ceiling + 1, ceiling)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "builtin:kronecker-r1", "--q", "2"],
-        ["idp", "builtin:kronecker-r1", "--vertex", "1", "--n", "2"],
-        ["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"],
-        ["product", "builtin:kronecker-r1", "simple:1", "k:2"],
-        # the kQ classes at (1, 1) are #0 to #2
-        ["product", "builtin:kronecker-r1", "class:1,1#2", "class:1,0#0"],
-    ],
-)
-def test_kq_commands_load_no_lambda_module(argv):
-    # the product engine runs on the kQ table alone
-    code, mods = _loaded_ihall_modules(argv)
-    assert code == 0 and "ihall.lambda_i" not in mods
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["enumerate", "builtin:a2-split", "--dim", "1,1"],
-        ["product", "builtin:kronecker-r1", "class:1,1#3", "simple:2"],
-    ],
-)
-def test_lambda_classes_load_the_lambda_module(argv):
-    code, mods = _loaded_ihall_modules(argv)
-    assert code == 0 and "ihall.lambda_i" in mods
 
 
 def test_an_arrow_may_carry_the_name_eps_1(tmp_path, capsys):
@@ -656,18 +597,8 @@ def test_an_arrow_may_carry_the_name_eps_1(tmp_path, capsys):
 
 
 def test_qsqrt_loads_no_laurent_ring():
-    src = os.path.dirname(os.path.dirname(ihall.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ihall.qsqrt; print(sorted(m for m in sys.modules if m.startswith('ihall')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "['ihall', 'ihall.qsqrt']"
-
-
-def test_verify_never_loads_the_q_series_suites():
-    code, mods = _loaded_ihall_modules(["verify", "builtin:a3-quasisplit", "--q", "2"])
-    assert code == 0
-    assert "ihall.iqg" in mods and "ihall.qsqrt" in mods
-    assert "ihall.qseries" not in mods and "ihall.oracle" not in mods
+    _, _, _, loaded = run_child(code="import ihall.qsqrt")
+    assert {m for m in loaded if m.startswith("ihall")} == {"ihall", "ihall.qsqrt"}
 
 
 def test_moved_names_resolve_at_their_old_homes():
@@ -684,80 +615,19 @@ def test_moved_names_resolve_at_their_old_homes():
             getattr(module, name)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "builtin:a2-split", "--q", "3"],
-        ["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"],
-    ],
-)
-def test_commands_leave_the_oracles_out(argv):
-    # the reference routes live in ihall.oracle, which no command imports;
-    # the package still resolves their public names there
-    src = os.path.dirname(os.path.dirname(ihall.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = """if True:
-        import contextlib, io, sys
-        import ihall, ihall.cli
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = ihall.cli.main(sys.argv[1:])
-        print(code, "ihall.oracle" in sys.modules)
-        missing = [n for n in ihall.__all__ if getattr(ihall, n, None) is None]
-        homed = [n for n in ihall.__all__ if getattr(getattr(ihall, n), "__module__", None) == "ihall.oracle"]
-        print(missing, homed)
-    """
-    out = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
-    )
-    homed = ["idp_closed", "idp_product", "idp_recursive",
-             "oracle_kronecker_single", "oracle_sss"]
-    assert out.stdout.splitlines() == ["0 False", "[] %s" % homed]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "builtin:a2-split", "--q", "3"],
-        ["product", "builtin:a2-split", "simple:1", "simple:2", "--q", "3"],
-        ["idp", "builtin:rank1-split", "--vertex", "1", "--n", "3", "--parity", "1"],
-        ["enumerate", "builtin:a2-split", "--dim", "1,1"],
-        ["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"],
-    ],
-)
-def test_commands_load_no_fractions(argv):
-    # every scalar is a LaurentPoly or a QSqrt over ints, so no command
-    # loads fractions (nor decimal and numbers, which it imports)
-    src = os.path.dirname(os.path.dirname(ihall.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = """if True:
-        import contextlib, io, sys
-        before = set(sys.modules)
-        import ihall.cli
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = ihall.cli.main(sys.argv[1:])
-        print(code, sorted({"fractions", "decimal", "numbers"} & (set(sys.modules) - before)))
-    """
-    out = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "0 []"
-
-
 def test_no_module_loads_fractions():
     # the oracles too take their scalars as ints, LaurentPoly and QSqrt
-    src = os.path.dirname(os.path.dirname(ihall.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """if True:
-        import importlib, pkgutil, sys
+        import importlib, pkgutil
         import ihall
         names = sorted(m.name for m in pkgutil.iter_modules(ihall.__path__, "ihall."))
         for name in names:
             importlib.import_module(name)
-        print(len(names), "ihall.oracle" in sys.modules, "fractions" in sys.modules)
+        print(len(names))
     """
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    n, oracle, fractions = out.stdout.split()
-    assert int(n) >= 13 and (oracle, fractions) == ("True", "False")
+    status, out, _, loaded = run_child(code=code)
+    assert status == 0 and int(out) >= 13
+    assert "ihall.oracle" in loaded and "fractions" not in loaded
 
 
 def test_no_module_reads_the_environment():
@@ -777,44 +647,6 @@ def test_no_module_reads_the_environment():
             alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
         }
         assert not knobs & used, (name, sorted(knobs & used))
-
-
-@pytest.mark.parametrize(
-    "argv, plain",
-    [
-        (["verify", "builtin:a2-split", "--q", "3", "--json"], True),
-        (["product", "builtin:a2-split", "simple:1", "simple:2", "--q", "3"], True),
-        (["idp", "builtin:rank1-split", "--vertex", "1", "--n", "3", "--parity", "1"], True),
-        (["enumerate", "builtin:a2-split", "--dim", "1,1"], True),
-        (["identities", "--pmax", "3", "--dmax", "3", "--amax", "3"], True),
-        (["verify", "--help"], False),
-        (["verify", "builtin:a2-split", "--no-such-option"], False),
-    ],
-)
-def test_plain_command_lines_load_no_argparse(argv, plain):
-    # a plain command line is read without argparse (and the gettext and
-    # locale it loads); help and usage errors still come from argparse
-    src = os.path.dirname(os.path.dirname(ihall.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = """if True:
-        import sys
-        before = set(sys.modules)
-        import contextlib, io, ihall.cli
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = ihall.cli.main(sys.argv[1:])
-            except SystemExit as exc:
-                code = exc.code
-        print(code, sorted({"argparse", "gettext", "locale", "__future__"} & (set(sys.modules) - before)))
-    """
-    out = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
-    )
-    code, loaded = out.stdout.split(" ", 1)
-    if plain:
-        assert (code, loaded.strip()) == ("0", "[]")
-    else:
-        assert code == ("0" if "--help" in argv else "2") and "'argparse'" in loaded
 
 
 def _parser_exit(parser, argv):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from ihall import frep, linalg, oracle
 from ihall.cli import main
 from ihall.frep import BudgetError, ModuleTable
-from ihall.iquiver import BUILTIN_NAMES, BoundQuiver, IQuiver, builtin_iquiver
+from ihall.iquiver import BUILTIN_NAMES, BoundQuiver
 from ihall.lambda_i import doubled, eps_pos, homology_reduce, is_eps_zero
 from ihall.oracle import (
     direct_sum,
@@ -24,14 +24,15 @@ from ihall.oracle import (
     morphism_tally,
     multiple,
 )
+from quivers import quiver
 
 
 def table(name, p, **kw):
-    return ModuleTable(doubled(builtin_iquiver(name)), p, **kw)
+    return ModuleTable(doubled(quiver(name)), p, **kw)
 
 
 def kq_table(name, p, **kw):
-    return ModuleTable(BoundQuiver(builtin_iquiver(name)), p, **kw)
+    return ModuleTable(BoundQuiver(quiver(name)), p, **kw)
 
 
 def tables(iq, p, **kw):
@@ -274,14 +275,6 @@ def _raw_orbits(tab, dim):
     return orbits
 
 
-KRONECKER2 = IQuiver(
-    ["1", "2"],
-    [("a1", "1", "2"), ("a2", "1", "2"), ("b1", "2", "1"), ("b2", "2", "1")],
-    tau={"1": "2", "2": "1"},
-    tau_arrows={"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"},
-)
-
-
 @pytest.mark.parametrize("q,total", [(2, 4), (3, 3)])
 @pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["split-2", "kronecker-r2"])
 def test_seeded_classes_are_the_nilpotent_raw_orbits(name, q, total):
@@ -289,7 +282,7 @@ def test_seeded_classes_are_the_nilpotent_raw_orbits(name, q, total):
     # nilpotent orbits of the raw enumeration: the rep map holds every
     # nilpotent tuple and nothing else, each class's rep is its orbit's
     # minimum, and the classes come in increasing code order
-    iq = {"split-2": SPLIT2, "kronecker-r2": KRONECKER2}.get(name) or builtin_iquiver(name)
+    iq = quiver(name)
     for tab in tables(iq, q):
         for dim in product(range(total + 1), repeat=iq.n):
             if sum(dim) > total:
@@ -424,7 +417,7 @@ def test_morphism_tally_total_is_hom_count():
 
 
 def test_homology_reduction():
-    tab, kq = tables(builtin_iquiver("kronecker-r1"), 2)
+    tab, kq = tables(quiver("kronecker-r1"), 2)
     k1 = k_module(tab, "1")
     vexp, xcls, alpha = homology_reduce(k1, kq)
     assert xcls == kq.zero_class()
@@ -439,7 +432,7 @@ def test_homology_reduction_on_all_small_classes(name, q):
     # X = ker eps / im eps with its eps action computed: it must vanish (X
     # is a kQ class), the dimensions must add up to dim M, and alpha must be
     # the eps ranks; an eps-zero M reduces to its own kQ class
-    iq = builtin_iquiver(name)
+    iq = quiver(name)
     tab, kq = tables(iq, q)
     for dim in product(range(4), repeat=iq.n):
         if sum(dim) > 3:
@@ -455,15 +448,12 @@ def test_homology_reduction_on_all_small_classes(name, q):
                 assert x.rep == m.rep[iq.n:], m
 
 
-SPLIT2 = IQuiver(["1", "2"], [("a1", "1", "2"), ("a2", "1", "2")])
-
-
 @pytest.mark.parametrize("q,total", [(2, 4), (3, 3)])
 @pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["split-2"])
 def test_kq_classes_are_the_eps_zero_classes(name, q, total):
     # the eps-zero classes come first, each at its kQ class's index, with
     # the kQ rep as the tail of the rep (the eps arrows come first)
-    iq = SPLIT2 if name == "split-2" else builtin_iquiver(name)
+    iq = quiver(name)
     tab, kq_tab = tables(iq, q)
     for dim in product(range(total + 1), repeat=iq.n):
         if sum(dim) > total:
@@ -525,13 +515,12 @@ def test_budget_counts_rep_map_memory(monkeypatch):
     # split rank 2 with 3 arrows at q = 5: the kQ table at (4, 1) has 5^12
     # raw candidates, inside the space budget but not in 8 GiB of memory
     monkeypatch.setattr(frep, "_physical_memory", lambda: 8 << 30)
-    split3 = IQuiver(["1", "2"], [("a1", "1", "2"), ("a2", "1", "2"), ("a3", "1", "2")])
-    big = ModuleTable(BoundQuiver(split3), 5)
+    big = kq_table("split-3", 5)
     with pytest.raises(BudgetError) as err:
         big.check_budget((4, 1))
     assert "244140625" in str(err.value) and str(8 << 30) in str(err.value)
     assert big._cand == {}, "the budget check enumerated candidates"
-    ModuleTable(BoundQuiver(split3), 3).check_budget((4, 1))
+    kq_table("split-3", 3).check_budget((4, 1))
 
 
 @pytest.mark.parametrize("p,dmax", [(2, 4), (3, 3), (5, 3)])
@@ -645,7 +634,7 @@ def _ref_extension_counts(tab, kq, x, y, memo):
 def test_ext_dist_matches_cocycle_walk(name):
     # the kQ extension counts that the product engine sums, against a walk
     # of every cocycle with each middle looked up by `class_of`
-    iq = SPLIT2 if name == "split-2" else builtin_iquiver(name)
+    iq = quiver(name)
     kq = ModuleTable(BoundQuiver(iq), 2)
     pool = [c for d in product(range(5), repeat=iq.n) if sum(d) <= 4 for c in kq.classes(d)]
     pairs = [(k, l) for k in pool for l in pool if k.total_dim + l.total_dim <= 4]
@@ -678,26 +667,13 @@ def test_class_interning():
 def test_classes_of_two_tables_never_compare_equal():
     # classes compare by identity: two tables of one quiver build equal
     # data but distinct classes
-    a, b = (tables(builtin_iquiver("a2-split"), 2) for _ in "ab")
+    a, b = (tables(quiver("a2-split"), 2) for _ in "ab")
     for ta, tb in zip(a, b):
         for dim in [(0, 0), (1, 0), (1, 1), (2, 1)]:
             ca, cb = ta.classes(dim), tb.classes(dim)
             assert [c.key for c in ca] == [c.key for c in cb]
             assert not any(x == y for x in ca for y in cb), dim
             assert len(set(ca) | set(cb)) == 2 * len(ca), dim
-
-
-QS3_2 = IQuiver(
-    ["1", "2", "3"],
-    [("a1", "1", "2"), ("a2", "1", "2"), ("c1", "3", "2"), ("c2", "3", "2")],
-    tau={"1": "3", "3": "1", "2": "2"},
-    tau_arrows={"a1": "c1", "c1": "a1", "a2": "c2", "c2": "a2"},
-)
-QUIVERS = {"split-2": SPLIT2, "kronecker-r2": KRONECKER2, "qs3-2": QS3_2}
-
-
-def _iquiver(name):
-    return QUIVERS.get(name) or builtin_iquiver(name)
 
 
 def _kq_pairs(kq, total):
@@ -719,7 +695,7 @@ def test_extension_counts_match_full_walk():
     # pairs with dim Hom(x, tau* y) >= 2 at q >= 3
     homs = set()
     for name, q in ENGINE_CASES:
-        tab, kq = tables(_iquiver(name), q)
+        tab, kq = tables(quiver(name), q)
         memo = {}
         for x, y in _kq_pairs(kq, 4):
             want, hom = _ref_extension_counts(tab, kq, x, y, memo)
@@ -810,7 +786,7 @@ def _green_mismatches(kq, total, sign=1):
 def test_hall_numbers_satisfy_greens_formula(name, q):
     # an independent check of `_hall_numbers` that counts no filtration;
     # with the Euler form's sign flipped the formula fails
-    kq = ModuleTable(BoundQuiver(_iquiver(name)), q)
+    kq = kq_table(name, q)
     count, bad = _green_mismatches(kq, 3)
     assert count > 250 and bad == []
     assert _green_mismatches(kq, 3, sign=-1)[1]
@@ -825,7 +801,7 @@ def test_map_counts_match_morphism_tally(name, q):
     # N(K, L) from the sum over images against every map x -> tau* y,
     # tallied by kernel and cokernel (`oracle.morphism_tally`): the cokernel
     # is tau* L
-    kq = ModuleTable(BoundQuiver(_iquiver(name)), q)
+    kq = kq_table(name, q)
     for x, y in _kq_pairs(kq, 4):
         got = {(k, kq.tau_star(l)): n for (k, l), n in kq._maps(x, y).items()}
         assert got == oracle.morphism_tally(kq, x, kq.tau_star(y)), (x, y)
@@ -835,7 +811,7 @@ def test_map_counts_match_morphism_tally(name, q):
 def test_tau_star_is_an_involution(name):
     # tau* keeps orbit size and aut order, permutes the dimension vector by
     # tau and undoes itself; it moves some class unless tau is trivial
-    iq = _iquiver(name)
+    iq = quiver(name)
     kq = ModuleTable(BoundQuiver(iq), 2)
     moved = 0
     for d in product(range(4), repeat=iq.n):
@@ -881,7 +857,7 @@ def test_a_wrong_hall_number_fails_the_hom_check(monkeypatch):
 def test_the_engine_runs_on_the_kq_table_only():
     # extension counts and map counts take two classes of the kQ table
     # they run on; the Lambda^i table refuses even its own classes
-    tab, kq = tables(builtin_iquiver("a2-split"), 2)
+    tab, kq = tables(quiver("a2-split"), 2)
     s1, k1 = kq.simple("1"), tab.simple("1")
     for run, x, y in [
         (tab, s1, s1), (tab, k1, k1), (kq, s1, k1), (kq, k1, s1),

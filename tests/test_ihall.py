@@ -8,7 +8,6 @@ import pytest
 
 from ihall import linalg
 from ihall.ihall import HallAlgebra
-from ihall.iquiver import IQuiver, builtin_iquiver
 from ihall.lambda_i import eps_pos, homology_reduce
 from ihall.oracle import (
     ext_count_with_middle,
@@ -22,10 +21,11 @@ from ihall.oracle import (
 )
 from ihall.qsqrt import QSqrt
 from ihall.ring import V
+from quivers import quiver
 
 
 def algebra(name, q, **kw):
-    return HallAlgebra(builtin_iquiver(name), q, **kw)
+    return HallAlgebra(quiver(name), q, **kw)
 
 
 def test_unit_and_scalars():
@@ -192,23 +192,6 @@ def test_power_matches_repeated_product():
     assert alg.power(s, 3) == s * s * s
 
 
-SPLIT2 = IQuiver(["1", "2"], [("a1", "1", "2"), ("a2", "1", "2")])
-SPLIT3 = IQuiver(["1", "2"], [("a1", "1", "2"), ("a2", "1", "2"), ("a3", "1", "2")])
-# two arrows 1 -> 2 and two 3 -> 2; tau swaps 1 <-> 3 and the arrows in pairs
-QS3_2 = IQuiver(
-    ["1", "2", "3"],
-    [("a1", "1", "2"), ("a2", "1", "2"), ("b1", "3", "2"), ("b2", "3", "2")],
-    tau={"1": "3", "2": "2", "3": "1"},
-    tau_arrows={"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"},
-)
-KRONECKER2 = IQuiver(
-    ["1", "2"],
-    [("a1", "1", "2"), ("a2", "1", "2"), ("b1", "2", "1"), ("b2", "2", "1")],
-    tau={"1": "2", "2": "1"},
-    tau_arrows={"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"},
-)
-
-
 def test_oracle_kq_product_agrees():
     alg = algebra("a2-split", 2)
     pool = [c for d in [(1, 0), (0, 1), (1, 1)] for c in alg.kq.classes(d)]
@@ -216,7 +199,7 @@ def test_oracle_kq_product_agrees():
         for y in pool:
             assert oracle_kq_product(alg, x, y) == alg.basis_elt(x) * alg.basis_elt(y)
     for q, npairs in ((2, 28), (3, 32)):
-        alg = HallAlgebra(SPLIT2, q)
+        alg = algebra("split-2", q)
         pairs = [(x, y) for x, y in class_pairs(alg.kq, 3) if x.total_dim and y.total_dim]
         assert len(pairs) == npairs
         for x, y in pairs:
@@ -278,8 +261,7 @@ def class_pairs(tab, total, keep=lambda c: True):
 def test_associativity_on_every_small_basis_triple(name, q, triples):
     # every kQ basis class of total dimension 1 to 3 and every k_v; a triple
     # of total at most 3 (k_v counts 0) must give (xy)z = x(yz)
-    iq = {"split-2": SPLIT2, "split-3": SPLIT3, "kronecker-r2": KRONECKER2, "qs3-2": QS3_2}.get(name)
-    alg = HallAlgebra(iq, q) if iq else algebra(name, q)
+    alg = algebra(name, q)
     pool = [(0, alg.torus_k(v)) for v in alg.iq.vertices]
     pool += [(sum(d), alg.basis_elt(c)) for d in dims_upto(alg.iq.n, 3) if any(d) for c in alg.kq.classes(d)]
     seen = 0
@@ -326,8 +308,7 @@ def test_arrow_space_symmetry(name, q, total, checks):
     # algebra: for nonzero kQ classes X and Y of total at most `total`,
     # [gX] * [gY] is [X] * [Y] with every class M replaced by gM, for each
     # generator g of GL_k(F_q)
-    iq = {"split-2": SPLIT2, "split-3": SPLIT3, "qs3-2": QS3_2}[name]
-    alg = HallAlgebra(iq, q)
+    alg = algebra(name, q)
     seen = 0
     for g in linalg.gl_generators(int(name[-1]), q):
         act = arrow_action(alg.kq, g)
@@ -368,7 +349,7 @@ def filtration_rows(alg, x, y):
     "name", ["rank1-split", "a2-split", "a3-quasisplit", "kronecker-r1", "split-a2"]
 )
 def test_pair_rows_match_filtration_counts(name, q):
-    alg = HallAlgebra(SPLIT2, q) if name == "split-a2" else algebra(name, q)
+    alg = algebra("split-2" if name == "split-a2" else name, q)
     # both sides of a relation eps_t a = tau(a) eps_s enter a cocycle equation
     # only when both factors have a nonzero arrow, so from total 4 on; at
     # q = 3 the sign between the two sides then shows
@@ -389,7 +370,7 @@ def test_cocycle_counts_match_ext_counts(name, q):
     # the middles z of one reduction, with the Ext groups of Lambda^i;
     # kronecker-r2 is the one quiver where the eps blocks reach rank 2 with
     # ker and coker nonzero at both vertices
-    alg = HallAlgebra(KRONECKER2, q) if name == "kronecker-r2" else algebra(name, q)
+    alg = algebra(name, q)
     tab = alg.table
     for x, y in class_pairs(alg.kq, 3):
         counts, denom = alg.kq.extension_counts(x, y)
@@ -416,9 +397,9 @@ def test_verify_classifies_no_lambda_module(monkeypatch):
     built = []
     init = frep.ModuleTable.__init__
     monkeypatch.setattr(frep.ModuleTable, "__init__", lambda self, bq, *a, **kw: built.append(bq) or init(self, bq, *a, **kw))
-    alg = HallAlgebra(SPLIT2, 3)
+    alg = algebra("split-2", 3)
     results = verify_presentation(alg, (0, 1))
     assert len(results) == 9 and all(res.is_zero() for _, res in results)
-    assert [(bq.arrows, bq.relations) for bq in built] == [(SPLIT2.arrows, ())]
+    assert [(bq.arrows, bq.relations) for bq in built] == [(alg.iq.arrows, ())]
     assert "table" not in vars(alg)
     assert alg.kq._classes

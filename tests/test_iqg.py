@@ -28,6 +28,7 @@ from ihall.qseries import (
     t_value,
 )
 from ihall.ring import ONE, LaurentPoly, qfact, qfact_ratio
+from quivers import quiver
 
 
 def test_suite_shapes():
@@ -58,12 +59,7 @@ def test_suite_kinds_kronecker():
 def test_suite_kinds_commuting_pair():
     # c(1, 3) = c(2, 4) = 0 with 3 and 4 off the orbit {1, 2}: one commute
     # row per such unordered pair, and it is no trivial zero
-    iq = IQuiver(
-        ["1", "2", "3", "4"],
-        [("a", "1", "4"), ("b", "2", "3")],
-        tau={"1": "2", "2": "1", "3": "4", "4": "3"},
-        tau_arrows={"a": "b", "b": "a"},
-    )
+    iq = quiver("commuting-pair")
     suite = build_relation_suite(iq)
     kinds = sorted(inst.kind for inst in suite)
     assert kinds == ["commute"] * 2 + ["pair"] * 4 + ["serre"] * 4 + ["torus-b"] * 16 + ["torus-torus"] * 6

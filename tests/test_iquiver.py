@@ -12,6 +12,7 @@ from ihall.iquiver import (
     builtin_iquiver,
 )
 from ihall.lambda_i import doubled, eps_pos, res_K
+from quivers import SPECS, quiver
 
 
 def dim_K(bq, v):
@@ -141,11 +142,7 @@ def test_build_iquiver_rejects_bad_input():
 def test_build_iquiver_refuses_unknown_keys():
     # a misspelt "tau_arrows" was once ignored and the identity pairing
     # inferred in its place
-    spec = {
-        "vertices": ["1", "2"],
-        "arrows": [["a1", "1", "2"], ["a2", "1", "2"]],
-        "tau_arrow": {"a1": "a2", "a2": "a1"},
-    }
+    spec = dict(SPECS["split-2"], tau_arrow={"a1": "a2", "a2": "a1"})
     with pytest.raises(ValueError, match="unknown key 'tau_arrow'"):
         build_iquiver(spec)
     spec["tau_arrows"] = spec.pop("tau_arrow")
@@ -172,15 +169,10 @@ def test_bench_specs_and_builtins_build():
 def test_tau_arrow_inference_requires_unique_candidate():
     # two parallel arrows with the swap involution cannot be paired
     # automatically; the explicit pairing resolves it
-    spec = {
-        "vertices": ["1", "2"],
-        "arrows": [["a1", "1", "2"], ["a2", "1", "2"], ["b1", "2", "1"], ["b2", "2", "1"]],
-        "tau": {"1": "2", "2": "1"},
-    }
+    spec = {k: v for k, v in SPECS["kronecker-r2"].items() if k != "tau_arrows"}
     with pytest.raises(ValueError):
         build_iquiver(spec)
-    spec["tau_arrows"] = {"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"}
-    iq = build_iquiver(spec)
+    iq = build_iquiver(SPECS["kronecker-r2"])
     assert iq.tau_arrows["a1"] == "b1" and iq.tau_arrows["b2"] == "a2"
 
 
@@ -226,28 +218,12 @@ def test_signature_distinguishes_builtins():
     assert len(sigs) == len(BUILTIN_NAMES)
 
 
-TAU_QUIVERS = {name: builtin_iquiver(name) for name in BUILTIN_NAMES} | {
-    "kronecker-r2": IQuiver(
-        ["1", "2"],
-        [("a1", "1", "2"), ("a2", "1", "2"), ("b1", "2", "1"), ("b2", "2", "1")],
-        tau={"1": "2", "2": "1"},
-        tau_arrows={"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"},
-    ),
-    "qs3-2": IQuiver(
-        ["1", "2", "3"],
-        [("a1", "1", "2"), ("a2", "1", "2"), ("c1", "3", "2"), ("c2", "3", "2")],
-        tau={"1": "3", "3": "1", "2": "2"},
-        tau_arrows={"a1": "c1", "c1": "a1", "a2": "c2", "c2": "a2"},
-    ),
-    "split-2": IQuiver(
-        ["1", "2"], [("a1", "1", "2"), ("a2", "1", "2")], tau_arrows={"a1": "a2", "a2": "a1"}
-    ),
-}
+TAU_QUIVERS = list(BUILTIN_NAMES) + list(SPECS)
 
 
-@pytest.mark.parametrize("name", list(TAU_QUIVERS))
+@pytest.mark.parametrize("name", TAU_QUIVERS)
 def test_positional_tau_matches_the_name_maps(name):
-    iq = TAU_QUIVERS[name]
+    iq = quiver(name)
     assert iq.tau_index == tuple(iq.vindex[iq.tau[v]] for v in iq.vertices)
     names = [a.name for a in iq.arrows]
     assert [names[k] for k in iq.tau_arrow_index] == [iq.tau_arrows[a] for a in names]
@@ -255,6 +231,9 @@ def test_positional_tau_matches_the_name_maps(name):
     assert {v: iq.tau_vec(alpha)[iq.vindex[iq.tau[v]]] for v in iq.vertices} == {
         v: alpha[iq.vindex[v]] for v in iq.vertices
     }
+    # tau_arrows is an involution that respects the endpoints, so the arrows
+    # v -> tau v and tau v -> v pair off and c(v, tau v) is even
+    assert all(iq.cartan_vv(v, iq.tau[v]) % 2 == 0 for v in iq.vertices)
 
 
 def _strips_to_nothing(iq):
@@ -275,8 +254,8 @@ CYCLES = {
 }
 
 
-@pytest.mark.parametrize("name", list(TAU_QUIVERS) + list(CYCLES))
+@pytest.mark.parametrize("name", TAU_QUIVERS + list(CYCLES))
 def test_is_acyclic_agrees_with_sink_stripping(name):
-    iq = TAU_QUIVERS.get(name) or CYCLES[name]
+    iq = CYCLES[name] if name in CYCLES else quiver(name)
     assert iq.is_acyclic() == _strips_to_nothing(iq)
-    assert iq.is_acyclic() == (name in ("rank1-split", "a2-split", "a3-quasisplit", "qs3-2", "split-2"))
+    assert iq.is_acyclic() == (name not in ("kronecker-r1", "kronecker-r2", "2-cycle", "3-cycle"))

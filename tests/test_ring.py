@@ -1,8 +1,5 @@
 """Exact coefficient arithmetic: Laurent polynomials over Z, Q(sqrt q)."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -31,6 +28,7 @@ from ihall.ring import (
     qint,
     shifted_sum,
 )
+from child import run_child
 
 polys = st.builds(
     LaurentPoly,
@@ -408,12 +406,7 @@ def test_memoized_helpers_match_plain_products():
 def test_factorial_ratios_need_no_deep_call_chain():
     # the memo fills upward in a loop, so [50]! and [100]!! are no
     # RecursionError under a limit of 40 frames
-    import ihall
-
-    src = os.path.dirname(os.path.dirname(ihall.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """if True:
-        import sys
         from ihall.qseries import qdfact
         from ihall.ring import ONE, qfact, qint
         sys.setrecursionlimit(40)
@@ -423,8 +416,8 @@ def test_factorial_ratios_need_no_deep_call_chain():
             want_d = want_d * qint(2 * k)
         print(qfact(50) == want_f, qdfact(100) == want_d)
     """
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (out.returncode, out.stdout, out.stderr) == (0, "True True\n", "")
+    status, out, err, _ = run_child(code=code)
+    assert (status, out, err) == (0, "True True\n", "")
 
 
 # ---------------------------------------------------------------------------
