@@ -2,32 +2,35 @@
 
 Only `ihall identities` and the oracles load this module; `ihall verify`
 never compiles it. It holds the q-combinatorics of the suites, which the
-oracles share (comb2, [n]!! and its ratios, the cleared factor of the T
-sums, [m choose r]; [n] and [n]! are in `ring`), then the triple-sum values
-T and T1 and the factorial/binomial identities they reduce to, all over
-exact Laurent polynomials. Each sum is taken in one pass: its terms v^e f go
-into one buffer (ring.shifted_sum), T and T1 come out of one shared
-evaluation per triple (each (k, m) group's terms of even and odd n are
-summed once and multiplied by the group's cofactor once), and kmrd sums its
-terms over m before it multiplies each k group by [2d]!!/[2k]!!.
+oracles share (comb2, [n]!! and its ratios, [m choose r]; [n] and [n]! are
+in `ring`), then the triple-sum values T and T1 and the factorial/binomial
+identities they reduce to, all over exact Laurent polynomials. Each sum is
+taken in one pass: its terms v^e f go into one buffer (ring.shifted_sum),
+T and T1 come out of one shared evaluation per triple, taken on Kronecker
+images (each block of the sums read at v = 2^w as one int, so each (k, m)
+group's terms are int shifts and adds and the group takes its products
+with the ratio images as int products), and kmrd sums its terms over m
+before it multiplies each k group by [2d]!!/[2k]!!.
 """
 
 from functools import lru_cache
 
-from .ring import ONE, ZERO, fill_ratios, pochhammer, qfact, qfact_ratio, qint, shifted_sum
+from .ring import (ONE, ZERO, _decoded, _half, _packed, _slot_bytes, fill_ratios, pochhammer,
+                   qfact, qfact_ratio, shifted_sum)
 
 # The largest bounds `ihall identities` runs to. Each family's cost grows as
 # about the fifth to eighth power of its bound: on a 2-vCPU VM the p
-# families take 18 s at pmax 64, kmrd 23 s at dmax 32 and the T suite 9 s at
-# amax 24 (54 s and 96 MB in one run), so twice a bound would take ten
+# families take 25 s at pmax 64, kmrd 23 s at dmax 32 and the T suite 6 s at
+# amax 24 (53 s and 90 MB in one run), so twice a bound would take ten
 # minutes to over an hour.
 CEILING = {"pmax": 64, "dmax": 32, "amax": 24}
 
 # ---------------------------------------------------------------------------
 # q-combinatorics of the suites
 #
-# qdfact_ratio, the cleared factor of the T sums and qbinom are memoized:
-# the suites ask for the same small indices thousands of times.
+# qdfact_ratio and qbinom are memoized, and so are the images of the blocks
+# of the T sums: the suites ask for the same small indices thousands of
+# times.
 
 
 def comb2(m):
@@ -45,17 +48,6 @@ def qdfact_ratio(lo, hi):
     if lo % 2 or hi % 2 or not 0 <= lo <= hi:
         raise ValueError("qdfact_ratio needs even 0 <= lo <= hi")
     return fill_ratios(_QDFACT_RATIOS, lo, hi, 2)
-
-
-@lru_cache(maxsize=None)
-def qfact_dfact_cofactor(r, d, k, m, kk):
-    """[d]!/[r]! * [2kk]!!/[2k]!! * [2kk]!!/[2m]!!.
-
-    The factor that clears the denominators [r]! [2k]!! [2m]!! of one group
-    of terms of the T sums against their common multiple [d]! [2kk]!! [2kk]!!;
-    T and T1 share it, across every u.
-    """
-    return qfact_ratio(r, d) * qdfact_ratio(2 * k, 2 * kk) * qdfact_ratio(2 * m, 2 * kk)
 
 
 def qdfact(n):
@@ -113,37 +105,97 @@ def p_exponent(a, u, r, s, t):
 
 
 @lru_cache(maxsize=None)
+def _block(f, i, j):
+    """(lowest exponent, l1 norm) of the block f(i, j) of the T sums."""
+    g = f(i, j)
+    # a product of balanced [n] steps its exponents by 2: v^lo times a
+    # polynomial in v^2, whose image _image takes
+    assert not any(g.coeffs[1::2])
+    return g.lo, sum(map(abs, g.coeffs))
+
+
+@lru_cache(maxsize=None)
+def _image(f, i, j, nb):
+    """The Kronecker image of the block f(i, j), as a polynomial in v^2, in
+    nb-byte slots."""
+    t = f(i, j).coeffs[::2]
+    return _packed(t, nb, _half(nb, len(t)))
+
+
+@lru_cache(maxsize=None)
 def _t_pair(a, d, u):
-    """(T(a, d, u), T1(a, d, u)) in one pass.
+    """(T(a, d, u), T1(a, d, u)) in one pass over Kronecker images.
 
     Denominators [r]! [2k]!! [2m]!! are cleared against the fixed multiple
     [d]! [2K]!! [2K]!! (K the largest k), keeping everything a Laurent
-    polynomial; the sums vanish iff the raw sums do. The cleared factor C
-    depends on k and m only (r = d - k - m), so each (k, m) group sums its
-    terms of even n (E) and of odd n (O) first, and T and T1 share the two
-    products E C and O C: T = sum E C - v^(2k-2m) O C and
-    T1 = sum v^(2k-2m) E C - O C.
+    polynomial; the sums vanish iff the raw sums do. The cleared factor C is
+    the product of the ratios [d]!/[r]!, [2K]!!/[2k]!! and [2K]!!/[2m]!!,
+    which depend on k and m only (r = d - k - m), so each (k, m) group sums
+    its terms of even n (E) and of odd n (O) first:
+    T = sum (E - v^(2k-2m) O) C and T1 = sum (v^(2k-2m) E - O) C.
+
+    Every block (a binomial [u choose j] or a ratio) is v^lo times a
+    polynomial in v^2, read at v^2 = 2^w as one int, its Kronecker image
+    (_image). So E and O are int shifts and adds, one int per exponent
+    parity, and each group multiplies them by the product of its three
+    ratio images. T and T1 are sum_p v^(lo + p) T_p(v^2) over the parities
+    p = 0, 1, each T_p one int; lo is 2K below the lowest exponent of any
+    group, so every shift is a left shift (|2k - 2m| <= 2K). The bound, the
+    sum over the groups of (sum ||[u choose j]||_1) * prod ||ratio||_1, is
+    at least the l1 norm of T and of T1, so at least each of their
+    coefficients; w holds it (ring._slot_bytes), so no slot carries and the
+    ints decode back to T and T1 exactly.
     """
     kmax = (a + 1) // 2
-    even, odd = [], []
+    groups, bound = [], 0
     for k in range(kmax + 1):
         for m in range(kmax + 1):
             r = d - k - m
             if r < 0:
                 continue
-            parts = ([], [])
+            terms, norm = [], 0
             for n in range(r + 2 * k, a + 2 - 2 * m):
                 s = n - 2 * k
                 t = 1 + a - n - 2 * m
-                qb = qbinom(u, t - r)
-                if qb:
+                low, l1 = _block(qbinom, u, t - r)
+                if l1:
                     z = k * (k - 1) + m * (m + 1) - comb2(s) - comb2(t) + p_exponent(a, u, r, s, t)
-                    parts[n % 2].append((z, qb))
-            c = qfact_dfact_cofactor(r, d, k, m, kmax)
-            even.append((2 * k - 2 * m, shifted_sum(parts[0]) * c))
-            odd.append((2 * k - 2 * m, shifted_sum(parts[1]) * c))
-    return (shifted_sum([(0, f) for _, f in even], odd),
-            shifted_sum(even, [(0, f) for _, f in odd]))
+                    terms.append((n % 2, z + low, t - r))
+                    norm += l1
+            if terms:
+                ratios = ((qfact_ratio, r, d), (qdfact_ratio, 2 * k, 2 * kmax),
+                          (qdfact_ratio, 2 * m, 2 * kmax))
+                # e0 is the lowest exponent of E and O, base that of E C and O C
+                e0 = base = min([e for _, e, _ in terms])
+                for ratio in ratios:
+                    low, l1 = _block(*ratio)
+                    base += low
+                    norm *= l1
+                groups.append((k - m, e0, base, terms, ratios))
+                bound += norm
+    nb = _slot_bytes(bound)
+    w = 8 * nb
+    lo = min([g[2] for g in groups], default=0) - 2 * kmax
+    img, img1 = [0, 0], [0, 0]  # the images of T_p and T1_p by parity p
+    for half_shift, e0, base, terms, ratios in groups:
+        parts = {}  # (n odd, exponent parity over e0): image
+        for odd, e, j in terms:
+            key = odd, (e - e0) & 1
+            parts[key] = parts.get(key, 0) + (_image(qbinom, u, j, nb) << w * ((e - e0) >> 1))
+        r1, r2, r3 = [_image(*ratio, nb) for ratio in ratios]
+        c = r1 * r2 * r3
+        for (odd, p), x in parts.items():
+            x *= c
+            p += base - lo
+            x, y = x << w * (p >> 1), x << w * ((p >> 1) + half_shift)
+            if odd:
+                img[p & 1] -= y
+                img1[p & 1] -= x
+            else:
+                img[p & 1] += x
+                img1[p & 1] += y
+    return tuple(shifted_sum([(p, _decoded(x, nb, lo, 2)) for p, x in enumerate(sums) if x])
+                 for sums in (img, img1))
 
 
 def t_value(a, d, u):

@@ -4,12 +4,16 @@ Every q-coefficient lies in Z[v, v^-1], so a LaurentPoly holds int
 coefficients only, as a dense tuple from its lowest exponent; any other
 coefficient (a Fraction, a float) raises TypeError.  Laurent polynomials
 multiply through one kernel, a Kronecker substitution into a single big-int
-product (_kronecker).  Division (exact_div) is long division over Z whose
-every step must divide exactly, else it raises ExactDivisionError.  Every
-sum, + and - included, adds its shifted terms v^e f into one buffer
-(shifted_sum).  An operand is a LaurentPoly or an int (a constant) for
-every operator.  Equality is structural, and a constant hashes as the int
-it equals.  No floats anywhere.
+product (_kronecker).  The Kronecker image of a coefficient tuple, the
+tuple read at v = 2^w as one int, has its one home here: _slot_bytes sets
+the width w, _packed maps a tuple to its image, and _unpacked (or _decoded,
+to a LaurentPoly) maps it back; `qseries` takes the T sums on images too.
+Division (exact_div) is long division over Z whose every step must divide
+exactly, else it raises ExactDivisionError.  Every sum, + and - included,
+adds its shifted terms v^e f into one buffer (shifted_sum).  An operand is
+a LaurentPoly or an int (a constant) for every operator.  Equality is
+structural, and a constant hashes as the int it equals.  No floats
+anywhere.
 
 Of the commands only `identities` loads this module: the Hall-side
 commands take their scalars at v = sqrt(q) as QSqrt numbers, which `qsqrt`
@@ -249,36 +253,83 @@ def _kronecker(a, b):
 
     Two tuples that are zero at every odd index (polynomials in v^2)
     multiply as their even entries. Otherwise a Kronecker substitution
-    (Harvey 2009) in slots of w = 8 * nb bits: a product coefficient sums at
-    most min(len a, len b) products, so its size is at most
-    m = max|a| max|b| min(len a, len b), and w is 64 if m < 2^63, else the
-    whole bytes that hold m and a sign bit. H has 2^(w-1) in every slot:
-    packed two's complement slots XOR H, minus H, give A(2^w), and
-    (AB)(2^w) + H has the digit c + 2^(w-1) in [0, 2^w) in every slot, so no
-    carry crosses a slot; XOR H gives back the two's complement slots.
+    (Harvey 2009): both tuples are read at v = 2^w (_packed), the two ints
+    multiply, and the product's slots are read back (_unpacked). A product
+    coefficient sums at most min(len a, len b) products, so its size is at
+    most max|a| max|b| min(len a, len b), and w is the width that holds it
+    (_slot_bytes).
     """
     if not any(a[1::2]) and not any(b[1::2]):
         out = [0] * (len(a) + len(b) - 1)
         out[::2] = _kronecker(a[::2], b[::2])
         return tuple(out)
-    m = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    nb = 8 if m < 1 << 63 else (m.bit_length() + 8) >> 3
+    nb = _slot_bytes(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
     n = len(a) + len(b) - 1
-    h = int.from_bytes((b"\0" * (nb - 1) + b"\x80") * n, "little")
-    ha, hb = h >> 8 * nb * (len(b) - 1), h >> 8 * nb * (len(a) - 1)
-    raw = ((_packed(a, nb, ha) * _packed(b, nb, hb) + h) ^ h).to_bytes(n * nb, "little")
-    if nb == 8:
-        return unpack("<%dq" % n, raw)
-    return tuple([int.from_bytes(raw[i:i + nb], "little", signed=True) for i in range(0, n * nb, nb)])
+    h = _half(nb, n)
+    x = _packed(a, nb, h >> 8 * nb * (len(b) - 1)) * _packed(b, nb, h >> 8 * nb * (len(a) - 1))
+    return _unpacked(x, nb, n, h)
+
+
+def _slot_bytes(m):
+    """The bytes of a slot that holds every coefficient of size at most m and
+    a sign bit: 8 below 2^63, else 8 j + f bytes for the fewest, f being 1, 2,
+    4 or 8, so that a slot reads as j unsigned 64-bit words below one signed
+    struct field (_unpacked)."""
+    if m < 1 << 63:
+        return 8
+    j, r = divmod(((m.bit_length() + 8) >> 3) - 1, 8)  # r + 1 bytes above j words
+    return 8 * j + (1 << r.bit_length())
+
+
+def _half(nb, n):
+    """2^(8 nb - 1) in each of n slots of nb bytes."""
+    return int.from_bytes((b"\0" * (nb - 1) + b"\x80") * n, "little")
 
 
 def _packed(t, nb, h):
-    """sum t[i] 2^(8 nb i): t's two's complement nb-byte slots XOR h, minus h."""
+    """The Kronecker image sum t[i] 2^(8 nb i) of a coefficient tuple.
+
+    Packed two's complement slots XOR H, minus H, give the image, where
+    h = _half(nb, len(t)) has 2^(w-1) in every slot of w = 8 nb bits.
+    """
     if nb == 8:
         s = pack("<%dq" % len(t), *t)
     else:
         s = b"".join([c.to_bytes(nb, "little", signed=True) for c in t])
     return (int.from_bytes(s, "little") ^ h) - h
+
+
+def _unpacked(x, nb, n, h):
+    """The n coefficients c[i] of an image x = sum c[i] 2^(8 nb i) whose
+    every |c[i]| < 2^(8 nb - 1), nb = 8 j + f with f 1, 2, 4 or 8
+    (_slot_bytes), and h = _half(nb, n).
+
+    x + H has the digit c[i] + 2^(w-1) in [0, 2^w) in every slot, so no
+    carry crosses a slot, and XOR H gives back the two's complement slots.
+    One struct.unpack reads every slot as j unsigned 64-bit words below one
+    signed field of f bytes, and the fields of a slot are joined by shifts.
+    """
+    raw = ((x + h) ^ h).to_bytes(n * nb, "little")
+    if nb == 8:
+        return unpack("<%dq" % n, raw)
+    j, r = divmod(nb - 1, 8)  # the top field's r + 1 bytes are 1, 2, 4 or 8
+    fields = unpack("<" + ("%dQ%s" % (j, "bhiq"[r.bit_length()])) * n, raw)
+    out = fields[j::j + 1]
+    for i in range(j - 1, -1, -1):
+        out = [hi << 64 | lo for hi, lo in zip(out, fields[i::j + 1])]
+    return tuple(out)
+
+
+def _decoded(x, nb, lo, step=1):
+    """The LaurentPoly sum c[i] v^(lo + step i) of an image
+    x = sum c[i] 2^(8 nb i) whose every |c[i]| < 2^(8 nb - 1).
+
+    A top slot c[n-1] != 0 puts the bit length of |x| at w (n - 1) - 1 or
+    more, so bit length // w + 2 slots hold every c[i]."""
+    n = abs(x).bit_length() // (8 * nb) + 2
+    out = [0] * (step * n - step + 1)
+    out[::step] = _unpacked(x, nb, n, _half(nb, n))
+    return _trim(lo, out)
 
 
 ZERO = _poly(0, ())
@@ -337,14 +388,15 @@ def qfact(n):
 
 def pochhammer(e_a, e_x, n, sign=1):
     """(a; x)_n = prod_{j=0}^{n-1} (1 - a x^j) with a = sign v^e_a, x = v^e_x,
-    sign 1 or -1."""
+    sign 1 or -1, each factor taken as a two-term shifted_sum."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
     if sign not in (1, -1):
         raise ValueError("pochhammer needs sign 1 or -1")
     out = ONE
-    for j in range(n):
-        out = out * (ONE - _poly(e_a + j * e_x, (sign,)))
+    for j in range(n):  # out (1 - sign v^e) = out - sign v^e out
+        term = [(e_a + j * e_x, out)]
+        out = shifted_sum([(0, out)] + term) if sign < 0 else shifted_sum([(0, out)], term)
     return out
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ihall import qseries, ring
 from ihall.ihall import HallAlgebra
 from ihall.iqg import Psi, build_relation_suite, relation_residual, verify_presentation
 from ihall.iquiver import IQuiver, builtin_iquiver
@@ -154,19 +155,61 @@ def _t_reference(a, d, u, swap):
     return total
 
 
+def _norm(f):
+    return sum(map(abs, f.coeffs))
+
+
+def _all_triples(amax):
+    # the admissible triples and the nonvanishing ones past u's bound
+    for a in range(amax + 1):
+        for d in range((a + 1) // 2 + 1):
+            for u in range(a + 3):
+                yield a, d, u
+
+
 def test_t_sums_match_term_by_term_reference():
     # outside the admissible domain the sums are nonzero, so the grouped
     # evaluation is compared with the plain one on nonvanishing values too,
     # up to the bench's amax
     nonzero = [0, 0]
-    for a in range(8):
-        for d in range((a + 1) // 2 + 1):
-            for u in range(a + 3):
-                assert t_value(a, d, u) == _t_reference(a, d, u, False), (a, d, u)
-                assert t1_value(a, d, u) == _t_reference(a, d, u, True), (a, d, u)
-                nonzero[0] += not t_value(a, d, u).is_zero()
-                nonzero[1] += not t1_value(a, d, u).is_zero()
+    for a, d, u in _all_triples(7):
+        assert t_value(a, d, u) == _t_reference(a, d, u, False), (a, d, u)
+        assert t1_value(a, d, u) == _t_reference(a, d, u, True), (a, d, u)
+        nonzero[0] += not t_value(a, d, u).is_zero()
+        nonzero[1] += not t1_value(a, d, u).is_zero()
     assert nonzero == [16, 16]
+
+
+def test_t_pair_bound_holds_the_sums(monkeypatch):
+    # the bound that sets the slot width is at least the l1 norm of T and of
+    # T1, so at least every coefficient: no slot can carry into the next
+    bounds = []
+    monkeypatch.setattr(qseries, "_slot_bytes", lambda m: bounds.append(m) or ring._slot_bytes(m))
+    _t_pair.cache_clear()
+    try:
+        for a, d, u in _all_triples(8):
+            bounds.clear()
+            t, t1 = _t_pair(a, d, u)
+            ref, ref1 = _t_reference(a, d, u, False), _t_reference(a, d, u, True)
+            assert (t, t1) == (ref, ref1), (a, d, u)
+            assert len(bounds) == 1 and bounds[0] >= max(_norm(ref), _norm(ref1)), (a, d, u)
+    finally:
+        _t_pair.cache_clear()
+
+
+def test_t_pair_needs_its_slot_width(monkeypatch):
+    # in one-byte slots the images still hold T and T1 at v = 2^8 exactly,
+    # but a coefficient past 127 carries into the next slot, so the sums
+    # decode to other polynomials
+    monkeypatch.setattr(qseries, "_slot_bytes", lambda m: 1)
+    _t_pair.cache_clear()
+    try:
+        wrong = [(a, d, u) for a, d, u in _all_triples(7)
+                 if t_value(a, d, u) != _t_reference(a, d, u, False)]
+    finally:
+        _t_pair.cache_clear()
+    assert wrong
+    assert all(max(map(abs, _t_reference(*x, False).coeffs)) > 127 for x in wrong)
 
 
 def test_t_pair_is_computed_once_per_triple():

@@ -13,9 +13,9 @@ from ihall.qseries import (
     qbinom,
     qdfact,
     qdfact_ratio,
-    qfact_dfact_cofactor,
 )
 from ihall.qsqrt import QSqrt
+from ihall import ring
 from ihall.ring import (
     ExactDivisionError,
     LaurentPoly,
@@ -394,8 +394,12 @@ def test_memoized_helpers_match_plain_products():
         for k in range(d + 1):
             for m in range(d - k + 1):
                 r = d - k - m
-                assert qfact_dfact_cofactor(r, d, k, m, d) == (
-                    qfact_ratio(r, d) * qdfact_ratio(2 * k, 2 * d) * qdfact_ratio(2 * m, 2 * d)
+                # [d]!/[r]! [2d]!!/[2k]!! [2d]!!/[2m]!!, the cleared factor of the T sums
+                ratios = qfact_ratio(r, d) * qdfact_ratio(2 * k, 2 * d) * qdfact_ratio(2 * m, 2 * d)
+                assert ratios == (
+                    _prod(_qint_ref(j) for j in range(r + 1, d + 1))
+                    * _prod(_qint_ref(2 * j) for j in range(k + 1, d + 1))
+                    * _prod(_qint_ref(2 * j) for j in range(m + 1, d + 1))
                 )
     with pytest.raises(ValueError):
         qfact_ratio(3, 2)
@@ -601,6 +605,33 @@ def test_product_at_the_word_slot_bound(n, c, d):
         assert (f * g).coeff(n + 1) == sc * sd * n * c * d
 
 
+@pytest.mark.parametrize("nb", [8, 9, 10, 12, 16, 24])
+def test_slot_images_round_trip(nb):
+    # the largest slot values either way, 0 and small ones, packed into one
+    # int and read back by the one struct.unpack of the slots' fields
+    top = 2 ** (8 * nb - 1) - 1
+    for t in [(top, -top, 0), (0, 0, -top), (-1, top, 1, -top, 0, 2 ** 64, -(2 ** 64)), (top,)]:
+        t = tuple(c for c in t if abs(c) <= top)
+        x = ring._packed(t, nb, ring._half(nb, len(t)))
+        assert x == sum(c << 8 * nb * i for i, c in enumerate(t))
+        assert ring._unpacked(x, nb, len(t), ring._half(nb, len(t))) == t
+        # read into more slots, the image's extra top slots are zeros
+        assert ring._unpacked(x, nb, len(t) + 2, ring._half(nb, len(t) + 2)) == t + (0, 0)
+        assert ring._decoded(x, nb, -3) == LaurentPoly({i - 3: c for i, c in enumerate(t)})
+        assert ring._decoded(x, nb, -3, 2) == LaurentPoly({2 * i - 3: c for i, c in enumerate(t)})
+
+
+def test_slot_width_holds_the_bound_and_a_sign_bit():
+    # 8 bytes up to 2^63 - 1, past it 8 j + 1, 2, 4 or 8 bytes, the fewest that hold it
+    widths = {0: 8, 2 ** 63 - 1: 8, 2 ** 63: 9, 2 ** 71 - 1: 9, 2 ** 71: 10, 2 ** 79: 12,
+              2 ** 95 - 1: 12, 2 ** 95: 16, 2 ** 127 - 1: 16, 2 ** 127: 17, 2 ** 191: 25}
+    assert {m: ring._slot_bytes(m) for m in widths} == widths
+    fields = [nb for nb in range(8, 48) if (nb - 1) % 8 + 1 in (1, 2, 4, 8)]
+    for b in range(300):
+        for m in (2 ** b - 1, 2 ** b):
+            assert ring._slot_bytes(m) == min(nb for nb in fields if m < 2 ** (8 * nb - 1))
+
+
 def test_product_of_zero_and_monomials():
     f = LaurentPoly({-4: 3, 1: -2, 5: 2 ** 90})
     assert (f * ZERO).is_zero() and (ZERO * f).is_zero() and (f * 0).is_zero()
@@ -698,7 +729,8 @@ def test_nonvanishing_products_match_schoolbook():
             for m in range(d - k + 1):
                 r = d - k - m
                 e = comb2(r + 1) - 2 * (k - 1) * m
-                total = total + vp(e) * qfact_dfact_cofactor(r, d, k, m, d)
+                ratios = qfact_ratio(r, d) * qdfact_ratio(2 * k, 2 * d) * qdfact_ratio(2 * m, 2 * d)
+                total = total + vp(e) * ratios
                 ref = ref + _schoolbook_prod(
                     [vp(e)]
                     + [qint(j) for j in range(r + 1, d + 1)]
