@@ -178,10 +178,7 @@ class ModuleTable:
             for r in range(1, d // 2 + 1):
                 if total > cap:
                     break
-                cnt = linalg.subspace_count(d, r, self.p)
-                for i in range(r):
-                    cnt *= self.p ** (d - r) - self.p ** i
-                total += cnt
+                total += linalg.subspace_count(d, r, self.p) * linalg.frames(r, d - r, self.p)
             return total
         return self.p ** (shape[0] * shape[1])
 

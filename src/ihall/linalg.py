@@ -95,12 +95,18 @@ def col_space(A, p):
     return rref(transpose(A), p)
 
 
-def gl_order(n, p):
+def frames(k, n, p):
+    """prod_{i<k} (p^n - p^i): the number of k-tuples of linearly independent
+    vectors in F_p^n."""
     out = 1
     pn = p ** n
-    for i in range(n):
+    for i in range(k):
         out *= pn - p ** i
     return out
+
+
+def gl_order(n, p):
+    return frames(n, n, p)
 
 
 # Miller-Rabin to the prime bases 2, ..., 41 decides primality exactly below
@@ -211,12 +217,8 @@ def subspace_count(n, k, p):
     """Gaussian binomial [n choose k]_p evaluated at the integer p."""
     if k < 0 or k > n:
         return 0
-    num = den = 1
-    for i in range(k):
-        num *= p ** (n - i) - 1
-        den *= p ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
+    # a k-frame spans one subspace, and GL_k permutes the frames of each
+    return frames(k, n, p) // frames(k, k, p)
 
 
 def enumerate_rref_bases(n, k, p):

@@ -2,9 +2,12 @@
 
 Only `ihall identities` and the oracles load this module; `ihall verify`
 never compiles it. It holds the q-combinatorics of the suites, which the
-oracles share (comb2, [n]!! and its ratios, [m choose r]; [n] and [n]! are
-in `ring`), then the triple-sum values T and T1 and the factorial/binomial
-identities they reduce to, all over exact Laurent polynomials. Each sum is
+oracles share (comb2, [n]!! and its ratios, [m choose r] from rows filled
+upward by the q-Pascal rule; [n], [n]! and the q-Pochhammer products are in
+`ring`), then the triple-sum values T and T1 and the factorial/binomial
+identities they reduce to, all over exact Laurent polynomials and with no
+division: each right side is a product, km3's [2p]!!/[p]! the Pochhammer
+product v^(-p(p+1)/2) (-v^2; v^2)_p. Each sum is
 taken in one pass: its terms v^e f go into one buffer (ring.shifted_sum),
 T and T1 come out of one shared evaluation per triple, taken on Kronecker
 images (each block of the sums read at v = 2^w as one int, so each (k, m)
@@ -57,31 +60,37 @@ def qdfact(n):
     return qdfact_ratio(0, n)
 
 
-@lru_cache(maxsize=None)
-def _pascal(m, r):
-    """[m choose r] for m >= 0 by the q-Pascal rule
-    [m, r] = v^-r [m-1, r] + v^(m-r) [m-1, r-1], no division."""
-    if r <= 0 or m < r:
-        return ONE if r == 0 else ZERO
-    return shifted_sum(((-r, _pascal(m - 1, r)), (m - r, _pascal(m - 1, r - 1))))
+# _ROWS[n] holds [n choose 0], ..., [n choose c] for some c <= n // 2; the
+# rest of row n is its mirror, [n choose k] = [n choose n - k].
+_ROWS = []
 
 
-@lru_cache(maxsize=None)
 def qbinom(m, r):
     """Quantum binomial [m choose r] = [m][m-1]...[m-r+1] / [r]!; m may be
     any integer, zero for r < 0. For m < 0, [m, r] = (-1)^r [r-m-1, r], as
-    [-n] = -[n]."""
+    [-n] = -[n].
+
+    The rows are filled upward by the q-Pascal rule
+    [n, k] = v^-k [n-1, k] + v^(n-k) [n-1, k-1], no division: each row up
+    to m is extended to column min(r, m - r) in one loop, with no call chain.
+    """
     if r < 0:
         return ZERO
     if m < 0:
         out = qbinom(r - m - 1, r)
         return -out if r % 2 else out
-    # the rows below m, in increasing order, so that each q-Pascal step finds
-    # its two terms memoized and the recursion stays one step deep
-    for j in range(m):
-        for k in range(max(1, r - m + j), min(j, r) + 1):
-            _pascal(j, k)
-    return _pascal(m, r)
+    if r > m:
+        return ZERO
+    r = min(r, m - r)
+    rows = _ROWS
+    if m < len(rows) and r < len(rows[m]):
+        return rows[m][r]
+    rows.extend([ONE] for _ in range(len(rows), m + 1))
+    for n in range(2, m + 1):
+        row, above = rows[n], rows[n - 1]
+        for k in range(len(row), min(r, n // 2) + 1):
+            row.append(shifted_sum(((-k, above[min(k, n - 1 - k)]), (n - k, above[k - 1]))))
+    return rows[m][r]
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +118,9 @@ def _block(f, i, j):
     """(lowest exponent, l1 norm) of the block f(i, j) of the T sums."""
     g = f(i, j)
     # a product of balanced [n] steps its exponents by 2: v^lo times a
-    # polynomial in v^2, whose image _image takes
-    assert not any(g.coeffs[1::2])
+    # polynomial in v^2, whose image _image takes, dropping the odd entries
+    if any(g.coeffs[1::2]):
+        raise ValueError("%s(%d, %d) is not v^lo times a polynomial in v^2" % (f.__name__, i, j))
     return g.lo, sum(map(abs, g.coeffs))
 
 
@@ -241,11 +251,11 @@ def km1_residual(p):
 def km3_residual(p):
     """sum_k v^(p(p+1)/2 - 2k(p-k+1)) [p choose k]_{v^2}  minus [2p]!!/[p]!.
 
-    The quotient [2p]!!/[p]! is the Laurent polynomial prod_{j=1}^p (v^j + v^-j),
-    so it is taken by exact division.
+    The quotient [2p]!!/[p]! is prod_{j=1}^p (v^j + v^-j), that is
+    v^(-p(p+1)/2) (-v^2; v^2)_p.
     """
     total = _qbinom_sum(p, lambda k: p * (p + 1) // 2 - 2 * k * (p - k + 1), step=2)
-    return total - qdfact(2 * p).exact_div(qfact(p))
+    return shifted_sum([(0, total)], [(-p * (p + 1) // 2, pochhammer(2, 2, p, sign=-1))])
 
 
 def km5_residual(p):
@@ -295,32 +305,20 @@ def run_identity_suites(pmax, dmax):
     Returns a list of (name, ok) pairs, one per identity family, each ok
     being the conjunction of all instances in the range.
     """
-    results = []
-    results.append(
-        ("km-factorial", all(km1_residual(p).is_zero() for p in range(0, pmax + 1)))
-    )
-    results.append(
-        ("km-double-factorial", all(km3_residual(p).is_zero() for p in range(0, pmax + 1)))
-    )
-    results.append(
-        ("km-binomial-product", all(km5_residual(p).is_zero() for p in range(0, pmax + 1)))
-    )
-    results.append(
-        ("km-alternating", all(kmrd_residual(d).is_zero() for d in range(1, dmax + 1)))
-    )
-    ok1 = True
-    for p in range(1, pmax + 1):
-        for d in range(-(p - 1), p):
-            if (d - (p - 1)) % 2 == 0:
-                ok1 = ok1 and qbinom_alt_residual(p, d).is_zero()
-    results.append(("qbinom-alternating", ok1))
-    results.append(
-        ("qbinom-low", all(qbinom_low_residual(p).is_zero() for p in range(1, pmax + 1)))
-    )
-    results.append(
-        ("qbinom-high", all(qbinom_high_residual(p).is_zero() for p in range(1, pmax + 1)))
-    )
-    return results
+    # built per call, so that it reads the residuals the module holds now;
+    # each instance is the tuple of a residual's arguments
+    table = [
+        ("km-factorial", km1_residual, zip(range(pmax + 1))),
+        ("km-double-factorial", km3_residual, zip(range(pmax + 1))),
+        ("km-binomial-product", km5_residual, zip(range(pmax + 1))),
+        ("km-alternating", kmrd_residual, zip(range(1, dmax + 1))),
+        ("qbinom-alternating", qbinom_alt_residual,
+         ((p, d) for p in range(1, pmax + 1) for d in range(1 - p, p, 2))),
+        ("qbinom-low", qbinom_low_residual, zip(range(1, pmax + 1))),
+        ("qbinom-high", qbinom_high_residual, zip(range(1, pmax + 1))),
+    ]
+    return [(name, all(residual(*args).is_zero() for args in instances))
+            for name, residual, instances in table]
 
 
 def run_t_suite(amax):

@@ -8,12 +8,12 @@ product (_kronecker).  The Kronecker image of a coefficient tuple, the
 tuple read at v = 2^w as one int, has its one home here: _slot_bytes sets
 the width w, _packed maps a tuple to its image, and _unpacked (or _decoded,
 to a LaurentPoly) maps it back; `qseries` takes the T sums on images too.
-Division (exact_div) is long division over Z whose every step must divide
-exactly, else it raises ExactDivisionError.  Every sum, + and - included,
-adds its shifted terms v^e f into one buffer (shifted_sum).  An operand is
-a LaurentPoly or an int (a constant) for every operator.  Equality is
-structural, and a constant hashes as the int it equals.  No floats
-anywhere.
+There is no division: every quotient the program needs is a product (a
+factorial ratio, a q-Pochhammer product) or a q-Pascal sum, all in the ring
+Z[v, v^-1].  Every sum, + and - included, adds its shifted terms v^e f into
+one buffer (shifted_sum).  An operand is a LaurentPoly or an int (a
+constant) for every operator.  Equality is structural, and a constant
+hashes as the int it equals.  No floats anywhere.
 
 Of the commands only `identities` loads this module: the Hall-side
 commands take their scalars at v = sqrt(q) as QSqrt numbers, which `qsqrt`
@@ -27,10 +27,6 @@ oracles (which take qbinom, qdfact, comb2 and p_exponent from it).
 from functools import lru_cache
 from operator import add, index, neg, sub
 from struct import pack, unpack
-
-
-class ExactDivisionError(ArithmeticError):
-    """Raised when a division that must be exact leaves a remainder."""
 
 
 class LaurentPoly:
@@ -151,38 +147,6 @@ class LaurentPoly:
     def coeff(self, e):
         i = e - self.lo
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def exact_div(self, other):
-        """Exact division; raises ExactDivisionError on a nonzero remainder.
-
-        Long division over Z: each step divides a leading coefficient by the
-        divisor's and raises when that leaves a remainder.
-        """
-        divisor = _operand(other)
-        if divisor is NotImplemented:
-            raise TypeError(f"cannot divide a LaurentPoly by a {type(other).__name__}")
-        den = divisor.coeffs
-        if not den:
-            raise ZeroDivisionError("division by the zero Laurent polynomial")
-        if not self.coeffs:
-            return ZERO
-        rem = list(self.coeffs)
-        dd = len(den) - 1
-        lead = den[dd]
-        quot = [0] * max(len(rem) - dd, 0)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + dd]
-            if c:
-                f, r = divmod(c, lead)
-                if r:
-                    raise ExactDivisionError(f"{c} is not divisible by {lead}")
-                quot[i] = f
-                for j in range(dd + 1):
-                    rem[i + j] -= f * den[j]
-        if any(rem):
-            raise ExactDivisionError("nonzero remainder in exact polynomial division")
-        # an exact quotient's ends are the ratios of the ends: both nonzero
-        return _poly(self.lo - divisor.lo, tuple(quot))
 
     def specialize_sqrtq(self, q):
         """Evaluate at v = sqrt(q), exactly, as a QSqrt."""

@@ -649,6 +649,19 @@ def test_no_module_reads_the_environment():
         assert not knobs & used, (name, sorted(knobs & used))
 
 
+def test_no_module_checks_by_assert():
+    # python -O strips assert statements, so a check the program relies on
+    # is an explicit raise
+    src = os.path.dirname(ihall.__file__)
+    names = sorted(name for name in os.listdir(src) if name.endswith(".py"))
+    assert len(names) >= 14
+    for name in names:
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (name, lines)
+
+
 def _parser_exit(parser, argv):
     """(exit code, stdout, stderr) of a parse that must end in SystemExit."""
     out, err = io.StringIO(), io.StringIO()

@@ -212,6 +212,17 @@ def test_t_pair_needs_its_slot_width(monkeypatch):
     assert all(max(map(abs, _t_reference(*x, False).coeffs)) > 127 for x in wrong)
 
 
+def test_block_with_odd_steps_is_refused():
+    # _image keeps only the even entries of a block, so a block that is not
+    # v^lo times a polynomial in v^2 raises, under python -O too
+    def odd(i, j):
+        return LaurentPoly({i: 1, j: 1})
+
+    assert qseries._block(odd, 0, 2) == (0, 2)
+    with pytest.raises(ValueError, match=r"odd\(0, 1\) is not v\^lo times"):
+        qseries._block(odd, 0, 1)
+
+
 def test_t_pair_is_computed_once_per_triple():
     _t_pair.cache_clear()
     t_value(7, 2, 3)
@@ -247,12 +258,13 @@ def test_km_identities_small():
         # every family stays in Z[v, v^-1], no gcd-reduced fractions
         assert type(km3_residual(p)) is LaurentPoly
         assert type(km5_residual(p)) is LaurentPoly
-    # [2p]!!/[p]! is the product of the v^j + v^-j
-    for p in range(7):
-        prod = LaurentPoly.const(1)
-        for j in range(1, p + 1):
-            prod = prod * (LaurentPoly.v_pow(j) + LaurentPoly.v_pow(-j))
-        assert qdfact(2 * p).exact_div(qfact(p)) == prod
+    # km3 takes [2p]!!/[p]! as the product of the v^j + v^-j: it times [p]!
+    # is [2p]!! at every p up to the pmax ceiling
+    prod = LaurentPoly.const(1)
+    for p in range(qseries.CEILING["pmax"] + 1):
+        if p:
+            prod = prod * (LaurentPoly.v_pow(p) + LaurentPoly.v_pow(-p))
+        assert qfact(p) * prod == qdfact(2 * p), p
     for d in range(1, 7):
         assert kmrd_residual(d).is_zero()
 

@@ -1,5 +1,7 @@
 """Dense linear algebra over F_p used by the module enumeration."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -92,6 +94,15 @@ def test_gl_order():
     assert linalg.gl_order(2, 3) == 48
 
 
+def test_frames_count_independent_tuples():
+    # frames(k, n, p) against the k-tuples of vectors of F_p^n of rank k
+    for n, p in [(1, 2), (2, 2), (3, 2), (2, 3)]:
+        vectors = list(product(range(p), repeat=n))
+        for k in range(n + 2):
+            count = sum(linalg.rank(rows, p) == k for rows in product(vectors, repeat=k)) if k else 1
+            assert linalg.frames(k, n, p) == count, (k, n, p)
+
+
 def test_is_prime_and_primitive_root():
     assert [n for n in range(-1, 30) if linalg.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     for p in (2, 3, 5, 7, 11):
@@ -158,8 +169,6 @@ def test_square_zero_counts():
 
 
 def test_square_zero_dense_crosscheck():
-    from itertools import product
-
     for d, p in [(2, 2), (2, 3), (3, 2)]:
         dense = set()
         for flat in product(range(p), repeat=d * d):
