@@ -12,20 +12,21 @@ taken in one pass: its terms v^e f go into one buffer (ring.shifted_sum),
 T and T1 come out of one shared evaluation per triple, taken on Kronecker
 images (each block of the sums read at v = 2^w as one int, so each (k, m)
 group's terms are int shifts and adds and the group takes its products
-with the ratio images as int products), and kmrd sums its terms over m
-before it multiplies each k group by [2d]!!/[2k]!!.
+with the ratio images as int products; a group's exponents step by one
+slope), and kmrd sums its terms over k at each s = k + m, where they give
+km1's binomial sum S(s), so it takes 2d + 3 products.
 """
 
 from functools import lru_cache
 
-from .ring import (ONE, ZERO, _decoded, _half, _packed, _slot_bytes, fill_ratios, pochhammer,
-                   qfact, qfact_ratio, shifted_sum)
+from .ring import (ONE, ZERO, LaurentPoly, _decoded, _half, _packed, _slot_bytes, fill_ratios,
+                   pochhammer, qfact, qfact_ratio, shifted_sum)
 
 # The largest bounds `ihall identities` runs to. Each family's cost grows as
 # about the fifth to eighth power of its bound: on a 2-vCPU VM the p
-# families take 25 s at pmax 64, kmrd 23 s at dmax 32 and the T suite 6 s at
-# amax 24 (53 s and 90 MB in one run), so twice a bound would take ten
-# minutes to over an hour.
+# families take 6-8 s at pmax 64, kmrd 1.6 s at dmax 32 and the T suite
+# 5-7 s at amax 24 (12-16 s and 65 MB in one run), so twice a bound would
+# multiply a family's time by 30 to 250.
 CEILING = {"pmax": 64, "dmax": 32, "amax": 24}
 
 # ---------------------------------------------------------------------------
@@ -132,6 +133,51 @@ def _image(f, i, j, nb):
     return _packed(t, nb, _half(nb, len(t)))
 
 
+def _term_exponent(a, u, k, m, r, n):
+    """The exponent z of the T sums' term (k, m, n), r = d - k - m."""
+    s, t = n - 2 * k, 1 + a - n - 2 * m
+    return k * (k - 1) + m * (m + 1) - comb2(s) - comb2(t) + p_exponent(a, u, r, s, t)
+
+
+def _t_groups(a, d, u):
+    """The (k, m) groups of the T sums of (a, d, u), and their l1 bound.
+
+    A group is (k, m, e0, base, terms, ratios). Its terms are (n, z + lo_j,
+    j): j = t - r indexes the binomial [u choose j], nonzero for 0 <= j <= u,
+    and n = 1 + a - 2m - r - j >= r + 2k gives j <= 1 + a - 2d, so every
+    group runs j over the same 0 .. J. Its ratios are the three cleared
+    factors, e0 is the lowest exponent of its terms and base that of the
+    terms times the ratios. z is linear in n, with the slope 1 - u - 2d in
+    every group (the squares of n in p_exponent cancel those of -C(s, 2) -
+    C(t, 2)), so z is taken from _term_exponent at each group's top n and
+    stepped by that slope, itself one difference of _term_exponent.
+    """
+    kmax = (a + 1) // 2
+    blocks = [_block(qbinom, u, j) for j in range(min(u, a + 1 - 2 * d) + 1)]
+    binom_l1 = sum([l1 for _, l1 in blocks])
+    dz = _term_exponent(a, u, 0, 0, d, 1) - _term_exponent(a, u, 0, 0, d, 0)
+    groups, bound = [], 0
+    for k in range(kmax + 1):
+        for m in range(kmax + 1):
+            r = d - k - m
+            if r < 0 or not blocks:
+                continue
+            n = 1 + a - 2 * m - r  # the top n, where j = 0
+            z = _term_exponent(a, u, k, m, r, n)  # z(n - j) = z - j dz
+            terms = [(n - j, z - j * dz + low, j) for j, (low, _) in enumerate(blocks)]
+            ratios = ((qfact_ratio, r, d), (qdfact_ratio, 2 * k, 2 * kmax),
+                      (qdfact_ratio, 2 * m, 2 * kmax))
+            e0 = base = min([e for _, e, _ in terms])
+            norm = binom_l1
+            for ratio in ratios:
+                low, l1 = _block(*ratio)
+                base += low
+                norm *= l1
+            groups.append((k, m, e0, base, terms, ratios))
+            bound += norm
+    return groups, bound
+
+
 @lru_cache(maxsize=None)
 def _t_pair(a, d, u):
     """(T(a, d, u), T1(a, d, u)) in one pass over Kronecker images.
@@ -140,8 +186,8 @@ def _t_pair(a, d, u):
     [d]! [2K]!! [2K]!! (K the largest k), keeping everything a Laurent
     polynomial; the sums vanish iff the raw sums do. The cleared factor C is
     the product of the ratios [d]!/[r]!, [2K]!!/[2k]!! and [2K]!!/[2m]!!,
-    which depend on k and m only (r = d - k - m), so each (k, m) group sums
-    its terms of even n (E) and of odd n (O) first:
+    which depend on k and m only (r = d - k - m), so each (k, m) group
+    (_t_groups) sums its terms of even n (E) and of odd n (O) first:
     T = sum (E - v^(2k-2m) O) C and T1 = sum (v^(2k-2m) E - O) C.
 
     Every block (a binomial [u choose j] or a ratio) is v^lo times a
@@ -156,48 +202,22 @@ def _t_pair(a, d, u):
     coefficients; w holds it (ring._slot_bytes), so no slot carries and the
     ints decode back to T and T1 exactly.
     """
-    kmax = (a + 1) // 2
-    groups, bound = [], 0
-    for k in range(kmax + 1):
-        for m in range(kmax + 1):
-            r = d - k - m
-            if r < 0:
-                continue
-            terms, norm = [], 0
-            for n in range(r + 2 * k, a + 2 - 2 * m):
-                s = n - 2 * k
-                t = 1 + a - n - 2 * m
-                low, l1 = _block(qbinom, u, t - r)
-                if l1:
-                    z = k * (k - 1) + m * (m + 1) - comb2(s) - comb2(t) + p_exponent(a, u, r, s, t)
-                    terms.append((n % 2, z + low, t - r))
-                    norm += l1
-            if terms:
-                ratios = ((qfact_ratio, r, d), (qdfact_ratio, 2 * k, 2 * kmax),
-                          (qdfact_ratio, 2 * m, 2 * kmax))
-                # e0 is the lowest exponent of E and O, base that of E C and O C
-                e0 = base = min([e for _, e, _ in terms])
-                for ratio in ratios:
-                    low, l1 = _block(*ratio)
-                    base += low
-                    norm *= l1
-                groups.append((k - m, e0, base, terms, ratios))
-                bound += norm
+    groups, bound = _t_groups(a, d, u)
     nb = _slot_bytes(bound)
     w = 8 * nb
-    lo = min([g[2] for g in groups], default=0) - 2 * kmax
+    lo = min([g[3] for g in groups], default=0) - 2 * ((a + 1) // 2)
     img, img1 = [0, 0], [0, 0]  # the images of T_p and T1_p by parity p
-    for half_shift, e0, base, terms, ratios in groups:
+    for k, m, e0, base, terms, ratios in groups:
         parts = {}  # (n odd, exponent parity over e0): image
-        for odd, e, j in terms:
-            key = odd, (e - e0) & 1
+        for n, e, j in terms:
+            key = n & 1, (e - e0) & 1
             parts[key] = parts.get(key, 0) + (_image(qbinom, u, j, nb) << w * ((e - e0) >> 1))
         r1, r2, r3 = [_image(*ratio, nb) for ratio in ratios]
         c = r1 * r2 * r3
         for (odd, p), x in parts.items():
             x *= c
             p += base - lo
-            x, y = x << w * (p >> 1), x << w * ((p >> 1) + half_shift)
+            x, y = x << w * (p >> 1), x << w * ((p >> 1) + k - m)
             if odd:
                 img[p & 1] -= y
                 img1[p & 1] -= x
@@ -239,13 +259,20 @@ def _qbinom_sum(p, exponent, step=1, alternating=False):
     return shifted_sum(*terms)
 
 
+@lru_cache(maxsize=None)
+def _km_sum(s):
+    """S(s) = sum_k v^(-2(k-1)(s-k)) [s choose k]_{v^2}, k = 0 .. s: km1's
+    binomial sum before its shift, and kmrd's sum over k at k + m = s."""
+    return _qbinom_sum(s, lambda k: -2 * (k - 1) * (s - k), step=2)
+
+
 def km1_residual(p):
     """[p]! sum_{k+m=p} v^(-2(k-1)m - p(3-p)/2) / ([2k]!! [2m]!!)  minus 1.
 
-    Cleared by [2p]!!, using [2p]!!/([2k]!![2m]!!) = [p choose k] at v^2.
+    Cleared by [2p]!!, using [2p]!!/([2k]!![2m]!!) = [p choose k] at v^2,
+    so the sum is v^(-p(3-p)/2) S(p) (_km_sum).
     """
-    total = _qbinom_sum(p, lambda k: -2 * (k - 1) * (p - k) - p * (3 - p) // 2, step=2)
-    return total * qfact(p) - qdfact(2 * p)
+    return _km_sum(p) * (LaurentPoly.v_pow(-p * (3 - p) // 2) * qfact(p)) - qdfact(2 * p)
 
 
 def km3_residual(p):
@@ -264,24 +291,27 @@ def km5_residual(p):
     return _qbinom_sum(p, lambda k: -k * (p - k + 1)) - pochhammer(-1, -1, p, sign=-1)
 
 
-def _kmrd_group(d, k):
-    """The terms of kmrd_residual(d) with one k, as [2d]!!/[2k]!! times
-    sum_m (-1)^r v^(C(r+1,2) - 2(k-1)m) [d]!/[r]! [2d]!!/[2m]!!, r = d - k - m."""
-    terms = ([], [])
-    for m in range(d - k + 1):
-        r = d - k - m
-        terms[r % 2].append((comb2(r + 1) - 2 * (k - 1) * m,
-                             qfact_ratio(r, d) * qdfact_ratio(2 * m, 2 * d)))
-    return qdfact_ratio(2 * k, 2 * d) * shifted_sum(*terms)
+def _kmrd_groups(d):
+    """The s groups of kmrd_residual(d) as (exponent, polynomial) at
+    s = 0 .. d, each without its sign (-1)^(d-s) and the common [2d]!!."""
+    # [2d]!!/[2s]!! and S(s) step their exponents by 2, so their product
+    # is taken on half-length tuples (ring._kronecker) before [d]!/[d-s]!
+    return [(comb2(d - s + 1), qfact_ratio(d - s, d) * (qdfact_ratio(2 * s, 2 * d) * _km_sum(s)))
+            for s in range(d + 1)]
 
 
 def kmrd_residual(d):
     """sum_{k+m+r=d} (-1)^r v^(C(r+1,2) - 2(k-1)m) / ([r]! [2k]!! [2m]!!).
 
-    Cleared by [d]! [2d]!! [2d]!! so the sum stays polynomial; the terms
-    are summed over m first and each k group takes its [2d]!!/[2k]!! once.
+    Cleared by [d]! [2d]!! [2d]!! so the sum stays polynomial. As
+    [2k]!! = [2]^k [k]!_{v^2}, the cleared [2d]!!^2 / ([2k]!! [2m]!!) is
+    [2d]!! [2d]!!/[2s]!! [s choose k]_{v^2} with s = k + m, so the terms are
+    summed over k at each s, giving km1's binomial sum S(s) (_km_sum):
+    [2d]!! sum_s (-1)^(d-s) v^C(d-s+1, 2) [d]!/[d-s]! [2d]!!/[2s]!! S(s),
+    2d + 3 products.
     """
-    return shifted_sum([(0, _kmrd_group(d, k)) for k in range(d + 1)])
+    groups = _kmrd_groups(d)  # s = d, d - 2, ... take the sign +
+    return qdfact(2 * d) * shifted_sum(groups[d % 2::2], groups[1 - d % 2::2])
 
 
 def qbinom_alt_residual(p, d):

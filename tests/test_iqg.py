@@ -7,7 +7,6 @@ from ihall.ihall import HallAlgebra
 from ihall.iqg import Psi, build_relation_suite, relation_residual, verify_presentation
 from ihall.iquiver import IQuiver, builtin_iquiver
 from ihall.qseries import (
-    _kmrd_group,
     _qbinom_sum,
     _t_pair,
     adu_triples,
@@ -180,6 +179,26 @@ def test_t_sums_match_term_by_term_reference():
     assert nonzero == [16, 16]
 
 
+def test_stepped_exponents_match_p_exponent():
+    # _t_groups steps the exponent z from each group's top n by one slope per
+    # triple; every term must keep the exponent p_exponent gives, and each
+    # group must hold the n whose binomial [u choose t - r] is not 0
+    count = 0
+    for a, d, u in _all_triples(10):
+        groups, _ = qseries._t_groups(a, d, u)
+        for k, m, _, _, terms, _ in groups:
+            r = d - k - m
+            assert [n for n, _, _ in terms] == [
+                n for n in range(a + 1 - 2 * m, r + 2 * k - 1, -1) if 0 <= 1 + a - n - 2 * m - r <= u
+            ], (a, d, u, k, m)
+            for n, e, j in terms:
+                s, t = n - 2 * k, 1 + a - n - 2 * m
+                z = k * (k - 1) + m * (m + 1) - comb2(s) - comb2(t) + p_exponent(a, u, r, s, t)
+                assert (e, j) == (z + qbinom(u, j).lo, t - r), (a, d, u, k, m, n)
+                count += 1
+    assert count == 7852
+
+
 def test_t_pair_bound_holds_the_sums(monkeypatch):
     # the bound that sets the slot width is at least the l1 norm of T and of
     # T1, so at least every coefficient: no slot can carry into the next
@@ -265,29 +284,32 @@ def test_km_identities_small():
         if p:
             prod = prod * (LaurentPoly.v_pow(p) + LaurentPoly.v_pow(-p))
         assert qfact(p) * prod == qdfact(2 * p), p
-    for d in range(1, 7):
-        assert kmrd_residual(d).is_zero()
+    # kmrd takes 2d + 3 products, so d <= 16 stays cheap
+    for d in range(1, 17):
+        assert kmrd_residual(d).is_zero(), d
 
 
-def test_kmrd_groups_match_term_by_term_partial_sums():
-    # kmrd_residual is zero, so a grouping that dropped or mis-shifted terms
-    # could pass it by returning zero; each k group is nonzero and must equal
-    # the plain sum of its terms
+def test_kmrd_s_groups_match_term_by_term_partial_sums():
+    # kmrd_residual is zero, so a regrouping that dropped or mis-shifted
+    # terms could pass it by returning zero; each s group is nonzero and
+    # must equal the plain sum of its terms over k, with m = s - k (all of
+    # one sign, (-1)^r, which the groups leave out)
     for d in range(1, 9):
-        for k in range(d + 1):
+        groups = qseries._kmrd_groups(d)
+        assert len(groups) == d + 1
+        for s, (e, f) in enumerate(groups):
+            r = d - s
             ref = LaurentPoly.const(0)
-            for m in range(d - k + 1):
-                r = d - k - m
-                term = (
+            for k in range(s + 1):
+                m = s - k
+                ref = ref + (
                     LaurentPoly.v_pow(comb2(r + 1) - 2 * (k - 1) * m)
                     * qfact_ratio(r, d)
                     * qdfact_ratio(2 * k, 2 * d)
                     * qdfact_ratio(2 * m, 2 * d)
                 )
-                ref = ref + term if r % 2 == 0 else ref - term
-            assert not ref.is_zero(), (d, k)
-            assert _kmrd_group(d, k) == ref, (d, k)
-        assert kmrd_residual(d).is_zero()
+            assert not ref.is_zero(), (d, s)
+            assert LaurentPoly.v_pow(e) * f * qdfact(2 * d) == ref, (d, s)
 
 
 def binomial_product_residual(p, zexp):
