@@ -33,7 +33,7 @@ def _load_iquiver(name):
         return builtin_iquiver(name[len("builtin:"):])
     import json
 
-    with open(name) as fh:
+    with open(name, encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
         except RecursionError:

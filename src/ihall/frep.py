@@ -168,19 +168,23 @@ class ModuleTable:
         the entries of a rep at d."""
         return sum(dy[ti] * dx[si] for si, ti in self._arrow_ends)
 
-    def _arrow_space(self, k, shape, cap=float("inf")):
-        """Number of candidate matrices the search tries at one arrow. The
-        sum over the ranks of a square-zero loop stops once it passes cap,
-        so a count above cap is a lower bound."""
+    def _arrow_space(self, k, shape):
+        """Number of candidate matrices the search tries at one arrow."""
+        return self._arrow_count(k, shape, float("inf"))[0]
+
+    def _arrow_count(self, k, shape, cap):
+        """(n, exact): the arrow's candidate count n, exact unless the sum
+        over the ranks of a square-zero loop stopped once it passed cap, in
+        which case n is a lower bound."""
         if k in self._loop_pos:
             d = shape[0]
             total = 1  # the zero matrix
             for r in range(1, d // 2 + 1):
                 if total > cap:
-                    break
+                    return total, False
                 total += linalg.subspace_count(d, r, self.p) * linalg.frames(r, d - r, self.p)
-            return total
-        return self.p ** (shape[0] * shape[1])
+            return total, True
+        return self.p ** (shape[0] * shape[1]), True
 
     def check_budget(self, dim):
         if sum(dim) > self.budget_dim:
@@ -188,14 +192,16 @@ class ModuleTable:
                 "dimension vector %r has total %d > budget %d"
                 % (dim, sum(dim), self.budget_dim)
             )
-        # the count stops at the first arrow that takes it past the budget
-        space = 1
-        for k, shape in enumerate(self._shapes(dim)):
-            space *= self._arrow_space(k, shape, self.budget_space // space)
+        # the count stops at the first arrow that takes it past the budget,
+        # so it is exact only at the last arrow
+        space, shapes = 1, self._shapes(dim)
+        for k, shape in enumerate(shapes):
+            n, exact = self._arrow_count(k, shape, self.budget_space // space)
+            space *= n
             if space > self.budget_space:
                 raise BudgetError(
                     "raw search space %s at dim %r exceeds budget %d"
-                    % (_size(space, bound=True), dim, self.budget_space)
+                    % (_size(space, bound=not exact or k < len(shapes) - 1), dim, self.budget_space)
                 )
         # every raw candidate may be a rep, and each rep takes one entry of
         # the rep map

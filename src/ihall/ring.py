@@ -6,8 +6,10 @@ coefficient (a Fraction, a float) raises TypeError.  Laurent polynomials
 multiply through one kernel, a Kronecker substitution into a single big-int
 product (_kronecker).  The Kronecker image of a coefficient tuple, the
 tuple read at v = 2^w as one int, has its one home here: _slot_bytes sets
-the width w, _packed maps a tuple to its image, and _unpacked (or _decoded,
-to a LaurentPoly) maps it back; `qseries` takes the T sums on images too.
+the width w (one 64-bit word, or past 2^63 the fewest whole bytes that
+hold a coefficient and its sign), _packed maps a tuple to its image, and
+_unpacked (or _decoded, to a LaurentPoly) maps it back; `qseries` takes the
+T sums on images too.
 There is no division: every quotient the program needs is a product (a
 factorial ratio, a q-Pochhammer product) or a q-Pascal sum, all in the ring
 Z[v, v^-1].  Every sum, + and - included, adds its shifted terms v^e f into
@@ -236,13 +238,8 @@ def _kronecker(a, b):
 
 def _slot_bytes(m):
     """The bytes of a slot that holds every coefficient of size at most m and
-    a sign bit: 8 below 2^63, else 8 j + f bytes for the fewest, f being 1, 2,
-    4 or 8, so that a slot reads as j unsigned 64-bit words below one signed
-    struct field (_unpacked)."""
-    if m < 1 << 63:
-        return 8
-    j, r = divmod(((m.bit_length() + 8) >> 3) - 1, 8)  # r + 1 bytes above j words
-    return 8 * j + (1 << r.bit_length())
+    a sign bit: 8 below 2^63, else the fewest whole bytes."""
+    return max(8, (m.bit_length() + 8) >> 3)
 
 
 def _half(nb, n):
@@ -265,23 +262,16 @@ def _packed(t, nb, h):
 
 def _unpacked(x, nb, n, h):
     """The n coefficients c[i] of an image x = sum c[i] 2^(8 nb i) whose
-    every |c[i]| < 2^(8 nb - 1), nb = 8 j + f with f 1, 2, 4 or 8
-    (_slot_bytes), and h = _half(nb, n).
+    every |c[i]| < 2^(8 nb - 1), and h = _half(nb, n).
 
     x + H has the digit c[i] + 2^(w-1) in [0, 2^w) in every slot, so no
     carry crosses a slot, and XOR H gives back the two's complement slots.
-    One struct.unpack reads every slot as j unsigned 64-bit words below one
-    signed field of f bytes, and the fields of a slot are joined by shifts.
+    One struct.unpack reads 8-byte slots; a wider slot is read by itself.
     """
     raw = ((x + h) ^ h).to_bytes(n * nb, "little")
     if nb == 8:
         return unpack("<%dq" % n, raw)
-    j, r = divmod(nb - 1, 8)  # the top field's r + 1 bytes are 1, 2, 4 or 8
-    fields = unpack("<" + ("%dQ%s" % (j, "bhiq"[r.bit_length()])) * n, raw)
-    out = fields[j::j + 1]
-    for i in range(j - 1, -1, -1):
-        out = [hi << 64 | lo for hi, lo in zip(out, fields[i::j + 1])]
-    return tuple(out)
+    return tuple([int.from_bytes(raw[i:i + nb], "little", signed=True) for i in range(0, n * nb, nb)])
 
 
 def _decoded(x, nb, lo, step=1):

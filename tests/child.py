@@ -25,18 +25,20 @@ _CHILD = """if True:
 """
 
 
-def run_child(argv=(), code=CLI):
+def run_child(argv=(), code=CLI, env=()):
     """(exit code, stdout, stderr, modules newly loaded) of `code` run in a
-    fresh interpreter with `argv` as sys.argv[1:]. Each distinct (argv,
-    code) starts one interpreter per test session; tests that check other
+    fresh interpreter with `argv` as sys.argv[1:] and the (name, value)
+    pairs of `env` set in its environment. Each distinct (argv, code, env)
+    starts one interpreter per test session; tests that check other
     contracts of the same run share its result."""
-    return _run(tuple(argv), code)
+    return _run(tuple(argv), code, tuple(env))
 
 
 @functools.lru_cache(maxsize=None)
-def _run(argv, code):
+def _run(argv, code, pairs):
     src = os.path.dirname(os.path.dirname(ihall.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(pairs)
     out = subprocess.run([sys.executable, "-c", _CHILD, code, *argv], env=env, capture_output=True, text=True)
     err, _, loaded = out.stderr.rpartition("\n")
     return out.returncode, out.stdout, err, frozenset(loaded.split())

@@ -216,6 +216,14 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_budget_refusal_words_an_exact_count_exactly(capsys):
+    # a2-split's one arrow has exactly 2^2 = 4 candidates at (2, 1), and it
+    # is the last arrow, so the count is not a lower bound
+    code, _, err = run(capsys, "verify", "builtin:a2-split", "--budget-space", "3")
+    assert code == 3
+    assert err == "budget exceeded: raw search space 4 at dim (2, 1) exceeds budget 3\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -285,6 +293,22 @@ def test_deeply_nested_spec_file_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
     assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_spec_file_is_read_as_utf8_in_an_ascii_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259) whatever the locale's encoding is
+    path = tmp_path / "utf8.json"
+    path.write_text(json.dumps({"vertices": ["\u00e9", "2"], "arrows": [["\u03b1", "\u00e9", "2"]]},
+                               ensure_ascii=False), encoding="utf-8")
+    argv = ("verify", str(path), "--q", "2", "--json")
+    ascii_env = (("LC_ALL", "C"), ("PYTHONCOERCECLOCALE", "0"), ("PYTHONUTF8", "0"))
+    status, out, err, _ = run_child(argv, env=ascii_env)
+    assert (status, err) == (0, "")
+    # the same payload as under the default locale, apart from the timing
+    ascii_run, default_run = json.loads(out), json.loads(run_child(argv)[1])
+    del ascii_run["elapsed_s"], default_run["elapsed_s"]
+    assert ascii_run == default_run
+    assert [r["ok"] for r in ascii_run["results"]] == [True] * 9
 
 
 _TWO = ["1", "2"]

@@ -69,31 +69,10 @@ def test_symbolic_equality_weighs_the_denominator():
         hash(x)
 
 
-def test_three_forms_agree():
-    for parity in (0, 1):
-        for n in range(7):
-            a = idp_product(n, parity)
-            b = idp_recursive(n, parity)
-            c = idp_closed(n, parity)
-            assert a == b
-            assert b == c
-
-
 def test_negative_n_rejected():
     for fn in (idp_product, idp_recursive, idp_closed):
         with pytest.raises(ValueError):
             fn(-1, 0)
-
-
-def test_hall_evaluation_matches_closed_form():
-    for q in (2, 3):
-        alg = HallAlgebra(builtin_iquiver("rank1-split"), q)
-        for parity in (0, 1):
-            for n in range(4):
-                sym = idp_closed(n, parity)
-                assert sym_to_hall(alg, "1", sym) == idp_hall(
-                    alg, "1", n, parity
-                )
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
