@@ -19,6 +19,7 @@ Each command imports the layers it uses when it runs, so ``identities``
 never loads the module enumeration or the Hall algebra.
 """
 
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -248,10 +249,16 @@ def main(argv=None):
     text). Every budget refusal, a table's or a q-series ceiling, is one
     `BudgetError` and exits 3.
     """
-    argv = sys.argv[1:] if argv is None else argv
+    line = argv is None
+    argv = sys.argv[1:] if line else argv
     args = _read(argv)
     if args is None:
         args = build_parser().parse_args(argv)
+    if line:  # the locale decodes sys.argv and encodes stdout; vertex names are UTF-8, as in spec files
+        if hasattr(sys.stdout, "reconfigure"):  # not where stdout is a StringIO
+            sys.stdout.reconfigure(encoding="utf-8")
+        for dest in {"vertex", "x", "y"} & vars(args).keys():
+            setattr(args, dest, os.fsencode(getattr(args, dest)).decode("utf-8", "surrogateescape"))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

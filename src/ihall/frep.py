@@ -26,9 +26,9 @@ w: x -> tau* y fixes the reduced middle through K = ker w and
 L = y / im(tau* w), and the number of maps with given (K, L) is a sum over
 their images I of Hall numbers, which come off the kQ extension counts by
 Riedtmann's formula (`_hall_numbers`); those numbers must add up to
-|Hom(x, tau* y)|, one nullspace of the Hom equations (`_hom_system`). `_ext_dist` reads a pair
-whose cocycles fill the whole rep space at dim K + dim L off the orbit
-sizes there.
+|Hom(x, tau* y)| (`hom_count`, the one count of Hom that the oracles use
+too). `_ext_dist` reads a pair whose cocycles fill the whole rep space at
+dim K + dim L off the orbit sizes there.
 
 One routine (`_subquotient`) gives the module a rep induces on V/W:
 `lambda_i.homology_reduce` reads ker eps / im eps off a Lambda^i class with
@@ -167,10 +167,6 @@ class ModuleTable:
         coordinates of an extension of dx by dy on kQ, and at dx = dy = d
         the entries of a rep at d."""
         return sum(dy[ti] * dx[si] for si, ti in self._arrow_ends)
-
-    def _arrow_space(self, k, shape):
-        """Number of candidate matrices the search tries at one arrow."""
-        return self._arrow_count(k, shape, float("inf"))[0]
 
     def _arrow_count(self, k, shape, cap):
         """(n, exact): the arrow's candidate count n, exact unless the sum
@@ -562,8 +558,7 @@ class ModuleTable:
 
         over the kQ classes I with dim I <= dim x and tau dim I <= dim y
         (`_maps`, `_hall_numbers`, `tau_star`); w = 0 is the term I = 0.
-        The sum of N(K, L) must be |Hom(x, tau* y)|, whose dimension one
-        nullspace of the Hom equations gives (`_hom_system`), or this
+        The sum of N(K, L) must be |Hom(x, tau* y)| (`hom_count`), or this
         raises.
 
         Returns ({(X, alpha, e): cocycle count}, q^(sum_i dx_i dy_i)); a count
@@ -601,8 +596,7 @@ class ModuleTable:
             for (i, k), f in self._hall_numbers(x, di).items():
                 for l, g in subs.get(self.tau_star(i), ()):
                     tally[k, l] = tally.get((k, l), 0) + i.aut_order * f * g
-        n, _, rows = self._hom_system(x, self.tau_star(y))
-        if sum(tally.values()) != self.p ** (n - linalg.rank(rows, self.p)):
+        if sum(tally.values()) != self.hom_count(x, self.tau_star(y)):
             raise RuntimeError("the maps %r -> tau* %r do not add up to |Hom|" % (x, y))
         return tally
 
@@ -668,6 +662,11 @@ class ModuleTable:
                 raise RuntimeError("an extension of %r by %r is no kQ class" % (k, l))
             self._ext[mkey] = [(c, hits[c.index]) for c in classes if c.index in hits]
         return self._ext[mkey]
+
+    def hom_count(self, a, b):
+        """|Hom(a, b)|, p to the nullity of the Hom equations (`_hom_system`)."""
+        n, _, rows = self._hom_system(a, b)
+        return self.p ** (n - linalg.rank(rows, self.p))
 
     def _hom_system(self, a, b):
         """(number of unknowns, offset of each vertex's block, rows) of the

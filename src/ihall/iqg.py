@@ -37,6 +37,9 @@ class Psi:
         return self.BDP(j, 1, 0 if self.iq.tau[j] == j else None)
 
     def K(self, i):
+        """ktilde_i: off a fixed vertex, K_i times v^(-c/2) with c = c_{i,tau i},
+        which is even on every iquiver, as tau pairs the arrows i -> tau i
+        with the arrows tau i -> i; the pair relation needs an even c too."""
         h = self.algebra
         k = h.torus_k(i)
         if self.iq.tau[i] == i:
@@ -174,6 +177,7 @@ def relation_residual(algebra, inst, psi=None):
         c = iq.cartan_vv(inst.i, inst.j)
         return _serre_sum(psi, inst.i, inst.j, c, inst.parity)
     if kind == "pair":
+        # c = c_{i,tau i} is even (`Psi.K`), as the relation below needs
         i, ti = inst.i, iq.tau[inst.i]
         c = iq.cartan_vv(i, ti)
         lhs = _serre_sum(psi, i, ti, c)

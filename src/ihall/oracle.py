@@ -14,15 +14,14 @@ the engine alone (`ModuleTable.extension_counts`, `HallAlgebra._pair`,
   classes with (`k_module`, `direct_sum`, `multiple`);
 * filtration counts on a module table: Hall numbers from every submodule of
   a middle (`decomposition`, `hall_number`), extension counts from them by
-  Riedtmann's formula (`ext_count_with_middle`), hom spaces and the
-  (kernel, cokernel) tally of every module map (`hom_count`,
-  `morphism_tally`);
+  Riedtmann's formula (`ext_count_with_middle`, with |Hom| from
+  `ModuleTable.hom_count`), and the (kernel, cokernel) tally of every
+  module map (`morphism_tally`);
 * three product oracles: the morphism-sum formula (`oracle_kq_product`) and
   two closed forms (`oracle_sss`, `oracle_kronecker_single`).
 
-The table routes are free functions of the table. Their memos are keyed by
-the table weakly and hold class keys, not classes, so nothing in them keeps
-a table alive: they die with it.
+The table routes are free functions of the table. Their one memo is keyed
+by the table weakly and holds class keys, so it dies with the table.
 """
 
 import weakref
@@ -322,11 +321,10 @@ def multiple(table, a, m):
 
 
 # ---------------------------------------------------------------------------
-# filtration counts and hom spaces on a module table
+# filtration counts and module maps on a module table
 # ---------------------------------------------------------------------------
 
 _DECOMP = weakref.WeakKeyDictionary()  # table -> {class key: {(quot key, sub key): count}}
-_HOM = weakref.WeakKeyDictionary()     # table -> {(a key, b key): int}
 
 
 def _whole(dim):
@@ -391,25 +389,12 @@ def ext_count_with_middle(table, x, y, z):
     |Aut z| / (|Aut x| |Aut y|). The result must be a nonnegative integer.
     """
     f = hall_number(table, x, y, z)
-    ext, rem = divmod(f * hom_count(table, x, y) * x.aut_order * y.aut_order, z.aut_order)
+    ext, rem = divmod(f * table.hom_count(x, y) * x.aut_order * y.aut_order, z.aut_order)
     if rem:
         raise RuntimeError(
             "extension count is not an integer for %r, %r, %r" % (x, y, z)
         )
     return ext
-
-
-def hom_count(table, a, b):
-    """|Hom(a, b)|."""
-    memo = _HOM.setdefault(table, {})
-    key = (a.key, b.key)
-    if key in memo:
-        return memo[key]
-    total, _, rows = table._hom_system(a, b)
-    nullity = total - len(linalg.rref(rows, table.p)[0])
-    count = table.p ** nullity
-    memo[key] = count
-    return count
 
 
 def morphism_tally(table, a, b):
@@ -472,7 +457,7 @@ def oracle_kq_product(algebra, a, b):
         scal = algebra.v_pow(euler(a.dim, b.dim) + 2 * qexp) * count
         alpha = tuple(x - y for x, y in zip(a.dim, n_cls.dim))
         mdim = tuple(x + y for x, y in zip(n_cls.dim, l_cls.dim))
-        hom_nl = hom_count(table, n_cls, l_cls)
+        hom_nl = table.hom_count(n_cls, l_cls)
         acc = {}
         for m in table.classes(mdim):
             ext = ext_count_with_middle(table, n_cls, l_cls, m)

@@ -47,8 +47,6 @@ _QDFACT_RATIOS = {}
 
 def qdfact_ratio(lo, hi):
     """[hi]!! / [lo]!! = [lo+2][lo+4]...[hi] for even 0 <= lo <= hi."""
-    if (lo, hi) in _QDFACT_RATIOS:
-        return _QDFACT_RATIOS[lo, hi]
     if lo % 2 or hi % 2 or not 0 <= lo <= hi:
         raise ValueError("qdfact_ratio needs even 0 <= lo <= hi")
     return fill_ratios(_QDFACT_RATIOS, lo, hi, 2)

@@ -140,9 +140,6 @@ class LaurentPoly:
         out[::k] = self.coeffs
         return _poly(k * self.lo, tuple(out))
 
-    def min_exp(self):
-        return self.lo
-
     def max_exp(self):
         return self.lo + len(self.coeffs) - 1 if self.coeffs else 0
 
@@ -310,14 +307,15 @@ def qint(r):
 
 
 def fill_ratios(memo, lo, hi, step):
-    """[lo+step][lo+2 step]...[hi]: memo[lo, k] is filled upward from the
-    largest k it holds, one product each, so no call recurses."""
-    top = hi
-    while top > lo and (lo, top) not in memo:
-        top -= step
-    out = memo.get((lo, top), ONE)
+    """[lo+step][lo+2 step]...[hi]. memo[lo] is (top, the ratio up to top)
+    for the last top asked for at lo: a larger hi extends it, one product
+    per step, and a smaller one is multiplied out from 1 and replaces it."""
+    top, out = memo.get(lo, (lo, ONE))
+    if hi < top:
+        top, out = lo, ONE
     for k in range(top + step, hi + 1, step):
-        out = memo[lo, k] = out * qint(k)
+        out = out * qint(k)
+    memo[lo] = hi, out
     return out
 
 
@@ -326,8 +324,6 @@ _QFACT_RATIOS = {}
 
 def qfact_ratio(lo, hi):
     """[hi]! / [lo]! = [lo+1][lo+2]...[hi] for 0 <= lo <= hi."""
-    if (lo, hi) in _QFACT_RATIOS:
-        return _QFACT_RATIOS[lo, hi]
     if not 0 <= lo <= hi:
         raise ValueError("qfact_ratio needs 0 <= lo <= hi")
     return fill_ratios(_QFACT_RATIOS, lo, hi, 1)

@@ -16,6 +16,7 @@ import ihall
 import ihall.cli
 from ihall import frep, linalg
 from ihall.cli import main
+from ihall.iquiver import BUILTIN_NAMES
 from child import CLI, run_child
 from quivers import SPECS
 
@@ -295,20 +296,38 @@ def test_deeply_nested_spec_file_is_input_error(tmp_path, capsys):
     assert err.startswith("error:") and "nested too deeply" in err
 
 
+_ASCII_LOCALE = (("LC_ALL", "C"), ("PYTHONCOERCECLOCALE", "0"), ("PYTHONUTF8", "0"))
+_UTF8_SPEC = {"vertices": ["\u00e9", "2"], "arrows": [["\u03b1", "\u00e9", "2"]]}
+
+
 def test_spec_file_is_read_as_utf8_in_an_ascii_locale(tmp_path):
     # JSON is UTF-8 (RFC 8259) whatever the locale's encoding is
     path = tmp_path / "utf8.json"
-    path.write_text(json.dumps({"vertices": ["\u00e9", "2"], "arrows": [["\u03b1", "\u00e9", "2"]]},
-                               ensure_ascii=False), encoding="utf-8")
+    path.write_text(json.dumps(_UTF8_SPEC, ensure_ascii=False), encoding="utf-8")
     argv = ("verify", str(path), "--q", "2", "--json")
-    ascii_env = (("LC_ALL", "C"), ("PYTHONCOERCECLOCALE", "0"), ("PYTHONUTF8", "0"))
-    status, out, err, _ = run_child(argv, env=ascii_env)
+    status, out, err, _ = run_child(argv, env=_ASCII_LOCALE)
     assert (status, err) == (0, "")
     # the same payload as under the default locale, apart from the timing
     ascii_run, default_run = json.loads(out), json.loads(run_child(argv)[1])
     del ascii_run["elapsed_s"], default_run["elapsed_s"]
     assert ascii_run == default_run
     assert [r["ok"] for r in ascii_run["results"]] == [True] * 9
+
+
+def test_text_and_vertex_names_are_utf8_in_an_ascii_locale(tmp_path):
+    # vertex names are UTF-8 on the command line and in text output too, as
+    # in the spec: each line reads as it does under the default locale
+    path = tmp_path / "utf8.json"
+    path.write_text(json.dumps(_UTF8_SPEC, ensure_ascii=False), encoding="utf-8")
+    verify = ("verify", str(path), "--q", "2")
+    status, out, err, _ = run_child(verify, env=_ASCII_LOCALE)
+    assert (status, err) == (0, "")
+    lines = out.splitlines()
+    assert "ok   k(\u00e9) past B(\u00e9)" in lines and lines[-1].startswith("9/9 relations hold")
+    assert lines[:-1] == run_child(verify)[1].splitlines()[:-1]  # the last line has the timing
+    idp = ("idp", str(path), "--vertex", "\u00e9", "--n", "2", "--parity", "0")
+    expected = (0, "(1/3)[0,0#0]*K(1,0) + (1/3)[2,0#0]\n", "")
+    assert run_child(idp, env=_ASCII_LOCALE)[:3] == run_child(idp)[:3] == expected
 
 
 _TWO = ["1", "2"]
@@ -532,14 +551,6 @@ def test_each_command_loads_its_row_of_the_module_table(tmp_path, argv, code, lo
         assert "argparse" in loaded
 
 
-def test_package_resolves_every_public_name():
-    # the package resolves its names lazily, the reference routes in
-    # ihall.oracle, which no command imports
-    assert [n for n in ihall.__all__ if getattr(ihall, n, None) is None] == []
-    homed = [n for n in ihall.__all__ if getattr(getattr(ihall, n), "__module__", None) == "ihall.oracle"]
-    assert homed == ["idp_closed", "idp_product", "idp_recursive", "oracle_kronecker_single", "oracle_sss"]
-
-
 # Contracts that hold on some rows of the module table, checked on the
 # table's own child runs
 def _loaded(argv):
@@ -550,9 +561,8 @@ def _loaded(argv):
 
 def test_identities_loads_only_its_layers():
     # the q-identity suites compile neither the module side nor the relation
-    # suite (iqg) nor QSqrt; the package still resolves every public name
+    # suite (iqg) nor QSqrt
     assert {m for m in _loaded(MODULE_TABLE[5][0]) if m.startswith("ihall")} == _IDENTITIES
-    assert [n for n in ihall.__all__ if getattr(ihall, n, None) is None] == []
 
 
 @pytest.mark.parametrize("argv", [MODULE_TABLE[k][0] for k in (7, 11, 5, 13, 14)])
@@ -686,6 +696,42 @@ def test_no_module_checks_by_assert():
         assert not lines, (name, lines)
 
 
+def test_every_private_name_has_a_reader():
+    # a private name (_x, not a dunder) bound at module level or in a class
+    # body is read somewhere in the package: as a name, an attribute or an
+    # imported name; one with no reader is dead code
+    src = os.path.dirname(ihall.__file__)
+    names = sorted(name for name in os.listdir(src) if name.endswith(".py"))
+    assert len(names) >= 14
+    defined, read = {}, set()
+    for name in names:
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for scope, body in [(name[:-3], tree.body)] + [
+            ("%s.%s" % (name[:-3], node.name), node.body) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        ]:
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    bound = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                else:
+                    continue
+                for b in bound:
+                    if b.startswith("_") and not b.endswith("__"):
+                        defined.setdefault(b, []).append(scope)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert defined
+    assert {b: scopes for b, scopes in defined.items() if b not in read} == {}
+
+
 def _parser_exit(parser, argv):
     """(exit code, stdout, stderr) of a parse that must end in SystemExit."""
     out, err = io.StringIO(), io.StringIO()
@@ -774,7 +820,7 @@ _SPECS = st.one_of(
     _JSON,
 )
 _QUIVERS = st.one_of(
-    st.sampled_from(["builtin:" + n for n in ihall.BUILTIN_NAMES] + ["builtin:nope", "builtin:"]),
+    st.sampled_from(["builtin:" + n for n in BUILTIN_NAMES] + ["builtin:nope", "builtin:"]),
     _SPECS.map(json.dumps),
     st.sampled_from(["{", "[1, 2", "", "null", "\x00"]),
 )

@@ -19,7 +19,6 @@ from ihall.oracle import (
     enumerate_reps,
     ext_count_with_middle,
     hall_number,
-    hom_count,
     k_module,
     morphism_tally,
     multiple,
@@ -347,8 +346,8 @@ def test_k_module_shapes():
 def test_hom_counts():
     tab = table("a2-split", 2)
     s1, s2 = tab.simple("1"), tab.simple("2")
-    assert hom_count(tab, s1, s1) == 2
-    assert hom_count(tab, s1, s2) == 1  # only the zero map
+    assert tab.hom_count(s1, s1) == 2
+    assert tab.hom_count(s1, s2) == 1  # only the zero map
     # P = the indecomposable with the arrow acting as identity;
     # top P = S1 and soc P = S2
     p_cls = next(
@@ -356,10 +355,10 @@ def test_hom_counts():
         for c in tab.classes((1, 1))
         if any(any(row) for row in c.rep[tab.bq.aindex["a1"]])
     )
-    assert hom_count(tab, p_cls, s1) == 2
-    assert hom_count(tab, s1, p_cls) == 1
-    assert hom_count(tab, p_cls, s2) == 1
-    assert hom_count(tab, s2, p_cls) == 2
+    assert tab.hom_count(p_cls, s1) == 2
+    assert tab.hom_count(s1, p_cls) == 1
+    assert tab.hom_count(p_cls, s2) == 1
+    assert tab.hom_count(s2, p_cls) == 2
 
 
 def test_hall_numbers_split_pair():
@@ -379,13 +378,13 @@ def test_hall_numbers_split_pair():
 
 
 def test_oracle_memos_die_with_their_table():
-    # the filtration and Hom memos are keyed by the table weakly and hold
-    # no class, so they keep no table alive
+    # the filtration memo is keyed by the table weakly and holds no class,
+    # so it keeps no table alive
     tab = table("a2-split", 2)
     s1, s2 = tab.simple("1"), tab.simple("2")
     z = direct_sum(tab, s1, s2)
-    assert hall_number(tab, s1, s2, z) == 1 and hom_count(tab, s1, z) == 2
-    assert tab in oracle._DECOMP and tab in oracle._HOM
+    assert hall_number(tab, s1, s2, z) == 1 and tab.hom_count(s1, z) == 2
+    assert tab in oracle._DECOMP
     ref = weakref.ref(tab)
     del tab, s1, s2, z
     gc.collect()
@@ -413,7 +412,7 @@ def test_morphism_tally_total_is_hom_count():
     for x in pool:
         for y in pool:
             tally = morphism_tally(tab, x, y)
-            assert sum(tally.values()) == hom_count(tab, x, y)
+            assert sum(tally.values()) == tab.hom_count(x, y)
 
 
 def test_homology_reduction():
@@ -530,7 +529,7 @@ def test_arrow_space_counts_square_zero_matrices(p, dmax):
     tab = table("rank1-split", p)
     (k,) = tab._loop_pos
     for d in range(dmax + 1):
-        assert tab._arrow_space(k, (d, d)) == len(linalg.square_zero_matrices(d, p)), d
+        assert tab._arrow_count(k, (d, d), float("inf")) == (len(linalg.square_zero_matrices(d, p)), True), d
 
 
 def test_budget_refusal_stops_counting(monkeypatch):

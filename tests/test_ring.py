@@ -10,6 +10,7 @@ from ihall import qseries
 from ihall.qseries import (
     comb2,
     km5_residual,
+    kmrd_residual,
     qbinom,
     qdfact,
     qdfact_ratio,
@@ -377,6 +378,23 @@ def test_memoized_helpers_match_plain_products():
         qdfact_ratio(1, 4)
 
 
+def test_ratio_memos_keep_one_entry_per_lower_index(monkeypatch):
+    # kmrd(d) asks for [d]!/[d-s]! and [2d]!!/[2s]!! at every s, and a later
+    # d extends the ratio at each lower index, so each memo keeps one entry
+    # per lower index: the ratio to the last top asked for
+    monkeypatch.setattr(ring, "_QFACT_RATIOS", {})
+    monkeypatch.setattr(qseries, "_QDFACT_RATIOS", {})
+    for d in range(1, 13):
+        assert kmrd_residual(d).is_zero(), d
+    assert ring._QFACT_RATIOS == {lo: (12, _prod(_qint_ref(j) for j in range(lo + 1, 13))) for lo in range(13)}
+    assert qseries._QDFACT_RATIOS == {
+        2 * lo: (24, _prod(_qint_ref(2 * j) for j in range(lo + 1, 13))) for lo in range(13)
+    }
+    # a lower top is multiplied out from 1 and takes the entry's place
+    assert qfact_ratio(3, 5) == _qint_ref(4) * _qint_ref(5)
+    assert ring._QFACT_RATIOS[3] == (5, _qint_ref(4) * _qint_ref(5)) and len(ring._QFACT_RATIOS) == 13
+
+
 def test_factorial_ratios_need_no_deep_call_chain():
     # the memos fill upward in a loop, so [50]!, [100]!! and [300 choose 3]
     # are no RecursionError under a limit of 40 frames; a row of binomials
@@ -482,10 +500,10 @@ def _matches(f, d):
     """f is the normal form of the nonzero terms d: nonzero ends, int entries."""
     assert f.terms == d
     assert f == LaurentPoly(d) and hash(f) == hash(LaurentPoly(d))
-    assert (f.min_exp(), f.max_exp()) == (min(d, default=0), max(d, default=0))
+    assert (f.lo, f.max_exp()) == (min(d, default=0), max(d, default=0))
     assert f.coeffs == () or (f.coeffs[0] and f.coeffs[-1])
     assert all(type(c) is int for c in f.coeffs)
-    for e in range(f.min_exp() - 2, f.max_exp() + 3):
+    for e in range(f.lo - 2, f.max_exp() + 3):
         assert f.coeff(e) == d.get(e, 0)
 
 
