@@ -247,7 +247,8 @@ def main(argv=None):
     any other, which is a help request or a usage error. The handler
     imports the layers it runs (the module docstring above is the --help
     text). Every budget refusal, a table's or a q-series ceiling, is one
-    `BudgetError` and exits 3.
+    `BudgetError` and exits 3. A command-line run (argv None) flushes
+    stdout before it returns, so a failed write exits 2 like any OSError.
     """
     line = argv is None
     argv = sys.argv[1:] if line else argv
@@ -260,7 +261,11 @@ def main(argv=None):
         for dest in {"vertex", "x", "y"} & vars(args).keys():
             setattr(args, dest, os.fsencode(getattr(args, dest)).decode("utf-8", "surrogateescape"))
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            if line and sys.stdout is not None:  # None where fd 1 was closed
+                sys.stdout.flush()
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -269,5 +274,17 @@ def main(argv=None):
         return 3
 
 
+def run():
+    """The command line: `main()`, then `os._exit` with its code once stderr
+    is flushed (main has flushed stdout), so the process skips the
+    interpreter's teardown, which frees every object and changes no output;
+    no atexit hook runs. Help, usage errors and uncaught exceptions leave
+    main by raising and take the normal exit."""
+    code = main()
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -14,7 +14,7 @@ resolve here, on access only (`__getattr__` below), because the
 benchmark's tracer (perfbench/spans.py) patches them by these names.
 """
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .qsqrt import QSqrt
 
@@ -70,12 +70,9 @@ class Psi:
 # ---------------------------------------------------------------------------
 
 
-class RelationInstance(NamedTuple):
-    kind: str  # torus-torus | torus-b | commute | serre | pair | fixed-serre
-    i: str
-    j: Optional[str]
-    parity: Optional[int]
-    label: str
+# kind is torus-torus | torus-b | commute | serre | pair | fixed-serre; j and
+# parity may be None
+RelationInstance = namedtuple("RelationInstance", "kind i j parity label")
 
 
 def build_relation_suite(iq, parities=(0, 1)):

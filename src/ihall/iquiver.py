@@ -5,24 +5,15 @@ automorphism tau. Q alone, with no relations, is the bound quiver of the
 kQ-modules; the doubled quiver that presents Lambda^i lives in `lambda_i`.
 """
 
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
+# name is a str, or a tuple only for an arrow a bound quiver adds to Q
+Arrow = namedtuple("Arrow", "name src tgt")
 
-class Arrow(NamedTuple):
-    name: str | tuple  # a tuple only for an arrow a bound quiver adds to Q
-    src: str
-    tgt: str
-
-
-class Relation(NamedTuple):
-    """lhs and rhs are length-2 paths (first, second), meaning M(second) @ M(first).
-
-    rhs None means the lhs composite is zero.
-    """
-
-    lhs: tuple
-    rhs: tuple | None
+# lhs and rhs are length-2 paths (first, second), meaning M(second) @ M(first);
+# rhs None means the lhs composite is zero
+Relation = namedtuple("Relation", "lhs rhs")
 
 
 class IQuiver:

@@ -307,9 +307,21 @@ def qint(r):
 
 
 def fill_ratios(memo, lo, hi, step):
-    """[lo+step][lo+2 step]...[hi]. memo[lo] is (top, the ratio up to top)
-    for the last top asked for at lo: a larger hi extends it, one product
-    per step, and a smaller one is multiplied out from 1 and replaces it."""
+    """[lo+step][lo+2 step]...[hi], one product per step past the memo.
+
+    memo[0] lists the factorials [0]!, [1]!, [2]!, ... (for step 2 the
+    double factorials [0]!!, [2]!!, ...) up to the largest hi asked for,
+    which every suite shares.
+    memo[lo] for lo > 0 is (top, the ratio up to top) for the last top
+    asked for at lo: a larger hi extends it, and a smaller one is
+    multiplied out from 1 and replaces it, as keeping every ratio up to a
+    largest hi d would hold some d^2/2 polynomials.
+    """
+    if lo == 0:
+        row = memo.setdefault(0, [ONE])
+        while len(row) <= hi // step:
+            row.append(row[-1] * qint(len(row) * step))
+        return row[hi // step]
     top, out = memo.get(lo, (lo, ONE))
     if hi < top:
         top, out = lo, ONE

@@ -2,9 +2,11 @@
 
 import ast
 import contextlib
+import errno
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from types import SimpleNamespace
@@ -17,7 +19,7 @@ import ihall.cli
 from ihall import frep, linalg
 from ihall.cli import main
 from ihall.iquiver import BUILTIN_NAMES
-from child import CLI, run_child
+from child import CLI, environment, run_child
 from quivers import SPECS
 
 
@@ -788,6 +790,97 @@ def test_json_payload_is_one_write(monkeypatch):
     assert len(writes) == 1 and writes[0].endswith("}\n")
     payload = json.loads(writes[0])
     assert writes[0] == json.dumps(payload, indent=2) + "\n"
+
+
+# ---------- the command-line process ----------
+
+
+def _untimed(out):
+    """Output lines past the one timing line of a --json payload."""
+    return [line for line in out.splitlines(True) if '"elapsed_s"' not in line]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "builtin:a2-split", "--q", "2", "--json"], 0),
+        (["verify", "/no/such/spec.json", "--json"], 2),
+        (["verify", "builtin:a2-split", "--budget-space", "3", "--json"], 3),
+    ],
+)
+def test_command_line_process_ends_as_main_returns(capsys, argv, code):
+    # `python -m ihall.cli`, with no harness, ends in os._exit once its
+    # output is flushed: its code, stdout and stderr are those of main in
+    # process, byte for byte past the timing line
+    proc = subprocess.run([sys.executable, "-m", "ihall.cli", *argv], env=environment(), capture_output=True, text=True)
+    status, out, err = run(capsys, *argv)
+    assert proc.returncode == status == code
+    assert _untimed(proc.stdout) == _untimed(out) and (proc.stdout != "") == (code == 0)
+    assert proc.stderr == err and err.count("\n") == (code != 0)
+
+
+def test_command_line_skips_the_interpreter_teardown():
+    # the hard exit runs no atexit hook; main in process never exits
+    code = "import atexit; atexit.register(print, 'teardown'); " + CLI
+    status, out, _, _ = run_child(["verify", "builtin:a2-split", "--json"], code)
+    assert status == 0 and json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+def test_failed_write_exits_2_with_one_error_line(sink, json_flag, unbuffered):
+    # buffered output fails at the flush in main, unbuffered at the write:
+    # either way one error line and exit 2, not "Exception ignored" and 120
+    if sink == "/dev/full" and not os.path.exists(sink):
+        pytest.skip("no /dev/full on this system")
+    env = environment()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if sink == "/dev/full":
+        stdout, number = os.open(sink, os.O_WRONLY), errno.ENOSPC
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+        number = errno.EPIPE
+    try:
+        argv = [sys.executable, "-m", "ihall.cli", "verify", "builtin:a2-split"] + json_flag
+        proc = subprocess.run(argv, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno %d] %s\n" % (number, os.strerror(number))
+
+
+@pytest.mark.parametrize("row", [0, 2, 3, 4, 5])
+def test_no_command_loads_typing(row):
+    # verify, product, idp, enumerate and identities; run without site
+    # (python -S), which on some installs imports typing itself
+    status, _, err, loaded = run_child(MODULE_TABLE[row][0], flags=("-S",))
+    assert status == 0, err
+    assert "typing" not in loaded
+
+
+def test_console_script_runs_what_the_main_block_runs():
+    # `ihall` and `python -m ihall.cli` both end in the same hard exit;
+    # main itself, the in-process entry point, never exits
+    root = os.path.dirname(os.path.dirname(os.path.dirname(ihall.__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        text = fh.read().decode("utf-8")
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: read the one line
+        target = next(line for line in text.splitlines() if line.startswith("ihall = "))[len("ihall = "):].strip('"')
+    else:
+        target = tomllib.loads(text)["project"]["scripts"]["ihall"]
+    with open(ihall.cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (block,) = [node for node in tree.body if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (stmt,) = block.body
+    name = stmt.value.func.id
+    assert target == "ihall.cli:" + name
+    assert getattr(ihall.cli, name) is not main
 
 
 def test_unknown_package_attribute_is_attribute_error():

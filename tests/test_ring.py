@@ -381,18 +381,46 @@ def test_memoized_helpers_match_plain_products():
 def test_ratio_memos_keep_one_entry_per_lower_index(monkeypatch):
     # kmrd(d) asks for [d]!/[d-s]! and [2d]!!/[2s]!! at every s, and a later
     # d extends the ratio at each lower index, so each memo keeps one entry
-    # per lower index: the ratio to the last top asked for
+    # per lower index: at 0 the list of factorials up to the largest top
+    # asked for, elsewhere the ratio to the last top asked for
     monkeypatch.setattr(ring, "_QFACT_RATIOS", {})
     monkeypatch.setattr(qseries, "_QDFACT_RATIOS", {})
     for d in range(1, 13):
         assert kmrd_residual(d).is_zero(), d
-    assert ring._QFACT_RATIOS == {lo: (12, _prod(_qint_ref(j) for j in range(lo + 1, 13))) for lo in range(13)}
-    assert qseries._QDFACT_RATIOS == {
-        2 * lo: (24, _prod(_qint_ref(2 * j) for j in range(lo + 1, 13))) for lo in range(13)
+    assert ring._QFACT_RATIOS == {
+        0: [_prod(_qint_ref(j) for j in range(1, top + 1)) for top in range(13)],
+        **{lo: (12, _prod(_qint_ref(j) for j in range(lo + 1, 13))) for lo in range(1, 13)},
     }
-    # a lower top is multiplied out from 1 and takes the entry's place
-    assert qfact_ratio(3, 5) == _qint_ref(4) * _qint_ref(5)
+    assert qseries._QDFACT_RATIOS == {
+        0: [_prod(_qint_ref(2 * j) for j in range(1, top + 1)) for top in range(13)],
+        **{2 * lo: (24, _prod(_qint_ref(2 * j) for j in range(lo + 1, 13))) for lo in range(1, 13)},
+    }
+    # a lower factorial is read from the list, with no product; a lower top
+    # elsewhere is multiplied out from 1 and takes the entry's place
+    calls = []
+    monkeypatch.setattr(ring, "qint", lambda r: calls.append(r) or _qint_ref(r))
+    assert qfact(5) == _prod(_qint_ref(j) for j in range(1, 6)) and calls == []
+    assert qfact_ratio(3, 5) == _qint_ref(4) * _qint_ref(5) and calls == [4, 5]
     assert ring._QFACT_RATIOS[3] == (5, _qint_ref(4) * _qint_ref(5)) and len(ring._QFACT_RATIOS) == 13
+
+
+def test_identity_suites_share_the_factorials():
+    # at the benchmark's identities range (perfbench/run.py) km1, kmrd and
+    # the T suite share the factorials at lower index 0, so the suites take
+    # 88 products [k] in all (counted on ring.qint, which only the ratio
+    # memos call), where one entry per lower index took 112. Keeping every
+    # ratio would take 76 but hold some d^2/2 polynomials: 13 MB more at
+    # kmrd's ceiling
+    code = """if True:
+        from ihall import ring
+        from ihall.qseries import run_identity_suites, run_t_suite
+        qint, calls = ring.qint, []
+        ring.qint = lambda r: calls.append(r) or qint(r)
+        rows = run_identity_suites(pmax=10, dmax=8) + run_t_suite(amax=7)
+        print(all(ok for _, ok in rows), len(calls))
+    """
+    status, out, err, _ = run_child(code=code)
+    assert (status, out, err) == (0, "True 88\n", "")
 
 
 def test_factorial_ratios_need_no_deep_call_chain():
