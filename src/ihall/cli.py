@@ -13,10 +13,13 @@ holding the spec dict (keys: vertices, arrows, tau, optionally tau_arrows).
 Elements are named ``simple:<vertex>``, ``k:<vertex>``, or
 ``class:<d1>,...,<dn>#<idx>``.
 
-Exit codes: 0 success, 1 a check failed, 2 bad input, 3 budget exceeded.
+Exit codes: 0 success, 1 a check failed, 2 bad input or output that cannot
+be written (stdout closed or full), 3 budget exceeded. A message that
+cannot reach stderr is dropped, and the exit code stands.
 
 Each command imports the layers it uses when it runs, so ``identities``
-never loads the module enumeration or the Hall algebra.
+loads the Laurent side (``ring``) alone, never the module enumeration or
+the Hall algebra.
 """
 
 import os
@@ -24,7 +27,7 @@ import sys
 import time
 from types import SimpleNamespace
 
-from . import BUDGET_DIM, BUDGET_SPACE, BudgetError
+from . import BUDGET_DIM, BUDGET_SPACE, BudgetError, report
 
 
 def _load_iquiver(name):
@@ -49,6 +52,8 @@ def _algebra(args):
 
 
 def _emit(args, payload, text_lines):
+    if sys.stdout is None:  # fd 1 was closed: a write that fails, like any other
+        raise OSError("stdout is closed")
     if args.json:
         import json
 
@@ -100,7 +105,7 @@ def cmd_element(args):
 
 
 def cmd_identities(args):
-    from .qseries import CEILING, run_identity_suites, run_t_suite
+    from .ring import CEILING, run_identity_suites, run_t_suite
 
     for bound, ceiling in CEILING.items():
         value = getattr(args, bound)
@@ -248,7 +253,9 @@ def main(argv=None):
     imports the layers it runs (the module docstring above is the --help
     text). Every budget refusal, a table's or a q-series ceiling, is one
     `BudgetError` and exits 3. A command-line run (argv None) flushes
-    stdout before it returns, so a failed write exits 2 like any OSError.
+    stdout before it returns, so a failed write exits 2 like any OSError;
+    a closed stdout is a failed write. Each message goes to stderr by
+    `report`, which drops it where stderr is closed.
     """
     line = argv is None
     argv = sys.argv[1:] if line else argv
@@ -267,23 +274,21 @@ def main(argv=None):
             if line and sys.stdout is not None:  # None where fd 1 was closed
                 sys.stdout.flush()
     except (ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        report("error: %s" % exc)
         return 2
     except BudgetError as exc:
-        print("budget exceeded: %s" % exc, file=sys.stderr)
+        report("budget exceeded: %s" % exc)
         return 3
 
 
 def run():
-    """The command line: `main()`, then `os._exit` with its code once stderr
-    is flushed (main has flushed stdout), so the process skips the
-    interpreter's teardown, which frees every object and changes no output;
-    no atexit hook runs. Help, usage errors and uncaught exceptions leave
-    main by raising and take the normal exit."""
-    code = main()
-    if sys.stderr is not None:
-        sys.stderr.flush()
-    os._exit(code)
+    """The command line: `os._exit` with the code of `main()`, which has
+    flushed its output (stdout at its end, each stderr line as it is
+    written), so the process skips the interpreter's teardown, which frees
+    every object and changes no output; no atexit hook runs. Help, usage
+    errors and uncaught exceptions leave main by raising and take the
+    normal exit."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ says so in one "warning: ..." line on stderr once the power is built, so a
 run refused by the budget prints only its budget line.
 """
 
-import sys
+from . import report
 
 
 def _vertex(algebra, name):
@@ -87,7 +87,7 @@ def cmd_idp(algebra, args):
     vertex = _vertex(algebra, args.vertex)
     elt = idp_hall(algebra, vertex, args.n, args.parity)
     if args.parity is not None and algebra.iq.tau[vertex] != vertex:
-        print("warning: parity has no effect at a vertex not fixed by the involution", file=sys.stderr)
+        report("warning: parity has no effect at a vertex not fixed by the involution")
     fields = {"vertex": args.vertex, "n": args.n, "parity": args.parity, "terms": _terms_payload(elt)}
     return fields, [repr(elt)]
 

@@ -15,9 +15,10 @@ ignores it there, and says nothing (the `idp` command prints the warning).
 from .qsqrt import QSqrt
 
 
-def _factor_indices(n, parity):
+def factor_indices(n, parity):
     """The bracket indices [s]^2 appearing in the defining product, as a
-    range: a huge n costs nothing before the first product."""
+    range: a huge n costs nothing before the first product. `oracle`'s
+    symbolic product form reads the same indices."""
     m = n // 2
     if parity == 1:
         return range(1, 2 * m, 2)
@@ -42,7 +43,7 @@ def idp_hall(algebra, vertex, n, parity=None):
         raise ValueError("a tau-fixed vertex needs parity 0 or 1")
     k_elt = algebra.torus_k(vertex)
     out = algebra.one()
-    for s in _factor_indices(n, parity):
+    for s in factor_indices(n, parity):
         # v (v - v^-1)^2 [s]^2 = v (v^s - v^-s)^2 = v^(1-2s) (q^s - 1)^2
         coeff = algebra.v_pow(1 - 2 * s) * (q ** s - 1) ** 2
         out = s_elt * (s_elt * out) + (out * k_elt).scale(coeff)

@@ -9,7 +9,7 @@ is a plain zero test. Every scalar is a QSqrt at v = sqrt(q), built in
 `qsqrt` from ints, so `ihall verify` loads no Laurent polynomial.
 
 The q-series suites (T, T1 and the identities they reduce to) live in
-`qseries`, which `ihall verify` never loads. Their public names still
+`ring`, which `ihall verify` never loads. Their public names still
 resolve here, on access only (`__getattr__` below), because the
 benchmark's tracer (perfbench/spans.py) patches them by these names.
 """
@@ -204,9 +204,9 @@ _QSERIES = frozenset((
 
 
 def __getattr__(name):
-    # PEP 562: loads qseries only when one of its names is asked for here
+    # PEP 562: loads ring only when one of its names is asked for here
     if name not in _QSERIES:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    from . import qseries
+    from . import ring
 
-    return getattr(qseries, name)
+    return getattr(ring, name)

@@ -8,7 +8,9 @@ the engine alone (`ModuleTable.extension_counts`, `HallAlgebra._pair`,
   form, the two-step recursion and the closed sum (`idp_product`,
   `idp_recursive`, `idp_closed`), each a `SymRank1` of Laurent polynomial
   numerators over one common Laurent denominator, and their image in a
-  Hall algebra (`sym_to_hall`);
+  Hall algebra (`sym_to_hall`), with the q-numbers of `ring` (the one home
+  of the q-combinatorics, shared with the identity suites) and the factor
+  indices of `idp.factor_indices`;
 * the raw enumeration of every relation-satisfying tuple, nilpotent or
   not (`enumerate_reps`), and the module constructions the tests build
   classes with (`k_module`, `direct_sum`, `multiple`);
@@ -28,12 +30,11 @@ import weakref
 from itertools import product as cartesian
 
 from . import linalg
-from .idp import _factor_indices
+from .idp import factor_indices
 from .ihall import HallElt
 from .lambda_i import eps_pos
-from .qseries import comb2, p_exponent, qbinom, qdfact
 from .qsqrt import QSqrt
-from .ring import VMVI, LaurentPoly, ONE, V, ZERO, qfact, qint
+from .ring import VMVI, LaurentPoly, ONE, V, ZERO, comb2, p_exponent, qbinom, qdfact, qfact, qint
 
 _KCOEF = V * VMVI ** 2  # v (v - v^-1)^2 = v^-1 (v^2 - 1)^2, the K factor of [S]^(n)
 
@@ -132,7 +133,7 @@ def idp_product(n, parity):
     if n < 0:
         raise ValueError("n must be nonnegative")
     out = SymRank1.one()
-    for s in _factor_indices(n, parity):
+    for s in factor_indices(n, parity):
         out = out.mul_S().mul_S() + out.mul_K().scale(_KCOEF * qint(s) ** 2)
     if n % 2 == 1:
         out = out.mul_S()

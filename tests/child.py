@@ -10,18 +10,20 @@ import ihall
 # the child's default code: the CLI, run as `python -m ihall.cli` runs it
 CLI = "runpy.run_module('ihall.cli', run_name='__main__', alter_sys=True)"
 
-# the child runs its code, then ends stderr with one line: the names of the
-# modules loaded since it started, past runpy (which `python -m` loads too).
-# The line is written on every way out: the command line's hard exit
-# (os._exit, wrapped here to write it first), SystemExit and a normal end.
+# the child runs its code, then writes the names of the modules loaded since
+# it started, past runpy (which `python -m` loads too), to a pipe of its own,
+# the fd number before the code in its argv, so the report mixes with
+# neither output stream and needs neither open. It is written on every way
+# out: the command line's hard exit (os._exit, wrapped here to write it
+# first), SystemExit and a normal end.
 _CHILD = """if True:
     import os, runpy, sys
     before = set(sys.modules)
     hard_exit = os._exit
+    channel = int(sys.argv.pop(1))
 
     def report():
-        sys.stderr.write("\\n" + " ".join(sorted(set(sys.modules) - before)))
-        sys.stderr.flush()
+        os.write(channel, " ".join(sorted(set(sys.modules) - before)).encode())
 
     def reported_exit(status):
         report()
@@ -47,19 +49,38 @@ def environment(pairs=()):
     return env
 
 
-def run_child(argv=(), code=CLI, env=(), flags=()):
+def run_child(argv=(), code=CLI, env=(), flags=(), streams=()):
     """(exit code, stdout, stderr, modules newly loaded) of `code` run in a
     fresh interpreter, started with the interpreter options `flags`, with
     `argv` as sys.argv[1:] and the (name, value) pairs of `env` set in its
-    environment. Each distinct (argv, code, env, flags) starts one
-    interpreter per test session; tests that check other contracts of the
-    same run share its result."""
-    return _run(tuple(argv), code, tuple(env), tuple(flags))
+    environment. `streams` holds (fd, path) pairs: the interpreter starts
+    with that fd (1 or 2) opened for writing on the path, or closed where
+    the path is None, and what it writes there is not captured. Each
+    distinct (argv, code, env, flags, streams) starts one interpreter per
+    test session; tests that check other contracts of the same run share
+    its result."""
+    return _run(tuple(argv), code, tuple(env), tuple(flags), tuple(streams))
+
+
+def _open_streams(streams):
+    """Before the child's exec: each (fd, path) of `streams` opened on the
+    path, or closed where the path is None."""
+    for fd, path in streams:
+        if path is None:
+            os.close(fd)
+        else:
+            os.dup2(os.open(path, os.O_WRONLY), fd)
 
 
 @functools.lru_cache(maxsize=None)
-def _run(argv, code, pairs, flags):
-    out = subprocess.run([sys.executable, *flags, "-c", _CHILD, code, *argv], env=environment(pairs),
-                         capture_output=True, text=True)
-    err, _, loaded = out.stderr.rpartition("\n")
-    return out.returncode, out.stdout, err, frozenset(loaded.split())
+def _run(argv, code, pairs, flags, streams):
+    read_end, write_end = os.pipe()
+    with open(read_end, encoding="utf-8") as report:
+        try:
+            out = subprocess.run([sys.executable, *flags, "-c", _CHILD, str(write_end), code, *argv],
+                                 env=environment(pairs), capture_output=True, text=True, pass_fds=(write_end,),
+                                 preexec_fn=functools.partial(_open_streams, streams) if streams else None)
+        finally:
+            os.close(write_end)
+        loaded = report.read()
+    return out.returncode, out.stdout, out.stderr, frozenset(loaded.split())

@@ -27,7 +27,7 @@ from ihall.oracle import (
     oracle_sss,
     sym_to_hall,
 )
-from ihall.qseries import run_identity_suites, run_t_suite
+from ihall.ring import run_identity_suites, run_t_suite
 from quivers import quiver
 
 

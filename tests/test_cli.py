@@ -491,13 +491,13 @@ def test_cache_dir_is_ignored(tmp_path, capsys, monkeypatch, kind):
 # The ihall modules each command line loads, as README's table lists them.
 # Each runs as `python -m ihall.cli` runs it, so no module may import
 # ihall.cli: that would compile cli a second time beside __main__. verify,
-# idp and product load no Laurent polynomials (ring), verify and identities
-# no element commands (elements), the kQ commands no Lambda^i module
-# (lambda_i), and verify no q-series suites (qseries).
+# idp and product load no Laurent polynomials and no q-series suites (ring),
+# verify and identities no element commands (elements), and the kQ commands
+# no Lambda^i module (lambda_i).
 _HALL = {"ihall", "ihall.frep", "ihall.ihall", "ihall.iquiver", "ihall.linalg", "ihall.qsqrt"}
 _VERIFY = _HALL | {"ihall.idp", "ihall.iqg"}
 _ELEMENTS = _HALL | {"ihall.elements"}
-_IDENTITIES = {"ihall", "ihall.qseries", "ihall.ring"}
+_IDENTITIES = {"ihall", "ihall.ring"}
 
 # (command line, exit code, ihall modules loaded, plain); a plain line is
 # read without argparse
@@ -579,7 +579,7 @@ def test_lambda_classes_load_the_lambda_module(argv):
 
 def test_verify_never_loads_the_q_series_suites():
     loaded = _loaded(MODULE_TABLE[8][0])
-    assert {"ihall.iqg", "ihall.qsqrt"} <= loaded and not {"ihall.qseries", "ihall.oracle"} & loaded
+    assert {"ihall.iqg", "ihall.qsqrt"} <= loaded and not {"ihall.ring", "ihall.oracle"} & loaded
 
 
 @pytest.mark.parametrize("argv", [MODULE_TABLE[k][0] for k in (9, 5)])
@@ -603,7 +603,7 @@ def test_plain_command_lines_load_no_argparse(argv, plain):
 def test_identities_past_its_ceiling_exits_3_at_once():
     # the ceiling is checked before any suite runs, naming the bound; the
     # module table runs one such line in a fresh interpreter
-    from ihall.qseries import CEILING
+    from ihall.ring import CEILING
 
     assert list(CEILING) == ["pmax", "dmax", "amax"]
     for bound, ceiling in CEILING.items():
@@ -640,13 +640,13 @@ def test_qsqrt_loads_no_laurent_ring():
 def test_moved_names_resolve_at_their_old_homes():
     # iqg and ring forward the names that moved out of them to the moved
     # objects themselves, and nothing else
-    from ihall import iqg, qseries, qsqrt, ring
+    from ihall import iqg, qsqrt, ring
 
     for name in iqg._QSERIES:
-        assert getattr(iqg, name) is getattr(qseries, name), name
+        assert getattr(iqg, name) is getattr(ring, name), name
     assert ring.QSqrt is qsqrt.QSqrt
-    for module, name in ((iqg, "comb2"), (iqg, "_t_pair"), (ring, "qbinom"), (ring, "qdfact"),
-                         (ring, "_qsqrt"), (ring, "no_such_name")):
+    for module, name in ((iqg, "comb2"), (iqg, "_t_pair"), (iqg, "qbinom"), (ring, "_qsqrt"),
+                         (ring, "no_such_name")):
         with pytest.raises(AttributeError):
             getattr(module, name)
 
@@ -662,21 +662,26 @@ def test_no_module_loads_fractions():
         print(len(names))
     """
     status, out, _, loaded = run_child(code=code)
-    assert status == 0 and int(out) >= 13
+    assert status == 0 and int(out) >= 12
     assert "ihall.oracle" in loaded and "fractions" not in loaded
+
+
+def _module_trees():
+    """(file name, syntax tree) of every module of the package."""
+    src = os.path.dirname(ihall.__file__)
+    names = sorted(name for name in os.listdir(src) if name.endswith(".py"))
+    assert len(names) >= 13
+    for name in names:
+        with open(os.path.join(src, name)) as fh:
+            yield name, ast.parse(fh.read(), name)
 
 
 def test_no_module_reads_the_environment():
     # no hidden knob: every input of a run is on its command line, so no
     # module names os.environ, os.environb, os.getenv or os.getenvb, in
     # any spelling of the import
-    src = os.path.dirname(ihall.__file__)
-    names = sorted(name for name in os.listdir(src) if name.endswith(".py"))
-    assert len(names) >= 14
     knobs = {"environ", "environb", "getenv", "getenvb"}
-    for name in names:
-        with open(os.path.join(src, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in _module_trees():
         used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         used |= {
@@ -688,12 +693,7 @@ def test_no_module_reads_the_environment():
 def test_no_module_checks_by_assert():
     # python -O strips assert statements, so a check the program relies on
     # is an explicit raise
-    src = os.path.dirname(ihall.__file__)
-    names = sorted(name for name in os.listdir(src) if name.endswith(".py"))
-    assert len(names) >= 14
-    for name in names:
-        with open(os.path.join(src, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in _module_trees():
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, (name, lines)
 
@@ -702,13 +702,8 @@ def test_every_private_name_has_a_reader():
     # a private name (_x, not a dunder) bound at module level or in a class
     # body is read somewhere in the package: as a name, an attribute or an
     # imported name; one with no reader is dead code
-    src = os.path.dirname(ihall.__file__)
-    names = sorted(name for name in os.listdir(src) if name.endswith(".py"))
-    assert len(names) >= 14
     defined, read = {}, set()
-    for name in names:
-        with open(os.path.join(src, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in _module_trees():
         for scope, body in [(name[:-3], tree.body)] + [
             ("%s.%s" % (name[:-3], node.name), node.body) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
         ]:
@@ -732,6 +727,18 @@ def test_every_private_name_has_a_reader():
                 read.update(alias.name for alias in node.names)
     assert defined
     assert {b: scopes for b, scopes in defined.items() if b not in read} == {}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name that two modules share is public: no module imports an _-name
+    # from another ihall module, relatively or by the package's name
+    imported, private = 0, []
+    for name, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "ihall"):
+                imported += len(node.names)
+                private += [(name, alias.name) for alias in node.names if alias.name.startswith("_")]
+    assert imported and private == []
 
 
 def _parser_exit(parser, argv):
@@ -851,6 +858,36 @@ def test_failed_write_exits_2_with_one_error_line(sink, json_flag, unbuffered):
         os.close(stdout)
     assert proc.returncode == 2
     assert proc.stderr == "error: [Errno %d] %s\n" % (number, os.strerror(number))
+
+
+# (command line, streams, exit code, stderr): the child starts with fd 1 or
+# fd 2 closed (None) or opened on a path
+CLOSED_STREAMS = [
+    (["verify", "builtin:nope"], ((2, None),), 2, ""),
+    (["verify", "builtin:a2-split", "--budget-dim", "1"], ((2, None),), 3, ""),
+    (["verify", "builtin:a2-split", "--json"], ((1, None),), 2, "error: stdout is closed\n"),
+    (["verify", "builtin:a2-split"], ((1, None),), 2, "error: stdout is closed\n"),
+    (["identities"], ((1, None),), 2, "error: stdout is closed\n"),
+    (["verify", "builtin:a2-split", "--json"], ((1, "/dev/full"), (2, None)), 2, ""),
+    # the warning of a parity at a moved vertex is dropped too
+    (["idp", "builtin:kronecker-r1", "--vertex", "1", "--n", "2", "--parity", "0"], ((2, None),), 0, ""),
+]
+
+
+@pytest.mark.parametrize("argv, streams, code, err", CLOSED_STREAMS, ids=[
+    "no-stderr-bad-input", "no-stderr-budget", "no-stdout-json", "no-stdout-text", "no-stdout-identities",
+    "full-stdout-no-stderr", "no-stderr-idp-warning"])
+def test_closed_streams_keep_the_exit_codes(argv, streams, code, err):
+    # a closed stdout is a failed write (exit 2), and a message that cannot
+    # reach stderr is dropped, never sent to stdout, with its exit code
+    # kept; neither loads a module the same line with open streams does not
+    if not all(path is None or os.path.exists(path) for _, path in streams):
+        pytest.skip("no /dev/full on this system")
+    status, out, got, loaded = run_child(argv, streams=streams)
+    plain = run_child(argv)
+    assert (status, got) == (code, err)
+    assert out == (plain[1] if code == 0 else "")
+    assert loaded <= plain[3]
 
 
 @pytest.mark.parametrize("row", [0, 2, 3, 4, 5])

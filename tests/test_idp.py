@@ -15,8 +15,7 @@ from ihall.oracle import (
     idp_recursive,
     sym_to_hall,
 )
-from ihall.qseries import qdfact
-from ihall.ring import LaurentPoly, V, qfact
+from ihall.ring import LaurentPoly, V, qdfact, qfact
 
 
 def test_base_cases():
