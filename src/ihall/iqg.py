@@ -1,12 +1,13 @@
 """Serre-type presentation checks.
 
-The generators B_i, ktilde_i of the universal presentation are mapped into a
-Hall algebra (B_i as its own first divided power, ktilde_i as a scaled
-torus element); every defining relation then becomes an element that must
-vanish identically, and each one between B_i and B_j, j not tau(i), is one
-Serre sum. Relations with denominators are multiplied through so each check
-is a plain zero test. Every scalar is a QSqrt at v = sqrt(q), built in
-`qsqrt` from ints, so `ihall verify` loads no Laurent polynomial.
+The generators B_i, ktilde_i of the universal presentation and the
+idivided powers B_i^(n) are mapped into a Hall algebra by `idp`, the one
+home of their scalars; `Psi` caches the idivided powers of one algebra.
+Every defining relation then becomes an element that must vanish
+identically, and each one between B_i and B_j, j not tau(i), is one Serre
+sum. Relations with denominators are multiplied through so each check is a
+plain zero test. Every scalar is a QSqrt at v = sqrt(q), built in `qsqrt`
+from ints, so `ihall verify` loads no Laurent polynomial.
 
 The q-series suites (T, T1 and the identities they reduce to) live in
 `ring`, which `ihall verify` never loads. Their public names still
@@ -16,53 +17,27 @@ benchmark's tracer (perfbench/spans.py) patches them by these names.
 
 from collections import namedtuple
 
+from . import idp
 from .qsqrt import QSqrt
-
-# ---------------------------------------------------------------------------
-# generators under the Hall-algebra embedding
-# ---------------------------------------------------------------------------
 
 
 class Psi:
-    """The images of B_j and ktilde_i inside one Hall algebra."""
+    """The idivided powers B_j^(n) of one Hall algebra, from `idp`, cached."""
 
     def __init__(self, algebra):
         self.algebra = algebra
-        self.iq = algebra.iq
-        self.reps = frozenset(self.iq.i_tau)
         self._bdp_cache = {}
 
     def B(self, j):
-        """B_j is its own first (parity-0) divided power."""
-        return self.BDP(j, 1, 0 if self.iq.tau[j] == j else None)
-
-    def K(self, i):
-        """ktilde_i: off a fixed vertex, K_i times v^(-c/2) with c = c_{i,tau i},
-        which is even on every iquiver, as tau pairs the arrows i -> tau i
-        with the arrows tau i -> i; the pair relation needs an even c too."""
-        h = self.algebra
-        k = h.torus_k(i)
-        if self.iq.tau[i] == i:
-            return k.scale(QSqrt(h.q, -1, 0, h.q))
-        return k.scale(h.v_pow(-self.iq.cartan_vv(i, self.iq.tau[i]) // 2))
+        """B_j is its own first (parity-0) idivided power."""
+        return self.BDP(j, 1, 0 if self.algebra.iq.tau[j] == j else None)
 
     def BDP(self, i, n, parity=None):
-        """Image of the (parity-)divided power of B_i."""
+        """B_i^(n), computed once per algebra."""
         key = (i, n, parity)
-        if key in self._bdp_cache:
-            return self._bdp_cache[key]
-        from .idp import idp_hall
-
-        h = self.algebra
-        base = idp_hall(h, i, n, parity)
-        # a fixed vertex is its own orbit's representative
-        if i in self.reps:
-            scal = QSqrt(h.q, 1, 0, (1 - h.q) ** n)
-        else:
-            scal = h.v_pow(n) * QSqrt(h.q, 1, 0, (h.q - 1) ** n)
-        out = base.scale(scal)
-        self._bdp_cache[key] = out
-        return out
+        if key not in self._bdp_cache:
+            self._bdp_cache[key] = idp.idivided_power(self.algebra, i, n, parity)
+        return self._bdp_cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +139,17 @@ def relation_residual(algebra, inst, psi=None):
     iq = algebra.iq
     kind = inst.kind
     if kind == "torus-torus":
-        ki, kl = psi.K(inst.i), psi.K(inst.j)
+        ki, kl = idp.ktilde(algebra, inst.i), idp.ktilde(algebra, inst.j)
         return ki * kl - kl * ki
     if kind == "torus-b":
-        ki, bl = psi.K(inst.i), psi.B(inst.j)
+        ki, bl = idp.ktilde(algebra, inst.i), psi.B(inst.j)
         e = iq.cartan_vv(iq.tau[inst.i], inst.j) - iq.cartan_vv(inst.i, inst.j)
         return ki * bl - (bl * ki).scale(algebra.v_pow(e))
     if kind in ("commute", "serre", "fixed-serre"):
         c = iq.cartan_vv(inst.i, inst.j)
         return _serre_sum(psi, inst.i, inst.j, c, inst.parity)
     if kind == "pair":
-        # c = c_{i,tau i} is even (`Psi.K`), as the relation below needs
+        # c = c_{i,tau i} is even (`idp.ktilde`), as the relation below needs
         i, ti = inst.i, iq.tau[inst.i]
         c = iq.cartan_vv(i, ti)
         lhs = _serre_sum(psi, i, ti, c)
@@ -182,8 +157,8 @@ def relation_residual(algebra, inst, psi=None):
         # multiplied through by (v - v^-1) to stay polynomial
         res = lhs.scale(algebra.v_pow(1) - algebra.v_pow(-1))
         mid = psi.BDP(i, -c)
-        res = res - (mid * psi.K(i)).scale(algebra.v_pow(c) * QSqrt.pochhammer(q, -2, -c))
-        res = res + (mid * psi.K(ti)).scale(QSqrt.pochhammer(q, 2, -c))
+        res = res - (mid * idp.ktilde(algebra, i)).scale(algebra.v_pow(c) * QSqrt.pochhammer(q, -2, -c))
+        res = res + (mid * idp.ktilde(algebra, ti)).scale(QSqrt.pochhammer(q, 2, -c))
         return res
     raise ValueError("unknown relation kind %r" % (kind,))
 

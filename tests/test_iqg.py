@@ -3,6 +3,7 @@
 import pytest
 
 from ihall import ring
+from ihall.idp import ktilde
 from ihall.ihall import HallAlgebra
 from ihall.iqg import Psi, build_relation_suite, relation_residual
 from ihall.iquiver import IQuiver, builtin_iquiver
@@ -101,14 +102,14 @@ def test_psi_normalization():
     alg = HallAlgebra(builtin_iquiver("a2-split"), 2)
     psi = Psi(alg)
     assert psi.B("1") == alg.simple("1").scale(-1)
-    assert psi.K("1") == alg.torus_k("1").scale(alg.scalar(-1) / 2)
+    assert ktilde(alg, "1") == alg.torus_k("1").scale(alg.scalar(-1) / 2)
 
     algk = HallAlgebra(builtin_iquiver("kronecker-r1"), 2)
     psik = Psi(algk)
     # representative of the orbit carries the minus sign, its partner a v
     assert psik.B("1") == algk.simple("1").scale(-1)
     assert psik.B("2") == algk.simple("2").scale(algk.v_pow(1))
-    assert psik.K("1") == algk.torus_k("1").scale(algk.v_pow(1))
+    assert ktilde(algk, "1") == algk.torus_k("1").scale(algk.v_pow(1))
 
 
 def test_p_exponent_value():
